@@ -9,10 +9,6 @@ import (
 	"repro/internal/trace"
 )
 
-// benchNow is the fixed tick timestamp used when driving shards manually;
-// benchmarks never touch real connections, so the value is arbitrary.
-var benchNow = time.Unix(1, 0)
-
 // BenchmarkEngineStep measures one shard clock tick stepping many
 // registered sessions (the engine's unit of serving work): each session
 // advances its smoothing buffer one step, frames up to R payload bytes and
@@ -37,6 +33,7 @@ func BenchmarkEngineStep(b *testing.B) {
 				b.Fatal(err)
 			}
 			sh := eng.shards[0]
+			var tick int64 // benchmarks drive the model clock themselves
 			register := func() {
 				for i := 0; i < sessions; i++ {
 					s, err := eng.newSession(io.Discard, 16, 16*eng.cfg.Rate)
@@ -50,7 +47,8 @@ func BenchmarkEngineStep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sh.step(benchNow)
+				tick++
+				sh.step(tick)
 				if len(sh.sessions) == 0 {
 					// Every session drained to End: refill off the clock.
 					b.StopTimer()
@@ -69,8 +67,10 @@ func BenchmarkEngineStep(b *testing.B) {
 // cohort-served (shared precomputed schedule, struct-of-arrays rows,
 // pre-encoded flushes) versus the fallback per-session Sender path. The
 // cohort variants are pinned at 0 allocs/op in steady state by the
-// benchdiff gate; the sess-steps/s metric is sessions advanced per second
-// on the one core driving the shard.
+// benchdiff gate; the sess-steps/s metric is session steps advanced per
+// second on the one core driving the shard. cohort/catchup skips three
+// ticks before every tick it serves, so each row is four steps behind and
+// takes the coalesced path: one write of four steps' bytes.
 func BenchmarkEngineStepDensity(b *testing.B) {
 	cfg := trace.DefaultGenConfig()
 	cfg.Frames = 200
@@ -81,17 +81,19 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 	modes := []struct {
 		name     string
 		cohort   bool
+		stride   int64 // ticks the model clock advances per served tick
 		sessions []int
 	}{
 		// The fallback path at 100k sessions would hold 100k private
 		// smoothing buffers (gigabytes); its own ceiling is the point of
 		// the comparison, so it stops at 10k.
-		{name: "cohort", cohort: true, sessions: []int{1000, 10000, 100000}},
-		{name: "fallback", cohort: false, sessions: []int{1000, 10000}},
+		{name: "cohort/sessions", cohort: true, stride: 1, sessions: []int{1000, 10000, 100000}},
+		{name: "cohort/catchup", cohort: true, stride: 4, sessions: []int{10000}},
+		{name: "fallback/sessions", cohort: false, stride: 1, sessions: []int{1000, 10000}},
 	}
 	for _, m := range modes {
 		for _, sessions := range m.sessions {
-			b.Run(fmt.Sprintf("%s/sessions=%d", m.name, sessions), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s=%d", m.name, sessions), func(b *testing.B) {
 				eng, err := newEngine(clip, trace.PaperWeights(), Config{
 					Rate:           2 * int(clip.AverageRate()),
 					Shards:         1,
@@ -112,6 +114,7 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 				}
 				// prime registers a full load and runs the admission tick
 				// off the clock, so the timed region measures steady state.
+				var tick int64
 				prime := func() {
 					for i := 0; i < sessions; i++ {
 						if m.cohort {
@@ -126,7 +129,8 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 							sh.enqueue(admission{s: s})
 						}
 					}
-					sh.step(benchNow)
+					tick++
+					sh.step(tick)
 				}
 				prime()
 				b.ReportAllocs()
@@ -138,10 +142,11 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 						prime()
 						b.StartTimer()
 					}
-					sh.step(benchNow)
+					tick += m.stride
+					sh.step(tick)
 				}
 				b.StopTimer()
-				b.ReportMetric(float64(sessions)*float64(b.N)/b.Elapsed().Seconds(), "sess-steps/s")
+				b.ReportMetric(float64(sessions)*float64(m.stride)*float64(b.N)/b.Elapsed().Seconds(), "sess-steps/s")
 				eng.Close()
 			})
 		}

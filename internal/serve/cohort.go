@@ -39,10 +39,11 @@ type cohortKey struct {
 type Cohort struct {
 	key cohortKey
 	// wire holds every step's encoded flush back to back; step i's bytes
-	// are wire[off[i]:off[i+1]]. The last step's bytes include the
-	// end-of-stream marker, so a completed cohort session's byte stream is
-	// exactly wire — proven byte-identical to the per-session Sender path
-	// by TestCohortGoldenEquivalence.
+	// are wire[off[i]:off[i+1]], so any run of steps is one contiguous
+	// span. The last step's bytes include the end-of-stream marker, so a
+	// completed cohort session's byte stream is exactly wire — proven
+	// byte-identical to the per-session Sender path by
+	// TestCohortGoldenEquivalence.
 	wire []byte
 	off  []int32
 	// drops[i] is the total number of slices shed by the smoothing buffer
@@ -56,13 +57,14 @@ func (c *Cohort) Steps() int { return len(c.off) - 1 }
 // WireBytes returns the total size of the pre-encoded stream.
 func (c *Cohort) WireBytes() int { return len(c.wire) }
 
-// stepBytes returns the pre-encoded flush of one step. The result aliases
-// the cohort's immutable buffer; callers must not mutate it.
+// span returns the pre-encoded flushes of steps [from, to) back to back.
+// The result aliases the cohort's immutable buffer; callers must not
+// mutate it.
 //
 //smoothvet:aliased
 //smoothvet:noalloc
-func (c *Cohort) stepBytes(step int32) []byte {
-	return c.wire[c.off[step]:c.off[step+1]]
+func (c *Cohort) span(from, to int32) []byte {
+	return c.wire[c.off[from]:c.off[to]]
 }
 
 // droppedThrough returns the slices shed through the given number of

@@ -1,8 +1,8 @@
 // Package serve is the sharded multi-session serving engine: the
 // production-shaped deployment of the paper's Fig. 1 system. Instead of one
-// goroutine and one time.Ticker per connection (netstream.Serve), the
-// engine runs N shard loops, each driven by a single clock that steps every
-// session registered on the shard. Sessions are assigned to shards by
+// goroutine and one ticker per connection (netstream.Serve), the
+// engine runs N shard loops, each driven by a single model clock that steps
+// every session registered on the shard. Sessions are assigned to shards by
 // connection hash, and all of a session's per-step work — arrivals, the
 // smoothing-buffer step, framing, the batched wire flush — happens on its
 // shard goroutine, so sessions need no locks of their own.
@@ -24,6 +24,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"hash/maphash"
 	"io"
@@ -105,6 +106,10 @@ type Engine struct {
 	seed       maphash.Seed
 	cohorts    cohortCache
 
+	// handshakeTimeout bounds Handle's Hello/Accept exchange; it is
+	// defaultHandshakeTimeout everywhere but in tests that shorten it.
+	handshakeTimeout time.Duration
+
 	met     *engineMetrics
 	recs    []*obs.FlightRecorder
 	sessSeq atomic.Uint64 // flight-recorder session ids, assigned at Handle
@@ -153,7 +158,7 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, st: st, seed: maphash.MakeSeed()}
+	e := &Engine{cfg: cfg, st: st, seed: maphash.MakeSeed(), handshakeTimeout: defaultHandshakeTimeout}
 	e.cohorts.m = make(map[cohortKey]*cohortEntry)
 	// Payload bytes depend only on (slice ID, size): synthesize them once
 	// and share across every session instead of per session per step.
@@ -177,7 +182,7 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
 		e.recs[i] = obs.NewFlightRecorder(0)
-		e.shards[i] = &shard{eng: e, quit: make(chan struct{}), met: e.met.reg.Shard(i), rec: e.recs[i]}
+		e.shards[i] = &shard{eng: e, quit: make(chan struct{}), epoch: time.Now(), met: e.met.reg.Shard(i), rec: e.recs[i]}
 	}
 	return e, nil
 }
@@ -204,45 +209,28 @@ func (e *Engine) ActiveSessions() int { return int(e.active.Load()) }
 // ServedSessions returns the number of sessions finished since start.
 func (e *Engine) ServedSessions() int { return int(e.served.Load()) }
 
+// defaultHandshakeTimeout bounds the Hello/Accept exchange in Handle, like
+// lb's HandshakeTimeout default.
+const defaultHandshakeTimeout = 10 * time.Second
+
 // Handle performs the netstream handshake on the caller's goroutine (the
-// Hello read blocks), registers the session on a shard chosen by connection
-// hash, and returns; the shard clock drives the session to completion and
-// closes the connection. Sessions whose negotiated parameters hit the
-// cohort cache are registered in the shard's struct-of-arrays cohort rows;
-// the rest get a private Sender. On rejection (engine draining, session
-// limit, bad handshake) the connection is closed and an error returned.
+// Hello read blocks, for at most the handshake timeout), registers the
+// session on a shard chosen by connection hash, and returns; the shard
+// clock drives the session to completion and closes the connection.
+// Sessions whose negotiated parameters hit the cohort cache are registered
+// in the shard's struct-of-arrays cohort rows; the rest get a private
+// Sender. On rejection (engine draining, session limit, bad or timed-out
+// handshake) the connection is closed and an error returned.
 func (e *Engine) Handle(conn net.Conn) error {
 	if e.closing.Load() {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: engine is draining")
+		return e.reject(conn, errDraining)
 	}
 	if max := e.cfg.MaxSessions; max > 0 && e.active.Load() >= int64(max) {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: session limit %d reached", max)
+		return e.reject(conn, fmt.Errorf("serve: session limit %d reached", max))
 	}
-	msg, err := netstream.ReadMsg(conn)
+	delay, buffer, err := e.handshake(conn)
 	if err != nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: reading hello: %w", err)
-	}
-	if msg.Hello == nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: expected hello, got %+v", msg)
-	}
-	delay, buffer := netstream.NegotiateSession(*msg.Hello, e.cfg.Rate, e.cfg.MaxDelay)
-	if err := netstream.WriteAccept(conn, netstream.Accept{
-		Rate:         uint32(e.cfg.Rate),
-		Delay:        uint32(delay),
-		ServerBuffer: uint32(buffer),
-		StepMicros:   uint32(e.cfg.StepDuration / time.Microsecond),
-	}); err != nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return fmt.Errorf("serve: writing accept: %w", err)
+		return e.reject(conn, err)
 	}
 	remote := conn.RemoteAddr().String()
 	sh := e.shards[e.shardOf(remote)]
@@ -260,31 +248,65 @@ func (e *Engine) Handle(conn net.Conn) error {
 		if !sh.enqueue(admission{row: cohortRow{
 			cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: id,
 		}}) {
-			e.met.reg.GlobalInc(e.met.cRejected)
 			e.active.Add(-1)
 			e.sessWG.Done()
-			_ = conn.Close()
-			return fmt.Errorf("serve: engine is draining")
+			return e.reject(conn, errDraining)
 		}
 		return nil
 	}
 	e.met.reg.GlobalInc(e.met.cCohortMiss)
 	s, err := e.newSession(w, delay, buffer)
 	if err != nil {
-		e.met.reg.GlobalInc(e.met.cRejected)
-		_ = conn.Close()
-		return err
+		return e.reject(conn, err)
 	}
 	s.conn = conn
 	s.remote = remote
 	s.id = id
 	if !sh.enqueue(admission{s: s}) {
-		e.met.reg.GlobalInc(e.met.cRejected)
 		e.unregister(s)
-		_ = conn.Close()
-		return fmt.Errorf("serve: engine is draining")
+		return e.reject(conn, errDraining)
 	}
 	return nil
+}
+
+// handshake reads the client's Hello and answers with the negotiated
+// Accept. Handle runs it before the session counts against MaxSessions, so
+// the whole exchange is under one deadline: a client that connects and says
+// nothing is rejected when it expires instead of holding the caller's
+// goroutine and the descriptor for ever. The deadline is cleared before
+// returning; from then on the shard's deadline writer bounds each flush.
+func (e *Engine) handshake(conn net.Conn) (delay, buffer int, err error) {
+	if err := conn.SetDeadline(time.Now().Add(e.handshakeTimeout)); err != nil {
+		return 0, 0, fmt.Errorf("serve: arming handshake deadline: %w", err)
+	}
+	msg, err := netstream.ReadMsg(conn)
+	if err != nil {
+		return 0, 0, fmt.Errorf("serve: reading hello: %w", err)
+	}
+	if msg.Hello == nil {
+		return 0, 0, fmt.Errorf("serve: expected hello, got %+v", msg)
+	}
+	delay, buffer = netstream.NegotiateSession(*msg.Hello, e.cfg.Rate, e.cfg.MaxDelay)
+	if err := netstream.WriteAccept(conn, netstream.Accept{
+		Rate:         uint32(e.cfg.Rate),
+		Delay:        uint32(delay),
+		ServerBuffer: uint32(buffer),
+		StepMicros:   uint32(e.cfg.StepDuration / time.Microsecond),
+	}); err != nil {
+		return 0, 0, fmt.Errorf("serve: writing accept: %w", err)
+	}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return 0, 0, fmt.Errorf("serve: clearing handshake deadline: %w", err)
+	}
+	return delay, buffer, nil
+}
+
+// reject refuses a connection before registration: it counts the refusal,
+// closes the connection and returns err.
+func (e *Engine) reject(conn net.Conn, err error) error {
+	e.met.reg.GlobalInc(e.met.cRejected)
+	_ = conn.Close()
+	return err
 }
 
 // shardOf picks the shard for a connection by hashing its remote address.
@@ -348,16 +370,21 @@ func (e *Engine) Close() {
 	e.loopWG.Wait()
 }
 
-// errAborted reports a session cut off by Close before its stream drained.
-var errAborted = fmt.Errorf("serve: engine closed mid-stream")
+var (
+	// errDraining refuses a connection once Drain or Close has begun.
+	errDraining = errors.New("serve: engine is draining")
+	// errAborted reports a session cut off by Close before its stream drained.
+	errAborted = errors.New("serve: engine closed mid-stream")
+)
 
 // ---------------------------------------------------------------------------
 // Shards.
 // ---------------------------------------------------------------------------
 
-// tickClock publishes a shard's current tick timestamp (UnixNano) to the
-// deadline writers of its sessions, so arming a write deadline costs an
-// atomic load instead of a time.Now call per session per flush.
+// tickClock publishes the due time (UnixNano) of the tick a shard is
+// serving to the deadline writers of its sessions, so arming a write
+// deadline costs an atomic load instead of a time.Now call per session per
+// flush.
 type tickClock struct {
 	nanos atomic.Int64
 }
@@ -383,14 +410,26 @@ type cohortRow struct {
 }
 
 // cohortRows is the shard-owned struct-of-arrays state of cohort-served
-// sessions. A shard tick walks cursors/cohorts contiguously — no
+// sessions. A shard tick walks cursors/cohorts/bases contiguously — no
 // per-session pointer chase — and retires finished rows by swap-remove.
-// The three slices are parallel: row i is (cohorts[i], cursors[i],
+// The four slices are parallel: row i is (cohorts[i], cursors[i], bases[i],
 // cold[i]).
 type cohortRows struct {
 	cohorts []*Cohort
-	cursors []int32
-	cold    []cohortRow
+	cursors []int32 // next step to send
+	// bases[i] is the model tick at which row i's step 0 was due, so step s
+	// is due at tick bases[i]+s: rows admitted on different ticks keep
+	// their own schedule. It slides forward when steps are forgiven.
+	bases []int64
+	cold  []cohortRow
+}
+
+// push appends one row whose step 0 is due at tick base.
+func (r *cohortRows) push(row cohortRow, base int64) {
+	r.cohorts = append(r.cohorts, row.cohort)
+	r.cursors = append(r.cursors, 0)
+	r.bases = append(r.bases, base)
+	r.cold = append(r.cold, row)
 }
 
 // shard owns a set of sessions and the single clock that steps them. Only
@@ -402,7 +441,9 @@ type shard struct {
 	eng  *Engine
 	quit chan struct{} //smoothvet:shared closed by Engine.Close to stop the loop
 
-	clk tickClock
+	// epoch anchors the model clock: tick n is due at epoch + n·StepDuration.
+	epoch time.Time
+	clk   tickClock
 
 	//smoothvet:shared registration queue, guarded by mu
 	mu sync.Mutex
@@ -433,29 +474,52 @@ func (sh *shard) enqueue(a admission) bool {
 	return true
 }
 
-// run is the shard loop: one ticker, one step for every session per tick.
+// dueAt returns the wall-clock time at which a model tick is due.
+//
+//smoothvet:noalloc
+func (sh *shard) dueAt(tick int64) time.Time {
+	return sh.epoch.Add(time.Duration(tick) * sh.eng.cfg.StepDuration)
+}
+
+// run is the shard loop, driven by the model clock. Every wake serves the
+// latest tick that is due — step brings each session up to it, so ticks
+// the shard overran are caught up in one pass instead of being dropped or
+// replayed one by one — and then sleeps to the next tick boundary, which
+// is already past (the timer fires at once) while the shard is behind.
 func (sh *shard) run() {
 	defer sh.eng.loopWG.Done()
-	tk := time.NewTicker(sh.eng.cfg.StepDuration)
-	defer tk.Stop()
+	d := sh.eng.cfg.StepDuration
+	m := sh.eng.met
+	var tick int64 // the last tick served
+	tm := time.NewTimer(time.Until(sh.dueAt(1)))
+	defer tm.Stop()
 	for {
 		select {
 		case <-sh.quit:
 			sh.shutdown()
 			return
-		case now := <-tk.C:
-			sh.step(now)
+		case <-tm.C:
+		}
+		if due := int64(time.Since(sh.epoch) / d); due > tick {
+			if due > tick+1 {
+				sh.met.Inc(m.cTickOverruns)
+			}
+			tick = due
+			sh.step(tick)
 			// Step duration and snapshot publication happen outside the
 			// noalloc step path: one wall-clock read and one O(metrics)
-			// copy per tick, never per session.
-			sh.met.Observe(sh.eng.met.hStepDur, time.Since(now).Microseconds())
+			// copy per tick, never per session. The duration runs from the
+			// tick's due time, so it includes how late the wake was.
+			sh.met.Observe(m.hStepDur, time.Since(sh.dueAt(tick)).Microseconds())
 			sh.met.Publish()
 		}
+		tm.Reset(time.Until(sh.dueAt(tick + 1)))
 	}
 }
 
-// admit moves newly registered sessions onto the shard goroutine.
-func (sh *shard) admit() {
+// admit moves newly registered sessions onto the shard goroutine. Their
+// step 0 is due at the tick being served.
+func (sh *shard) admit(tick int64) {
 	sh.mu.Lock()
 	inc := sh.incoming
 	sh.incoming = nil
@@ -465,34 +529,41 @@ func (sh *shard) admit() {
 		sh.met.Inc(sh.eng.met.cAdmitted)
 		if s := inc[i].s; s != nil {
 			sh.rec.Record(now, obs.EvAdmit, s.id, 0)
+			s.base = tick
 			sh.sessions = append(sh.sessions, s)
 			continue
 		}
 		sh.rec.Record(now, obs.EvAdmit, inc[i].row.id, 0)
 		sh.rec.Record(now, obs.EvCohortAssign, inc[i].row.id, int64(inc[i].row.cohort.Steps()))
-		sh.rows.cohorts = append(sh.rows.cohorts, inc[i].row.cohort)
-		sh.rows.cursors = append(sh.rows.cursors, 0)
-		sh.rows.cold = append(sh.rows.cold, inc[i].row)
+		sh.rows.push(inc[i].row, tick)
 	}
 }
 
-// step advances every session on the shard by one model step, retiring the
-// ones that finished or failed. now is the tick timestamp; it is published
-// once to the shard's deadline writers, so a tick arms at most one write
-// deadline per connection no matter how many flushes it performs.
+// step serves one model tick: it advances every session on the shard to
+// the step due at tick, retiring the ones that finished or failed. A
+// session is normally one step behind; after the shard skipped ticks it is
+// k behind and receives min(k, D) steps at once — D steps are R·D = B
+// payload bytes at most, the client buffer the paper provisions to absorb
+// exactly that much link output — while steps beyond D are forgiven: the
+// session's schedule slides and it finishes that many ticks later. Ticks
+// must be strictly increasing. The tick's due time is published once to
+// the shard's deadline writers, so a tick arms at most one write deadline
+// per connection no matter how many flushes it performs; nothing on this
+// path reads the wall clock.
 //
 //smoothvet:deterministic
 //smoothvet:noalloc
-func (sh *shard) step(now time.Time) {
+func (sh *shard) step(tick int64) {
+	now := sh.dueAt(tick)
 	sh.clk.nanos.Store(now.UnixNano())
-	sh.admit()
-	sh.stepRows()
+	sh.admit(tick)
+	sh.stepRows(tick)
 	live := sh.sessions[:0]
 	for _, s := range sh.sessions {
 		if s.step == 0 {
 			sh.rec.Record(sh.clk.nanos.Load(), obs.EvFirstWrite, s.id, 0)
 		}
-		done, err := s.stepOnce()
+		done, err := sh.stepSession(s, tick)
 		if done || err != nil {
 			s.finish(now, err)
 			sh.noteSessionEnd(s.id, s.step, err)
@@ -507,62 +578,78 @@ func (sh *shard) step(now time.Time) {
 	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.sessions)+len(sh.rows.cursors)))
 }
 
-// stepRows advances the cohort rows one model step: a contiguous walk over
-// the parallel arrays, flushing each phase group — the run of sessions on
-// the same cohort at the same cursor — from one shared pre-encoded buffer.
-// Retirement is swap-remove: the last unprocessed row takes the freed slot
-// and is processed in place, so every row advances exactly once per tick.
+// stepRows advances the cohort rows to the step due at tick: a contiguous
+// walk over the parallel arrays, flushing each phase group — the run of
+// sessions on the same cohort at the same cursor and base — with one Write
+// per row of one shared pre-encoded span, which covers every step the
+// group owes (see step for the bound). Retirement is swap-remove: the last
+// unprocessed row takes the freed slot and is processed in place, so every
+// row advances exactly once per tick.
 //
 //smoothvet:deterministic
 //smoothvet:noalloc
-func (sh *shard) stepRows() {
+func (sh *shard) stepRows(tick int64) {
 	rows := &sh.rows
+	m := sh.eng.met
 	i := 0
 	for i < len(rows.cursors) {
 		c := rows.cohorts[i]
 		cur := rows.cursors[i]
-		buf := c.stepBytes(cur)
-		last := int(cur)+1 == c.Steps()
-		// One shared buffer serves the whole phase group [i, j).
-		j := i
-		for j < len(rows.cursors) && rows.cohorts[j] == c && rows.cursors[j] == cur {
+		base := rows.bases[i]
+		// The group owes steps cur..tick-base; send n of them and forgive
+		// what exceeds the burst bound, unless the stream ends first.
+		owed := tick - base + 1 - int64(cur)
+		n, forgiven := owed, int64(0)
+		if d := int64(c.key.delay); n > d {
+			n, forgiven = d, owed-d
+		}
+		left := int64(c.Steps()) - int64(cur)
+		last := n >= left
+		if last {
+			n, forgiven = left, 0
+		}
+		next := cur + int32(n)
+		buf := c.span(cur, next)
+		// One shared span serves the whole phase group [i, j).
+		j, served := i, uint64(0)
+		for j < len(rows.cursors) && rows.cohorts[j] == c && rows.cursors[j] == cur && rows.bases[j] == base {
 			if cur == 0 {
 				sh.rec.Record(sh.clk.nanos.Load(), obs.EvFirstWrite, rows.cold[j].id, 0)
 			}
-			var err error
+			served++
 			if len(buf) > 0 {
-				_, err = rows.cold[j].w.Write(buf)
+				if _, err := rows.cold[j].w.Write(buf); err != nil {
+					sh.retireRow(j, cur, err)
+					continue // the swapped-in row is processed at j
+				}
 			}
-			if err != nil || last {
-				sh.retireRow(j, cur, err)
-				continue // the swapped-in row is processed at j
+			if last {
+				sh.retireRow(j, next, nil)
+				continue
 			}
-			rows.cursors[j] = cur + 1
+			rows.cursors[j] = next
+			rows.bases[j] = base + forgiven
 			j++
 		}
+		sh.met.Add(m.cCatchupSteps, served*uint64(n-1))
+		sh.met.Add(m.cForgivenSteps, served*uint64(forgiven))
 		i = j
 	}
 }
 
-// retireRow finishes the cohort session in slot j (err nil = clean drain
-// to End) and swap-removes its row. It sits on the noalloc tick path, so
-// Elapsed is derived from the shard's tick clock — stamped once per tick
-// (and once by shutdown) — instead of re-reading the wall clock per
-// retirement.
-func (sh *shard) retireRow(j int, cur int32, err error) {
+// retireRow finishes the cohort session in slot j after steps completed
+// steps (err nil = clean drain to End) and swap-removes its row. It sits on
+// the noalloc tick path, so Elapsed is derived from the shard's tick clock
+// — stamped once per tick (and once by shutdown) — instead of re-reading
+// the wall clock per retirement.
+func (sh *shard) retireRow(j int, steps int32, err error) {
 	rows := &sh.rows
 	cold := &rows.cold[j]
-	steps := int(cur)
-	dropped := rows.cohorts[j].droppedThrough(cur)
-	if err == nil {
-		// Clean finish: the final step completed.
-		steps = int(cur) + 1
-		dropped = rows.cohorts[j].droppedThrough(cur + 1)
-	}
+	dropped := rows.cohorts[j].droppedThrough(steps)
 	if cold.conn != nil {
 		_ = cold.conn.Close()
 	}
-	sh.noteSessionEnd(cold.id, steps, err)
+	sh.noteSessionEnd(cold.id, int(steps), err)
 	e := sh.eng
 	e.active.Add(-1)
 	e.served.Add(1)
@@ -570,7 +657,7 @@ func (sh *shard) retireRow(j int, cur int32, err error) {
 	if e.cfg.OnSessionDone != nil {
 		e.cfg.OnSessionDone(SessionStats{
 			Remote:  cold.remote,
-			Steps:   steps,
+			Steps:   int(steps),
 			Dropped: dropped,
 			Elapsed: time.Unix(0, sh.clk.nanos.Load()).Sub(cold.start),
 		}, err)
@@ -578,11 +665,13 @@ func (sh *shard) retireRow(j int, cur int32, err error) {
 	n := len(rows.cursors) - 1
 	rows.cohorts[j] = rows.cohorts[n]
 	rows.cursors[j] = rows.cursors[n]
+	rows.bases[j] = rows.bases[n]
 	rows.cold[j] = rows.cold[n]
 	rows.cohorts[n] = nil
 	rows.cold[n] = cohortRow{}
 	rows.cohorts = rows.cohorts[:n]
 	rows.cursors = rows.cursors[:n]
+	rows.bases = rows.bases[:n]
 	rows.cold = rows.cold[:n]
 }
 
@@ -602,9 +691,7 @@ func (sh *shard) shutdown() {
 			sh.sessions = append(sh.sessions, s)
 			continue
 		}
-		sh.rows.cohorts = append(sh.rows.cohorts, inc[i].row.cohort)
-		sh.rows.cursors = append(sh.rows.cursors, 0)
-		sh.rows.cold = append(sh.rows.cold, inc[i].row)
+		sh.rows.push(inc[i].row, 0)
 	}
 	for _, s := range sh.sessions {
 		s.finish(now, errAborted)
@@ -632,9 +719,37 @@ type session struct {
 	remote  string
 	snd     *netstream.Sender
 	start   time.Time
+	base    int64 // model tick at which step 0 was due; see cohortRows.bases
 	step    int
 	dropped int
 	id      uint64 // flight-recorder session id
+}
+
+// stepSession advances a fallback session to the step due at tick under
+// the bound stepRows applies to cohort rows — at most D steps per tick,
+// the surplus forgiven — by running stepOnce that many times; each step is
+// still its own wire flush.
+//
+//smoothvet:deterministic
+//smoothvet:noalloc
+func (sh *shard) stepSession(s *session, tick int64) (done bool, err error) {
+	m := sh.eng.met
+	owed := tick - s.base + 1 - int64(s.step)
+	n := owed
+	if d := int64(s.snd.Delay()); n > d {
+		n = d
+	}
+	ran := int64(0)
+	for ran < n && !done && err == nil {
+		done, err = s.stepOnce()
+		ran++
+	}
+	sh.met.Add(m.cCatchupSteps, uint64(ran-1))
+	if !done && err == nil {
+		s.base += owed - n
+		sh.met.Add(m.cForgivenSteps, uint64(owed-n))
+	}
+	return done, err
 }
 
 // stepOnce runs one model step: offer this step's arrivals (the shared,

@@ -144,12 +144,14 @@ func TestShardCountInvariance(t *testing.T) {
 // accepts again once a slot frees up.
 func TestMaxSessionsRejects(t *testing.T) {
 	clip := testClip(t, 10)
+	ended := make(chan struct{}, 2) // one send per admitted session
 	eng, err := New(clip, trace.PaperWeights(), Config{
-		Rate:         2 * int(clip.AverageRate()),
-		Shards:       2,
-		MaxSessions:  1,
-		StepDuration: 200 * time.Microsecond,
-		MaxDelay:     4,
+		Rate:          2 * int(clip.AverageRate()),
+		Shards:        2,
+		MaxSessions:   1,
+		StepDuration:  200 * time.Microsecond,
+		MaxDelay:      4,
+		OnSessionDone: func(SessionStats, error) { ended <- struct{}{} },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +182,9 @@ func TestMaxSessionsRejects(t *testing.T) {
 	if err := <-clientDone; err != nil {
 		t.Fatalf("first client: %v", err)
 	}
+	// The client sees End a moment before the shard retires the session;
+	// the slot is free once the shard has reported it done.
+	<-ended
 	// Slot freed: a new session is admitted again.
 	server3, client3 := net.Pipe()
 	go func() { handled <- eng.Handle(server3) }()

@@ -50,6 +50,15 @@ go test ./...
 echo "== go test -race"
 go test -race ./...
 
+echo "== smoothbench vet + smoke"
+# The benchmark is its own module (bench/go.mod replaces repro => ../), so
+# ./... above does not reach it. Its tests run every workload at 16
+# sessions, traced and untraced, with all output checks against the
+# reference session (about 2 s): a tier change that breaks a smoothbench
+# check fails here, before review.
+go vet -C bench ./...
+go test -C bench ./...
+
 echo "== loopback capacity smoke (1k sessions)"
 # One real client-engine wave against a real serving engine over loopback
 # TCP — the cheap end-to-end check that the sharded client reactor, the
@@ -85,7 +94,9 @@ go build -o bin/benchdiff ./cmd/benchdiff
 # — whose pool misses depend on goroutine scheduling — get looser ones.
 # The cohort-served density benchmark is pinned at exactly zero steady-state
 # allocations: the whole point of the compute-once layer is that a shard
-# tick over 100k sessions touches no allocator at all. The client engine's
+# tick over 100k sessions touches no allocator at all — nor does the
+# coalesced catch-up walk (cohort/catchup, every row four steps behind),
+# which the same glob covers. The client engine's
 # per-step path (BenchmarkLoadgenStep) carries the same zero pin — the dual
 # invariant for the receiving side — as does the observability record path
 # (BenchmarkObsRecord): a metric increment, histogram observation or
