@@ -129,22 +129,33 @@ func (r Regression) String() string {
 }
 
 type key struct {
-	pkg   string
-	name  string
-	procs int
+	pkg  string
+	name string
 }
 
 // Compare checks every baseline benchmark against the current run and
 // returns tripped metrics, baseline benchmarks missing from the current
 // run, and the number of benchmark pairs compared.
+//
+// A baseline row pairs with the current row of the same package, name and
+// procs. A benchmark the baseline recorded at a single procs value is not a
+// procs profile, only a record of the host's GOMAXPROCS, so it pairs with
+// the current run's row whatever its procs: a baseline taken on a 1-CPU
+// host still checks every row — above all the 0 B/op 0 allocs/op pins,
+// which do not depend on procs — on a 2-CPU one.
 func Compare(baseline, current *File, global Limits, rules []Rule) (regs []Regression, missing []string, compared int) {
-	cur := make(map[key]Result, len(current.Benchmarks))
+	cur := make(map[key][]Result, len(current.Benchmarks))
 	for _, b := range current.Benchmarks {
-		cur[key{pkgOf(current, b), b.Name, b.Procs}] = b
+		k := key{pkgOf(current, b), b.Name}
+		cur[k] = append(cur[k], b)
+	}
+	baseRows := make(map[key]int, len(baseline.Benchmarks))
+	for _, base := range baseline.Benchmarks {
+		baseRows[key{pkgOf(baseline, base), base.Name}]++
 	}
 	for _, base := range baseline.Benchmarks {
-		k := key{pkgOf(baseline, base), base.Name, base.Procs}
-		now, ok := cur[k]
+		k := key{pkgOf(baseline, base), base.Name}
+		now, ok := pick(cur[k], base.Procs, baseRows[k] == 1)
 		if !ok {
 			missing = append(missing, fmt.Sprintf("%s (procs=%d)", base.Name, base.Procs))
 			continue
@@ -172,6 +183,20 @@ func Compare(baseline, current *File, global Limits, rules []Rule) (regs []Regre
 		return regs[i].Metric < regs[j].Metric
 	})
 	return regs, missing, compared
+}
+
+// pick returns the row recorded at procs, or — when anyProcs allows it and
+// no row matches exactly — the first row there is.
+func pick(rows []Result, procs int, anyProcs bool) (Result, bool) {
+	for _, r := range rows {
+		if r.Procs == procs {
+			return r, true
+		}
+	}
+	if anyProcs && len(rows) > 0 {
+		return rows[0], true
+	}
+	return Result{}, false
 }
 
 // pkgOf resolves a benchmark's package: the per-result field when the file

@@ -144,3 +144,41 @@ func TestParseRuleSlackDefault(t *testing.T) {
 		t.Fatalf("rule = %+v", r.Allocs)
 	}
 }
+
+// TestCompareAcrossProcs: a baseline recorded on a 1-CPU host must still
+// gate a 2-CPU run. Benchmarks with one baseline procs value pair by name —
+// so an allocation injected into a pinned path trips instead of the row
+// being reported missing — while a benchmark recorded as a procs profile
+// (two baseline rows) keeps pairing on exact procs.
+func TestCompareAcrossProcs(t *testing.T) {
+	base := baseFile()
+	base.Benchmarks = append(base.Benchmarks,
+		Result{Name: "BenchmarkSweepWorkers/fig2/par", Procs: 1, NsPerOp: 6e7, AllocsPerOp: i64(272)},
+		Result{Name: "BenchmarkSweepWorkers/fig2/par", Procs: 4, NsPerOp: 3e7, AllocsPerOp: i64(300)},
+	)
+	cur := baseFile()
+	for i := range cur.Benchmarks {
+		cur.Benchmarks[i].Procs = 2
+	}
+	cur.Benchmarks = append(cur.Benchmarks,
+		Result{Name: "BenchmarkSweepWorkers/fig2/par", Procs: 2, NsPerOp: 4e7, AllocsPerOp: i64(9000)}, // no baseline at procs=2: never compared
+		Result{Name: "BenchmarkSweepWorkers/fig2/par", Procs: 1, NsPerOp: 6e7, AllocsPerOp: i64(272)},
+	)
+	pin, err := parseRule("BenchmarkServerStep:allocs=0.0+0,bytes=0.0+0", laxLimits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs, missing, compared := Compare(base, cur, laxLimits, []Rule{pin})
+	if len(regs) != 0 || compared != 4 {
+		t.Fatalf("clean 2-proc run: regs=%v compared=%d, want none and 4", regs, compared)
+	}
+	if len(missing) != 1 || !strings.Contains(missing[0], "BenchmarkSweepWorkers/fig2/par (procs=4)") {
+		t.Fatalf("missing=%v, want only the procs=4 sweep row", missing)
+	}
+
+	cur.Benchmarks[0].AllocsPerOp = i64(1) // the 0-alloc pin breaks on the procs=2 row
+	regs, _, _ = Compare(base, cur, laxLimits, []Rule{pin})
+	if len(regs) != 1 || regs[0].Name != "BenchmarkServerStep" || regs[0].Metric != "allocs/op" {
+		t.Fatalf("one allocation on a pinned path at procs=2 must trip, got %v", regs)
+	}
+}

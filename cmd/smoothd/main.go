@@ -3,21 +3,20 @@
 // configured rate through a lossy smoothing buffer, with B = R·D negotiated
 // per the paper's law from the client's advertised latency budget.
 //
-// Single-stream sessions run on the sharded serving engine
-// (internal/serve): N shard loops, each with one clock stepping every
-// session registered on it, instead of a goroutine and ticker per
-// connection. Sessions that negotiate the same (delay, buffer) share one
-// precomputed schedule from the engine's cohort cache and cost only a
-// cursor each; -cohort-cache=false forces the per-session sender path.
-// On SIGINT/SIGTERM the server stops accepting, drains
-// in-flight sessions up to -drain, and exits 0.
+// Every session runs on the sharded serving engine (internal/serve): N
+// shard loops, each with one model clock stepping every session registered
+// on it. Sessions that negotiate the same (delay, buffer) share one
+// precomputed schedule and cost only a cursor each. With -streams K every
+// session carries K clips multiplexed as tagged substreams through one
+// shared smoothing buffer, on the same engine — same handshake deadline,
+// -max-sessions, metrics and drain. On SIGINT/SIGTERM the server stops
+// accepting, drains in-flight sessions up to -drain, and exits 0.
 //
 // Usage:
 //
-//	smoothd [-listen :4321] [-trace FILE] [-frames N]
+//	smoothd [-listen :4321] [-trace FILE] [-frames N] [-seed N]
 //	        [-rate-factor F] [-step 40ms] [-policy greedy] [-once]
-//	        [-shards N] [-max-sessions N] [-drain 10s]
-//	        [-cohort-cache=false] [-max-cohorts N]
+//	        [-streams K] [-shards N] [-max-sessions N] [-drain 10s]
 //	        [-debug localhost:6060] [-slo 0]
 //
 // With -debug the server exposes the diagnostic surface on the given
@@ -41,13 +40,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/diag"
 	"repro/internal/drop"
-	"repro/internal/netstream"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
@@ -67,8 +64,6 @@ func main() {
 		shards      = flag.Int("shards", runtime.GOMAXPROCS(0), "serving-engine shard loops")
 		maxSessions = flag.Int("max-sessions", 0, "concurrent session cap (0 = unlimited)")
 		drainWait   = flag.Duration("drain", 10*time.Second, "in-flight session drain budget on shutdown")
-		cohortCache = flag.Bool("cohort-cache", true, "serve same-parameter sessions from shared precomputed schedules")
-		maxCohorts  = flag.Int("max-cohorts", 0, "distinct (delay, buffer) plans to precompute (0 = default cap)")
 		debugAddr   = flag.String("debug", "", "serve /metrics, /statusz, /debug/flightrec and /debug/pprof on this address (empty = off)")
 		sloTarget   = flag.Duration("slo", 0, "windowed p99 shard-step-duration target; breaches dump the flight recorder (0 = off)")
 	)
@@ -118,54 +113,44 @@ func main() {
 		}
 	}
 
+	cfg := serve.Config{
+		Rate:         rate,
+		Shards:       *shards,
+		MaxSessions:  *maxSessions,
+		StepDuration: *step,
+		Policy:       factory,
+		Instrument:   diag.RegisterRuntimeMetrics,
+		OnSessionDone: func(s serve.SessionStats, err error) {
+			if err != nil {
+				log.Printf("smoothd: session %s: %v", s.Remote, err)
+			} else {
+				log.Printf("smoothd: session %s done in %v (%d steps, %d dropped)",
+					s.Remote, s.Elapsed.Round(time.Millisecond), s.Steps, s.Dropped)
+			}
+			noteDone()
+		},
+	}
 	var eng *serve.Engine
-	var muxWG sync.WaitGroup // legacy multiplexed sessions (streams > 1)
 	if *streams == 1 {
-		eng, err = serve.New(clip, trace.PaperWeights(), serve.Config{
-			Rate:           rate,
-			Shards:         *shards,
-			MaxSessions:    *maxSessions,
-			StepDuration:   *step,
-			Policy:         factory,
-			DisableCohorts: !*cohortCache,
-			MaxCohorts:     *maxCohorts,
-			Instrument:     diag.RegisterRuntimeMetrics,
-			OnSessionDone: func(s serve.SessionStats, err error) {
-				if err != nil {
-					log.Printf("smoothd: session %s: %v", s.Remote, err)
-				} else {
-					log.Printf("smoothd: session %s done in %v (%d steps, %d dropped)",
-						s.Remote, s.Elapsed.Round(time.Millisecond), s.Steps, s.Dropped)
-				}
-				noteDone()
-			},
-		})
-		if err != nil {
-			log.Fatalf("smoothd: %v", err)
-		}
+		eng, err = serve.New(clip, trace.PaperWeights(), cfg)
+	} else {
+		eng, err = serve.NewMux(clips, trace.PaperWeights(), cfg)
+	}
+	if err != nil {
+		log.Fatalf("smoothd: %v", err)
 	}
 
-	// Diagnostic surface: the engine's registry when sharded, a
-	// runtime-only registry on the legacy mux path.
-	dopts := diag.Options{Service: "smoothd"}
-	if eng != nil {
-		dopts.Registry = eng.Obs()
-		dopts.Recorders = eng.FlightRecorders()
-		if *sloTarget > 0 {
-			slo := obs.NewSLO(eng.Obs(), eng.StepDurationHist(), sloTarget.Microseconds(), 0.99, func(p99 int64) {
-				log.Printf("smoothd: SLO breach: windowed p99 step duration %dµs > %v", p99, *sloTarget)
-				if err := obs.WriteFlightDump(os.Stderr, eng.FlightRecorders()); err != nil {
-					log.Printf("smoothd: flight dump: %v", err)
-				}
-			})
-			slo.Start(time.Second)
-			defer slo.Stop()
-			dopts.SLO = slo
-		}
-	} else {
-		var b obs.Builder
-		diag.RegisterRuntimeMetrics(&b)
-		dopts.Registry = obs.Build(&b, 1)
+	dopts := diag.Options{Service: "smoothd", Registry: eng.Obs(), Recorders: eng.FlightRecorders()}
+	if *sloTarget > 0 {
+		slo := obs.NewSLO(eng.Obs(), eng.StepDurationHist(), sloTarget.Microseconds(), 0.99, func(p99 int64) {
+			log.Printf("smoothd: SLO breach: windowed p99 step duration %dµs > %v", p99, *sloTarget)
+			if err := obs.WriteFlightDump(os.Stderr, eng.FlightRecorders()); err != nil {
+				log.Printf("smoothd: flight dump: %v", err)
+			}
+		})
+		slo.Start(time.Second)
+		defer slo.Stop()
+		dopts.SLO = slo
 	}
 	if *debugAddr != "" {
 		if _, err := diag.Start(*debugAddr, dopts); err != nil {
@@ -186,26 +171,11 @@ func main() {
 				}
 				return
 			}
-			if eng != nil {
-				// The handshake read blocks; keep the accept loop free.
-				go func(c net.Conn) {
-					if err := eng.Handle(c); err != nil {
-						log.Printf("smoothd: %v", err)
-					}
-				}(conn)
-				continue
-			}
-			muxWG.Add(1)
+			// The handshake read blocks; keep the accept loop free.
 			go func(c net.Conn) {
-				defer muxWG.Done()
-				defer c.Close()
-				start := time.Now()
-				if err := serveMuxSession(c, clips, rate, *step, factory); err != nil {
-					log.Printf("smoothd: session %s: %v", c.RemoteAddr(), err)
-				} else {
-					log.Printf("smoothd: session %s done in %v", c.RemoteAddr(), time.Since(start).Round(time.Millisecond))
+				if err := eng.Handle(c); err != nil {
+					log.Printf("smoothd: %v", err)
 				}
-				noteDone()
 			}(conn)
 		}
 	}()
@@ -228,61 +198,14 @@ func main() {
 	// budget, then exit 0 either way (Close aborts stragglers).
 	ln.Close()
 	<-acceptDone
-	drained := true
-	if eng != nil {
-		drained = eng.Drain(*drainWait)
-		eng.Close()
-	} else {
-		muxIdle := make(chan struct{})
-		go func() { muxWG.Wait(); close(muxIdle) }()
-		select {
-		case <-muxIdle:
-		case <-time.After(*drainWait):
-			drained = false
-		}
-	}
+	drained := eng.Drain(*drainWait)
+	eng.Close()
 	if drained {
 		log.Printf("smoothd: drained cleanly, bye")
 	} else {
 		log.Printf("smoothd: drain budget exceeded, aborting in-flight sessions")
 	}
 	os.Exit(0)
-}
-
-// serveMuxSession performs the handshake and pushes all substreams through
-// one shared smoothing buffer (B = R*D from the client's latency budget).
-func serveMuxSession(c net.Conn, clips []*trace.Clip, rate int, step time.Duration, factory drop.Factory) error {
-	msg, err := netstream.ReadMsg(c)
-	if err != nil {
-		return fmt.Errorf("reading hello: %w", err)
-	}
-	if msg.Hello == nil {
-		return fmt.Errorf("expected hello")
-	}
-	delay := int(msg.Hello.DesiredDelay)
-	if delay <= 0 || delay > 256 {
-		delay = 32
-	}
-	buffer := rate * delay
-	if err := netstream.WriteAccept(c, netstream.Accept{
-		Rate:         uint32(rate),
-		Delay:        uint32(delay),
-		ServerBuffer: uint32(buffer),
-		StepMicros:   uint32(step / time.Microsecond),
-	}); err != nil {
-		return err
-	}
-	dropped, err := netstream.ServeMux(c, clips, netstream.SenderConfig{
-		ServerBuffer: buffer,
-		Rate:         rate,
-		Delay:        delay,
-		Policy:       factory,
-	}, step)
-	if err != nil {
-		return err
-	}
-	log.Printf("smoothd: mux session shed %d slices", dropped)
-	return nil
 }
 
 func loadClip(path string, frames int, seed int64) (*trace.Clip, error) {

@@ -1,6 +1,6 @@
-// Livecast: a real end-to-end session over TCP loopback. A server paces a
-// live synthetic clip through a smoothing buffer at 95% of the stream's
-// average rate; the client connects with a latency budget, negotiates
+// Livecast: a real end-to-end session over TCP loopback. The serving engine
+// (internal/serve) paces a live synthetic clip through a smoothing buffer at
+// 95% of the stream's average rate; the client connects with a latency budget, negotiates
 // B = R·D, reconstructs the stream with the paper's timer-based playout,
 // and verifies every payload byte.
 //
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/netstream"
+	"repro/internal/serve"
 	"repro/internal/trace"
 )
 
@@ -34,19 +35,27 @@ func main() {
 	}
 	defer ln.Close()
 
+	// The engine reports the session's end (nil for a clean drain to End);
+	// a refused handshake is reported by Handle instead.
 	serveErr := make(chan error, 1)
+	eng, err := serve.New(clip, trace.PaperWeights(), serve.Config{
+		Rate:          rate,
+		Shards:        1,
+		StepDuration:  2 * time.Millisecond, // 500 steps/s so the demo finishes quickly
+		OnSessionDone: func(_ serve.SessionStats, err error) { serveErr <- err },
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer eng.Close()
 	go func() {
 		conn, err := ln.Accept()
+		if err == nil {
+			err = eng.Handle(conn)
+		}
 		if err != nil {
 			serveErr <- err
-			return
 		}
-		defer conn.Close()
-		serveErr <- netstream.Serve(conn, clip, trace.PaperWeights(), netstream.ServeConfig{
-			Rate:         rate,
-			StepDuration: 2 * time.Millisecond, // 500 steps/s so the demo finishes quickly
-			MaxDelay:     64,
-		})
 	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())

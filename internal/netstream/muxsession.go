@@ -3,7 +3,6 @@ package netstream
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/stream"
 	"repro/internal/trace"
@@ -103,21 +102,41 @@ type MuxStats struct {
 	Incomplete int
 }
 
-// ServeMux runs a whole multiplexed session over w. Clips are converted to
-// whole-frame streams with the paper's weights; payloads are synthesized
-// deterministically. pace is the wall-clock duration of one model step
-// (0 runs the session as fast as the writer accepts it — fine for buffers
-// and tests, flooding for sockets). It returns the sender's drop count.
-func ServeMux(w io.Writer, clips []*trace.Clip, cfg SenderConfig, pace time.Duration) (dropped int, err error) {
+// MuxOffers builds the whole offer table of a multiplexed session: clips
+// become whole-frame streams under weights, are merged by a Muxer, and
+// entry t holds the tagged arrivals of model step t with deterministically
+// synthesized payloads. Built once, the table is read-only: ServeMux ticks a
+// Sender through it, and serve.NewMux hands it to the sharded engine.
+func MuxOffers(clips []*trace.Clip, weights trace.WeightMap) ([][]Offered, error) {
 	streams := make([]*stream.Stream, len(clips))
 	for i, c := range clips {
-		st, err := trace.WholeFrameStream(c, trace.PaperWeights())
+		st, err := trace.WholeFrameStream(c, weights)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		streams[i] = st
 	}
 	m, err := NewMuxer(streams)
+	if err != nil {
+		return nil, err
+	}
+	payload := func(si int, sl stream.Slice) []byte {
+		return SynthPayload(sl.ID*31+si, sl.Size)
+	}
+	offers := make([][]Offered, m.Horizon()+1)
+	for step := range offers {
+		offers[step] = m.Offers(step, payload)
+	}
+	return offers, nil
+}
+
+// ServeMux runs a whole multiplexed session over w, unpaced: a bare Sender
+// ticked through MuxOffers (paper weights) as fast as the writer accepts
+// it, then the End marker. It is the reference the tests compare the
+// serving engine's multiplexed sessions against; pacing onto a connection
+// lives in internal/serve. It returns the sender's drop count.
+func ServeMux(w io.Writer, clips []*trace.Clip, cfg SenderConfig) (dropped int, err error) {
+	offers, err := MuxOffers(clips, trace.PaperWeights())
 	if err != nil {
 		return 0, err
 	}
@@ -125,28 +144,16 @@ func ServeMux(w io.Writer, clips []*trace.Clip, cfg SenderConfig, pace time.Dura
 	if err != nil {
 		return 0, err
 	}
-	payload := func(si int, sl stream.Slice) []byte {
-		return SynthPayload(sl.ID*31+si, sl.Size)
-	}
-	var tick <-chan time.Time
-	if pace > 0 {
-		ticker := time.NewTicker(pace)
-		defer ticker.Stop()
-		tick = ticker.C
-	}
-	for step := 0; step <= m.Horizon() || snd.Backlog() > 0; step++ {
-		var offers []Offered
-		if step <= m.Horizon() {
-			offers = m.Offers(step, payload)
+	for step := 0; step < len(offers) || snd.Backlog() > 0; step++ {
+		var arrivals []Offered
+		if step < len(offers) {
+			arrivals = offers[step]
 		}
-		stats, err := snd.Tick(offers)
+		stats, err := snd.Tick(arrivals)
 		if err != nil {
 			return dropped, err
 		}
 		dropped += len(stats.Dropped)
-		if tick != nil {
-			<-tick
-		}
 	}
 	return dropped, WriteEnd(w)
 }

@@ -89,7 +89,7 @@ func TestMuxSessionMatchesSharedSimulation(t *testing.T) {
 	B := 4 * 120 * k
 
 	var wire bytes.Buffer
-	dropped, err := ServeMux(&wire, clips, SenderConfig{ServerBuffer: B, Rate: R, Policy: drop.Greedy}, 0)
+	dropped, err := ServeMux(&wire, clips, SenderConfig{ServerBuffer: B, Rate: R, Policy: drop.Greedy})
 	if err != nil {
 		t.Fatal(err)
 	}

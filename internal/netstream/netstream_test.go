@@ -5,15 +5,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"net"
-	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/drop"
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
 
 func TestCodecRoundTrip(t *testing.T) {
@@ -284,129 +280,52 @@ func TestSynthPayloadDeterministic(t *testing.T) {
 	}
 }
 
-// TestServeReceiveOverPipe exercises the real-time wrappers end to end over
-// an in-memory full-duplex connection.
-func TestServeReceiveOverPipe(t *testing.T) {
-	clipCfg := trace.DefaultGenConfig()
-	clipCfg.Frames = 40
-	clipCfg.MaxFrame = 30
-	clipCfg.MeanI, clipCfg.MeanP, clipCfg.MeanB = 20, 14, 6
-	clip, err := trace.Generate(clipCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	server, client := net.Pipe()
-	serveErr := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		serveErr <- Serve(server, clip, trace.PaperWeights(), ServeConfig{
-			Rate:         2 * int(clip.AverageRate()),
-			StepDuration: 200 * time.Microsecond,
-			MaxDelay:     16,
-		})
-	}()
-
-	var events int
-	stats, err := Receive(client, 0, 8, func(PlayEvent) { events++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-serveErr; err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	if stats.Delay != 8 {
-		t.Errorf("negotiated delay = %d, want 8", stats.Delay)
-	}
-	if stats.Corrupt != 0 {
-		t.Errorf("%d corrupt slices", stats.Corrupt)
-	}
-	// The link rate is 2x the average: with delay 8 nothing should drop.
-	if stats.Played != len(clip.Frames) {
-		t.Errorf("played %d of %d frames (incomplete %d)", stats.Played, len(clip.Frames), stats.Incomplete)
-	}
-	if events == 0 {
-		t.Error("no play events delivered")
-	}
-	if stats.LateBytes != 0 {
-		t.Errorf("late bytes: %d", stats.LateBytes)
-	}
-}
-
-func TestServeRejectsGarbageHello(t *testing.T) {
-	server, client := net.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		defer server.Close()
-		clip := &trace.Clip{Frames: []trace.Frame{{Index: 0, Type: trace.I, Size: 1}}}
-		done <- Serve(server, clip, trace.PaperWeights(), ServeConfig{Rate: 1})
-	}()
-	if err := client.SetWriteDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.Write([]byte{msgHello, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	err := <-done
-	if err == nil {
-		t.Error("garbage hello accepted")
-	}
-	_ = client.Close()
-	if !strings.Contains(err.Error(), "magic") && !strings.Contains(err.Error(), "hello") {
-		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-func TestServeNegotiationBranches(t *testing.T) {
-	clip := &trace.Clip{Frames: []trace.Frame{{Index: 0, Type: trace.I, Size: 4}}}
-
-	// Desired delay above MaxDelay is clamped; a small advertised client
-	// buffer caps B (and thus D).
-	cases := []struct {
-		hello     Hello
-		wantDelay uint32
+// TestNegotiateSession — the negotiation law the serving engine's plan
+// table leans on: whatever the Hello, 1 ≤ D ≤ maxDelay and B = R·D exactly
+// (so the wire can name at most maxDelay distinct (D, B) pairs), and B fits
+// the client's advertised buffer whenever that holds one step of link output.
+func TestNegotiateSession(t *testing.T) {
+	for _, tc := range []struct {
+		hello          Hello
+		rate, maxDelay int
+		wantDelay      int
 	}{
-		{Hello{DesiredDelay: 999}, 8},                // clamped to MaxDelay
-		{Hello{DesiredDelay: 0}, 8},                  // default to MaxDelay
-		{Hello{DesiredDelay: 6, ClientBuffer: 8}, 4}, // capped by client buffer: B=8 -> D=8/2
+		{Hello{DesiredDelay: 999}, 2, 8, 8},                // clamped to maxDelay
+		{Hello{DesiredDelay: 0}, 2, 8, 8},                  // default to maxDelay
+		{Hello{DesiredDelay: 6, ClientBuffer: 8}, 2, 8, 4}, // capped by client buffer: B=8 -> D=8/2
+		{Hello{DesiredDelay: 6, ClientBuffer: 9}, 2, 8, 4}, // B rounds down to a multiple of R
+		{Hello{DesiredDelay: 6, ClientBuffer: 1}, 2, 8, 1}, // a buffer below R still gets one step
+		{Hello{DesiredDelay: 3, ClientBuffer: 1 << 30}, 5, 8, 3},
+	} {
+		delay, buffer := NegotiateSession(tc.hello, tc.rate, tc.maxDelay)
+		if delay != tc.wantDelay || buffer != tc.rate*delay {
+			t.Errorf("%+v R=%d maxD=%d: D=%d B=%d, want D=%d B=%d",
+				tc.hello, tc.rate, tc.maxDelay, delay, buffer, tc.wantDelay, tc.rate*tc.wantDelay)
+		}
 	}
-	for i, tc := range cases {
-		server, client := net.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			defer server.Close()
-			done <- Serve(server, clip, trace.PaperWeights(), ServeConfig{
-				Rate:         2,
-				StepDuration: 100 * time.Microsecond,
-				MaxDelay:     8,
-			})
-		}()
-		if err := WriteHello(client, tc.hello); err != nil {
-			t.Fatal(err)
-		}
-		msg, err := ReadMsg(client)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if msg.Accept == nil || msg.Accept.Delay != tc.wantDelay {
-			t.Errorf("case %d: accept = %+v, want delay %d", i, msg.Accept, tc.wantDelay)
-		}
-		// Drain the rest of the session.
-		for {
-			m, err := ReadMsg(client)
-			if err != nil || m.End {
-				break
-			}
-		}
-		_ = client.Close()
-		<-done
-	}
-}
 
-func TestServeRejectsBadRate(t *testing.T) {
-	clip := &trace.Clip{Frames: []trace.Frame{{Index: 0, Type: trace.I, Size: 1}}}
-	var buf bytes.Buffer
-	if err := Serve(&buf, clip, trace.PaperWeights(), ServeConfig{Rate: 0}); err == nil {
-		t.Error("rate 0 accepted")
+	rng := rand.New(rand.NewSource(3))
+	field := func() uint32 { // small values, boundary values and arbitrary ones
+		switch rng.Intn(3) {
+		case 0:
+			return uint32(rng.Intn(300))
+		case 1:
+			return []uint32{0, 1, math.MaxInt32, math.MaxUint32}[rng.Intn(4)]
+		}
+		return rng.Uint32()
+	}
+	for i := 0; i < 20000; i++ {
+		h := Hello{ClientBuffer: field(), DesiredDelay: field()}
+		rate, maxDelay := 1+rng.Intn(1<<uint(rng.Intn(20))), 1+rng.Intn(1<<uint(rng.Intn(10)))
+		delay, buffer := NegotiateSession(h, rate, maxDelay)
+		if delay < 1 || delay > maxDelay || buffer != rate*delay {
+			t.Fatalf("%+v R=%d maxD=%d: D=%d B=%d breaks 1 <= D <= maxD, B = R*D", h, rate, maxDelay, delay, buffer)
+		}
+		if cb := int(h.ClientBuffer); cb >= rate && buffer > cb {
+			t.Fatalf("%+v R=%d maxD=%d: B=%d exceeds the client's buffer", h, rate, maxDelay, buffer)
+		}
+		if want := int(h.DesiredDelay); want >= 1 && want <= maxDelay && delay > want {
+			t.Fatalf("%+v R=%d maxD=%d: D=%d exceeds the desired delay", h, rate, maxDelay, delay)
+		}
 	}
 }

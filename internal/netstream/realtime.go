@@ -3,93 +3,9 @@ package netstream
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/stream"
-	"repro/internal/trace"
 )
-
-// ServeConfig parameterizes a real-time serving session.
-type ServeConfig struct {
-	// Rate is R in payload bytes per model step. Required.
-	Rate int
-	// StepDuration is the wall-clock length of one model step.
-	// Defaults to 40ms (25 frames/second).
-	StepDuration time.Duration
-	// MaxDelay caps the smoothing delay the server will grant, in steps.
-	// Defaults to 64.
-	MaxDelay int
-	// Policy overrides the sender's drop policy (default greedy).
-	Policy SenderConfig
-}
-
-// Serve performs the server side of a session on conn: it reads the
-// client's Hello, fixes D = min(desired, MaxDelay) and B = R·D (the
-// paper's law, additionally capped by the client's advertised buffer),
-// then paces the clip over the wire one step per StepDuration. Frame k of
-// the clip arrives at the smoothing buffer at step k. Payload bytes are
-// synthesized deterministically from the slice ID.
-//
-// Serve returns after the stream has drained and the End marker is written.
-func Serve(conn io.ReadWriter, clip *trace.Clip, weights trace.WeightMap, cfg ServeConfig) error {
-	if cfg.Rate <= 0 {
-		return fmt.Errorf("netstream: serve rate %d", cfg.Rate)
-	}
-	if cfg.StepDuration <= 0 {
-		cfg.StepDuration = 40 * time.Millisecond
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 64
-	}
-	msg, err := ReadMsg(conn)
-	if err != nil {
-		return fmt.Errorf("netstream: reading hello: %w", err)
-	}
-	if msg.Hello == nil {
-		return fmt.Errorf("netstream: expected hello, got %+v", msg)
-	}
-	delay, buffer := NegotiateSession(*msg.Hello, cfg.Rate, cfg.MaxDelay)
-	if err := WriteAccept(conn, Accept{
-		Rate:         uint32(cfg.Rate),
-		Delay:        uint32(delay),
-		ServerBuffer: uint32(buffer),
-		StepMicros:   uint32(cfg.StepDuration / time.Microsecond),
-	}); err != nil {
-		return err
-	}
-
-	sc := SenderConfig{ServerBuffer: buffer, Rate: cfg.Rate, Delay: delay, Policy: cfg.Policy.Policy}
-	sender, err := NewSender(conn, sc)
-	if err != nil {
-		return err
-	}
-	st, err := trace.WholeFrameStream(clip, weights)
-	if err != nil {
-		return err
-	}
-
-	ticker := time.NewTicker(cfg.StepDuration)
-	defer ticker.Stop()
-	for step := 0; step <= st.Horizon(); step++ {
-		var offers []Offered
-		for _, sl := range st.ArrivalsAt(step) {
-			offers = append(offers, Offered{Slice: sl, Payload: SynthPayload(sl.ID, sl.Size)})
-		}
-		if _, err := sender.Tick(offers); err != nil {
-			return err
-		}
-		<-ticker.C
-	}
-	for !senderDone(sender) {
-		if _, err := sender.Tick(nil); err != nil {
-			return err
-		}
-		<-ticker.C
-	}
-	return WriteEnd(conn)
-}
-
-func senderDone(s *Sender) bool { return s.Backlog() == 0 }
 
 // NegotiateSession fixes the session parameters from a client Hello: the
 // smoothing delay is the client's desired delay clamped to (0, maxDelay],

@@ -25,8 +25,8 @@ type SenderConfig struct {
 
 // Sender pushes a stream of slices through a smoothing buffer onto a wire.
 // Drive it step by step with Tick; the caller provides per-step arrivals
-// and owns the clock (wall-clock pacing lives in Serve and in the sharded
-// engine of internal/serve).
+// and owns the clock (wall-clock pacing lives in the sharded engine of
+// internal/serve).
 //
 // All Data messages emitted by one Tick are coalesced into a single Write
 // call on the underlying writer (see Encoder), so a session costs one

@@ -60,7 +60,7 @@ func writeLoad(t *testing.T, p []byte) (steps, payload int) {
 type propSession struct {
 	name     string
 	w        *recWriter
-	c        *Cohort // the plan the stream must equal, also on the fallback path
+	c        *Cohort // the plan the stream must equal
 	delay    int
 	admitted int64
 	sent     int64
@@ -71,8 +71,8 @@ type propSession struct {
 }
 
 // TestCatchUpProperty drives shard.step with a seeded fake clock whose
-// ticks skip ahead by random gaps, on the cohort path and on the fallback
-// path, and checks every session against the one-step-per-tick stream.
+// ticks skip ahead by random gaps and checks every session against the
+// one-step-per-tick stream.
 func TestCatchUpProperty(t *testing.T) {
 	clip := testClip(t, 40)
 	delays := []int{2, 4, 8}
@@ -81,158 +81,141 @@ func TestCatchUpProperty(t *testing.T) {
 	// property is about must not be skipped by chance.
 	var gapWhileAdmitting, gapOnFinalStep, forgave, burstFull bool
 
-	for _, fallback := range []bool{false, true} {
-		for seed := int64(1); seed <= 12; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			// Below the average rate the smoothing buffer sheds slices, so
-			// Dropped is checked against something; above it, steps are short.
-			rate := int(clip.AverageRate() * []float64{0.8, 2}[seed%2])
-			byName := map[string]*propSession{}
-			var all []*propSession
-			eng, err := newEngine(clip, trace.PaperWeights(), Config{
-				Rate: rate, Shards: 1, StepDuration: time.Millisecond, MaxDelay: 16,
-				DisableCohorts: fallback,
-				OnSessionDone: func(st SessionStats, err error) {
-					if err != nil {
-						t.Errorf("session %s failed: %v", st.Remote, err)
-					}
-					s := byName[st.Remote]
-					s.ends++
-					s.stats = st
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The plans come from a cohort-serving twin, so the fallback
-			// path is held to the same bytes.
-			plans, err := newEngine(clip, trace.PaperWeights(), Config{
-				Rate: rate, Shards: 1, StepDuration: time.Millisecond, MaxDelay: 16,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := eng.shards[0]
-			enqueue := func(i int) *propSession {
-				d := delays[rng.Intn(len(delays))]
-				s := &propSession{name: fmt.Sprintf("s%d", i), w: &recWriter{}, delay: d, c: plans.cohortFor(d, d*rate)}
-				byName[s.name] = s
-				all = append(all, s)
-				if fallback {
-					fs, err := eng.newSession(s.w, d, d*rate)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fs.remote = s.name
-					sh.enqueue(admission{s: fs})
-					return s
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Below the average rate the smoothing buffer sheds slices, so
+		// Dropped is checked against something; above it, steps are short.
+		rate := int(clip.AverageRate() * []float64{0.8, 2}[seed%2])
+		byName := map[string]*propSession{}
+		var all []*propSession
+		eng, err := newEngine(clip, trace.PaperWeights(), Config{
+			Rate: rate, Shards: 1, StepDuration: time.Millisecond, MaxDelay: 16,
+			OnSessionDone: func(st SessionStats, err error) {
+				if err != nil {
+					t.Errorf("session %s failed: %v", st.Remote, err)
 				}
-				eng.active.Add(1)
-				eng.sessWG.Add(1)
-				sh.enqueue(admission{row: cohortRow{cohort: eng.cohortFor(d, d*rate), w: s.w, remote: s.name}})
-				return s
-			}
-
-			var live []*propSession
-			var tick, wantCatchup, wantForgiven int64
-			queued := 0
-			for queued < sessions || len(live) > 0 {
-				var fresh []*propSession
-				for n := rng.Intn(3); n > 0 && queued < sessions; n-- {
-					fresh = append(fresh, enqueue(queued))
-					queued++
-				}
-				gap := int64(0)
-				if rng.Intn(10) < 4 {
-					gap = 1 + rng.Int63n(3*8)
-				}
-				tick += 1 + gap
-				for _, s := range fresh {
-					s.admitted = tick
-				}
-				if gap > 0 && len(fresh) > 0 && len(live) > 0 {
-					gapWhileAdmitting = true
-				}
-				live = append(live, fresh...)
-				before := make([]int, len(live))
-				for i, s := range live {
-					before[i] = len(s.w.sizes)
-				}
-				sh.step(tick)
-
-				next := live[:0]
-				for i, s := range live {
-					owed := tick - s.admitted + 1 - s.sent - s.forgiven
-					n := min(owed, int64(s.delay))
-					slid := owed - n
-					if left := int64(s.c.Steps()) - s.sent; n >= left {
-						n, slid, s.done = left, 0, true
-						gapOnFinalStep = gapOnFinalStep || owed > 1
-					}
-					forgave = forgave || slid > 0
-					burstFull = burstFull || n == int64(s.delay)
-					if got, want := s.w.buf[s.c.off[s.sent]:], s.c.wire[s.c.off[s.sent]:s.c.off[s.sent+n]]; !bytes.Equal(got, want) {
-						t.Fatalf("seed %d fallback=%v %s tick %d: owed %d steps from %d, wrote %d bytes, want the %d bytes of %d steps",
-							seed, fallback, s.name, tick, owed, s.sent, len(got), len(want), n)
-					}
-					writes := s.w.sizes[before[i]:]
-					if !fallback && len(writes) > 1 {
-						t.Fatalf("seed %d %s tick %d: %d writes in one tick on the cohort path", seed, s.name, tick, len(writes))
-					}
-					s.sent += n
-					s.forgiven += slid
-					wantCatchup += n - 1
-					wantForgiven += slid
-					if s.done != (s.ends == 1) {
-						t.Fatalf("seed %d fallback=%v %s tick %d: done %v but ended %d times", seed, fallback, s.name, tick, s.done, s.ends)
-					}
-					if !s.done {
-						// Sent and forgiven steps account for every due tick.
-						if s.sent+s.forgiven != tick-s.admitted+1 {
-							t.Fatalf("seed %d %s tick %d: sent %d + forgiven %d != %d ticks due", seed, s.name, tick, s.sent, s.forgiven, tick-s.admitted+1)
-						}
-						next = append(next, s)
-					}
-				}
-				live = next
-			}
-
-			for _, s := range all {
-				if !bytes.Equal(s.w.buf, s.c.wire) {
-					t.Errorf("seed %d fallback=%v %s: stream of %d bytes differs from the plan's %d", seed, fallback, s.name, len(s.w.buf), len(s.c.wire))
-				}
-				if s.ends != 1 {
-					t.Errorf("seed %d fallback=%v %s ended %d times", seed, fallback, s.name, s.ends)
-				}
-				// A one-step-per-tick run reports exactly the plan's totals
-				// (TestCohortGoldenEquivalence ties the two paths together).
-				if want := s.c.droppedThrough(int32(s.c.Steps())); s.stats.Steps != s.c.Steps() || s.stats.Dropped != want {
-					t.Errorf("seed %d fallback=%v %s: steps %d dropped %d, want %d %d", seed, fallback, s.name, s.stats.Steps, s.stats.Dropped, s.c.Steps(), want)
-				}
-				off := 0
-				for _, size := range s.w.sizes {
-					steps, payload := writeLoad(t, s.w.buf[off:off+size])
-					if steps > s.delay || payload > rate*s.delay {
-						t.Errorf("seed %d fallback=%v %s: one write carries %d steps and %d payload bytes, bound is D=%d and R·D=%d",
-							seed, fallback, s.name, steps, payload, s.delay, rate*s.delay)
-					}
-					off += size
-				}
-			}
-			sh.met.Publish()
-			snap := eng.Obs().Snapshot(nil)
-			if got := int64(snap.Scalars[eng.met.cCatchupSteps]); got != wantCatchup {
-				t.Errorf("seed %d fallback=%v: serve_catchup_steps_total %d, want %d", seed, fallback, got, wantCatchup)
-			}
-			if got := int64(snap.Scalars[eng.met.cForgivenSteps]); got != wantForgiven {
-				t.Errorf("seed %d fallback=%v: serve_forgiven_steps_total %d, want %d", seed, fallback, got, wantForgiven)
-			}
-			if eng.ActiveSessions() != 0 || eng.ServedSessions() != sessions {
-				t.Errorf("seed %d fallback=%v: %d active, %d served of %d", seed, fallback, eng.ActiveSessions(), eng.ServedSessions(), sessions)
-			}
-			eng.Close()
-			plans.Close()
+				s := byName[st.Remote]
+				s.ends++
+				s.stats = st
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		sh := eng.shards[0]
+		enqueue := func(i int) *propSession {
+			d := delays[rng.Intn(len(delays))]
+			c, err := eng.cohortFor(d, d*rate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := &propSession{name: fmt.Sprintf("s%d", i), w: &recWriter{}, delay: d, c: c}
+			byName[s.name] = s
+			all = append(all, s)
+			eng.active.Add(1)
+			eng.sessWG.Add(1)
+			sh.enqueue(cohortRow{cohort: c, w: s.w, remote: s.name})
+			return s
+		}
+
+		var live []*propSession
+		var tick, wantCatchup, wantForgiven int64
+		queued := 0
+		for queued < sessions || len(live) > 0 {
+			var fresh []*propSession
+			for n := rng.Intn(3); n > 0 && queued < sessions; n-- {
+				fresh = append(fresh, enqueue(queued))
+				queued++
+			}
+			gap := int64(0)
+			if rng.Intn(10) < 4 {
+				gap = 1 + rng.Int63n(3*8)
+			}
+			tick += 1 + gap
+			for _, s := range fresh {
+				s.admitted = tick
+			}
+			if gap > 0 && len(fresh) > 0 && len(live) > 0 {
+				gapWhileAdmitting = true
+			}
+			live = append(live, fresh...)
+			before := make([]int, len(live))
+			for i, s := range live {
+				before[i] = len(s.w.sizes)
+			}
+			sh.step(tick)
+
+			next := live[:0]
+			for i, s := range live {
+				owed := tick - s.admitted + 1 - s.sent - s.forgiven
+				n := min(owed, int64(s.delay))
+				slid := owed - n
+				if left := int64(s.c.Steps()) - s.sent; n >= left {
+					n, slid, s.done = left, 0, true
+					gapOnFinalStep = gapOnFinalStep || owed > 1
+				}
+				forgave = forgave || slid > 0
+				burstFull = burstFull || n == int64(s.delay)
+				if got, want := s.w.buf[s.c.off[s.sent]:], s.c.wire[s.c.off[s.sent]:s.c.off[s.sent+n]]; !bytes.Equal(got, want) {
+					t.Fatalf("seed %d %s tick %d: owed %d steps from %d, wrote %d bytes, want the %d bytes of %d steps",
+						seed, s.name, tick, owed, s.sent, len(got), len(want), n)
+				}
+				writes := s.w.sizes[before[i]:]
+				if len(writes) > 1 {
+					t.Fatalf("seed %d %s tick %d: %d writes in one tick", seed, s.name, tick, len(writes))
+				}
+				s.sent += n
+				s.forgiven += slid
+				wantCatchup += n - 1
+				wantForgiven += slid
+				if s.done != (s.ends == 1) {
+					t.Fatalf("seed %d %s tick %d: done %v but ended %d times", seed, s.name, tick, s.done, s.ends)
+				}
+				if !s.done {
+					// Sent and forgiven steps account for every due tick.
+					if s.sent+s.forgiven != tick-s.admitted+1 {
+						t.Fatalf("seed %d %s tick %d: sent %d + forgiven %d != %d ticks due", seed, s.name, tick, s.sent, s.forgiven, tick-s.admitted+1)
+					}
+					next = append(next, s)
+				}
+			}
+			live = next
+		}
+
+		for _, s := range all {
+			if !bytes.Equal(s.w.buf, s.c.wire) {
+				t.Errorf("seed %d %s: stream of %d bytes differs from the plan's %d", seed, s.name, len(s.w.buf), len(s.c.wire))
+			}
+			if s.ends != 1 {
+				t.Errorf("seed %d %s ended %d times", seed, s.name, s.ends)
+			}
+			// A one-step-per-tick run reports exactly the plan's totals
+			// (TestCohortGoldenEquivalence ties them to a bare Sender's).
+			if want := s.c.droppedThrough(int32(s.c.Steps())); s.stats.Steps != s.c.Steps() || s.stats.Dropped != want {
+				t.Errorf("seed %d %s: steps %d dropped %d, want %d %d", seed, s.name, s.stats.Steps, s.stats.Dropped, s.c.Steps(), want)
+			}
+			off := 0
+			for _, size := range s.w.sizes {
+				steps, payload := writeLoad(t, s.w.buf[off:off+size])
+				if steps > s.delay || payload > rate*s.delay {
+					t.Errorf("seed %d %s: one write carries %d steps and %d payload bytes, bound is D=%d and R·D=%d",
+						seed, s.name, steps, payload, s.delay, rate*s.delay)
+				}
+				off += size
+			}
+		}
+		sh.met.Publish()
+		snap := eng.Obs().Snapshot(nil)
+		if got := int64(snap.Scalars[eng.met.cCatchupSteps]); got != wantCatchup {
+			t.Errorf("seed %d: serve_catchup_steps_total %d, want %d", seed, got, wantCatchup)
+		}
+		if got := int64(snap.Scalars[eng.met.cForgivenSteps]); got != wantForgiven {
+			t.Errorf("seed %d: serve_forgiven_steps_total %d, want %d", seed, got, wantForgiven)
+		}
+		if eng.ActiveSessions() != 0 || eng.ServedSessions() != sessions {
+			t.Errorf("seed %d: %d active, %d served of %d", seed, eng.ActiveSessions(), eng.ServedSessions(), sessions)
+		}
+		eng.Close()
 	}
 	if !gapWhileAdmitting || !gapOnFinalStep || !forgave || !burstFull {
 		t.Errorf("schedules missed a case: gap while admitting %v, gap on a final step %v, forgiven steps %v, full D-step burst %v",
@@ -334,7 +317,10 @@ func TestCatchUpAfterShardStall(t *testing.T) {
 	stalled, got := session(stallAt)
 	_, want := session(-1)
 
-	c := eng.cohortFor(delay, delay*eng.cfg.Rate)
+	c, err := eng.cohortFor(delay, delay*eng.cfg.Rate)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Replay the recorded ticks through the catch-up rule: every write must
 	// be exactly the span the model clock says was owed at its tick.
 	cur, base := 0, stalled.ticks[0]
@@ -382,51 +368,52 @@ func TestCatchUpAfterShardStall(t *testing.T) {
 
 // TestHandleBoundsSilentClient — a peer that connects and never sends its
 // Hello is rejected when the handshake deadline expires, instead of holding
-// Handle's goroutine and the connection for ever outside MaxSessions.
+// Handle's goroutine and the connection for ever outside MaxSessions,
+// whatever the engine serves.
 func TestHandleBoundsSilentClient(t *testing.T) {
-	clip := testClip(t, 40)
-	eng, err := New(clip, trace.PaperWeights(), Config{
-		Rate: 2 * int(clip.AverageRate()), Shards: 1, StepDuration: 2 * time.Millisecond, MaxDelay: 4,
-		WriteTimeout: -1, // nothing re-arms the connection's deadline after the handshake
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	eng.handshakeTimeout = 30 * time.Millisecond // only Handle reads it
+	for _, content := range contents {
+		t.Run(content.name, func(t *testing.T) {
+			eng, frames := startEngine(t, content.streams, 40, Config{
+				Shards: 1, StepDuration: 2 * time.Millisecond, MaxDelay: 4,
+				WriteTimeout: -1, // nothing re-arms the connection's deadline after the handshake
+			})
+			defer eng.Close()
+			eng.handshakeTimeout = 30 * time.Millisecond // only Handle reads it
 
-	server, client := net.Pipe()
-	defer client.Close()
-	handled := make(chan error, 1)
-	go func() { handled <- eng.Handle(server) }()
-	select {
-	case err := <-handled:
-		if !errors.Is(err, os.ErrDeadlineExceeded) {
-			t.Fatalf("silent client rejected with %v, want a deadline error", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Handle still waits for a Hello that never comes")
-	}
-	if _, err := client.Read(make([]byte, 1)); err == nil {
-		t.Error("the rejected connection was left open")
-	}
-	if got := eng.Obs().Snapshot(nil).Scalars[eng.met.cRejected]; got != 1 {
-		t.Errorf("serve_sessions_rejected_total %d, want 1", got)
-	}
+			server, client := net.Pipe()
+			defer client.Close()
+			handled := make(chan error, 1)
+			go func() { handled <- eng.Handle(server) }()
+			select {
+			case err := <-handled:
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("silent client rejected with %v, want a deadline error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Handle still waits for a Hello that never comes")
+			}
+			if _, err := client.Read(make([]byte, 1)); err == nil {
+				t.Error("the rejected connection was left open")
+			}
+			if got := eng.Obs().Snapshot(nil).Scalars[eng.met.cRejected]; got != 1 {
+				t.Errorf("serve_sessions_rejected_total %d, want 1", got)
+			}
 
-	// The deadline covers the handshake only: a stream that outlasts it
-	// several times over still drains to End.
-	server, client = net.Pipe()
-	go func() { handled <- eng.Handle(server) }()
-	res, err := runClient(client, 4)
-	_ = client.Close()
-	if err != nil {
-		t.Fatalf("session longer than the handshake timeout: %v", err)
-	}
-	if err := <-handled; err != nil {
-		t.Fatal(err)
-	}
-	if res.stats.Played != len(clip.Frames) {
-		t.Errorf("played %d of %d frames", res.stats.Played, len(clip.Frames))
+			// The deadline covers the handshake only: a stream that outlasts it
+			// several times over still drains to End.
+			server, client = net.Pipe()
+			go func() { handled <- eng.Handle(server) }()
+			res, err := runClient(client, 4)
+			_ = client.Close()
+			if err != nil {
+				t.Fatalf("session longer than the handshake timeout: %v", err)
+			}
+			if err := <-handled; err != nil {
+				t.Fatal(err)
+			}
+			if res.stats.Played != frames {
+				t.Errorf("played %d of %d frames", res.stats.Played, frames)
+			}
+		})
 	}
 }

@@ -6,17 +6,16 @@ import (
 	"repro/internal/netstream"
 )
 
-// The cohort schedule cache is the engine's compute-once-serve-many layer.
-// Per-session output is a pure function of (clip, rate, delay, buffer,
+// The cohort plan table is the engine's compute-once-serve-many layer.
+// Per-session output is a pure function of (content, rate, delay, buffer,
 // policy) — see the determinism contract in the package comment — so when
-// many VOD sessions play the same clip at the same negotiated parameters
+// many sessions play the same content at the same negotiated parameters
 // there is exactly one schedule to compute and one byte stream to encode.
 // A Cohort memoizes both: the full per-step send/drop plan of a session,
-// replayed once through the very netstream.Sender + core.Server machinery
-// the fallback path uses, with every step's batched wire flush captured
-// into one immutable buffer. Serving a cohort session then costs a slice
-// index and a Write of pre-encoded bytes; no per-session smoothing buffer,
-// drop policy, or encoder exists at all.
+// replayed once through a real netstream.Sender + core.Server, with every
+// step's batched wire flush captured into one immutable buffer. Serving a
+// session then costs a slice index and a Write of pre-encoded bytes; no
+// per-session smoothing buffer, drop policy, or encoder exists at all.
 //
 // Cohorts are immutable after construction and shared by every session of
 // the cohort across all shards; the aliasing is safe because nothing ever
@@ -32,17 +31,16 @@ type cohortKey struct {
 
 // Cohort is one precomputed serving plan: the concatenated wire bytes of
 // every step's batched flush (the final step additionally carries the End
-// marker) plus the cumulative drop counts the fallback path would have
-// reported step by step.
+// marker) plus the cumulative drop counts the Sender reported step by step.
 //
-//smoothvet:frozen immutable once published through the cohort cache
+//smoothvet:frozen immutable once published through the plan table
 type Cohort struct {
 	key cohortKey
 	// wire holds every step's encoded flush back to back; step i's bytes
 	// are wire[off[i]:off[i+1]], so any run of steps is one contiguous
 	// span. The last step's bytes include the end-of-stream marker, so a
-	// completed cohort session's byte stream is exactly wire — proven
-	// byte-identical to the per-session Sender path by
+	// completed session's byte stream is exactly wire — proven
+	// byte-identical to a bare netstream.Sender's by
 	// TestCohortGoldenEquivalence.
 	wire []byte
 	off  []int32
@@ -92,10 +90,10 @@ func (r *planRecorder) Write(p []byte) (int, error) {
 
 func (r *planRecorder) endStep() { r.off = append(r.off, int32(len(r.wire))) }
 
-// buildCohort replays one full session through the per-session Sender path
-// into a recorder, producing the shared plan. It runs once per cohort key
-// (under the cache's once), typically at the first Handle that negotiates
-// the key's parameters.
+// buildCohort replays one full session through a netstream.Sender into a
+// recorder, producing the shared plan. It runs once per cohort key (under
+// the table's once), typically at the first Handle that negotiates the
+// key's parameters.
 func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
 	rec := &planRecorder{off: []int32{0}}
 	snd, err := netstream.NewSender(rec, netstream.SenderConfig{
@@ -108,12 +106,12 @@ func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
 		return nil, err
 	}
 	c := &Cohort{key: key}
-	horizon := e.st.Horizon()
+	horizon := len(e.stepOffers) - 1
 	dropped := 0
 	for step := 0; ; step++ {
 		var offers []netstream.Offered
 		if step <= horizon {
-			offers = e.offersAt(step)
+			offers = e.stepOffers[step]
 		}
 		stats, err := snd.Tick(offers)
 		if err != nil {
@@ -122,8 +120,7 @@ func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
 		dropped += len(stats.Dropped)
 		done := step+1 > horizon && snd.Backlog() == 0
 		if done {
-			// The End marker leaves in the same tick as the final flush,
-			// exactly like session.stepOnce on the fallback path.
+			// The End marker leaves in the same tick as the final flush.
 			if err := netstream.WriteEnd(rec); err != nil {
 				return nil, err
 			}
@@ -141,6 +138,11 @@ func (e *Engine) buildCohort(key cohortKey) (*Cohort, error) {
 // cohortCache memoizes cohorts per key. The double-checked entry/once
 // layout keeps the map lock out of plan computation: concurrent Handles of
 // the same key block on one build, Handles of other keys proceed.
+//
+// The table needs no cap: netstream.NegotiateSession only ever yields
+// buffer = rate·delay with 1 ≤ delay ≤ MaxDelay, so the wire can name at
+// most MaxDelay keys and the table holds at most MaxDelay encoded copies of
+// the content (TestCohortKeysBoundedByMaxDelay).
 type cohortCache struct {
 	mu sync.Mutex
 	m  map[cohortKey]*cohortEntry
@@ -153,41 +155,17 @@ type cohortEntry struct {
 }
 
 // cohortFor returns the shared cohort for the negotiated parameters,
-// building it on first use. It returns nil when cohort serving is disabled
-// or the cache is at capacity — callers then use the per-session Sender
-// path, which produces byte-identical output.
-func (e *Engine) cohortFor(delay, buffer int) *Cohort {
-	if e.cfg.DisableCohorts {
-		return nil
-	}
+// building it on first use. A key whose plan cannot be built keeps its
+// error and is not retried.
+func (e *Engine) cohortFor(delay, buffer int) (*Cohort, error) {
 	key := cohortKey{delay: delay, buffer: buffer}
 	e.cohorts.mu.Lock()
 	ent, ok := e.cohorts.m[key]
 	if !ok {
-		max := e.cfg.MaxCohorts
-		if max <= 0 {
-			max = defaultMaxCohorts
-		}
-		if len(e.cohorts.m) >= max {
-			e.cohorts.mu.Unlock()
-			return nil
-		}
 		ent = &cohortEntry{}
 		e.cohorts.m[key] = ent
 	}
 	e.cohorts.mu.Unlock()
 	ent.once.Do(func() { ent.c, ent.err = e.buildCohort(key) })
-	if ent.err != nil {
-		// A key whose plan cannot be built (the fallback Sender would fail
-		// identically) is not retried; Handle surfaces the error through
-		// the fallback path.
-		return nil
-	}
-	return ent.c
+	return ent.c, ent.err
 }
-
-// defaultMaxCohorts bounds distinct (delay, buffer) plans cached per
-// engine. Each plan holds one encoded copy of the clip; sessions beyond
-// the cap are served by the fallback path rather than growing memory
-// without bound.
-const defaultMaxCohorts = 128

@@ -1,26 +1,26 @@
 // Package serve is the sharded multi-session serving engine: the
-// production-shaped deployment of the paper's Fig. 1 system. Instead of one
-// goroutine and one ticker per connection (netstream.Serve), the
-// engine runs N shard loops, each driven by a single model clock that steps
-// every session registered on the shard. Sessions are assigned to shards by
-// connection hash, and all of a session's per-step work — arrivals, the
-// smoothing-buffer step, framing, the batched wire flush — happens on its
-// shard goroutine, so sessions need no locks of their own.
+// production-shaped deployment of the paper's Fig. 1 system, and the only
+// place in the repo that paces a smoothing buffer's output onto a
+// connection. The engine runs N shard loops, each driven by a single model
+// clock that steps every session registered on the shard. Sessions are
+// assigned to shards by connection hash and owned by their shard goroutine,
+// so they need no locks of their own.
 //
-// Per-session output is completely determined by the clip, the drop policy
-// and the negotiated (B, R, D): shard assignment only decides *which*
-// goroutine advances a session's private clock, so the byte stream a client
-// sees is identical for any shard count (engine_test.go locks this down,
-// mirroring the sweep engine's worker-count invariance).
+// Per-session output is completely determined by the content, the drop
+// policy and the negotiated (B, R, D): shard assignment only decides *which*
+// goroutine advances a session's clock, so the byte stream a client sees is
+// identical for any shard count (engine_test.go locks this down, mirroring
+// the sweep engine's worker-count invariance).
 //
-// The same purity powers the engine's compute-once-serve-many layer
-// (cohort.go): sessions that negotiate identical (delay, buffer) share one
-// precomputed schedule and one pre-encoded byte stream, their hot state
-// collapses to a cohort pointer and a step cursor held in shard-owned
-// parallel arrays, and a shard tick over them is a contiguous walk that
-// writes shared immutable buffers. Sessions with bespoke parameters (cache
-// disabled or at capacity) keep the per-session Sender path, which is
-// byte-identical by construction and by golden test.
+// That purity is why every session is a cohort row (cohort.go): sessions
+// that negotiate identical (delay, buffer) share one precomputed schedule
+// and one pre-encoded byte stream — replayed once through a real
+// netstream.Sender — their hot state is a cohort pointer and a step cursor
+// held in shard-owned parallel arrays, and a shard tick is a contiguous
+// walk that writes shared immutable buffers. The content is one clip (New)
+// or several clips multiplexed as tagged substreams through one shared
+// smoothing buffer (NewMux); the engine reduces either to a per-step offer
+// table and serves both the same way.
 package serve
 
 import (
@@ -61,14 +61,6 @@ type Config struct {
 	// WriteTimeout bounds each batched wire flush so one dead client
 	// cannot stall its shard forever. Defaults to 30s; negative disables.
 	WriteTimeout time.Duration
-	// DisableCohorts turns off the cohort schedule cache, serving every
-	// session through its own Sender. The wire bytes are identical either
-	// way; the cache only changes the cost of producing them.
-	DisableCohorts bool
-	// MaxCohorts caps distinct (delay, buffer) plans cached per engine
-	// (0 = a sensible default); sessions past the cap use the fallback
-	// per-session path.
-	MaxCohorts int
 	// OnSessionDone, if non-nil, is called from the shard goroutine after
 	// a session ends (err is nil for a clean drain to End).
 	OnSessionDone func(s SessionStats, err error)
@@ -89,16 +81,13 @@ type SessionStats struct {
 	Elapsed time.Duration
 }
 
-// Engine serves one clip to many concurrent sessions over shard loops.
+// Engine serves one piece of content — a clip, or several clips
+// multiplexed — to many concurrent sessions over shard loops.
 type Engine struct {
 	cfg Config
-	st  *stream.Stream
-	//smoothvet:frozen per-slice synthesized payload, shared by all sessions
-	payloads [][]byte
 	// stepOffers[t] is the ready-made offer slice for model step t —
-	// arrivals paired with their shared payloads — built once and read by
-	// every fallback session and cohort build instead of being rebuilt
-	// per session per tick.
+	// arrivals paired with their payloads — built once and read by every
+	// cohort build; the last entry is the content's horizon.
 	//
 	//smoothvet:frozen
 	stepOffers [][]netstream.Offered
@@ -128,17 +117,57 @@ func New(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error)
 	if err != nil {
 		return nil, err
 	}
+	e.start()
+	return e, nil
+}
+
+// NewMux builds an engine whose every session carries all the clips as
+// tagged substreams through one shared smoothing buffer of rate cfg.Rate —
+// the statistical-multiplexing deployment (netstream.Muxer) — and starts its
+// shard loops. A session's bytes equal netstream.ServeMux's for the same
+// clips and negotiated parameters.
+func NewMux(clips []*trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
+	offers, err := netstream.MuxOffers(clips, weights)
+	if err != nil {
+		return nil, err
+	}
+	e, err := newEngineOffers(offers, cfg)
+	if err != nil {
+		return nil, err
+	}
+	e.start()
+	return e, nil
+}
+
+// start hands each shard to its loop goroutine.
+func (e *Engine) start() {
 	for _, sh := range e.shards {
 		e.loopWG.Add(1)
 		//smoothvet:transfer ownership of the shard moves to its loop goroutine
 		go sh.run()
 	}
-	return e, nil
 }
 
-// newEngine builds the engine without starting the shard clocks; tests and
-// benchmarks drive the shards manually via shard.step.
+// newEngine builds a single-clip engine without starting the shard clocks;
+// tests and benchmarks drive the shards manually via shard.step. Frame k
+// arrives at step k; payload bytes depend only on (slice ID, size).
 func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, error) {
+	st, err := trace.WholeFrameStream(clip, weights)
+	if err != nil {
+		return nil, err
+	}
+	offers := make([][]netstream.Offered, st.Horizon()+1)
+	for t := range offers {
+		offers[t] = netstream.OfferStream(st, t, func(sl stream.Slice) []byte {
+			return netstream.SynthPayload(sl.ID, sl.Size)
+		})
+	}
+	return newEngineOffers(offers, cfg)
+}
+
+// newEngineOffers builds an unstarted engine serving the given per-step
+// offer table, which it shares read-only from here on.
+func newEngineOffers(stepOffers [][]netstream.Offered, cfg Config) (*Engine, error) {
 	if cfg.Rate <= 0 {
 		return nil, fmt.Errorf("serve: rate %d", cfg.Rate)
 	}
@@ -154,29 +183,8 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 30 * time.Second
 	}
-	st, err := trace.WholeFrameStream(clip, weights)
-	if err != nil {
-		return nil, err
-	}
-	e := &Engine{cfg: cfg, st: st, seed: maphash.MakeSeed(), handshakeTimeout: defaultHandshakeTimeout}
+	e := &Engine{cfg: cfg, stepOffers: stepOffers, seed: maphash.MakeSeed(), handshakeTimeout: defaultHandshakeTimeout}
 	e.cohorts.m = make(map[cohortKey]*cohortEntry)
-	// Payload bytes depend only on (slice ID, size): synthesize them once
-	// and share across every session instead of per session per step.
-	e.payloads = make([][]byte, st.Len())
-	for id := 0; id < st.Len(); id++ {
-		e.payloads[id] = netstream.SynthPayload(id, st.Slice(id).Size)
-	}
-	// Likewise the per-step offers: the arrival schedule is engine-wide,
-	// so pair each step's slices with their payloads exactly once.
-	e.stepOffers = make([][]netstream.Offered, st.Horizon()+1)
-	for t := 0; t <= st.Horizon(); t++ {
-		arr := st.ArrivalsAt(t)
-		offers := make([]netstream.Offered, len(arr))
-		for i, sl := range arr {
-			offers[i] = netstream.Offered{Slice: sl, Payload: e.payloads[sl.ID]}
-		}
-		e.stepOffers[t] = offers
-	}
 	e.met = newEngineMetrics(e, cfg.Shards, cfg.Instrument)
 	e.recs = make([]*obs.FlightRecorder, cfg.Shards)
 	e.shards = make([]*shard, cfg.Shards)
@@ -185,16 +193,6 @@ func newEngine(clip *trace.Clip, weights trace.WeightMap, cfg Config) (*Engine, 
 		e.shards[i] = &shard{eng: e, quit: make(chan struct{}), epoch: time.Now(), met: e.met.reg.Shard(i), rec: e.recs[i]}
 	}
 	return e, nil
-}
-
-// offersAt returns the shared offer slice for one model step. The result
-// aliases engine-owned memory shared read-only by every session; callers
-// must not mutate it or its payloads.
-//
-//smoothvet:aliased
-//smoothvet:noalloc
-func (e *Engine) offersAt(step int) []netstream.Offered {
-	return e.stepOffers[step]
 }
 
 // Rate returns the configured link rate in payload bytes per step.
@@ -216,11 +214,11 @@ const defaultHandshakeTimeout = 10 * time.Second
 // Handle performs the netstream handshake on the caller's goroutine (the
 // Hello read blocks, for at most the handshake timeout), registers the
 // session on a shard chosen by connection hash, and returns; the shard
-// clock drives the session to completion and closes the connection.
-// Sessions whose negotiated parameters hit the cohort cache are registered
-// in the shard's struct-of-arrays cohort rows; the rest get a private
-// Sender. On rejection (engine draining, session limit, bad or timed-out
-// handshake) the connection is closed and an error returned.
+// clock drives the session to completion and closes the connection. The
+// session is registered in the shard's struct-of-arrays cohort rows under
+// the plan for its negotiated parameters. On rejection (engine draining,
+// session limit, bad or timed-out handshake, a plan that cannot be built)
+// the connection is closed and an error returned.
 func (e *Engine) Handle(conn net.Conn) error {
 	if e.closing.Load() {
 		return e.reject(conn, errDraining)
@@ -232,6 +230,11 @@ func (e *Engine) Handle(conn net.Conn) error {
 	if err != nil {
 		return e.reject(conn, err)
 	}
+	c, err := e.cohortFor(delay, buffer)
+	if err != nil {
+		return e.reject(conn, err)
+	}
+	e.met.reg.GlobalInc(e.met.cCohortHits)
 	remote := conn.RemoteAddr().String()
 	sh := e.shards[e.shardOf(remote)]
 	w := io.Writer(conn)
@@ -240,30 +243,13 @@ func (e *Engine) Handle(conn net.Conn) error {
 		// shard must be fixed before the writer is built.
 		w = &deadlineWriter{c: conn, d: e.cfg.WriteTimeout, clk: &sh.clk}
 	}
-	id := e.sessSeq.Add(1)
-	if c := e.cohortFor(delay, buffer); c != nil {
-		e.met.reg.GlobalInc(e.met.cCohortHits)
-		e.active.Add(1)
-		e.sessWG.Add(1)
-		if !sh.enqueue(admission{row: cohortRow{
-			cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: id,
-		}}) {
-			e.active.Add(-1)
-			e.sessWG.Done()
-			return e.reject(conn, errDraining)
-		}
-		return nil
-	}
-	e.met.reg.GlobalInc(e.met.cCohortMiss)
-	s, err := e.newSession(w, delay, buffer)
-	if err != nil {
-		return e.reject(conn, err)
-	}
-	s.conn = conn
-	s.remote = remote
-	s.id = id
-	if !sh.enqueue(admission{s: s}) {
-		e.unregister(s)
+	e.active.Add(1)
+	e.sessWG.Add(1)
+	if !sh.enqueue(cohortRow{
+		cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
+	}) {
+		e.active.Add(-1)
+		e.sessWG.Done()
 		return e.reject(conn, errDraining)
 	}
 	return nil
@@ -317,32 +303,6 @@ func (e *Engine) shardOf(remote string) int {
 	return int(h.Sum64() % uint64(len(e.shards)))
 }
 
-// newSession builds a registered fallback session writing to w. The caller
-// (or the shard loop, once enqueued) is responsible for eventually calling
-// finish.
-func (e *Engine) newSession(w io.Writer, delay, buffer int) (*session, error) {
-	snd, err := netstream.NewSender(w, netstream.SenderConfig{
-		ServerBuffer: buffer,
-		Rate:         e.cfg.Rate,
-		Delay:        delay,
-		Policy:       e.cfg.Policy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &session{eng: e, w: w, snd: snd, start: time.Now()}
-	e.active.Add(1)
-	e.sessWG.Add(1)
-	return s, nil
-}
-
-// unregister reverses newSession's accounting without counting the session
-// as served (used when registration fails after the fact).
-func (e *Engine) unregister(s *session) {
-	e.active.Add(-1)
-	e.sessWG.Done()
-}
-
 // Drain stops admitting sessions and waits up to timeout for the in-flight
 // ones to finish their streams. It reports whether everything completed.
 func (e *Engine) Drain(timeout time.Duration) bool {
@@ -389,14 +349,8 @@ type tickClock struct {
 	nanos atomic.Int64
 }
 
-// admission hands one freshly handshaken session to a shard loop: either a
-// fallback *session or a cohort row (exactly one is set).
-type admission struct {
-	s   *session
-	row cohortRow
-}
-
-// cohortRow is the registration-time state of one cohort-served session.
+// cohortRow is the registration-time state of one session, as Handle hands
+// it to a shard loop.
 // Its hot fields (cohort pointer, cursor) move into the shard's parallel
 // arrays on admit; the rest stays in the cold array, touched only at
 // retirement.
@@ -409,8 +363,8 @@ type cohortRow struct {
 	id     uint64 // flight-recorder session id
 }
 
-// cohortRows is the shard-owned struct-of-arrays state of cohort-served
-// sessions. A shard tick walks cursors/cohorts/bases contiguously — no
+// cohortRows is the shard-owned struct-of-arrays state of its sessions. A
+// shard tick walks cursors/cohorts/bases contiguously — no
 // per-session pointer chase — and retires finished rows by swap-remove.
 // The four slices are parallel: row i is (cohorts[i], cursors[i], bases[i],
 // cold[i]).
@@ -450,10 +404,9 @@ type shard struct {
 	//smoothvet:shared set under mu; checked by enqueue from acceptor goroutines
 	draining bool
 	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []admission
+	incoming []cohortRow
 
-	sessions []*session // fallback (bespoke-parameter) sessions
-	rows     cohortRows // cohort-served sessions, struct-of-arrays
+	rows cohortRows // the shard's sessions, struct-of-arrays
 
 	// met and rec are this shard's obs slots and flight ring: recorded
 	// into only by the shard goroutine, read elsewhere only through their
@@ -464,13 +417,13 @@ type shard struct {
 
 // enqueue hands a freshly handshaken session to the shard loop. It reports
 // false if the shard has already shut down.
-func (sh *shard) enqueue(a admission) bool {
+func (sh *shard) enqueue(row cohortRow) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.draining {
 		return false
 	}
-	sh.incoming = append(sh.incoming, a)
+	sh.incoming = append(sh.incoming, row)
 	return true
 }
 
@@ -527,15 +480,9 @@ func (sh *shard) admit(tick int64) {
 	now := sh.clk.nanos.Load()
 	for i := range inc {
 		sh.met.Inc(sh.eng.met.cAdmitted)
-		if s := inc[i].s; s != nil {
-			sh.rec.Record(now, obs.EvAdmit, s.id, 0)
-			s.base = tick
-			sh.sessions = append(sh.sessions, s)
-			continue
-		}
-		sh.rec.Record(now, obs.EvAdmit, inc[i].row.id, 0)
-		sh.rec.Record(now, obs.EvCohortAssign, inc[i].row.id, int64(inc[i].row.cohort.Steps()))
-		sh.rows.push(inc[i].row, tick)
+		sh.rec.Record(now, obs.EvAdmit, inc[i].id, 0)
+		sh.rec.Record(now, obs.EvCohortAssign, inc[i].id, int64(inc[i].cohort.Steps()))
+		sh.rows.push(inc[i], tick)
 	}
 }
 
@@ -554,31 +501,13 @@ func (sh *shard) admit(tick int64) {
 //smoothvet:deterministic
 //smoothvet:noalloc
 func (sh *shard) step(tick int64) {
-	now := sh.dueAt(tick)
-	sh.clk.nanos.Store(now.UnixNano())
+	sh.clk.nanos.Store(sh.dueAt(tick).UnixNano())
 	sh.admit(tick)
 	sh.stepRows(tick)
-	live := sh.sessions[:0]
-	for _, s := range sh.sessions {
-		if s.step == 0 {
-			sh.rec.Record(sh.clk.nanos.Load(), obs.EvFirstWrite, s.id, 0)
-		}
-		done, err := sh.stepSession(s, tick)
-		if done || err != nil {
-			s.finish(now, err)
-			sh.noteSessionEnd(s.id, s.step, err)
-		} else {
-			live = append(live, s)
-		}
-	}
-	for i := len(live); i < len(sh.sessions); i++ {
-		sh.sessions[i] = nil // release finished sessions to the collector
-	}
-	sh.sessions = live
-	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.sessions)+len(sh.rows.cursors)))
+	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.rows.cursors)))
 }
 
-// stepRows advances the cohort rows to the step due at tick: a contiguous
+// stepRows advances the rows to the step due at tick: a contiguous
 // walk over the parallel arrays, flushing each phase group — the run of
 // sessions on the same cohort at the same cursor and base — with one Write
 // per row of one shared pre-encoded span, which covers every step the
@@ -679,123 +608,20 @@ func (sh *shard) retireRow(j int, steps int32, err error) {
 func (sh *shard) shutdown() {
 	// Re-stamp the tick clock so retirements during drain report an
 	// Elapsed that covers the time since the last tick.
-	now := time.Now()
-	sh.clk.nanos.Store(now.UnixNano())
+	sh.clk.nanos.Store(time.Now().UnixNano())
 	sh.mu.Lock()
 	sh.draining = true
 	inc := sh.incoming
 	sh.incoming = nil
 	sh.mu.Unlock()
 	for i := range inc {
-		if s := inc[i].s; s != nil {
-			sh.sessions = append(sh.sessions, s)
-			continue
-		}
-		sh.rows.push(inc[i].row, 0)
+		sh.rows.push(inc[i], 0)
 	}
-	for _, s := range sh.sessions {
-		s.finish(now, errAborted)
-		sh.noteSessionEnd(s.id, s.step, errAborted)
-	}
-	sh.sessions = nil
 	for len(sh.rows.cursors) > 0 {
 		sh.retireRow(len(sh.rows.cursors)-1, sh.rows.cursors[len(sh.rows.cursors)-1], errAborted)
 	}
 	sh.met.Set(sh.eng.met.gActive, 0)
 	sh.met.Publish()
-}
-
-// ---------------------------------------------------------------------------
-// Sessions (fallback path: one Sender per session).
-// ---------------------------------------------------------------------------
-
-// session is one client's paced stream served through a private smoothing
-// buffer. All fields are owned by the shard goroutine after registration;
-// no locking.
-type session struct {
-	eng     *Engine
-	conn    net.Conn // nil in tests/benchmarks that drive a bare writer
-	w       io.Writer
-	remote  string
-	snd     *netstream.Sender
-	start   time.Time
-	base    int64 // model tick at which step 0 was due; see cohortRows.bases
-	step    int
-	dropped int
-	id      uint64 // flight-recorder session id
-}
-
-// stepSession advances a fallback session to the step due at tick under
-// the bound stepRows applies to cohort rows — at most D steps per tick,
-// the surplus forgiven — by running stepOnce that many times; each step is
-// still its own wire flush.
-//
-//smoothvet:deterministic
-//smoothvet:noalloc
-func (sh *shard) stepSession(s *session, tick int64) (done bool, err error) {
-	m := sh.eng.met
-	owed := tick - s.base + 1 - int64(s.step)
-	n := owed
-	if d := int64(s.snd.Delay()); n > d {
-		n = d
-	}
-	ran := int64(0)
-	for ran < n && !done && err == nil {
-		done, err = s.stepOnce()
-		ran++
-	}
-	sh.met.Add(m.cCatchupSteps, uint64(ran-1))
-	if !done && err == nil {
-		s.base += owed - n
-		sh.met.Add(m.cForgivenSteps, uint64(owed-n))
-	}
-	return done, err
-}
-
-// stepOnce runs one model step: offer this step's arrivals (the shared,
-// engine-precomputed offer slice — read-only), tick the smoothing buffer
-// (which batches and flushes the wire writes), and finish with the End
-// marker once the horizon is past and the buffer is drained.
-//
-//smoothvet:deterministic
-//smoothvet:noalloc
-func (s *session) stepOnce() (done bool, err error) {
-	e := s.eng
-	var offers []netstream.Offered
-	if s.step <= e.st.Horizon() {
-		offers = e.offersAt(s.step)
-	}
-	stats, err := s.snd.Tick(offers)
-	if err != nil {
-		return false, err
-	}
-	s.dropped += len(stats.Dropped)
-	s.step++
-	if s.step > e.st.Horizon() && s.snd.Backlog() == 0 {
-		return true, netstream.WriteEnd(s.w)
-	}
-	return false, nil
-}
-
-// finish closes the session's connection and reports it done. now is the
-// shard's tick timestamp: finish runs on the noalloc step path, so it
-// reuses the per-tick stamp rather than reading the wall clock itself.
-func (s *session) finish(now time.Time, err error) {
-	if s.conn != nil {
-		_ = s.conn.Close()
-	}
-	e := s.eng
-	e.active.Add(-1)
-	e.served.Add(1)
-	e.sessWG.Done()
-	if e.cfg.OnSessionDone != nil {
-		e.cfg.OnSessionDone(SessionStats{
-			Remote:  s.remote,
-			Steps:   s.step,
-			Dropped: s.dropped,
-			Elapsed: now.Sub(s.start),
-		}, err)
-	}
 }
 
 // deadlineWriter arms a write deadline before flushing so a stalled client

@@ -12,15 +12,55 @@ import (
 
 func testClip(t testing.TB, frames int) *trace.Clip {
 	t.Helper()
-	cfg := trace.DefaultGenConfig()
-	cfg.Frames = frames
-	cfg.MaxFrame = 30
-	cfg.MeanI, cfg.MeanP, cfg.MeanB = 20, 14, 6
-	clip, err := trace.Generate(cfg)
+	return testClips(t, 1, frames)[0]
+}
+
+// testClips generates k small clips that differ by seed.
+func testClips(t testing.TB, k, frames int) []*trace.Clip {
+	t.Helper()
+	clips := make([]*trace.Clip, k)
+	for i := range clips {
+		cfg := trace.DefaultGenConfig()
+		cfg.Frames = frames
+		cfg.Seed += int64(i)
+		cfg.MaxFrame = 30
+		cfg.MeanI, cfg.MeanP, cfg.MeanB = 20, 14, 6
+		clip, err := trace.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clips[i] = clip
+	}
+	return clips
+}
+
+// contents are the two things an engine serves. Behaviour that belongs to
+// the engine rather than to what it sends — admission, limits, deadlines —
+// is tested against both.
+var contents = []struct {
+	name    string
+	streams int
+}{{"clip", 1}, {"mux3", 3}}
+
+// startEngine starts an engine over `streams` test clips — New for one,
+// NewMux for several — with cfg.Rate set to twice their combined average
+// rate, so nothing is shed. It also returns the frames a session plays.
+func startEngine(t *testing.T, streams, frames int, cfg Config) (eng *Engine, played int) {
+	t.Helper()
+	clips := testClips(t, streams, frames)
+	for _, c := range clips {
+		cfg.Rate += 2 * int(c.AverageRate())
+	}
+	var err error
+	if streams == 1 {
+		eng, err = New(clips[0], trace.PaperWeights(), cfg)
+	} else {
+		eng, err = NewMux(clips, trace.PaperWeights(), cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clip
+	return eng, streams * frames
 }
 
 // clientResult is what one load-generating client observed.
@@ -43,17 +83,14 @@ func runClient(conn net.Conn, delay int) (clientResult, error) {
 }
 
 // runEngine serves `clients` concurrent sessions from an engine with the
-// given shard count and returns each client's result. disableCohorts
-// selects the per-session Sender path; the default engine serves same-
-// parameter sessions from the cohort cache.
-func runEngine(t *testing.T, clip *trace.Clip, shards, clients int, disableCohorts bool) []clientResult {
+// given shard count and returns each client's result.
+func runEngine(t *testing.T, clip *trace.Clip, shards, clients int) []clientResult {
 	t.Helper()
 	eng, err := New(clip, trace.PaperWeights(), Config{
-		Rate:           2 * int(clip.AverageRate()),
-		Shards:         shards,
-		StepDuration:   200 * time.Microsecond,
-		MaxDelay:       8,
-		DisableCohorts: disableCohorts,
+		Rate:         2 * int(clip.AverageRate()),
+		Shards:       shards,
+		StepDuration: 200 * time.Microsecond,
+		MaxDelay:     8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,15 +133,12 @@ func runEngine(t *testing.T, clip *trace.Clip, shards, clients int, disableCohor
 
 // TestShardCountInvariance — the determinism analogue of the sweep engine's
 // worker-count invariance: the same clip and policy must yield the same
-// per-session played/dropped sets whether the engine runs 1 shard or many,
-// and whether sessions are cohort-served or run the per-session Sender
-// path.
+// per-session played/dropped sets whether the engine runs 1 shard or many.
 func TestShardCountInvariance(t *testing.T) {
 	clip := testClip(t, 30)
 	const clients = 6
-	one := runEngine(t, clip, 1, clients, false)
-	four := runEngine(t, clip, 4, clients, false)
-	fallback := runEngine(t, clip, 4, clients, true)
+	one := runEngine(t, clip, 1, clients)
+	four := runEngine(t, clip, 4, clients)
 
 	for i := 0; i < clients; i++ {
 		a, b := one[i], four[i]
@@ -121,9 +155,6 @@ func TestShardCountInvariance(t *testing.T) {
 			a.stats.Corrupt != b.stats.Corrupt || a.stats.PlayedBytes != b.stats.PlayedBytes {
 			t.Fatalf("client %d: stats diverge across shard counts: %+v vs %+v", i, a.stats, b.stats)
 		}
-		if f := fallback[i]; f.stats != b.stats || len(f.played) != len(b.played) {
-			t.Fatalf("client %d: cohort and fallback paths diverge: %+v vs %+v", i, b.stats, f.stats)
-		}
 	}
 	// And every session of one engine run saw the same stream.
 	for i := 1; i < clients; i++ {
@@ -131,9 +162,10 @@ func TestShardCountInvariance(t *testing.T) {
 			t.Errorf("session %d diverged from session 0: %+v vs %+v", i, one[i].stats, one[0].stats)
 		}
 	}
-	// The link rate is 2x the average: nothing should be lost at all.
-	if one[0].stats.Incomplete != 0 || one[0].stats.Corrupt != 0 {
-		t.Errorf("lossless setup lost data: %+v", one[0].stats)
+	// The link rate is 2x the average: nothing should be lost, late or
+	// corrupt, at the delay the client asked for.
+	if st := one[0].stats; st.Incomplete != 0 || st.Corrupt != 0 || st.LateBytes != 0 || st.Delay != 8 {
+		t.Errorf("lossless setup lost data: %+v", st)
 	}
 	if one[0].stats.Played != len(clip.Frames) {
 		t.Errorf("played %d of %d frames", one[0].stats.Played, len(clip.Frames))
@@ -141,63 +173,62 @@ func TestShardCountInvariance(t *testing.T) {
 }
 
 // TestMaxSessionsRejects — the engine refuses connections over the cap and
-// accepts again once a slot frees up.
+// accepts again once a slot frees up, whatever it serves.
 func TestMaxSessionsRejects(t *testing.T) {
-	clip := testClip(t, 10)
-	ended := make(chan struct{}, 2) // one send per admitted session
-	eng, err := New(clip, trace.PaperWeights(), Config{
-		Rate:          2 * int(clip.AverageRate()),
-		Shards:        2,
-		MaxSessions:   1,
-		StepDuration:  200 * time.Microsecond,
-		MaxDelay:      4,
-		OnSessionDone: func(SessionStats, error) { ended <- struct{}{} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	for _, content := range contents {
+		t.Run(content.name, func(t *testing.T) {
+			ended := make(chan struct{}, 2) // one send per admitted session
+			eng, _ := startEngine(t, content.streams, 10, Config{
+				Shards:        2,
+				MaxSessions:   1,
+				StepDuration:  200 * time.Microsecond,
+				MaxDelay:      4,
+				OnSessionDone: func(SessionStats, error) { ended <- struct{}{} },
+			})
+			defer eng.Close()
 
-	server1, client1 := net.Pipe()
-	handled := make(chan error, 1)
-	go func() { handled <- eng.Handle(server1) }()
-	clientDone := make(chan error, 1)
-	go func() {
-		_, err := runClient(client1, 4)
-		_ = client1.Close()
-		clientDone <- err
-	}()
-	if err := <-handled; err != nil {
-		t.Fatalf("first session rejected: %v", err)
-	}
+			server1, client1 := net.Pipe()
+			handled := make(chan error, 1)
+			go func() { handled <- eng.Handle(server1) }()
+			clientDone := make(chan error, 1)
+			go func() {
+				_, err := runClient(client1, 4)
+				_ = client1.Close()
+				clientDone <- err
+			}()
+			if err := <-handled; err != nil {
+				t.Fatalf("first session rejected: %v", err)
+			}
 
-	// Second connection while the first is live: over the cap.
-	server2, client2 := net.Pipe()
-	go func() { _, _ = client2.Read(make([]byte, 1)) }() // observe the close
-	if err := eng.Handle(server2); err == nil {
-		t.Fatal("session over the cap accepted")
-	}
-	_ = client2.Close()
+			// Second connection while the first is live: over the cap.
+			server2, client2 := net.Pipe()
+			go func() { _, _ = client2.Read(make([]byte, 1)) }() // observe the close
+			if err := eng.Handle(server2); err == nil {
+				t.Fatal("session over the cap accepted")
+			}
+			_ = client2.Close()
 
-	if err := <-clientDone; err != nil {
-		t.Fatalf("first client: %v", err)
-	}
-	// The client sees End a moment before the shard retires the session;
-	// the slot is free once the shard has reported it done.
-	<-ended
-	// Slot freed: a new session is admitted again.
-	server3, client3 := net.Pipe()
-	go func() { handled <- eng.Handle(server3) }()
-	go func() {
-		_, err := runClient(client3, 4)
-		_ = client3.Close()
-		clientDone <- err
-	}()
-	if err := <-handled; err != nil {
-		t.Fatalf("post-drain session rejected: %v", err)
-	}
-	if err := <-clientDone; err != nil {
-		t.Fatalf("post-drain client: %v", err)
+			if err := <-clientDone; err != nil {
+				t.Fatalf("first client: %v", err)
+			}
+			// The client sees End a moment before the shard retires the session;
+			// the slot is free once the shard has reported it done.
+			<-ended
+			// Slot freed: a new session is admitted again.
+			server3, client3 := net.Pipe()
+			go func() { handled <- eng.Handle(server3) }()
+			go func() {
+				_, err := runClient(client3, 4)
+				_ = client3.Close()
+				clientDone <- err
+			}()
+			if err := <-handled; err != nil {
+				t.Fatalf("post-drain session rejected: %v", err)
+			}
+			if err := <-clientDone; err != nil {
+				t.Fatalf("post-drain client: %v", err)
+			}
+		})
 	}
 }
 

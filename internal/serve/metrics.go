@@ -25,7 +25,6 @@ type engineMetrics struct {
 	// Acceptor-recorded (global) counters.
 	cRejected   obs.CounterID
 	cCohortHits obs.CounterID
-	cCohortMiss obs.CounterID
 
 	// Gauges and distributions.
 	gActive  obs.GaugeID
@@ -41,9 +40,8 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 	m.cRetired = b.Counter("serve_sessions_retired_total", "Sessions that drained cleanly to End.")
 	m.cFailed = b.Counter("serve_sessions_failed_total", "Sessions that ended with an error (write failure, abort).")
 	m.cDeadlineExpiry = b.Counter("serve_write_deadline_expiries_total", "Session failures whose write missed its armed deadline (slow client).")
-	m.cRejected = b.Counter("serve_sessions_rejected_total", "Connections refused before registration (draining, session limit, bad or timed-out handshake).")
-	m.cCohortHits = b.Counter("serve_cohort_hits_total", "Handshakes whose (delay, buffer) hit a cached cohort plan.")
-	m.cCohortMiss = b.Counter("serve_cohort_misses_total", "Handshakes served through the per-session fallback path.")
+	m.cRejected = b.Counter("serve_sessions_rejected_total", "Connections refused before registration (draining, session limit, bad or timed-out handshake, unbuildable plan).")
+	m.cCohortHits = b.Counter("serve_cohort_hits_total", "Handshakes registered under the shared cohort plan for their (delay, buffer).")
 	m.gActive = b.Gauge("serve_sessions_active", "Sessions currently registered, summed across shards.")
 	m.hStepDur = b.Histogram("serve_step_duration_us", "Wall-clock time from a shard tick's due time to the end of its step (all sessions brought up to the tick), microseconds; includes how late the shard woke.")
 	b.Func("serve_draining", "1 while the engine refuses new sessions (Drain/Close in progress).", func() int64 {
@@ -53,7 +51,7 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 		return 0
 	})
 	m.cTickOverruns = b.Counter("serve_tick_overruns_total", "Shard wakes that found more than one tick due (the shard overran its clock).")
-	m.cCatchupSteps = b.Counter("serve_catchup_steps_total", "Steps sent beyond the first in one tick to sessions catching up (coalesced into one write on the cohort path).")
+	m.cCatchupSteps = b.Counter("serve_catchup_steps_total", "Steps sent beyond the first in one tick to sessions catching up (coalesced into one write).")
 	m.cForgivenSteps = b.Counter("serve_forgiven_steps_total", "Steps a late session was owed beyond its burst bound of D steps; its schedule slid by that many ticks instead.")
 	if extra != nil {
 		extra(&b)

@@ -26,15 +26,3 @@ go test -run '^$' -bench '^BenchmarkSweepWorkers$' -benchmem -benchtime 5x \
 
 bin/benchjson -in "$tmp" -out "$out"
 echo "bench baseline written to $out"
-
-# Record the fleet tier's direct-vs-through-LB step-lag delta next to the
-# baseline: benchjson keeps only ns/bytes/allocs, so the fleet bench's
-# custom metrics (direct-p99-µs, lb-p99-µs, lag-overhead-%, sessions/s)
-# live in a text sidecar, refreshed on the same protocol as the baseline.
-fleet="${out%.json}_fleet.txt"
-if grep -E '^BenchmarkFleetLoopback' "$tmp" > "$fleet"; then
-    echo "fleet lag delta written to $fleet"
-else
-    rm -f "$fleet"
-    echo "no fleet bench lines recorded (non-linux host?)" >&2
-fi
