@@ -9,23 +9,24 @@
 //
 //	benchdiff -baseline BENCH_quick.json -current bench_new.json
 //	benchdiff -baseline BENCH_quick.json -current bench_new.json \
-//	    -ns 1.0 -allocs 0.25 -rule 'BenchmarkSimulate/*:allocs=0.0+0'
+//	    -allocs 0.25 -rule 'BenchmarkSimulate/*:allocs=0.0+0'
 //
 // A benchmark regresses on a metric when
 //
 //	current > baseline*(1+ratio) + slack
 //
-// with per-metric global ratios/slacks (-ns, -bytes, -allocs, *-slack) that
+// with per-metric global ratios/slacks (-bytes, -allocs, *-slack) that
 // can be overridden per benchmark with repeatable -rule flags:
 //
 //	-rule 'GLOB:METRIC=RATIO[+SLACK][,METRIC=RATIO[+SLACK]...]'
 //
 // GLOB is a path.Match pattern over the benchmark name (no -N procs
-// suffix); METRIC is ns, bytes or allocs; RATIO is the allowed fractional
+// suffix); METRIC is bytes or allocs; RATIO is the allowed fractional
 // growth (negative disables the metric for matching benchmarks); SLACK is
 // an absolute allowance on top, defaulting to the global slack. Later rules
-// win. Timing ratios should stay generous (CI machines are noisy); bytes
-// and allocs are deterministic and can be tight.
+// win. Bytes and allocs are deterministic at a fixed iteration count and can
+// be tight. Wall time is not gated here: ns/op at -benchtime 5x on a shared
+// host says little, and smoothbench (bench/) measures time end to end.
 package main
 
 import (
@@ -74,9 +75,8 @@ func (l Limit) allows(base, cur float64) bool {
 	return cur <= base*(1+l.Ratio)+l.Slack
 }
 
-// Limits bundles the three per-metric allowances.
+// Limits bundles the two per-metric allowances.
 type Limits struct {
-	Ns     Limit
 	Bytes  Limit
 	Allocs Limit
 }
@@ -85,7 +85,6 @@ type Limits struct {
 // benchmark name.
 type Rule struct {
 	Glob   string
-	Ns     *Limit
 	Bytes  *Limit
 	Allocs *Limit
 }
@@ -98,9 +97,6 @@ func limitsFor(name string, global Limits, rules []Rule) Limits {
 		ok, err := path.Match(r.Glob, name)
 		if err != nil || !ok {
 			continue
-		}
-		if r.Ns != nil {
-			eff.Ns = *r.Ns
 		}
 		if r.Bytes != nil {
 			eff.Bytes = *r.Bytes
@@ -162,9 +158,6 @@ func Compare(baseline, current *File, global Limits, rules []Rule) (regs []Regre
 		}
 		compared++
 		lim := limitsFor(base.Name, global, rules)
-		if !lim.Ns.allows(base.NsPerOp, now.NsPerOp) {
-			regs = append(regs, Regression{base.Name, base.Procs, "ns/op", base.NsPerOp, now.NsPerOp, lim.Ns})
-		}
 		if base.BytesPerOp != nil && now.BytesPerOp != nil &&
 			!lim.Bytes.allows(float64(*base.BytesPerOp), float64(*now.BytesPerOp)) {
 			regs = append(regs, Regression{base.Name, base.Procs, "B/op",
@@ -227,14 +220,12 @@ func parseRule(s string, defaults Limits) (Rule, error) {
 		}
 		var def Limit
 		switch m {
-		case "ns":
-			def = defaults.Ns
 		case "bytes":
 			def = defaults.Bytes
 		case "allocs":
 			def = defaults.Allocs
 		default:
-			return Rule{}, fmt.Errorf("rule %q: unknown metric %q (want ns, bytes or allocs)", s, m)
+			return Rule{}, fmt.Errorf("rule %q: unknown metric %q (want bytes or allocs)", s, m)
 		}
 		lim := Limit{Slack: def.Slack}
 		ratioStr, slackStr, hasSlack := strings.Cut(val, "+")
@@ -251,8 +242,6 @@ func parseRule(s string, defaults Limits) (Rule, error) {
 			lim.Slack = slack
 		}
 		switch m {
-		case "ns":
-			r.Ns = &lim
 		case "bytes":
 			r.Bytes = &lim
 		case "allocs":
@@ -280,8 +269,6 @@ func main() {
 func run() error {
 	basePath := flag.String("baseline", "BENCH_quick.json", "committed baseline (benchjson format)")
 	curPath := flag.String("current", "", "fresh run to check (benchjson format); required")
-	nsRatio := flag.Float64("ns", 1.0, "allowed fractional ns/op growth (negative disables)")
-	nsSlack := flag.Float64("ns-slack", 100000, "absolute ns/op allowance on top of the ratio")
 	bytesRatio := flag.Float64("bytes", 0.5, "allowed fractional B/op growth (negative disables)")
 	bytesSlack := flag.Float64("bytes-slack", 4096, "absolute B/op allowance on top of the ratio")
 	allocsRatio := flag.Float64("allocs", 0.5, "allowed fractional allocs/op growth (negative disables)")
@@ -295,7 +282,6 @@ func run() error {
 		return fmt.Errorf("-current is required")
 	}
 	global := Limits{
-		Ns:     Limit{*nsRatio, *nsSlack},
 		Bytes:  Limit{*bytesRatio, *bytesSlack},
 		Allocs: Limit{*allocsRatio, *allocsSlack},
 	}

@@ -72,7 +72,7 @@ func BenchmarkLBRelayStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sh.poller.close()
+			defer sh.Poller.Close()
 			srcW := make([]int, sessions)
 			sinkR := make([]int, sessions)
 			for i := 0; i < sessions; i++ {
@@ -85,16 +85,15 @@ func BenchmarkLBRelayStep(b *testing.B) {
 					cfd:        kw,
 					pipeR:      pr,
 					pipeW:      pw,
-					pos:        i,
 					backendIdx: 0,
 					backend:    e.backends[0],
 				}
-				sh.sessions = append(sh.sessions, s)
+				sh.Table.Add(s, sr, kw)
 				srcW[i], sinkR[i] = sw, kr
 			}
 			defer func() {
-				for i, s := range sh.sessions {
-					sh.closeRelay(s)
+				for i := sessions - 1; i >= 0; i-- {
+					sh.closeRelay(sh.Table.At(i))
 					_ = syscall.Close(srcW[i])
 					_ = syscall.Close(sinkR[i])
 				}
@@ -102,7 +101,7 @@ func BenchmarkLBRelayStep(b *testing.B) {
 			span := make([]byte, chunk)
 			drain := make([]byte, chunk)
 			step := func(i, now int) {
-				s := sh.sessions[i]
+				s := sh.Table.At(i)
 				if _, err := syscall.Write(srcW[i], span); err != nil {
 					b.Fatal(err)
 				}

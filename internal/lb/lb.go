@@ -29,15 +29,17 @@
 //     picked for it are re-placed before the dial — graceful drain is a
 //     placement event, never a client-visible failure.
 //   - Shard reactors: after the handshake the session becomes pure byte
-//     relay. Each shard owns an epoll set; on Linux the steady-state
-//     path splices backend socket → per-session pipe → client socket
-//     (kernel-to-kernel, no userspace copy, zero allocation), falling
-//     back to a per-session copy loop only if the first splice reports
-//     the fds unsupported (counted; zero in the benchmarks). On !linux
-//     builds a portable io.CopyBuffer relay per session keeps the
-//     engine functional. A stalled client write parks the session on an
-//     edge-armed EPOLLOUT and the stall duration streams into a
-//     histogram; stalls beyond Config.StallTimeout retire the session.
+//     relay. Each shard is one reactor.Loop — poller, hand-off queue
+//     from the placer, fd table, idle sweep and wake are
+//     internal/reactor's, shared with internal/loadgen — and the shard,
+//     as its handler, splices backend socket → per-session pipe → client
+//     socket (kernel-to-kernel, no userspace copy, zero allocation),
+//     falling back to a per-session copy loop only if the first splice
+//     reports the fds unsupported (counted; zero in the benchmarks). A
+//     stalled client write parks the session on a one-shot EPOLLOUT and
+//     the stall duration streams into a histogram; stalls beyond
+//     Config.StallTimeout retire the session. The tier requires Linux:
+//     New returns reactor.NewPoller's error elsewhere.
 //
 // Every wake stamps one engine-monotonic clock reading shared by all
 // sessions drained in it (the tickClock pattern), so flight-recorder
@@ -239,7 +241,7 @@ func New(cfg Config) (*Engine, error) {
 		sh, err := newShard(e, i)
 		if err != nil {
 			for _, prev := range e.shards[:i] {
-				prev.poller.close()
+				prev.Poller.Close()
 			}
 			return nil, err
 		}
@@ -248,7 +250,7 @@ func New(cfg Config) (*Engine, error) {
 	for _, sh := range e.shards {
 		e.loopWG.Add(1)
 		//smoothvet:transfer ownership of the shard moves to its reactor goroutine
-		go sh.run()
+		go func() { defer e.loopWG.Done(); sh.Run() }()
 	}
 	for w := 0; w < cfg.PlaceWorkers; w++ {
 		e.placeWG.Add(1)
@@ -283,10 +285,14 @@ func (e *Engine) Handle(conn net.Conn) error {
 		return e.reject(conn, fmt.Errorf("lb: expected hello, got %+v", msg))
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	if limit := e.cfg.MaxSessions; limit > 0 && e.active.Load() >= int64(limit) {
+	// Reserve the slot, then test it: a check followed by a later Add lets
+	// concurrent connections past the cap together.
+	if n, limit := e.active.Add(1), e.cfg.MaxSessions; limit > 0 && n > int64(limit) {
+		e.active.Add(-1)
 		return e.reject(conn, errSessionCap)
 	}
 	if g := e.cfg.Gate; g != nil && !g.TryAdmit() {
+		e.active.Add(-1)
 		return e.reject(conn, errAdmission)
 	}
 	s := &session{
@@ -295,14 +301,12 @@ func (e *Engine) Handle(conn net.Conn) error {
 		hello:      *msg.Hello,
 		start:      time.Now(),
 		enqueued:   e.monotonic(),
-		pos:        -1,
 		cfd:        -1,
 		bfd:        -1,
 		pipeR:      -1,
 		pipeW:      -1,
 		backendIdx: -1,
 	}
-	e.active.Add(1)
 	select {
 	case e.pending <- s:
 	default:
@@ -435,19 +439,3 @@ func (e *Engine) Obs() *obs.Registry { return e.met.reg }
 // FlightRecorders returns the tier's flight rings: index 0 is the
 // front-door/placer ring, index 1+i is relay shard i.
 func (e *Engine) FlightRecorders() []*obs.FlightRecorder { return e.recs }
-
-// connFd extracts a TCP connection's fd for the shard reactors. The fd
-// stays owned by the net.Conn; the engine never reads through the conn
-// after the handshake, so the runtime poller and the relay never
-// contend.
-func connFd(tc *net.TCPConn) (int, error) {
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return 0, fmt.Errorf("lb: raw conn: %w", err)
-	}
-	fd := -1
-	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
-		return 0, fmt.Errorf("lb: conn fd: %w", err)
-	}
-	return fd, nil
-}

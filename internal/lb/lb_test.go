@@ -2,6 +2,7 @@ package lb
 
 import (
 	"errors"
+	"io"
 	"net"
 	"os"
 	"runtime"
@@ -348,10 +349,9 @@ func TestHandleRejectsBadHello(t *testing.T) {
 	}
 }
 
-// startFloodBackend is a fake smoothd that answers the handshake and then
-// streams junk as fast as the socket accepts it — the fastest way to fill
-// a non-reading client's buffers and force a relay stall.
-func startFloodBackend(t *testing.T) string {
+// startFakeBackend is a fake smoothd that answers the handshake and then
+// hands the connection to stream; the connection closes when stream returns.
+func startFakeBackend(t *testing.T, stream func(c net.Conn)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -374,17 +374,184 @@ func startFloodBackend(t *testing.T) string {
 				if _, err := (netstream.Msg{Accept: &acc}).WriteTo(c); err != nil {
 					return
 				}
-				junk := make([]byte, 64<<10)
-				for {
-					_ = c.SetWriteDeadline(time.Now().Add(5 * time.Second))
-					if _, err := c.Write(junk); err != nil {
-						return
-					}
-				}
+				stream(c)
 			}(conn)
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// startFloodBackend streams junk as fast as the socket accepts it — the
+// fastest way to fill a non-reading client's buffers and force a relay
+// stall.
+func startFloodBackend(t *testing.T) string {
+	return startFakeBackend(t, func(c net.Conn) {
+		junk := make([]byte, 64<<10)
+		for {
+			_ = c.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			if _, err := c.Write(junk); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// tableEmpty reports whether no session and no fd is left in any shard's
+// table. The shard goroutines only read an empty table, so looking from the
+// test goroutine is safe once every session has been reported done.
+func tableEmpty(e *Engine) bool {
+	for _, sh := range e.shards {
+		if sh.Table.Len() != 0 {
+			return false
+		}
+		for fd := 0; fd < 1<<12; fd++ {
+			if _, ok := sh.Table.Lookup(fd); ok {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestIdleTimeoutRetiresSilentBackend: a backend that starts the stream and
+// then says nothing — connection open, no bytes — must not pin the session:
+// IdleTimeout retires it with the idle error, once, its fds leave the shard
+// table, and the client sees the close.
+func TestIdleTimeoutRetiresSilentBackend(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("relay reactor tests require linux")
+	}
+	const sent = 4096
+	hold := make(chan struct{})
+	t.Cleanup(func() { close(hold) })
+	backend := startFakeBackend(t, func(c net.Conn) {
+		_ = c.SetWriteDeadline(time.Now().Add(5 * time.Second))
+		if _, err := c.Write(make([]byte, sent)); err == nil {
+			<-hold
+		}
+	})
+	done := make(chan SessionStats, 2)
+	const idle = 150 * time.Millisecond
+	lbAddr, eng := startLB(t, Config{
+		Backends:      []string{backend},
+		Shards:        1,
+		IdleTimeout:   idle,
+		StallTimeout:  -1,
+		OnSessionDone: func(st SessionStats) { done <- st },
+	})
+	conn, err := net.Dial("tcp", lbAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	start := time.Now()
+	hello := netstream.Hello{ClientBuffer: 1024, DesiredDelay: 8}
+	if _, err := (netstream.Msg{Hello: &hello}).WriteTo(conn); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := netstream.ReadMsg(conn); err != nil {
+		t.Fatalf("reading accept: %v", err)
+	}
+	// Everything the backend sent arrives, then the tier hangs up.
+	got, err := io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("the tier never closed the client after %d bytes", got)
+	}
+	if got != sent {
+		t.Errorf("client received %d bytes, backend sent %d", got, sent)
+	}
+	if waited := time.Since(start); waited < idle {
+		t.Errorf("session retired after %v, before the %v idle limit", waited, idle)
+	}
+	st := <-done
+	if !errors.Is(st.Err, errIdleTimeout) || st.Bytes != sent {
+		t.Errorf("session done with err %v, %d bytes; want %v, %d", st.Err, st.Bytes, errIdleTimeout, sent)
+	}
+	if eng.Active() != 0 || !tableEmpty(eng) {
+		t.Errorf("after the idle retirement: %d active, table empty %v", eng.Active(), tableEmpty(eng))
+	}
+	select {
+	case again := <-done:
+		t.Errorf("OnSessionDone fired twice: %+v", again)
+	case <-time.After(3 * idle):
+	}
+	if got := counterValue(eng, eng.met.cFailed); got != 1 {
+		t.Errorf("lb_sessions_failed_total %d, want 1", got)
+	}
+}
+
+// capConn holds Handle at the last call it makes on the connection before
+// it tests the session cap — clearing the hello read deadline — until every
+// connection of the round has got there.
+type capConn struct {
+	net.Conn
+	arrived *atomic.Int64
+	want    int64
+}
+
+func (c *capConn) SetReadDeadline(t time.Time) error {
+	if t.IsZero() {
+		c.arrived.Add(1)
+		for c.arrived.Load() < c.want {
+			runtime.Gosched()
+		}
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestMaxSessionsHoldsAcrossConcurrentHellos — k connections whose hellos
+// are all read before any reaches the cap test, then released into it
+// together, under a cap of one and a backend that never answers (so the
+// admitted session keeps its slot): one is admitted, the rest are rejected
+// and counted, and the count of active sessions returns to zero. The cap
+// test and the slot reservation used to be two steps with no call on the
+// connection between them, so the old race is narrow: each round hits it
+// only if two Handle goroutines run the two steps on two CPUs at once,
+// hence the rounds.
+func TestMaxSessionsHoldsAcrossConcurrentHellos(t *testing.T) {
+	const k, rounds = 4, 40
+	for round := 0; round < rounds; round++ {
+		// A listener nobody accepts on: the placer's dial completes in the
+		// backlog, its hello is buffered and no accept ever comes back.
+		silent, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := New(Config{Backends: []string{silent.Addr().String()}, Shards: 1, PlaceWorkers: 1, MaxSessions: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var arrived atomic.Int64
+		handled := make(chan error, k)
+		for i := 0; i < k; i++ {
+			server, client := net.Pipe()
+			go func() { handled <- eng.Handle(&capConn{Conn: server, arrived: &arrived, want: k}) }()
+			go func() {
+				_ = netstream.WriteHello(client, netstream.Hello{ClientBuffer: 1024, DesiredDelay: 8})
+				_, _ = io.Copy(io.Discard, client) // until the tier closes it
+			}()
+		}
+		admitted := 0
+		for i := 0; i < k; i++ {
+			if err := <-handled; err == nil {
+				admitted++
+			} else if !errors.Is(err, errSessionCap) {
+				t.Fatalf("round %d: rejected with %v", round, err)
+			}
+		}
+		if admitted != 1 {
+			t.Fatalf("round %d: %d of %d concurrent sessions admitted under a cap of 1", round, admitted, k)
+		}
+		if got := counterValue(eng, eng.met.cRejected); got != k-1 {
+			t.Fatalf("round %d: lb_sessions_rejected_total %d, want %d", round, got, k-1)
+		}
+		_ = silent.Close() // resets the backlog, so Close does not wait out a handshake
+		eng.Close()
+		if got := eng.Active(); got != 0 {
+			t.Fatalf("round %d: %d sessions active after Close", round, got)
+		}
+	}
 }
 
 // TestStallTimeoutRetiresStalledSession: a client that stops reading

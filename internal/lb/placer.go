@@ -112,7 +112,7 @@ func (e *Engine) place(s *session) {
 			e.met.reg.GlobalInc(e.met.cPlaced)
 			e.recs[0].Record(e.monotonic(), obs.EvPlace, s.id, int64(b.idx))
 			sh := e.shards[int(s.id)%len(e.shards)]
-			if !sh.enqueue(s) {
+			if !sh.Queue.Push(s) {
 				_ = s.backendConn.Close()
 				b.active.Add(-1)
 				e.failPlacement(s, errEngineClosed, e.monotonic())

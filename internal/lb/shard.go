@@ -1,32 +1,30 @@
 package lb
 
 import (
+	"fmt"
+	"io"
 	"net"
-	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 )
 
 // spliceChunk bounds one backend→pipe splice; the default pipe holds
 // 64 KiB, so a larger request just returns partial.
 const spliceChunk = 256 << 10
 
-// idleScanChunk bounds the idle/stall sweep per wake so a dense shard
-// does not walk its whole table every 10ms.
-const idleScanChunk = 256
-
 // session is one relayed stream's state between reactor wakes: two fds,
 // a kernel pipe holding in-flight bytes, and stall/idle stamps. It has
-// no goroutine and no timer on Linux; the !linux fallback runs one
-// copying goroutine per session instead.
+// no goroutine and no timer.
 type session struct {
+	reactor.Slot
 	id          uint64
 	clientConn  net.Conn
 	backendConn net.Conn
 	cfd, bfd    int
-	pos         int // index in shard.sessions, maintained across swap-removes
 
 	backend    *backend
 	backendIdx int
@@ -55,137 +53,49 @@ type session struct {
 	pendLen  int
 }
 
-// shard owns a set of relay sessions and the reactor resources they
-// share: one poller and one flight ring.
+// shard is one reactor loop plus what a relayed session needs on top of
+// it: a flight ring.
 //
 //smoothvet:confined owned by the relay reactor goroutine after New hands it off
 type shard struct {
-	eng    *Engine
-	poller *poller
+	reactor.Loop[*session]
+	eng *Engine
 
-	//smoothvet:shared guards incoming only
-	mu sync.Mutex
-	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []*session
-	spare    []*session
-
-	//smoothvet:shared completion channel fed by !linux copy goroutines
-	copyDone chan copyResult
-
-	sessions []*session
-	byFd     []*session
-	idleCur  int
-
-	// met and rec are this shard's obs slots and flight ring: recorded
-	// into only by the reactor goroutine.
-	met *obs.ShardMetrics
+	// rec is this shard's flight ring: like Met, recorded into only by the
+	// reactor goroutine.
 	rec *obs.FlightRecorder
 }
 
-// copyResult is one !linux copy goroutine's exit report.
-type copyResult struct {
-	s     *session
-	bytes int64
-	err   error
-}
-
 func newShard(e *Engine, idx int) (*shard, error) {
-	p, err := newPoller()
+	p, err := reactor.NewPoller()
 	if err != nil {
 		return nil, err
 	}
-	return &shard{
-		eng:      e,
-		poller:   p,
-		byFd:     make([]*session, 1024),
-		copyDone: make(chan copyResult, 64),
-		met:      e.met.reg.Shard(idx),
-		rec:      e.recs[idx+1],
-	}, nil
+	sh := &shard{eng: e, rec: e.recs[idx+1]}
+	sh.Loop = reactor.Loop[*session]{
+		Poller: p, Handler: sh, Now: e.monotonic, Closing: &e.closing, ErrClosed: errRelayShutdown,
+		Met: e.met.reg.Shard(idx), Active: e.met.gActive,
+	}
+	return sh, nil
 }
 
-// enqueue hands a placed session to the shard; it reports false when the
-// engine is closing and the session was not accepted.
-func (sh *shard) enqueue(s *session) bool {
-	sh.mu.Lock()
-	if sh.eng.closing.Load() {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.incoming = append(sh.incoming, s)
-	sh.mu.Unlock()
-	return true
-}
-
-// admit registers every queued session. Runs on the shard goroutine.
-func (sh *shard) admit(now int64) {
-	sh.mu.Lock()
-	if len(sh.incoming) == 0 {
-		sh.mu.Unlock()
-		return
-	}
-	pend := sh.incoming
-	sh.incoming = sh.spare[:0]
-	sh.mu.Unlock()
-	for i := range pend {
-		sh.register(pend[i], now)
-		pend[i] = nil
-	}
-	sh.spare = pend[:0]
-}
-
-// register starts the relay for one placed session: the platform reactor
-// wires the fds (pipes + epoll on Linux, a copy goroutine elsewhere).
-func (sh *shard) register(s *session, now int64) {
-	sh.met.Observe(sh.eng.met.hAdmitWait, (now-s.enqueued)/1000)
+// Admit starts the relay for one placed session.
+func (sh *shard) Admit(s *session, now int64) {
+	sh.Met.Observe(sh.eng.met.hAdmitWait, (now-s.enqueued)/1000)
 	s.lastData = now
-	if err := sh.startRelay(s, now); err != nil {
-		sh.retire(s, err, now)
+	if err := sh.startRelay(s); err != nil {
+		sh.Retire(s, err, now)
 		return
 	}
-	sh.met.Inc(sh.eng.met.cRelayed)
-	s.pos = len(sh.sessions)
-	sh.sessions = append(sh.sessions, s)
+	sh.Met.Inc(sh.eng.met.cRelayed)
 }
 
-func (sh *shard) lookupFd(fd int) *session {
-	if fd < 0 || fd >= len(sh.byFd) {
-		return nil
-	}
-	return sh.byFd[fd]
-}
-
-// mapFd points the shard's fd table at s, growing it as needed.
-func (sh *shard) mapFd(fd int, s *session) {
-	if fd >= len(sh.byFd) {
-		grown := make([]*session, fd+fd/2+1)
-		copy(grown, sh.byFd)
-		sh.byFd = grown
-	}
-	sh.byFd[fd] = s
-}
-
-func (sh *shard) unmapFd(fd int, s *session) {
-	if fd >= 0 && fd < len(sh.byFd) && sh.byFd[fd] == s {
-		sh.byFd[fd] = nil
-	}
-}
-
-// retire finishes a session: success when err is nil, else a relay
+// Retire finishes a session: success when err is nil, else a relay
 // failure. Runs on the shard goroutine. now is the caller's wake stamp;
-// retire sits downstream of the noalloc relay path, so it derives
+// Retire sits downstream of the noalloc relay path, so it derives
 // Elapsed from the stamp instead of re-reading the wall clock.
-func (sh *shard) retire(s *session, err error, now int64) {
+func (sh *shard) Retire(s *session, err error, now int64) {
 	sh.closeRelay(s)
-	if last := len(sh.sessions) - 1; last >= 0 && s.pos >= 0 && s.pos <= last && sh.sessions[s.pos] == s {
-		sh.sessions[s.pos] = sh.sessions[last]
-		sh.sessions[s.pos].pos = s.pos
-		sh.sessions[last] = nil
-		sh.sessions = sh.sessions[:last]
-		if sh.idleCur > last {
-			sh.idleCur = 0
-		}
-	}
 	if s.backendConn != nil {
 		_ = s.backendConn.Close()
 	}
@@ -195,55 +105,349 @@ func (sh *shard) retire(s *session, err error, now int64) {
 	}
 	m := sh.eng.met
 	if err == nil {
-		sh.met.Inc(m.cCompleted)
+		sh.Met.Inc(m.cCompleted)
 		sh.rec.Record(now, obs.EvRetire, s.id, s.bytes)
 	} else {
-		sh.met.Inc(m.cFailed)
+		sh.Met.Inc(m.cFailed)
 		sh.rec.Record(now, obs.EvError, s.id, int64(s.backendIdx))
 	}
 	sh.eng.sessionDone(s, err, now)
 }
 
-// scanIdle sweeps up to idleScanChunk sessions for idle and stall
-// timeouts, resuming where the last wake left off.
-func (sh *shard) scanIdle(now int64) {
-	idle := int64(sh.eng.cfg.IdleTimeout)
-	stall := int64(sh.eng.cfg.StallTimeout)
-	if (idle <= 0 && stall <= 0) || len(sh.sessions) == 0 {
-		return
-	}
-	k := idleScanChunk
-	if k > len(sh.sessions) {
-		k = len(sh.sessions)
-	}
-	for ; k > 0; k-- {
-		if sh.idleCur >= len(sh.sessions) {
-			sh.idleCur = 0
+// Expired applies the tier's two timeouts: a client whose write has been
+// stalled for StallTimeout, else a backend silent for IdleTimeout.
+func (sh *shard) Expired(s *session, now int64) error {
+	if s.stalled {
+		if reactor.Overdue(sh.eng.cfg.StallTimeout, s.stallStart, now) {
+			return errStallTimeout
 		}
-		if len(sh.sessions) == 0 {
+	} else if reactor.Overdue(sh.eng.cfg.IdleTimeout, s.lastData, now) {
+		return errIdleTimeout
+	}
+	return nil
+}
+
+// Ready routes one epoll event: client-fd events resume a stalled
+// write or notice a hangup; backend-fd events pump the relay.
+//
+//smoothvet:noalloc
+func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
+	if fd == s.cfd {
+		if s.stalled {
+			s.stalled = false
+			sh.Met.Observe(sh.eng.met.hStall, (now-s.stallStart)/1000)
+			if err := sh.Poller.Mod(s.cfd, reactor.RdHup); err != nil {
+				sh.Retire(s, err, now)
+				return
+			}
+			// The backend fd left the epoll set at stall time; bytes it
+			// buffered meanwhile surface level-triggered once re-added.
+			if err := sh.Poller.Add(s.bfd, reactor.In|reactor.RdHup); err != nil {
+				sh.Retire(s, err, now)
+				return
+			}
+			sh.relay(s, now)
 			return
 		}
-		s := sh.sessions[sh.idleCur]
-		if s.stalled && stall > 0 && now-s.stallStart > stall {
-			sh.retire(s, errStallTimeout, now)
-			continue
+		if events&(reactor.RdHup|reactor.Hup|reactor.Err) != 0 {
+			sh.onClientHup(s, now)
 		}
-		if !s.stalled && idle > 0 && now-s.lastData > idle {
-			sh.retire(s, errIdleTimeout, now)
-			continue
+		return
+	}
+	if s.stalled {
+		// A backend event harvested in the same wake batch as the stall:
+		// re-entering relay would re-stall and reset the stall clock,
+		// defeating StallTimeout. The data keeps until the client resumes.
+		return
+	}
+	sh.relay(s, now)
+}
+
+// onClientHup classifies a client hangup. Undelivered bytes — a parked
+// pipe or copy tail — mean the client abandoned mid-stream: fail the
+// session. With nothing undelivered the verdict belongs to the backend:
+// its EOF means the client consumed the whole stream and simply closed
+// first (the two FINs race through separate sockets, which is not a
+// failure), while further payload is undeliverable. The session lingers
+// on backend events until one of those arrives; the idle sweep bounds
+// the wait. The client fd leaves the epoll set here so its level-
+// triggered HUP stops re-firing every wake.
+//
+//smoothvet:noalloc
+func (sh *shard) onClientHup(s *session, now int64) {
+	if s.clientGone {
+		return
+	}
+	if s.pipeFill > 0 || s.pendOff < s.pendLen {
+		sh.Retire(s, errClientGone, now)
+		return
+	}
+	s.clientGone = true
+	_ = sh.Poller.Del(s.cfd)
+	// The backend's EOF may already be queued on its socket: resolve
+	// immediately when it is.
+	sh.finishClientGone(s, now)
+}
+
+// finishClientGone pumps the backend of a client-gone session to a
+// verdict: payload fails it, EOF completes it, EAGAIN waits for the next
+// backend event.
+//
+//smoothvet:noalloc
+func (sh *shard) finishClientGone(s *session, now int64) {
+	for {
+		var n int
+		var err error
+		if s.fallback {
+			n, err = syscall.Read(s.bfd, s.pend)
+		} else {
+			var sn int64
+			sn, err = reactor.Splice(s.bfd, s.pipeW, spliceChunk)
+			n = int(sn)
 		}
-		sh.idleCur++
+		if n > 0 {
+			sh.Retire(s, errClientGone, now)
+			return
+		}
+		if err == nil {
+			if s.ended || s.bytes > 0 {
+				sh.Retire(s, nil, now)
+			} else {
+				sh.Retire(s, errClientGone, now)
+			}
+			return
+		}
+		if en, ok := err.(syscall.Errno); ok {
+			if en == syscall.EAGAIN {
+				return
+			}
+			if en == syscall.EINTR {
+				continue
+			}
+		}
+		sh.Retire(s, err, now)
+		return
 	}
 }
 
-// drainIncoming aborts every queued-but-unregistered session; part of
-// the platform shutdown paths.
-func (sh *shard) drainIncoming(now int64) {
-	sh.mu.Lock()
-	pend := sh.incoming
-	sh.incoming = nil
-	sh.mu.Unlock()
-	for _, s := range pend {
-		sh.retire(s, errRelayShutdown, now)
+// startRelay wires a placed session into the reactor: a pipe pair for
+// the splice path, the backend fd armed for readability and the client fd
+// for hangup only (the relay never reads the client). No immediate relay:
+// epoll is level-triggered, so bytes the backend sent while the session sat
+// in the queue surface on the next wait.
+func (sh *shard) startRelay(s *session) error {
+	ctc, ok := s.clientConn.(*net.TCPConn)
+	if !ok {
+		return fmt.Errorf("lb: client %T is not a TCP connection", s.clientConn)
+	}
+	btc, ok := s.backendConn.(*net.TCPConn)
+	if !ok {
+		return fmt.Errorf("lb: backend conn %T is not a TCP connection", s.backendConn)
+	}
+	var err error
+	if s.cfd, err = reactor.ConnFd(ctc); err != nil {
+		return err
+	}
+	if s.bfd, err = reactor.ConnFd(btc); err != nil {
+		return err
+	}
+	if s.pipeR, s.pipeW, err = reactor.Pipe(); err != nil {
+		return err
+	}
+	if err := sh.Poller.Add(s.bfd, reactor.In|reactor.RdHup); err != nil {
+		return fmt.Errorf("lb: epoll add backend: %w", err)
+	}
+	if err := sh.Poller.Add(s.cfd, reactor.RdHup); err != nil {
+		return fmt.Errorf("lb: epoll add client: %w", err)
+	}
+	sh.Table.Add(s, s.bfd, s.cfd)
+	return nil
+}
+
+// closeRelay releases a session's reactor resources: epoll entries, its
+// place in the table, the pipe pair.
+func (sh *shard) closeRelay(s *session) {
+	_ = sh.Poller.Del(s.bfd) // either fd may never have been added, or
+	_ = sh.Poller.Del(s.cfd) // have left the set at a stall or a hangup
+	sh.Table.Remove(s, s.bfd, s.cfd)
+	s.bfd, s.cfd = -1, -1
+	if s.pipeR >= 0 {
+		_ = syscall.Close(s.pipeR)
+		_ = syscall.Close(s.pipeW)
+		s.pipeR, s.pipeW = -1, -1
+	}
+}
+
+// relay is the steady-state hot path: drain the pipe into the client,
+// refill it from the backend, entirely kernel-to-kernel. pipeFill tracks
+// the bytes parked in the pipe, which disambiguates EAGAIN (empty source
+// vs full sink) without a peek syscall.
+//
+//smoothvet:noalloc
+func (sh *shard) relay(s *session, now int64) {
+	if s.clientGone {
+		sh.finishClientGone(s, now)
+		return
+	}
+	if s.fallback {
+		sh.relayCopy(s, now)
+		return
+	}
+	for {
+		for s.pipeFill > 0 {
+			n, err := reactor.Splice(s.pipeR, s.cfd, s.pipeFill)
+			if n > 0 {
+				s.pipeFill -= int(n)
+				s.bytes += n
+				continue
+			}
+			if en, ok := err.(syscall.Errno); ok {
+				if en == syscall.EAGAIN {
+					// The client's socket buffer is full: park on a
+					// one-shot EPOLLOUT.
+					sh.stall(s, now)
+					return
+				}
+				if en == syscall.EINTR {
+					continue
+				}
+			}
+			sh.Retire(s, err, now)
+			return
+		}
+		if s.ended {
+			sh.Retire(s, nil, now)
+			return
+		}
+		n, err := reactor.Splice(s.bfd, s.pipeW, spliceChunk)
+		if n > 0 {
+			s.pipeFill += int(n)
+			s.lastData = now
+			if !s.anchored {
+				s.anchored = true
+				sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
+			}
+			continue
+		}
+		if err == nil {
+			// Backend EOF: flush whatever the pipe still holds, then
+			// retire clean on the next loop.
+			s.ended = true
+			continue
+		}
+		if en, ok := err.(syscall.Errno); ok {
+			switch en {
+			case syscall.EAGAIN:
+				return
+			case syscall.EINTR:
+				continue
+			case syscall.EINVAL, syscall.ENOSYS:
+				if s.bytes == 0 && s.pipeFill == 0 {
+					// These fds cannot splice (exotic socket type): fall
+					// back to the userspace copy loop for this session.
+					sh.toFallback(s)
+					sh.relayCopy(s, now)
+					return
+				}
+			}
+		}
+		sh.Retire(s, err, now)
+		return
+	}
+}
+
+// stall parks a session on client writability. The backend fd leaves the
+// epoll set for the duration: its level-triggered readability would
+// otherwise spin the reactor awake (and, via relay, reset the stall
+// clock) the whole time the client is parked. Pending backend bytes wait
+// in its socket buffer and resurface when Ready re-adds the fd at
+// resume.
+func (sh *shard) stall(s *session, now int64) {
+	if s.stalled {
+		return
+	}
+	s.stalled = true
+	s.stallStart = now
+	sh.Met.Inc(sh.eng.met.cStalls)
+	if err := sh.Poller.Del(s.bfd); err != nil {
+		sh.Retire(s, err, now)
+		return
+	}
+	if err := sh.Poller.Mod(s.cfd, reactor.Out|reactor.RdHup|reactor.OneShot); err != nil {
+		sh.Retire(s, err, now)
+	}
+}
+
+// toFallback abandons the splice path for one session: close the pipe
+// (empty by the caller's check) and set up the copy buffer. This is the
+// cold exit off the hot path — it allocates, once, and is counted.
+func (sh *shard) toFallback(s *session) {
+	_ = syscall.Close(s.pipeR)
+	_ = syscall.Close(s.pipeW)
+	s.pipeR, s.pipeW = -1, -1
+	s.pend = make([]byte, 64<<10)
+	s.fallback = true
+	sh.Met.Inc(sh.eng.met.cFallback)
+	sh.eng.fallbacks.Add(1)
+}
+
+// relayCopy is the userspace fallback: read the backend into the
+// session's scratch buffer, write the tail to the client, same stall and
+// EOF discipline as the splice path. Steady state allocates nothing —
+// the scratch buffer was sized at the fallback transition.
+//
+//smoothvet:noalloc
+func (sh *shard) relayCopy(s *session, now int64) {
+	for {
+		for s.pendOff < s.pendLen {
+			n, err := syscall.Write(s.cfd, s.pend[s.pendOff:s.pendLen])
+			if n > 0 {
+				s.pendOff += n
+				s.bytes += int64(n)
+				continue
+			}
+			if en, ok := err.(syscall.Errno); ok {
+				if en == syscall.EAGAIN {
+					sh.stall(s, now)
+					return
+				}
+				if en == syscall.EINTR {
+					continue
+				}
+			}
+			sh.Retire(s, err, now)
+			return
+		}
+		if s.ended {
+			sh.Retire(s, nil, now)
+			return
+		}
+		n, err := syscall.Read(s.bfd, s.pend)
+		if n > 0 {
+			s.pendOff, s.pendLen = 0, n
+			s.lastData = now
+			if !s.anchored {
+				s.anchored = true
+				sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
+			}
+			continue
+		}
+		if n == 0 && err == nil {
+			s.ended = true
+			continue
+		}
+		if en, ok := err.(syscall.Errno); ok {
+			if en == syscall.EAGAIN {
+				return
+			}
+			if en == syscall.EINTR {
+				continue
+			}
+		}
+		if err == nil {
+			err = io.ErrUnexpectedEOF
+		}
+		sh.Retire(s, err, now)
+		return
 	}
 }

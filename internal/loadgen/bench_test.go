@@ -95,7 +95,7 @@ func BenchmarkLoadgenStep(b *testing.B) {
 			sh := newShardCore(eng, 0)
 			sessions := make([]*session, n)
 			for i := range sessions {
-				s := &session{idx: i, fd: -1, pos: -1, delay: delay, stepNanos: stepNanos, start: time.Now()}
+				s := &session{idx: i, fd: -1, delay: delay, stepNanos: stepNanos, start: time.Now()}
 				resetBenchSession(s, delay)
 				sessions[i] = s
 			}

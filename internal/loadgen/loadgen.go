@@ -1,8 +1,8 @@
 // Package loadgen is the sharded client engine: the load-generation dual
 // of internal/serve. Where the serving engine runs N shard clocks each
 // stepping many sessions' smoothing buffers, loadgen runs N shard
-// *reactors*, each draining the sockets of many client sessions from one
-// epoll set: a session costs one fd, one ~300-byte struct and a sliding
+// *reactors* (internal/reactor loops), each draining the sockets of many
+// client sessions: a session costs one fd, one ~300-byte struct and a sliding
 // receive window (core.RecvWindow) — no goroutine, no time.Ticker, no
 // per-session decoder, and no unbounded lag slice — so one smoothload
 // process can drive 100k end-to-end sessions.
@@ -13,10 +13,12 @@
 //     dial and the Hello/Accept handshake (the only blocking reads in the
 //     engine), records dial/handshake stage timings, then hands the
 //     connection to a shard chosen by session index.
-//   - Shard reactors: each shard owns an epoll set and wakes when any of
-//     its sessions' sockets turn readable. A wake stamps one monotonic
-//     clock reading (the tickClock pattern of internal/serve, measured
-//     from a single engine-wide monotonic base), drains each ready socket
+//   - Shard reactors: each shard is one reactor.Loop — the poller, the
+//     hand-off queue from the dialers, the fd table, the idle sweep and the
+//     wake itself are internal/reactor's, shared with internal/lb. A wake
+//     stamps one monotonic clock reading (the tickClock pattern of
+//     internal/serve, measured from a single engine-wide monotonic base);
+//     the shard, as the loop's handler, drains each ready socket
 //     into a shard-owned scratch buffer with non-blocking reads, and
 //     parses complete messages through one scratch-reusing
 //     netstream.Decoder per shard. The old generator's per-session
@@ -46,7 +48,8 @@
 // measured before failing (the seed dropped them with the session); dial
 // and handshake failures contribute nothing.
 //
-// The engine requires Linux (epoll); New returns an error elsewhere.
+// The engine requires Linux: New returns reactor.NewPoller's error
+// elsewhere.
 package loadgen
 
 import (
@@ -59,6 +62,7 @@ import (
 
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 	"repro/internal/stats"
 )
 
@@ -218,7 +222,7 @@ func New(cfg Config) (*Engine, error) {
 		sh, err := newShard(e, i)
 		if err != nil {
 			for _, prev := range e.shards[:i] {
-				prev.poller.close()
+				prev.Poller.Close()
 			}
 			return nil, err
 		}
@@ -227,7 +231,7 @@ func New(cfg Config) (*Engine, error) {
 	for _, sh := range e.shards {
 		e.loopWG.Add(1)
 		//smoothvet:transfer ownership of the shard moves to its reactor goroutine
-		go sh.run()
+		go func() { defer e.loopWG.Done(); sh.Run() }()
 	}
 	return e, nil
 }
@@ -415,7 +419,7 @@ func (e *Engine) dialOne(idx int) {
 	// exhaust the ephemeral range within a few ramp waves at 10k+
 	// sessions.
 	_ = tc.SetLinger(0)
-	fd, err := connFd(tc)
+	fd, err := reactor.ConnFd(tc)
 	if err != nil {
 		fail(err)
 		return
@@ -425,7 +429,6 @@ func (e *Engine) dialOne(idx int) {
 		idx:       idx,
 		conn:      conn,
 		fd:        fd,
-		pos:       -1,
 		delay:     int(acc.Delay),
 		stepNanos: int64(acc.StepMicros) * 1000,
 		maxStep:   -1,
@@ -439,24 +442,8 @@ func (e *Engine) dialOne(idx int) {
 	e.mu.Unlock()
 
 	sh := e.shards[idx%len(e.shards)]
-	if !sh.enqueue(s) {
+	if !sh.Queue.Push(s) {
 		_ = conn.Close()
 		e.failSetup(idx, StageHandshake, fmt.Errorf("loadgen: engine is closed"), start)
 	}
-}
-
-// connFd extracts the file descriptor of a TCP connection for the shard
-// reactors' non-blocking reads. The fd stays owned by the net.Conn (the
-// runtime keeps it in its own poller; loadgen never reads through the
-// conn after the handshake, so the two never contend).
-func connFd(tc *net.TCPConn) (int, error) {
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: raw conn: %w", err)
-	}
-	fd := -1
-	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
-		return 0, fmt.Errorf("loadgen: conn fd: %w", err)
-	}
-	return fd, nil
 }

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -237,6 +238,82 @@ func TestStageFailureAccounting(t *testing.T) {
 			t.Fatalf("want 6 mid-stream failures, got report %+v stages %v", rep, stages)
 		}
 	})
+}
+
+// TestIdleTimeoutRetiresSilentSession: a server that completes the
+// handshake and then says nothing — connection open, no bytes — must not pin
+// the wave: IdleTimeout retires each session mid-stream with the idle error,
+// once, and its fd leaves the shard table.
+func TestIdleTimeoutRetiresSilentSession(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("loadgen reactor requires linux")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold := make(chan struct{})
+	defer close(hold)
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				if msg, err := netstream.ReadMsg(c); err != nil || msg.Hello == nil {
+					return
+				}
+				_ = netstream.WriteAccept(c, netstream.Accept{Rate: 10, Delay: 4, ServerBuffer: 40, StepMicros: 1000})
+				<-hold
+			}(c)
+		}
+	}()
+	const n, idle = 3, 150 * time.Millisecond
+	var mu sync.Mutex
+	done := map[int][]SessionStats{}
+	eng, err := New(Config{
+		Addrs:       []string{ln.Addr().String()},
+		Shards:      1,
+		Delay:       4,
+		IdleTimeout: idle,
+		OnSessionDone: func(st SessionStats) {
+			mu.Lock()
+			done[st.Index] = append(done[st.Index], st)
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	rep, err := eng.Run(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MidStreamFailed != n || rep.Completed != 0 || rep.Elapsed < idle {
+		t.Fatalf("want %d mid-stream failures no sooner than %v, got %+v", n, idle, rep)
+	}
+	for i := 0; i < n; i++ {
+		if len(done[i]) != 1 {
+			t.Fatalf("session %d reported done %d times", i, len(done[i]))
+		}
+		if st := done[i][0]; st.Stage != StageMidStream || !errors.Is(st.Err, errIdleTimeout) || st.Elapsed < idle {
+			t.Errorf("session %d done with stage %q, err %v after %v; want an idle timeout", i, st.Stage, st.Err, st.Elapsed)
+		}
+	}
+	// Run has returned, so the reactor only reads its (empty) table now.
+	sh := eng.shards[0]
+	if sh.Table.Len() != 0 {
+		t.Errorf("%d sessions left in the shard table", sh.Table.Len())
+	}
+	for fd := 0; fd < 1<<12; fd++ {
+		if _, ok := sh.Table.Lookup(fd); ok {
+			t.Errorf("fd %d still maps to a session", fd)
+		}
+	}
 }
 
 // scrapeMetrics performs one GET /metrics against the generator's diag

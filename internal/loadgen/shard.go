@@ -3,13 +3,15 @@ package loadgen
 import (
 	"bytes"
 	"errors"
+	"io"
 	"net"
-	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 	"repro/internal/stats"
 )
 
@@ -30,10 +32,10 @@ var (
 // has no goroutine and no timer; everything below ~anchorWindow messages
 // is fixed-size, and pending/win reach a stream-dependent steady state.
 type session struct {
+	reactor.Slot
 	idx  int
 	conn net.Conn
 	fd   int
-	pos  int // index in shard.sessions, maintained across swap-removes
 
 	delay     int
 	stepNanos int64
@@ -72,37 +74,25 @@ type tally struct {
 	lateBytes       int
 }
 
-// shard owns a set of sessions and the reactor resources they share: one
-// poller, one scratch read buffer, one decoder, one lag histogram.
+// shard is one reactor loop plus what a client session needs on top of it:
+// one scratch read buffer, one decoder, one lag histogram.
 //
-//smoothvet:confined owned by the reactor goroutine after Run hands it off
+//smoothvet:confined owned by the reactor goroutine after New hands it off
 type shard struct {
-	eng    *Engine
-	poller *poller
+	reactor.Loop[*session]
+	eng *Engine
 
 	scratch []byte
 	br      bytes.Reader
 	dec     *netstream.Decoder
 
-	//smoothvet:shared guards incoming only
-	mu sync.Mutex
-	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []*session
-	spare    []*session
-
-	sessions []*session
-	byFd     []*session
-	idleCur  int
-
-	// lag aliases the live obs histogram slot (met.HistRef), so the
+	// lag aliases the live obs histogram slot (Met.HistRef), so the
 	// per-message Add is also the scrape-visible series.
 	lag   *stats.LogHistogram
 	tally tally
 
-	// met and rec are this shard's obs slots and flight ring: recorded
-	// into only by the reactor goroutine, read elsewhere only through
-	// their published snapshots.
-	met *obs.ShardMetrics
+	// rec is this shard's flight ring: like Met, recorded into only by the
+	// reactor goroutine and read elsewhere only through published snapshots.
 	rec *obs.FlightRecorder
 }
 
@@ -121,22 +111,24 @@ func newShardCore(e *Engine, idx int) *shard {
 	sh := &shard{
 		eng:     e,
 		scratch: make([]byte, shardScratchSize),
-		byFd:    make([]*session, 1024),
 		lag:     m.HistRef(e.met.hLag),
-		met:     m,
 		rec:     e.recs[idx],
+	}
+	sh.Loop = reactor.Loop[*session]{
+		Handler: sh, Now: e.monotonic, Closing: &e.closing, ErrClosed: errEngineClosed,
+		Met: m, Active: e.met.gActive,
 	}
 	sh.dec = netstream.NewDecoder(&sh.br)
 	return sh
 }
 
 func newShard(e *Engine, idx int) (*shard, error) {
-	p, err := newPoller()
+	p, err := reactor.NewPoller()
 	if err != nil {
 		return nil, err
 	}
 	sh := newShardCore(e, idx)
-	sh.poller = p
+	sh.Poller = p
 	return sh, nil
 }
 
@@ -145,66 +137,37 @@ func newShard(e *Engine, idx int) (*shard, error) {
 // resets go through ResetHist, whose snapshot mutex orders them against
 // the reactor's periodic Publish.
 func (sh *shard) resetStats() {
-	sh.met.ResetHist(sh.eng.met.hLag)
-	sh.met.ResetHist(sh.eng.met.hOccupancy)
+	sh.Met.ResetHist(sh.eng.met.hLag)
+	sh.Met.ResetHist(sh.eng.met.hOccupancy)
 	sh.tally = tally{}
 }
 
-// enqueue hands a freshly handshaken session to the shard; it reports
-// false when the engine is closing and the session was not accepted.
-func (sh *shard) enqueue(s *session) bool {
-	sh.mu.Lock()
-	if sh.eng.closing.Load() {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.incoming = append(sh.incoming, s)
-	sh.mu.Unlock()
-	return true
-}
-
-// admit registers every queued session. Runs on the shard goroutine.
-func (sh *shard) admit(now int64) {
-	sh.mu.Lock()
-	if len(sh.incoming) == 0 {
-		sh.mu.Unlock()
+// Admit registers one queued session. No immediate drain: epoll is
+// level-triggered, so bytes that arrived while the session sat in the
+// queue surface on the next wait.
+func (sh *shard) Admit(s *session, now int64) {
+	if err := sh.Poller.Add(s.fd, reactor.In|reactor.RdHup); err != nil {
+		sh.Retire(s, err, now)
 		return
 	}
-	pend := sh.incoming
-	sh.incoming = sh.spare[:0]
-	sh.mu.Unlock()
-	for i := range pend {
-		sh.register(pend[i], now)
-		pend[i] = nil
-	}
-	sh.spare = pend[:0]
-}
-
-func (sh *shard) register(s *session, now int64) {
-	if err := sh.poller.add(s.fd); err != nil {
-		sh.retire(s, StageMidStream, err, now)
-		return
-	}
-	sh.met.Inc(sh.eng.met.cAdmitted)
+	sh.Met.Inc(sh.eng.met.cAdmitted)
 	sh.rec.Record(now, obs.EvAdmit, uint64(s.idx), 0)
-	s.pos = len(sh.sessions)
-	sh.sessions = append(sh.sessions, s)
-	if s.fd >= len(sh.byFd) {
-		grown := make([]*session, s.fd+s.fd/2+1)
-		copy(grown, sh.byFd)
-		sh.byFd = grown
-	}
-	sh.byFd[s.fd] = s
+	sh.Table.Add(s, s.fd)
 	s.lastData = now
-	// No immediate drain: epoll is level-triggered, so bytes that arrived
-	// while the session sat in the queue surface on the next wait.
 }
 
-func (sh *shard) lookupFd(fd int) *session {
-	if fd < 0 || fd >= len(sh.byFd) {
-		return nil
+// Expired retires a session that has received nothing for IdleTimeout.
+func (sh *shard) Expired(s *session, now int64) error {
+	if reactor.Overdue(sh.eng.cfg.IdleTimeout, s.lastData, now) {
+		return errIdleTimeout
 	}
-	return sh.byFd[fd]
+	return nil
+}
+
+// Retire fails a session mid-stream: a timeout, an engine close, a
+// registration error.
+func (sh *shard) Retire(s *session, err error, now int64) {
+	sh.retire(s, StageMidStream, err, now)
 }
 
 // retire finishes a session: success when stage is "", else a mid-stream
@@ -213,21 +176,8 @@ func (sh *shard) lookupFd(fd int) *session {
 // path, so it derives Elapsed from the stamp instead of re-reading the
 // wall clock.
 func (sh *shard) retire(s *session, stage string, err error, now int64) {
-	if sh.poller != nil && s.fd >= 0 {
-		_ = sh.poller.del(s.fd)
-	}
-	if s.fd >= 0 && s.fd < len(sh.byFd) && sh.byFd[s.fd] == s {
-		sh.byFd[s.fd] = nil
-	}
-	if last := len(sh.sessions) - 1; last >= 0 && s.pos >= 0 && s.pos <= last && sh.sessions[s.pos] == s {
-		sh.sessions[s.pos] = sh.sessions[last]
-		sh.sessions[s.pos].pos = s.pos
-		sh.sessions[last] = nil
-		sh.sessions = sh.sessions[:last]
-		if sh.idleCur > last {
-			sh.idleCur = 0
-		}
-	}
+	_ = sh.Poller.Del(s.fd) // fails only for an fd Admit could not add
+	sh.Table.Remove(s, s.fd)
 	if s.conn != nil {
 		_ = s.conn.Close()
 	}
@@ -236,8 +186,8 @@ func (sh *shard) retire(s *session, stage string, err error, now int64) {
 	}
 	if stage == "" {
 		s.win.Finish()
-		sh.met.Inc(sh.eng.met.cCompleted)
-		sh.met.Observe(sh.eng.met.hOccupancy, int64(s.win.MaxOccupancy()))
+		sh.Met.Inc(sh.eng.met.cCompleted)
+		sh.Met.Observe(sh.eng.met.hOccupancy, int64(s.win.MaxOccupancy()))
 		sh.rec.Record(now, obs.EvRetire, uint64(s.idx), int64(s.maxStep+1))
 		sh.tally.completed++
 		sh.tally.bytes += s.bytes
@@ -249,7 +199,7 @@ func (sh *shard) retire(s *session, stage string, err error, now int64) {
 			sh.tally.maxIncomplete = s.win.Incomplete()
 		}
 	} else {
-		sh.met.Inc(sh.eng.met.cMidFailed)
+		sh.Met.Inc(sh.eng.met.cMidFailed)
 		sh.rec.Record(now, obs.EvError, uint64(s.idx), int64(s.maxStep+1))
 		sh.tally.midStreamFailed++
 	}
@@ -269,6 +219,48 @@ func (sh *shard) retire(s *session, stage string, err error, now int64) {
 		})
 	}
 	sh.eng.finishOne()
+}
+
+// Ready empties one ready socket into the shard scratch buffer and
+// feeds the bytes through the decoder. A short read means the socket
+// buffer is (momentarily) empty; level-triggered epoll re-arms for
+// whatever arrives next.
+//
+//smoothvet:noalloc
+func (sh *shard) Ready(s *session, _ int, _ uint32, now int64) {
+	for {
+		n, err := syscall.Read(s.fd, sh.scratch)
+		if n > 0 {
+			s.lastData = now
+			if ferr := sh.feed(s, sh.scratch[:n], now); ferr != nil {
+				sh.retire(s, StageMidStream, ferr, now)
+				return
+			}
+			if s.ended {
+				sh.retire(s, "", nil, now)
+				return
+			}
+			if n < len(sh.scratch) {
+				return
+			}
+			continue
+		}
+		if err == nil {
+			// EOF before End: the peer hung up mid-stream.
+			sh.retire(s, StageMidStream, io.ErrUnexpectedEOF, now)
+			return
+		}
+		if en, ok := err.(syscall.Errno); ok {
+			if en == syscall.EAGAIN {
+				return
+			}
+			if en == syscall.EINTR {
+				continue
+			}
+		}
+		sh.retire(s, StageMidStream, err, now)
+		return
+	}
 }
 
 // feed pushes freshly read bytes through the shard decoder, carrying any

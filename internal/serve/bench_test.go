@@ -56,7 +56,7 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 					for i := 0; i < sessions; i++ {
 						eng.active.Add(1)
 						eng.sessWG.Add(1)
-						sh.enqueue(cohortRow{cohort: c, w: io.Discard})
+						sh.queue.Push(cohortRow{cohort: c, w: io.Discard})
 					}
 					tick++
 					sh.step(tick)

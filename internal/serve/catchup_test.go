@@ -114,7 +114,7 @@ func TestCatchUpProperty(t *testing.T) {
 			all = append(all, s)
 			eng.active.Add(1)
 			eng.sessWG.Add(1)
-			sh.enqueue(cohortRow{cohort: c, w: s.w, remote: s.name})
+			sh.queue.Push(cohortRow{cohort: c, w: s.w, remote: s.name})
 			return s
 		}
 

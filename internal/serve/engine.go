@@ -37,6 +37,7 @@ import (
 	"repro/internal/drop"
 	"repro/internal/netstream"
 	"repro/internal/obs"
+	"repro/internal/reactor"
 	"repro/internal/stream"
 	"repro/internal/trace"
 )
@@ -223,8 +224,11 @@ func (e *Engine) Handle(conn net.Conn) error {
 	if e.closing.Load() {
 		return e.reject(conn, errDraining)
 	}
-	if max := e.cfg.MaxSessions; max > 0 && e.active.Load() >= int64(max) {
-		return e.reject(conn, fmt.Errorf("serve: session limit %d reached", max))
+	// The cheap reject; the slot itself is reserved after the handshake, so a
+	// client that connects and says nothing holds none.
+	max := e.cfg.MaxSessions
+	if max > 0 && e.active.Load() >= int64(max) {
+		return e.rejectOverLimit(conn)
 	}
 	delay, buffer, err := e.handshake(conn)
 	if err != nil {
@@ -243,9 +247,14 @@ func (e *Engine) Handle(conn net.Conn) error {
 		// shard must be fixed before the writer is built.
 		w = &deadlineWriter{c: conn, d: e.cfg.WriteTimeout, clk: &sh.clk}
 	}
-	e.active.Add(1)
+	// Reserve the slot, then test it: a check followed by a later Add lets
+	// every connection that was in its handshake meanwhile past the cap.
+	if n := e.active.Add(1); max > 0 && n > int64(max) {
+		e.active.Add(-1)
+		return e.rejectOverLimit(conn)
+	}
 	e.sessWG.Add(1)
-	if !sh.enqueue(cohortRow{
+	if !sh.queue.Push(cohortRow{
 		cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
 	}) {
 		e.active.Add(-1)
@@ -293,6 +302,11 @@ func (e *Engine) reject(conn net.Conn, err error) error {
 	e.met.reg.GlobalInc(e.met.cRejected)
 	_ = conn.Close()
 	return err
+}
+
+// rejectOverLimit refuses a connection that found every session slot taken.
+func (e *Engine) rejectOverLimit(conn net.Conn) error {
+	return e.reject(conn, fmt.Errorf("serve: session limit %d reached", e.cfg.MaxSessions))
 }
 
 // shardOf picks the shard for a connection by hashing its remote address.
@@ -387,8 +401,8 @@ func (r *cohortRows) push(row cohortRow, base int64) {
 }
 
 // shard owns a set of sessions and the single clock that steps them. Only
-// the registration queue is shared (guarded by mu); everything else runs on
-// the shard goroutine.
+// the registration queue is shared; everything else runs on the shard
+// goroutine.
 //
 //smoothvet:confined owned by the shard loop goroutine after New hands it off
 type shard struct {
@@ -399,12 +413,8 @@ type shard struct {
 	epoch time.Time
 	clk   tickClock
 
-	//smoothvet:shared registration queue, guarded by mu
-	mu sync.Mutex
-	//smoothvet:shared set under mu; checked by enqueue from acceptor goroutines
-	draining bool
-	//smoothvet:shared appended under mu by enqueue, drained by admit
-	incoming []cohortRow
+	//smoothvet:shared registration queue: Handle pushes, the loop drains, shutdown closes
+	queue reactor.Queue[cohortRow]
 
 	rows cohortRows // the shard's sessions, struct-of-arrays
 
@@ -413,18 +423,6 @@ type shard struct {
 	// published snapshots.
 	met *obs.ShardMetrics
 	rec *obs.FlightRecorder
-}
-
-// enqueue hands a freshly handshaken session to the shard loop. It reports
-// false if the shard has already shut down.
-func (sh *shard) enqueue(row cohortRow) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.draining {
-		return false
-	}
-	sh.incoming = append(sh.incoming, row)
-	return true
 }
 
 // dueAt returns the wall-clock time at which a model tick is due.
@@ -473,10 +471,7 @@ func (sh *shard) run() {
 // admit moves newly registered sessions onto the shard goroutine. Their
 // step 0 is due at the tick being served.
 func (sh *shard) admit(tick int64) {
-	sh.mu.Lock()
-	inc := sh.incoming
-	sh.incoming = nil
-	sh.mu.Unlock()
+	inc := sh.queue.Drain()
 	now := sh.clk.nanos.Load()
 	for i := range inc {
 		sh.met.Inc(sh.eng.met.cAdmitted)
@@ -609,13 +604,8 @@ func (sh *shard) shutdown() {
 	// Re-stamp the tick clock so retirements during drain report an
 	// Elapsed that covers the time since the last tick.
 	sh.clk.nanos.Store(time.Now().UnixNano())
-	sh.mu.Lock()
-	sh.draining = true
-	inc := sh.incoming
-	sh.incoming = nil
-	sh.mu.Unlock()
-	for i := range inc {
-		sh.rows.push(inc[i], 0)
+	for _, row := range sh.queue.Close() {
+		sh.rows.push(row, 0)
 	}
 	for len(sh.rows.cursors) > 0 {
 		sh.retireRow(len(sh.rows.cursors)-1, sh.rows.cursors[len(sh.rows.cursors)-1], errAborted)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -288,4 +289,60 @@ func TestCloseAbortsInFlight(t *testing.T) {
 		t.Error("client saw a clean end on an aborted stream")
 	}
 	_ = client.Close()
+}
+
+// TestMaxSessionsHoldsAcrossConcurrentHandshakes — the cap counts sessions,
+// not moments: k connections that are all inside their handshake at once,
+// each having passed the early check while no session was registered yet,
+// must not all get a slot. net.Pipe is unbuffered, so a client's Hello write
+// returns only once Handle has read it and is blocked writing the Accept;
+// the clients read nothing until all k are held there.
+func TestMaxSessionsHoldsAcrossConcurrentHandshakes(t *testing.T) {
+	const k, limit = 8, 2
+	for _, content := range contents {
+		t.Run(content.name, func(t *testing.T) {
+			// 50 ms steps: an admitted session outlives the whole admission
+			// race, so no slot is legitimately handed on to a second one.
+			eng, _ := startEngine(t, content.streams, 10, Config{
+				Shards: 2, MaxSessions: limit, StepDuration: 50 * time.Millisecond, MaxDelay: 4,
+			})
+			defer eng.Close()
+			handled := make(chan error, k)
+			clients := make([]net.Conn, k)
+			for i := range clients {
+				server, client := net.Pipe()
+				clients[i] = client
+				go func() { handled <- eng.Handle(server) }()
+				if err := netstream.WriteHello(client, netstream.Hello{DesiredDelay: 4}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var readers sync.WaitGroup
+			for _, c := range clients {
+				readers.Add(1)
+				go func() { defer readers.Done(); _, _ = io.Copy(io.Discard, c) }()
+			}
+			admitted := 0
+			for range clients {
+				if err := <-handled; err == nil {
+					admitted++
+				}
+			}
+			if admitted != limit {
+				t.Errorf("%d of %d concurrent handshakes admitted under a cap of %d", admitted, k, limit)
+			}
+			if got := eng.Obs().Snapshot(nil).Scalars[eng.met.cRejected]; got != uint64(k-admitted) {
+				t.Errorf("serve_sessions_rejected_total %d, want %d", got, k-admitted)
+			}
+			for _, c := range clients {
+				_ = c.Close()
+			}
+			readers.Wait()
+			for deadline := time.Now().Add(5 * time.Second); eng.ActiveSessions() != 0; time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d sessions still registered after every client hung up", eng.ActiveSessions())
+				}
+			}
+		})
+	}
 }
