@@ -196,32 +196,35 @@ func (p *headDrop) Reset() { p.w.reset() }
 // Greedy
 // ---------------------------------------------------------------------------
 
-// greedyItem orders the min-heap behind the greedy policy: lowest byte value
-// first; ties are broken toward the newest slice (largest ID), matching the
-// tail-drop intuition that newer data has had less invested in it. The paper
-// allows arbitrary tie-breaking.
-type greedyItem struct {
-	id        int
-	byteValue float64
+// greedyRun is one item of the min-heap behind the greedy policy: the
+// consecutive slice IDs first..end-1, which all have one byte value. In the
+// byte-slice model a frame is such a run, so a frame costs one heap push
+// and its slices leave from the newest down. The heap orders runs by lowest
+// byte value first; ties are broken toward the newest slice (largest ID),
+// matching the tail-drop intuition that newer data has had less invested in
+// it. The paper allows arbitrary tie-breaking.
+type greedyRun struct {
+	first, end int
+	byteValue  float64
 }
 
 // greedyHeap is a hand-rolled min-heap rather than a container/heap
-// implementation: heap.Push/Pop box every greedyItem into an interface,
-// which costs one allocation per operation in the simulator's hot path.
-// The direct methods below are allocation-free, and push reuses the
-// backing array truncated by pop and Reset.
-type greedyHeap []greedyItem
+// implementation: heap.Push/Pop box every item into an interface, which
+// costs one allocation per operation in the simulator's hot path. The
+// direct methods below are allocation-free, and push reuses the backing
+// array truncated by shrink and Reset.
+type greedyHeap []greedyRun
 
 func (h greedyHeap) less(i, j int) bool {
 	if h[i].byteValue != h[j].byteValue {
 		return h[i].byteValue < h[j].byteValue
 	}
-	return h[i].id > h[j].id
+	return h[i].end > h[j].end
 }
 
-// push inserts an item and restores the heap invariant (sift-up).
-func (h *greedyHeap) push(it greedyItem) {
-	*h = append(*h, it)
+// push inserts a run and restores the heap invariant (sift-up).
+func (h *greedyHeap) push(r greedyRun) {
+	*h = append(*h, r)
 	s := *h
 	for i := len(s) - 1; i > 0; {
 		parent := (i - 1) / 2
@@ -233,16 +236,17 @@ func (h *greedyHeap) push(it greedyItem) {
 	}
 }
 
-// pop removes and returns the minimum item (sift-down). The backing array
+// shrink takes the newest ID off the minimum run, removes the run once it
+// is empty, and restores the heap invariant (sift-down). The backing array
 // is retained for reuse.
-func (h *greedyHeap) pop() greedyItem {
+func (h *greedyHeap) shrink() {
 	s := *h
-	n := len(s) - 1
-	top := s[0]
-	s[0] = s[n]
-	s = s[:n]
-	*h = s
-	for i := 0; ; {
+	if s[0].end--; s[0].end == s[0].first {
+		s[0] = s[len(s)-1]
+		s = s[:len(s)-1]
+		*h = s
+	}
+	for i, n := 0, len(s); ; {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
 		if left < n && s.less(left, smallest) {
@@ -257,14 +261,16 @@ func (h *greedyHeap) pop() greedyItem {
 		s[i], s[smallest] = s[smallest], s[i]
 		i = smallest
 	}
-	return top
 }
 
 // greedy drops the slice with the lowest byte value w(s)/|s| first
-// (Section 4.1), via a min-heap with lazy deletion.
+// (Section 4.1), via a min-heap of ID runs with lazy deletion. The run
+// being built by consecutive Adds is staged outside the heap, because
+// growing a run that is already in the heap would change its key.
 type greedy struct {
-	h greedyHeap
-	w window
+	h     greedyHeap
+	stage greedyRun // empty when first == end
+	w     window
 }
 
 // NewGreedy returns the greedy policy of Section 4.1: on overflow, discard
@@ -283,7 +289,23 @@ func (p *greedy) Name() string { return "greedy" }
 //smoothvet:noalloc
 func (p *greedy) Add(s stream.Slice) {
 	p.w.add(s)
-	p.h.push(greedyItem{id: s.ID, byteValue: s.ByteValue()})
+	bv := s.ByteValue()
+	if p.stage.first < p.stage.end && s.ID == p.stage.end && bv == p.stage.byteValue {
+		p.stage.end++
+		return
+	}
+	p.flush()
+	p.stage = greedyRun{first: s.ID, end: s.ID + 1, byteValue: bv}
+}
+
+// flush moves the staged run into the heap.
+//
+//smoothvet:noalloc
+func (p *greedy) flush() {
+	if p.stage.first < p.stage.end {
+		p.h.push(p.stage)
+		p.stage = greedyRun{}
+	}
 }
 
 //smoothvet:noalloc
@@ -291,14 +313,12 @@ func (p *greedy) Remove(id int) { p.w.remove(id) }
 
 //smoothvet:noalloc
 func (p *greedy) Victim() (stream.Slice, bool) {
-	for len(p.h) > 0 {
-		it := p.h.pop()
-		if s, ok := p.w.get(it.id); ok {
-			p.w.remove(it.id)
-			return s, true
-		}
+	s, ok := p.peek()
+	if ok {
+		p.w.remove(s.ID)
+		p.h.shrink()
 	}
-	return stream.Slice{}, false
+	return s, ok
 }
 
 // peek returns the live minimum-byte-value slice without removing it,
@@ -306,11 +326,12 @@ func (p *greedy) Victim() (stream.Slice, bool) {
 //
 //smoothvet:noalloc
 func (p *greedy) peek() (stream.Slice, bool) {
+	p.flush()
 	for len(p.h) > 0 {
-		if s, ok := p.w.get(p.h[0].id); ok {
+		if s, ok := p.w.get(p.h[0].end - 1); ok {
 			return s, true
 		}
-		p.h.pop()
+		p.h.shrink()
 	}
 	return stream.Slice{}, false
 }
@@ -320,6 +341,7 @@ func (p *greedy) Len() int { return p.w.len() }
 //smoothvet:noalloc
 func (p *greedy) Reset() {
 	p.h = p.h[:0]
+	p.stage = greedyRun{}
 	p.w.reset()
 }
 

@@ -34,7 +34,8 @@
 //     matroid (for B = R·D they are the transversal matroid of unit jobs
 //     with windows [a, a+D] on R machines), so greedy-by-weight with an
 //     exact independence test is optimal. The test uses a segment tree
-//     over the interval constraints and runs in O(log T) per slice.
+//     over the interval constraints and runs in O(log T) per run of
+//     consecutive slices with one arrival and one weight.
 //   - OptimalFrames handles atomic variable-size slices by dynamic
 //     programming over (time, occupancy); exact in O(n·(B+R)) time.
 package offline

@@ -3,6 +3,7 @@ package offline
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -307,67 +308,171 @@ func TestOptimalMonotoneInBuffer(t *testing.T) {
 	}
 }
 
+// checkRiseTree compares every prefix minimum and suffix maximum the tree
+// answers with the naive array.
+func checkRiseTree(t *testing.T, tr *riseTree, arr []int64) {
+	t.Helper()
+	lo := int64(math.MaxInt64)
+	for i, v := range arr {
+		lo = min(lo, v)
+		if got := tr.prefixMin(i); got != lo {
+			t.Fatalf("prefixMin(%d) = %d, want %d (array %v)", i, got, lo, arr)
+		}
+	}
+	hi := int64(math.MinInt64)
+	for i := len(arr) - 1; i >= 0; i-- {
+		hi = max(hi, arr[i])
+		if got := tr.suffixMax(i); got != hi {
+			t.Fatalf("suffixMax(%d) = %d, want %d (array %v)", i, got, hi, arr)
+		}
+	}
+}
+
+// addSuffixBoth applies one suffix add to the tree and to the naive array.
+func addSuffixBoth(tr *riseTree, arr []int64, from int, v int64) {
+	tr.addSuffix(from, v)
+	for i := from; i < len(arr); i++ {
+		arr[i] += v
+	}
+}
+
 func TestRiseTree(t *testing.T) {
-	// Directly exercise the segment tree: array [3, 1, 4, 1, 5].
-	vals := []int64{3, 1, 4, 1, 5}
-	tr := newRiseTree(len(vals), func(i int) int64 { return vals[i] })
-	if got := tr.maxRise(); got != 4 { // 5 - 1
-		t.Errorf("maxRise = %d, want 4", got)
-	}
-	tr.addSuffix(4, -10)               // [3,1,4,1,-5]
-	if got := tr.maxRise(); got != 3 { // 4 - 1
-		t.Errorf("maxRise after suffix add = %d, want 3", got)
-	}
-	tr.addSuffix(0, 100) // uniform shift: rise unchanged
-	if got := tr.maxRise(); got != 3 {
-		t.Errorf("maxRise after uniform shift = %d, want 3", got)
-	}
-	tr.addSuffix(5, 7) // out of range: no-op
-	if got := tr.maxRise(); got != 3 {
-		t.Errorf("maxRise after no-op = %d, want 3", got)
+	// Directly exercise the segment tree: array [3, 1, 4, 1, 5], whose
+	// five leaves leave three padding leaves in the tree.
+	arr := []int64{3, 1, 4, 1, 5}
+	tr := newRiseTree(len(arr), func(i int) int64 { return arr[i] })
+	checkRiseTree(t, tr, arr)
+	addSuffixBoth(tr, arr, 4, -10) // [3,1,4,1,-5]: the last leaf alone
+	checkRiseTree(t, tr, arr)
+	addSuffixBoth(tr, arr, 0, 100) // uniform shift through the root
+	checkRiseTree(t, tr, arr)
+	addSuffixBoth(tr, arr, 1, -7) // an odd leaf: siblings on every level
+	checkRiseTree(t, tr, arr)
+	// The cut OptimalUnit asks about: the largest rise across 1|2.
+	if got, want := tr.suffixMax(2)-tr.prefixMin(1), int64(97-94); got != want {
+		t.Errorf("rise across cut 1|2 = %d, want %d", got, want)
 	}
 }
 
 func TestRiseTreeSingleElement(t *testing.T) {
+	arr := []int64{42}
 	tr := newRiseTree(1, func(int) int64 { return 42 })
-	if tr.maxRise() >= 0 {
-		t.Errorf("single-element maxRise = %d, want very negative", tr.maxRise())
-	}
+	checkRiseTree(t, tr, arr)
+	addSuffixBoth(tr, arr, 0, -2)
+	checkRiseTree(t, tr, arr)
 }
 
 func TestRiseTreeRandomAgainstNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20) + 2
+		n := rng.Intn(40) + 1
 		arr := make([]int64, n)
 		for i := range arr {
 			arr[i] = int64(rng.Intn(41) - 20)
 		}
 		tr := newRiseTree(n, func(i int) int64 { return arr[i] })
-		for op := 0; op < 20; op++ {
-			from := rng.Intn(n)
-			v := int64(rng.Intn(11) - 5)
-			tr.addSuffix(from, v)
-			for i := from; i < n; i++ {
-				arr[i] += v
-			}
-			want := int64(math.MinInt64 / 4)
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if r := arr[j] - arr[i]; r > want {
-						want = r
-					}
-				}
-			}
-			if got := tr.maxRise(); got != want {
-				t.Logf("seed %d op %d: tree %d naive %d", seed, op, got, want)
-				return false
+		for op := 0; op < 30; op++ {
+			addSuffixBoth(tr, arr, rng.Intn(n), int64(rng.Intn(11)-5))
+			checkRiseTree(t, tr, arr)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// perSliceOptimalUnit is the slice-at-a-time greedy OptimalUnit batches:
+// IDs sorted by weight descending, then arrival, then ID, each accepted iff
+// the accepted set stays Feasible. Quadratic; test-only.
+func perSliceOptimalUnit(st *stream.Stream, B, R int) *Result {
+	order := make([]int, st.Len())
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool {
+		a, b := st.Slice(order[x]), st.Slice(order[y])
+		if a.Weight != b.Weight {
+			return a.Weight > b.Weight
+		}
+		if a.Arrival != b.Arrival {
+			return a.Arrival < b.Arrival
+		}
+		return a.ID < b.ID
+	})
+	res := &Result{Accepted: make([]bool, st.Len())}
+	for _, id := range order {
+		res.Accepted[id] = true
+		if !Feasible(st, func(id int) bool { return res.Accepted[id] }, B, R) {
+			res.Accepted[id] = false
+			continue
+		}
+		res.Benefit += st.Slice(id).Weight
+		res.Bytes++
+	}
+	return res
+}
+
+// runStream builds a unit stream shaped like the byte-slice model: every
+// arrival carries a few runs of equal-weight slices, weights repeat across
+// arrivals and are mostly not representable sums (so the order of the
+// float additions shows in Benefit's bits), and one arrival interleaves
+// two weights as w1, w2, w1.
+func runStream(rng *rand.Rand) *stream.Stream {
+	weights := []float64{0.1, 0.3, 1.0 / 3, 2.5, 7, 12.7}
+	b := stream.NewBuilder()
+	horizon := rng.Intn(8) + 1
+	for at := 0; at < horizon; at++ {
+		for runs := rng.Intn(4); runs > 0; runs-- {
+			w := weights[rng.Intn(len(weights))]
+			for c := rng.Intn(6) + 1; c > 0; c-- {
+				b.Add(at, 1, w)
 			}
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	at := rng.Intn(horizon)
+	w1, w2 := weights[rng.Intn(len(weights))], weights[rng.Intn(len(weights))]
+	for _, w := range []float64{w1, w2, w1} {
+		for c := rng.Intn(3) + 1; c > 0; c-- {
+			b.Add(at, 1, w)
+		}
+	}
+	return b.MustBuild()
+}
+
+func TestOptimalUnitMatchesPerSliceReference(t *testing.T) {
+	const streams = 2500
+	nonDivisible := 0
+	for seed := int64(0); seed < streams; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := runStream(rng)
+		B, R := rng.Intn(14)+1, rng.Intn(4)+1
+		if B%R != 0 {
+			nonDivisible++
+		}
+		got, err := OptimalUnit(st, B, R)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := perSliceOptimalUnit(st, B, R)
+		for id := range want.Accepted {
+			if got.Accepted[id] != want.Accepted[id] {
+				t.Fatalf("seed %d B=%d R=%d: Accepted[%d] = %v, per-slice reference %v",
+					seed, B, R, id, got.Accepted[id], want.Accepted[id])
+			}
+		}
+		if got.Bytes != want.Bytes {
+			t.Fatalf("seed %d: Bytes = %d, reference %d", seed, got.Bytes, want.Bytes)
+		}
+		if math.Float64bits(got.Benefit) != math.Float64bits(want.Benefit) {
+			t.Fatalf("seed %d: Benefit = %v, reference %v: not the same bits", seed, got.Benefit, want.Benefit)
+		}
+		if err := Verify(st, got, B, R); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	if nonDivisible < streams/4 {
+		t.Errorf("only %d of %d instances had B not divisible by R", nonDivisible, streams)
 	}
 }
 

@@ -1,9 +1,10 @@
 package offline
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/stream"
 )
@@ -22,11 +23,19 @@ import (
 // which is maintained incrementally with a segment tree over the prefix
 // function H[i] = N(i-1) - R·i (N = accepted-arrival counting function):
 // the set is feasible iff max over i<j of H[j]-H[i] <= B. Accepting a slice
-// with arrival a adds 1 to H[i] for all i > a; the tree supports suffix
-// add, rollback, and the max-rise query in O(log T).
+// with arrival a adds 1 to H[i] for all i > a, so it raises exactly the
+// rises that cross the cut between a and a+1, and the largest of those is
+// max H[a+1..] - min H[..a].
 //
-// Total time O(n log n + n log T); exact (cross-validated against
-// BruteForce in the tests).
+// The byte-slice model makes a frame of s units s slices with one weight
+// and one arrival, so the decision is taken a run at a time: consecutive
+// slices with equal (arrival, weight) sort next to each other, and of a run
+// of count slices exactly min(count, B - cross) fit, cross being the
+// largest rise across the run's cut. One run costs two range queries and
+// one suffix add.
+//
+// Total time O(n + G log G + G log T) for G runs; exact (cross-validated
+// against BruteForce and a per-slice reference in the tests).
 func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 	if !st.UnitSliced() {
 		return nil, fmt.Errorf("offline: OptimalUnit requires unit-size slices (Lmax=%d); use OptimalFrames or Explode", st.MaxSliceSize())
@@ -39,55 +48,66 @@ func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 		return res, nil
 	}
 
-	// Sort slice IDs by weight descending; ties by arrival then ID for
-	// determinism (any tie-break yields the same total benefit, by the
-	// matroid exchange property).
-	order := make([]int, st.Len())
-	for i := range order {
-		order[i] = i
+	// One run per arrival step is what a byte-sliced clip produces.
+	runs := make([]unitRun, 0, min(st.Len(), st.Horizon()+1))
+	for _, sl := range st.Slices() {
+		if k := len(runs) - 1; k >= 0 && runs[k].arrival == sl.Arrival && runs[k].weight == sl.Weight {
+			runs[k].count++
+			continue
+		}
+		runs = append(runs, unitRun{first: sl.ID, count: 1, arrival: sl.Arrival, weight: sl.Weight})
 	}
-	sort.Slice(order, func(x, y int) bool {
-		a, b := st.Slice(order[x]), st.Slice(order[y])
-		if a.Weight != b.Weight {
-			return a.Weight > b.Weight
-		}
-		if a.Arrival != b.Arrival {
-			return a.Arrival < b.Arrival
-		}
-		return a.ID < b.ID
+	// Weight descending; ties by arrival then ID for determinism (any
+	// tie-break yields the same total benefit, by the matroid exchange
+	// property). This is the order the slices themselves would sort in.
+	slices.SortFunc(runs, func(a, b unitRun) int {
+		return cmp.Or(cmp.Compare(b.weight, a.weight), cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.first, b.first))
 	})
 
 	// H is indexed by i in [0, horizon+1]; H[i] = N(i-1) - R*i starts at
 	// -R*i with N = 0.
-	size := st.Horizon() + 2
-	tree := newRiseTree(size, func(i int) int64 { return -int64(R) * int64(i) })
+	tree := newRiseTree(st.Horizon()+2, func(i int) int64 { return -int64(R) * int64(i) })
 
-	limit := int64(B)
-	for _, id := range order {
-		a := st.Slice(id).Arrival
-		tree.addSuffix(a+1, 1)
-		if tree.maxRise() <= limit {
-			res.Accepted[id] = true
-			res.Benefit += st.Slice(id).Weight
-			res.Bytes++
-		} else {
-			tree.addSuffix(a+1, -1) // rollback
+	for _, r := range runs {
+		cross := tree.suffixMax(r.arrival+1) - tree.prefixMin(r.arrival)
+		m := min(int64(B)-cross, int64(r.count))
+		if m <= 0 {
+			continue
 		}
+		tree.addSuffix(r.arrival+1, m)
+		// The weight is added once per slice, not as m·weight, so Benefit
+		// is the same float sum a slice-at-a-time greedy produces.
+		for id := r.first; id < r.first+int(m); id++ {
+			res.Accepted[id] = true
+			res.Benefit += r.weight
+		}
+		res.Bytes += int(m)
 	}
 	return res, nil
 }
 
+// unitRun is a maximal run of consecutive slice IDs first..first+count-1
+// that share one arrival and one weight.
+type unitRun struct {
+	first, count, arrival int
+	weight                float64
+}
+
 // riseTree is a segment tree over an int64 array supporting suffix add and
-// the query max over i<j of a[j]-a[i] ("best rise").
+// the two halves of the largest rise across a cut: prefix minimum and
+// suffix maximum. lo and hi of a node cover its subtree without the adds
+// recorded at its strict ancestors; lazy[node] is the add that applies to
+// the node's whole subtree and is never pushed down, so all three
+// operations are one leaf-to-root walk.
 type riseTree struct {
-	n    int // number of real leaves
 	base int // power-of-two leaf count
 	lo   []int64
 	hi   []int64
-	rise []int64
 	lazy []int64
 }
 
+// Padding leaves hold these; the quarter keeps them out of reach of any
+// sum of suffix adds.
 const (
 	negInf = math.MinInt64 / 4
 	posInf = math.MaxInt64 / 4
@@ -99,20 +119,16 @@ func newRiseTree(n int, init func(i int) int64) *riseTree {
 		base <<= 1
 	}
 	t := &riseTree{
-		n:    n,
 		base: base,
 		lo:   make([]int64, 2*base),
 		hi:   make([]int64, 2*base),
-		rise: make([]int64, 2*base),
 		lazy: make([]int64, 2*base),
 	}
 	for i := 0; i < base; i++ {
-		node := base + i
+		t.lo[base+i], t.hi[base+i] = posInf, negInf
 		if i < n {
 			v := init(i)
-			t.lo[node], t.hi[node], t.rise[node] = v, v, negInf
-		} else {
-			t.lo[node], t.hi[node], t.rise[node] = posInf, negInf, negInf
+			t.lo[base+i], t.hi[base+i] = v, v
 		}
 	}
 	for node := base - 1; node >= 1; node-- {
@@ -122,75 +138,50 @@ func newRiseTree(n int, init func(i int) int64) *riseTree {
 }
 
 func (t *riseTree) pull(node int) {
-	l, r := 2*node, 2*node+1
-	t.lo[node] = min64(t.lo[l], t.lo[r])
-	t.hi[node] = max64(t.hi[l], t.hi[r])
-	cross := int64(negInf)
-	if t.hi[r] != negInf && t.lo[l] != posInf {
-		cross = t.hi[r] - t.lo[l]
-	}
-	t.rise[node] = max64(max64(t.rise[l], t.rise[r]), cross)
+	t.lo[node] = min(t.lo[2*node], t.lo[2*node+1]) + t.lazy[node]
+	t.hi[node] = max(t.hi[2*node], t.hi[2*node+1]) + t.lazy[node]
 }
 
 func (t *riseTree) applyAdd(node int, v int64) {
-	if t.lo[node] != posInf {
-		t.lo[node] += v
-	}
-	if t.hi[node] != negInf {
-		t.hi[node] += v
-	}
-	// rise is invariant under a uniform shift.
+	t.lo[node] += v
+	t.hi[node] += v
 	t.lazy[node] += v
-}
-
-func (t *riseTree) push(node int) {
-	if t.lazy[node] != 0 {
-		t.applyAdd(2*node, t.lazy[node])
-		t.applyAdd(2*node+1, t.lazy[node])
-		t.lazy[node] = 0
-	}
 }
 
 // addSuffix adds v to every element with index >= from.
 func (t *riseTree) addSuffix(from int, v int64) {
-	if from >= t.n {
-		return
+	p := t.base + from
+	t.applyAdd(p, v)
+	for ; p > 1; p >>= 1 {
+		if p&1 == 0 {
+			t.applyAdd(p+1, v)
+		}
+		t.pull(p >> 1)
 	}
-	if from < 0 {
-		from = 0
-	}
-	t.addRange(1, 0, t.base-1, from, t.base-1, v)
 }
 
-func (t *riseTree) addRange(node, nodeLo, nodeHi, lo, hi int, v int64) {
-	if hi < nodeLo || nodeHi < lo {
-		return
+// prefixMin returns the minimum over indices 0..to.
+func (t *riseTree) prefixMin(to int) int64 {
+	p := t.base + to
+	res := t.lo[p]
+	for ; p > 1; p >>= 1 {
+		if p&1 == 1 {
+			res = min(res, t.lo[p-1])
+		}
+		res += t.lazy[p>>1]
 	}
-	if lo <= nodeLo && nodeHi <= hi {
-		t.applyAdd(node, v)
-		return
-	}
-	t.push(node)
-	mid := (nodeLo + nodeHi) / 2
-	t.addRange(2*node, nodeLo, mid, lo, hi, v)
-	t.addRange(2*node+1, mid+1, nodeHi, lo, hi, v)
-	t.pull(node)
+	return res
 }
 
-// maxRise returns max over i<j of a[j]-a[i], or a very negative value when
-// the array has fewer than two elements.
-func (t *riseTree) maxRise() int64 { return t.rise[1] }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// suffixMax returns the maximum over indices from..n-1.
+func (t *riseTree) suffixMax(from int) int64 {
+	p := t.base + from
+	res := t.hi[p]
+	for ; p > 1; p >>= 1 {
+		if p&1 == 0 {
+			res = max(res, t.hi[p+1])
+		}
+		res += t.lazy[p>>1]
 	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return res
 }
