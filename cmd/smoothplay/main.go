@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	smoothplay [-connect host:4321] [-delay D] [-buffer BYTES] [-v]
+//	smoothplay [-connect host:4321] [-delay D] [-buffer BYTES] [-streams K] [-v]
 package main
 
 import (
@@ -21,7 +21,7 @@ func main() {
 		addr    = flag.String("connect", "localhost:4321", "server address")
 		delay   = flag.Int("delay", 16, "desired smoothing delay in steps")
 		buffer  = flag.Int("buffer", 0, "client buffer in bytes to advertise (0 = unlimited)")
-		verbose = flag.Bool("v", false, "log every playout step")
+		verbose = flag.Bool("v", false, "log every played slice")
 		streams = flag.Int("streams", 1, "substreams to expect (matching smoothd -streams)")
 	)
 	flag.Parse()
@@ -32,56 +32,31 @@ func main() {
 	}
 	defer conn.Close()
 
-	if *streams > 1 {
-		if err := receiveMux(conn, *buffer, *delay, *streams); err != nil {
-			log.Fatalf("smoothplay: %v", err)
-		}
-		return
-	}
-
-	var onPlay func(netstream.PlayEvent)
+	var onPlay func(*netstream.Data)
 	if *verbose {
-		onPlay = func(ev netstream.PlayEvent) {
-			log.Printf("step %d: played %d slices, %d incomplete", ev.Step, len(ev.Slices), ev.Incomplete)
+		onPlay = func(d *netstream.Data) {
+			log.Printf("step %d: slice %d of stream %d complete (frame %d, %d bytes)",
+				d.SendStep, d.SliceID, d.StreamID, d.Arrival, d.Size)
 		}
 	}
-	stats, err := netstream.Receive(conn, *buffer, *delay, onPlay)
+	stats, err := netstream.Receive(conn, *buffer, *delay, *streams, onPlay)
 	if err != nil {
 		log.Fatalf("smoothplay: %v", err)
 	}
-	fmt.Printf("negotiated delay: %d steps\n", stats.Delay)
-	fmt.Printf("played:           %d slices (%d bytes)\n", stats.Played, stats.PlayedBytes)
-	fmt.Printf("incomplete:       %d slices\n", stats.Incomplete)
+	if *streams > 1 {
+		fmt.Printf("negotiated delay: %d steps; %d substreams\n", stats.Delay, *streams)
+		for i, ps := range stats.PerStream {
+			fmt.Printf("  stream %d: %d slices, %d bytes, weight %.0f\n", i, ps.Played, ps.Bytes, ps.Weight)
+		}
+		fmt.Printf("incomplete: %d slices\n", stats.Incomplete)
+	} else {
+		fmt.Printf("negotiated delay: %d steps\n", stats.Delay)
+		fmt.Printf("played:           %d slices (%d bytes)\n", stats.Played, stats.PlayedBytes)
+		fmt.Printf("incomplete:       %d slices\n", stats.Incomplete)
+	}
 	fmt.Printf("late bytes:       %d\n", stats.LateBytes)
 	fmt.Printf("peak buffer:      %d bytes\n", stats.MaxBuffer)
 	if stats.Corrupt > 0 {
-		log.Fatalf("smoothplay: %d slices failed payload verification", stats.Corrupt)
+		log.Fatalf("smoothplay: %d data messages failed payload verification", stats.Corrupt)
 	}
-}
-
-// receiveMux performs the handshake and demultiplexes a shared session.
-func receiveMux(conn net.Conn, buffer, delay, streams int) error {
-	if err := netstream.WriteHello(conn, netstream.Hello{
-		ClientBuffer: uint32(buffer),
-		DesiredDelay: uint32(delay),
-	}); err != nil {
-		return err
-	}
-	msg, err := netstream.ReadMsg(conn)
-	if err != nil {
-		return err
-	}
-	if msg.Accept == nil {
-		return fmt.Errorf("expected accept, got %+v", msg)
-	}
-	stats, err := netstream.ReceiveMux(conn, int(msg.Accept.Delay), streams)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("negotiated delay: %d steps; %d substreams\n", msg.Accept.Delay, streams)
-	for i, ps := range stats.PerStream {
-		fmt.Printf("  stream %d: %d slices, %d bytes, weight %.0f\n", i, ps.Played, ps.Bytes, ps.Weight)
-	}
-	fmt.Printf("incomplete: %d slices\n", stats.Incomplete)
-	return nil
 }

@@ -66,7 +66,7 @@ func main() {
 
 	start := time.Now()
 	const latencyBudget = 24 // steps the viewer will tolerate
-	stats, err := netstream.Receive(conn, 0, latencyBudget, nil)
+	stats, err := netstream.Receive(conn, 0, latencyBudget, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -43,8 +43,9 @@ type recvEntry struct {
 //
 // The delay also fixes the occupancy-recording origin: a client playing
 // out with delay D issues its first resolve for frame (firstStep-1)-D,
-// and Receiver's end-of-step peak-occupancy convention records from play
-// step 0 — frame -D — onward.
+// and peak occupancy is recorded at the end of every play step from step
+// 0 — frame -D — onward, so the D start-up steps, whose frames hold
+// nothing, count too (see ResolveTo).
 func (w *RecvWindow) Reset(delay, slack int) {
 	window := delay + slack
 	n := 1
@@ -86,7 +87,10 @@ func (w *RecvWindow) MaxFrame() int { return w.maxFrame }
 
 // Ingest records n delivered bytes of slice id belonging to frame. Bytes
 // of an already-resolved frame are counted late and discarded. It reports
-// whether the bytes were accepted into the window.
+// whether this call completed the slice: its bytes were accepted and
+// brought the slice to its full size. An accepted byte belongs to an
+// unresolved frame, so a slice completes on time or not at all, and every
+// completed slice is one ResolveTo will count as played.
 //
 //smoothvet:noalloc
 func (w *RecvWindow) Ingest(id int32, frame int, size, n int32) bool {
@@ -100,17 +104,17 @@ func (w *RecvWindow) Ingest(id int32, frame int, size, n int32) bool {
 	if frame > w.maxFrame {
 		w.maxFrame = frame
 	}
+	w.occ += int(n)
 	slot := &w.slots[frame&(len(w.slots)-1)]
 	for i := range *slot {
-		if (*slot)[i].id == id {
-			(*slot)[i].got += n
-			w.occ += int(n)
-			return true
+		if e := &(*slot)[i]; e.id == id {
+			short := e.got < e.size
+			e.got += n
+			return short && e.got >= e.size
 		}
 	}
 	*slot = append(*slot, recvEntry{id: id, size: size, got: n})
-	w.occ += int(n)
-	return true
+	return n >= size
 }
 
 // grow re-rings the window so that frame fits; entries keep their slots
@@ -137,6 +141,12 @@ func (w *RecvWindow) grow(frame int) {
 //
 //smoothvet:noalloc
 func (w *RecvWindow) ResolveTo(frame int) {
+	// The first D play steps of a session resolve frames below 0, which the
+	// walk below never visits; the buffer ends each of them as it stands
+	// now, before any frame is played out.
+	if w.reqFrame < w.watermark && frame > w.reqFrame && w.occ > w.maxOcc {
+		w.maxOcc = w.occ
+	}
 	// Only ingested frames can hold bytes: clamp the walk to maxFrame so a
 	// resolve far past the data (drop gaps, corrupt send steps) costs no
 	// more than the frames actually seen.
@@ -156,16 +166,17 @@ func (w *RecvWindow) ResolveTo(frame int) {
 			}
 		}
 		*slot = (*slot)[:0]
-		// Peak occupancy is recorded at playout boundaries, matching
-		// netstream.Receiver's end-of-step convention frame by frame.
+		// Peak occupancy is recorded at playout boundaries: the end of the
+		// step that played frame f (the model's Bc(t), Lemma 3.4). Mid-step
+		// the buffer may hold up to R more bytes of the frame being played.
 		if w.occ > w.maxOcc {
 			w.maxOcc = w.occ
 		}
 	}
-	// Receiver records occupancy at every requested play step, including
-	// steps whose frame holds nothing (the clamp above skips walking
-	// them, but occupancy is the same at each, so one record suffices).
-	// A repeat request for an already-resolved frame records nothing.
+	// Every requested play step records, including steps whose frame holds
+	// nothing (the clamp above skips walking them, but occupancy is the
+	// same at each, so one record suffices). A repeat request for an
+	// already-resolved frame records nothing.
 	if frame > w.reqFrame {
 		w.reqFrame = frame
 		if w.occ > w.maxOcc {
@@ -177,8 +188,8 @@ func (w *RecvWindow) ResolveTo(frame int) {
 	}
 }
 
-// Finish resolves every outstanding frame (end of stream: the receiver
-// plays out everything it has, the seed client's flush(maxFrame+D)).
+// Finish resolves every outstanding frame (end of stream: the client
+// plays out everything it has).
 func (w *RecvWindow) Finish() {
 	w.ResolveTo(w.maxFrame)
 }

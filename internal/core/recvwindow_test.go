@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// refReceiver mirrors netstream.Receiver's accounting (map-based, grows
-// with the stream) as an executable model; the equivalence test in
-// internal/netstream additionally checks RecvWindow against the real
-// Receiver over decoded wire messages.
+// refReceiver is the executable model of the paper's client (map-based,
+// grows with the stream, one playout per step with nothing skipped): the
+// accounting of the map-based receiver netstream had before its receive
+// loop moved onto RecvWindow.
 type refReceiver struct {
 	delay      int
 	size       map[int32]int32
@@ -47,9 +47,9 @@ func (r *refReceiver) ingest(id int32, frame int, size, n int32) {
 	r.occ += int(n)
 }
 
-// resolveTo mirrors the seed client's flush loop: one Receiver.Play per
-// step from the last requested up to frame, recording occupancy after
-// every play — empty and negative frames included.
+// resolveTo is the client's flush loop: one playout per step from the
+// last requested up to frame, recording occupancy after every one —
+// empty and negative frames included.
 func (r *refReceiver) resolveTo(frame int) {
 	for f := r.reqFrame + 1; f <= frame; f++ {
 		for _, id := range r.byFrame[f] {
@@ -88,7 +88,9 @@ func checkAgainstRef(t *testing.T, w *RecvWindow, r *refReceiver, ctx string) {
 
 // TestRecvWindowMatchesModel drives random message schedules — chunked
 // slices, step gaps, late bytes, missing tails — through RecvWindow and
-// the map model and requires identical accounting throughout.
+// the map model and requires identical accounting after every call. The
+// first frame may be frame 0, so the start-up steps (frames below 0, see
+// TestRecvWindowStartupOccupancy) are resolved with bytes in the buffer.
 func TestRecvWindowMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -99,7 +101,7 @@ func TestRecvWindowMatchesModel(t *testing.T) {
 
 		frames := 5 + rng.Intn(40)
 		nextID := int32(0)
-		step := 0
+		step := -1
 		for f := 0; f < frames; f++ {
 			// A frame advances the clock by 1..4 steps (gaps exercise
 			// multi-frame resolves).
@@ -132,6 +134,7 @@ func TestRecvWindowMatchesModel(t *testing.T) {
 					frame := step // this slice's arrival frame
 					w.Ingest(id, frame, size, n)
 					ref.ingest(id, frame, size, n)
+					checkAgainstRef(t, &w, ref, "mid-trial")
 					sent += n
 				}
 			}
@@ -142,6 +145,66 @@ func TestRecvWindowMatchesModel(t *testing.T) {
 		if w.Occupancy() != 0 {
 			t.Fatalf("trial %d: %d bytes left after Finish", trial, w.Occupancy())
 		}
+	}
+}
+
+// TestRecvWindowStartupOccupancy: the end-of-step occupancy records of the
+// first D play steps, whose frames lie below 0, must not be lost when the
+// request jumps over them (11 and 0 before the fix).
+func TestRecvWindowStartupOccupancy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(w *RecvWindow)
+		want int
+	}{
+		{"jump from frame -2 to 0 holding 16", func(w *RecvWindow) {
+			w.Ingest(0, 0, 5, 5)
+			w.ResolveTo(-2)
+			w.Ingest(1, 5, 11, 11)
+			w.ResolveTo(0)
+		}, 16},
+		{"session shorter than D", func(w *RecvWindow) {
+			w.Ingest(0, 0, 5, 5)
+			w.Finish()
+		}, 5},
+	} {
+		var w RecvWindow
+		w.Reset(6, 1)
+		w.ResolveTo(-7)
+		tc.run(&w)
+		if got := w.MaxOccupancy(); got != tc.want {
+			t.Errorf("%s: peak occupancy %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRecvWindowIngestReportsCompletion: Ingest is true exactly once per
+// slice, on the call whose accepted bytes bring it to full size.
+func TestRecvWindowIngestReportsCompletion(t *testing.T) {
+	var w RecvWindow
+	w.Reset(2, 1)
+	for i, tc := range []struct {
+		id, size, n int32
+		frame       int
+		want        bool
+	}{
+		{1, 4, 4, 0, true},  // whole slice in one message
+		{2, 6, 2, 0, false}, // first chunk
+		{2, 6, 3, 0, false}, // still short
+		{2, 6, 1, 0, true},  // last byte
+		{2, 6, 1, 0, false}, // a duplicate byte completes nothing twice
+		{3, 2, 1, 1, false},
+	} {
+		if got := w.Ingest(tc.id, tc.frame, tc.size, tc.n); got != tc.want {
+			t.Errorf("call %d: completed = %v, want %v", i, got, tc.want)
+		}
+	}
+	w.ResolveTo(1)
+	if w.Ingest(3, 1, 2, 1) {
+		t.Error("the last byte of a resolved frame completed its slice")
+	}
+	if w.Played() != 2 || w.Incomplete() != 1 || w.LateBytes() != 1 {
+		t.Errorf("played %d incomplete %d late %d, want 2, 1, 1", w.Played(), w.Incomplete(), w.LateBytes())
 	}
 }
 
@@ -175,10 +238,8 @@ func TestRecvWindowResolvePastData(t *testing.T) {
 	if w.Played() != 1 {
 		t.Fatalf("played %d, want 1", w.Played())
 	}
-	if w.Ingest(2, 1000, 10, 10) {
-		t.Fatalf("frame below the resolved watermark was accepted")
-	}
-	if w.LateBytes() != 10 {
+	w.Ingest(2, 1000, 10, 10)
+	if w.LateBytes() != 10 || w.Occupancy() != 0 {
 		t.Fatalf("late bytes %d, want 10", w.LateBytes())
 	}
 }

@@ -77,7 +77,7 @@ func resetBenchSession(s *session, delay int) {
 	s.bytes, s.msgs = 0, 0
 	s.maxStep = -1
 	s.digest = fnvOffset64
-	s.win.Reset(delay, reorderSlack)
+	s.win.Reset(delay, 1)
 }
 
 // BenchmarkLoadgenStep measures one model step of the client engine over N

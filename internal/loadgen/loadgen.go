@@ -27,8 +27,9 @@
 //     wake's stamp, so reported step lag measures the server (plus a
 //     bounded drain time), not the generator.
 //   - Receivers: per-session playout accounting uses core.RecvWindow, the
-//     sliding-window form of the simulator's dense client arrays; played,
-//     incomplete and late-byte accounting matches netstream.Receiver.
+//     sliding-window form of the simulator's dense client arrays, in the
+//     same validate / resolve / ingest order as netstream.ReceiveStream —
+//     the one receiving path, so the two report the same playout numbers.
 //   - Statistics: step lags and stage timings stream into fixed-footprint
 //     log-bucketed histograms (stats.LogHistogram, one per shard, merged
 //     after the run) with a documented <= 1/32 relative quantile error —
@@ -77,11 +78,6 @@ const (
 // anchorWindow is the number of leading messages buffered to refine a
 // session's lag anchor (see the package comment's lag semantics).
 const anchorWindow = 32
-
-// reorderSlack widens a session's receive window beyond its smoothing
-// delay; TCP delivers in order, so this only covers frames the server
-// legitimately holds past their arrival step.
-const reorderSlack = 8
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -435,7 +431,7 @@ func (e *Engine) dialOne(idx int) {
 		digest:    fnvOffset64,
 		start:     start,
 	}
-	s.win.Reset(int(acc.Delay), reorderSlack)
+	s.win.Reset(int(acc.Delay), 1) // Data.Check keeps the live frames within D+1
 	e.mu.Lock()
 	e.dialHist.Add(int64(dialDur / time.Microsecond))
 	e.hsHist.Add(int64(hsDur / time.Microsecond))

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"net/http"
@@ -481,6 +482,36 @@ func TestRunErrors(t *testing.T) {
 	}
 	if _, err := New(Config{}); err == nil {
 		t.Error("New without addresses accepted")
+	}
+}
+
+// TestFeedRejectsBadSlice: a data message no sender emits fails the session
+// with netstream.ErrBadSlice before it reaches the receive window — a frame
+// number from the wire must not size the window's ring (2^30 frames would be
+// a 24 GB allocation).
+func TestFeedRejectsBadSlice(t *testing.T) {
+	sh := newShardCore(&Engine{cfg: Config{}, base: time.Now()}, 0)
+	for _, d := range []netstream.Data{
+		{SliceID: 1, Arrival: 1 << 30, SendStep: 2, Size: 1, Payload: []byte{1}},
+		{SliceID: 1, Size: 0},
+		{SliceID: 1, Size: 2, Offset: 2, Payload: []byte{1}},
+	} {
+		var wire bytes.Buffer
+		if err := netstream.WriteData(&wire, d); err != nil {
+			t.Fatal(err)
+		}
+		s := &session{fd: -1, delay: 4, stepNanos: 1000, maxStep: -1}
+		s.win.Reset(4, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := sh.feed(s, wire.Bytes(), 0)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, netstream.ErrBadSlice) {
+			t.Errorf("%+v: err = %v, want ErrBadSlice", d, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%+v: rejecting it allocated %d bytes", d, grew)
+		}
 	}
 }
 

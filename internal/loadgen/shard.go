@@ -22,7 +22,6 @@ const shardScratchSize = 256 << 10
 
 var (
 	errUnexpectedMsg = errors.New("loadgen: unexpected message mid-stream")
-	errBadSlice      = errors.New("loadgen: data message with invalid size or offset")
 	errIdleTimeout   = errors.New("loadgen: session idle timeout")
 	errEngineClosed  = errors.New("loadgen: engine is closed")
 )
@@ -327,16 +326,13 @@ func (sh *shard) parse(s *session, buf []byte, now int64) (int, error) {
 }
 
 // onData applies one data message: lag measurement against the pacing
-// schedule, then the seed client's flush-then-ingest playout order on
-// the receive window.
+// schedule, then netstream.ReceiveStream's resolve-then-ingest playout
+// order on the receive window.
 //
 //smoothvet:noalloc
 func (sh *shard) onData(s *session, d *netstream.Data, now int64) error {
-	if d.Size == 0 || d.Size > netstream.MaxPayload {
-		return errBadSlice
-	}
-	if int(d.Offset)+len(d.Payload) > int(d.Size) {
-		return errBadSlice
+	if err := d.Check(); err != nil {
+		return err
 	}
 	ideal := int64(d.SendStep) * s.stepNanos
 	if !s.anchored {
@@ -361,8 +357,7 @@ func (sh *shard) onData(s *session, d *netstream.Data, now int64) error {
 		s.maxStep = step
 	}
 	// Frames due strictly before this message's send step have reached
-	// their playout deadline: resolve them, then ingest (the seed
-	// client's flush(SendStep-1) ordering).
+	// their playout deadline: resolve them, then ingest.
 	s.win.ResolveTo(step - 1 - s.delay)
 	s.win.Ingest(int32(d.SliceID), int(d.Arrival), int32(d.Size), int32(len(d.Payload)))
 	if sh.eng.cfg.Digest {

@@ -5,9 +5,10 @@
 //   - the sender wraps core.Server: it buffers offered slices, transmits
 //     FIFO at the negotiated rate each step (pacing), and discards slices
 //     via a drop.Policy on overflow;
-//   - the receiver reassembles slices and plays frame t exactly D steps
-//     after its send step, anchored at the first received message — the
-//     paper's clock-synchronization-free client (Section 3.3);
+//   - the receiver (Receive, on core.RecvWindow) accounts slices and plays
+//     frame t exactly D steps after its send step, anchored at the first
+//     received message — the paper's clock-synchronization-free client
+//     (Section 3.3);
 //   - the handshake negotiates B, R and D so that B = R·D holds.
 //
 // The wire format is a simple length-delimited binary protocol
@@ -23,8 +24,9 @@
 //   - Decoder reuses a payload scratch buffer; the Msg it returns — in
 //     particular Msg.Data and Msg.Data.Payload — aliases decoder-owned
 //     memory that the next call overwrites. Callers that retain a message
-//     across calls must copy (Receiver.Ingest copies payload bytes
-//     immediately, so the receive loops in this package are safe).
+//     across calls must copy (the receive loop retains nothing: it checks
+//     each payload chunk in place and hands the window only its length;
+//     its per-slice callback sees the message under the same contract).
 //   - The one-shot WriteHello/WriteAccept/WriteData/WriteEnd helpers draw
 //     their staging buffers from a sync.Pool, and ReadMsg returns fresh
 //     memory the caller owns.
@@ -115,6 +117,23 @@ type Msg struct {
 
 // ErrBadMagic reports a Hello with the wrong magic or version.
 var ErrBadMagic = errors.New("netstream: bad magic or protocol version")
+
+// ErrBadSlice reports a data message no sender emits; see Data.Check.
+var ErrBadSlice = errors.New("netstream: data message with invalid size, offset or arrival")
+
+// Check is the one validation every receive loop applies to a data message
+// from the wire before accounting it: a positive size within MaxPayload,
+// a chunk inside the slice, and Arrival <= SendStep — a slice cannot leave
+// before it arrives, which with playout at Arrival+D bounds the frames a
+// receive window holds at once to D+1.
+//
+//smoothvet:noalloc
+func (d *Data) Check() error {
+	if d.Size == 0 || d.Size > MaxPayload || uint64(d.Offset)+uint64(len(d.Payload)) > uint64(d.Size) || d.Arrival > d.SendStep {
+		return ErrBadSlice
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // Append-style encoders (shared by Encoder and the pooled Write helpers).

@@ -165,8 +165,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestDecoderReusesScratch — the decoder's aliasing contract: the payload
-// of message k is overwritten by message k+1, and copying (as
-// Receiver.Ingest does) is required to retain it.
+// of message k is overwritten by message k+1, and copying is required to
+// retain it (the receive loop retains nothing).
 func TestDecoderReusesScratch(t *testing.T) {
 	var wire bytes.Buffer
 	e := NewEncoder(&wire)

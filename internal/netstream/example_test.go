@@ -9,7 +9,7 @@ import (
 	"repro/internal/stream"
 )
 
-// Example pushes three slices through a Sender/Receiver pair over an
+// Example pushes three slices through a Sender and the receive loop over an
 // in-memory wire, demonstrating the step-driven session API.
 func Example() {
 	var wire bytes.Buffer
@@ -37,19 +37,12 @@ func Example() {
 		return
 	}
 
-	rcv, _ := netstream.NewReceiver(snd.Delay())
-	played := 0
-	for {
-		msg, err := netstream.ReadMsg(&wire)
-		if err != nil || msg.End {
-			break
-		}
-		_ = rcv.Ingest(msg.Data)
+	stats, err := netstream.ReceiveStream(&wire, snd.Delay(), 1, nil)
+	if err != nil {
+		fmt.Println(err)
+		return
 	}
-	for step := 0; step <= st.Horizon()+snd.Delay(); step++ {
-		played += len(rcv.Play(step).Slices)
-	}
-	fmt.Printf("played %d of %d slices, %d late bytes\n", played, st.Len(), rcv.LateBytes())
+	fmt.Printf("played %d of %d slices, %d late bytes\n", stats.Played, st.Len(), stats.LateBytes)
 	// Output:
 	// negotiated delay D = 2
 	// played 3 of 3 slices, 0 late bytes

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/drop"
 	"repro/internal/stream"
 )
@@ -129,44 +128,5 @@ func TestDecoderReset(t *testing.T) {
 	}
 	if off != len(wire) {
 		t.Fatalf("consumed %d of %d bytes", off, len(wire))
-	}
-}
-
-// TestRecvWindowMatchesReceiver: core.RecvWindow driven by the loadgen
-// client loop (resolve to SendStep-1-delay, ingest by Arrival frame)
-// must account playout exactly like the map-based Receiver over real
-// sender output.
-func TestRecvWindowMatchesReceiver(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		wire, delay := buildWire(t, 100+seed)
-		played, incomplete, rcv := receiveAll(t, bytes.NewReader(wire), delay)
-
-		var w core.RecvWindow
-		w.Reset(delay, 8)
-		dec := NewDecoder(bytes.NewReader(wire))
-		for {
-			msg, err := dec.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if msg.End {
-				break
-			}
-			d := msg.Data
-			w.ResolveTo(int(d.SendStep) - 1 - delay)
-			w.Ingest(int32(d.SliceID), int(d.Arrival), int32(d.Size), int32(len(d.Payload)))
-		}
-		w.Finish()
-
-		if w.Played() != len(played) || w.Incomplete() != incomplete {
-			t.Fatalf("seed %d: window played %d incomplete %d, receiver played %d incomplete %d",
-				seed, w.Played(), w.Incomplete(), len(played), incomplete)
-		}
-		if w.LateBytes() != rcv.LateBytes() {
-			t.Fatalf("seed %d: late bytes %d vs %d", seed, w.LateBytes(), rcv.LateBytes())
-		}
-		if w.MaxOccupancy() != rcv.MaxOccupancy() {
-			t.Fatalf("seed %d: max occupancy %d vs %d", seed, w.MaxOccupancy(), rcv.MaxOccupancy())
-		}
 	}
 }

@@ -2,6 +2,7 @@ package netstream
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
@@ -82,6 +83,56 @@ func FuzzReadMsg(f *testing.F) {
 			}
 			if !msgEqual(msg, again) {
 				t.Fatalf("round trip changed message: %+v vs %+v", msg, again)
+			}
+		}
+	})
+}
+
+// FuzzReceiveStream feeds arbitrary bytes to the receive loop, as a
+// single-stream and as a two-stream session: it must return statistics or
+// an error — no panic, no hang, and memory in proportion to the input: the
+// only number in a message that may size an allocation is the payload
+// length, which the decoder holds to MaxPayload.
+func FuzzReceiveStream(f *testing.F) {
+	wire := func(end bool, msgs ...Data) []byte { return dataWire(f, end, msgs...).Bytes() }
+	one := SynthPayload(1, 4)
+	whole := wire(true,
+		Data{SliceID: 1, Arrival: 0, Size: 4, SendStep: 0, Payload: one[:3]},
+		Data{SliceID: 1, Arrival: 0, Size: 4, SendStep: 1, Offset: 3, Payload: one[3:]},
+		Data{StreamID: 1, SliceID: 2, Arrival: 1, Size: 2, SendStep: 9, Payload: []byte{7, 7}})
+	f.Add(whole)
+	f.Add(whole[:len(whole)-1])                                                                   // no End
+	f.Add(whole[:20])                                                                             // truncated header
+	f.Add(whole[:dataHeadLen+6])                                                                  // truncated payload
+	f.Add(wire(true, Data{StreamID: 5, SliceID: 1, Size: 1, Payload: []byte{1}}))                 // StreamID past streams
+	f.Add(wire(true, Data{SliceID: 1, Size: 2, Offset: 1, Payload: []byte{1, 2}}))                // Offset+len > Size
+	f.Add(wire(true, Data{SliceID: 1, Size: 0}))                                                  // Size = 0
+	f.Add(wire(true, Data{SliceID: 1, Arrival: 1 << 30, Size: 1, Payload: []byte{1}}))            // Arrival > SendStep
+	f.Add(wire(true, Data{SliceID: 1, Arrival: 1 << 30, SendStep: 1 << 30, Size: 1}))             // far frame, lawful
+	f.Add(wire(true, Data{SliceID: 1, Size: 1}, Data{SliceID: 2, SendStep: 0xFFFFFFFF, Size: 1})) // SendStep = 0xFFFFFFFF
+	f.Add(oversizedData())
+	f.Add([]byte{msgHello})
+
+	f.Fuzz(func(t *testing.T, input []byte) {
+		for streams := 1; streams <= 2; streams++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			played := 0
+			stats, err := ReceiveStream(bytes.NewReader(input), 3, streams, func(*Data) { played++ })
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > MaxPayload+1<<20+64*uint64(len(input)) {
+				t.Fatalf("streams=%d: %d input bytes cost %d bytes of allocation", streams, len(input), grew)
+			}
+			sum := StreamStats{}
+			for _, ps := range stats.PerStream {
+				sum.Played += ps.Played
+				sum.Bytes += ps.Bytes
+			}
+			if stats.Played != played || sum.Played != played || sum.Bytes != stats.PlayedBytes {
+				t.Fatalf("streams=%d: %d callbacks, stats %+v", streams, played, stats)
+			}
+			if err == nil && (stats.MaxBuffer > len(input) || stats.LateBytes > len(input) || stats.Incomplete > len(input)) {
+				t.Fatalf("streams=%d: stats %+v out of %d input bytes", streams, stats, len(input))
 			}
 		}
 	})

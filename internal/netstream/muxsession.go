@@ -89,19 +89,6 @@ func (m *Muxer) LocalID(streamIdx, sessionID int) (int, error) {
 	return m.local[sessionID].local, nil
 }
 
-// MuxStats aggregates a multiplexed receiving session per substream.
-type MuxStats struct {
-	// PerStream[i] counts the complete slices and payload bytes played
-	// for substream i, and the weight delivered.
-	PerStream []struct {
-		Played int
-		Bytes  int
-		Weight float64
-	}
-	// Incomplete counts slices discarded at their deadline (all streams).
-	Incomplete int
-}
-
 // MuxOffers builds the whole offer table of a multiplexed session: clips
 // become whole-frame streams under weights, are merged by a Muxer, and
 // entry t holds the tagged arrivals of model step t with deterministically
@@ -156,66 +143,4 @@ func ServeMux(w io.Writer, clips []*trace.Clip, cfg SenderConfig) (dropped int, 
 		dropped += len(stats.Dropped)
 	}
 	return dropped, WriteEnd(w)
-}
-
-// ReceiveMux consumes a multiplexed session from r and returns per-stream
-// playout statistics. streams is the substream count the caller expects.
-func ReceiveMux(r io.Reader, delay, streams int) (*MuxStats, error) {
-	if streams < 1 {
-		return nil, fmt.Errorf("netstream: non-positive stream count %d", streams)
-	}
-	rcv, err := NewReceiver(delay)
-	if err != nil {
-		return nil, err
-	}
-	stats := &MuxStats{PerStream: make([]struct {
-		Played int
-		Bytes  int
-		Weight float64
-	}, streams)}
-	playUpTo := -1
-	maxFrame := -1
-	flush := func(step int) error {
-		for playUpTo < step {
-			playUpTo++
-			ev := rcv.Play(playUpTo)
-			for _, sl := range ev.Slices {
-				if sl.StreamID < 0 || sl.StreamID >= streams {
-					return fmt.Errorf("netstream: slice %d tagged with unknown stream %d", sl.ID, sl.StreamID)
-				}
-				ps := &stats.PerStream[sl.StreamID]
-				ps.Played++
-				ps.Bytes += sl.Size
-				ps.Weight += sl.Weight
-			}
-			stats.Incomplete += ev.Incomplete
-		}
-		return nil
-	}
-	dec := NewDecoder(r)
-	for {
-		msg, err := dec.Next()
-		if err != nil {
-			return stats, err
-		}
-		if msg.End {
-			break
-		}
-		if msg.Data == nil {
-			return stats, fmt.Errorf("netstream: unexpected message in mux session")
-		}
-		if err := flush(int(msg.Data.SendStep) - 1); err != nil {
-			return stats, err
-		}
-		if int(msg.Data.Arrival) > maxFrame {
-			maxFrame = int(msg.Data.Arrival)
-		}
-		if err := rcv.Ingest(msg.Data); err != nil {
-			return stats, err
-		}
-	}
-	if err := flush(maxFrame + delay); err != nil {
-		return stats, err
-	}
-	return stats, nil
 }

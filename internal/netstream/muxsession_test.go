@@ -3,6 +3,7 @@ package netstream
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/drop"
@@ -94,9 +95,16 @@ func TestMuxSessionMatchesSharedSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	delay := (B + R - 1) / R
-	stats, err := ReceiveMux(&wire, delay, k)
+	stats, err := ReceiveStream(&wire, delay, k, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// What the map-based receiver reported for this fixture.
+	if want := []StreamStats{{196, 7679, 48837}, {195, 8512, 53620}, {193, 6729, 41847}}; !reflect.DeepEqual(stats.PerStream, want) {
+		t.Errorf("per-stream (played, bytes, weight) %+v, want %+v", stats.PerStream, want)
+	}
+	if stats.MaxBuffer > R*delay || stats.LateBytes != 0 {
+		t.Errorf("peak buffer %d (R*D = %d), %d late bytes", stats.MaxBuffer, R*delay, stats.LateBytes)
 	}
 
 	sim, err := mux.Shared(streams, R, B, drop.Greedy)
@@ -130,22 +138,21 @@ func TestMuxSessionMatchesSharedSimulation(t *testing.T) {
 	}
 }
 
-func TestReceiveMuxValidation(t *testing.T) {
-	if _, err := ReceiveMux(bytes.NewReader(nil), 1, 0); err == nil {
+func TestReceiveStreamValidation(t *testing.T) {
+	if _, err := ReceiveStream(bytes.NewReader(nil), 1, 0, nil); err == nil {
 		t.Error("stream count 0 accepted")
 	}
-	// A data message tagged with an out-of-range stream fails cleanly.
-	var wire bytes.Buffer
-	if err := WriteData(&wire, Data{StreamID: 9, SliceID: 1, Arrival: 0, Size: 1, SendStep: 0, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
+	// A data message tagged with a stream the session does not have fails
+	// cleanly; a single-stream session has only stream 0.
+	for _, tc := range []struct{ tag, streams int }{{9, 2}, {2, 2}, {1, 1}} {
+		wire := dataWire(t, true, Data{StreamID: uint32(tc.tag), SliceID: 1, Arrival: 0, Size: 1, SendStep: 0, Payload: []byte{1}})
+		if _, err := ReceiveStream(wire, 1, tc.streams, nil); err == nil {
+			t.Errorf("stream tag %d accepted in a session of %d", tc.tag, tc.streams)
+		}
 	}
-	if err := WriteData(&wire, Data{StreamID: 9, SliceID: 2, Arrival: 1, Size: 1, SendStep: 5, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteEnd(&wire); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReceiveMux(&wire, 1, 2); err == nil {
-		t.Error("out-of-range stream tag accepted")
+	wire := dataWire(t, true, Data{StreamID: 1, SliceID: 1, Arrival: 0, Size: 1, SendStep: 0, Weight: 3, Payload: []byte{1}})
+	stats, err := ReceiveStream(wire, 1, 2, nil)
+	if err != nil || stats.Corrupt != 0 || !reflect.DeepEqual(stats.PerStream, []StreamStats{{}, {1, 1, 3}}) {
+		t.Errorf("tag 1 of 2: %+v, %v; want stream 1 credited and no payload verification", stats, err)
 	}
 }

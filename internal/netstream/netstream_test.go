@@ -2,10 +2,15 @@ package netstream
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/drop"
@@ -135,50 +140,23 @@ func pump(t *testing.T, st *stream.Stream, cfg SenderConfig, w io.Writer) *Sende
 	return s
 }
 
-// receiveAll consumes a byte stream synchronously and returns the stats.
-func receiveAll(t *testing.T, r io.Reader, delay int) (played []ReceivedSlice, incomplete int, rcv *Receiver) {
-	t.Helper()
-	rcv, err := NewReceiver(delay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	playUpTo := -1
-	flush := func(step int) {
-		for playUpTo < step {
-			playUpTo++
-			ev := rcv.Play(playUpTo)
-			played = append(played, ev.Slices...)
-			incomplete += ev.Incomplete
-		}
-	}
-	maxFrame := -1
-	for {
-		msg, err := ReadMsg(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if msg.End {
-			break
-		}
-		flush(int(msg.Data.SendStep) - 1)
-		if int(msg.Data.Arrival) > maxFrame {
-			maxFrame = int(msg.Data.Arrival)
-		}
-		if err := rcv.Ingest(msg.Data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flush(maxFrame + delay)
-	return played, incomplete, rcv
-}
-
-// TestEndToEndMatchesSimulation — the wire pipeline plays exactly the same
-// slices as core.Simulate with the same parameters.
+// TestEndToEndMatchesSimulation — the paper's invariants on the wire path:
+// over 2000 random streams a bare Sender feeding ReceiveStream plays exactly
+// the slices core.Simulate plays, with the same benefit, every one complete,
+// on time and verified, inside the client buffer B = R·D (Lemma 3.4).
 func TestEndToEndMatchesSimulation(t *testing.T) {
+	// Peak buffers the deleted map-based Receiver reported for the trials
+	// where RecvWindow used to under-report start-up occupancy, and an
+	// FNV-1a digest of its (played, peak buffer) over all trials.
+	receiverPeak := map[int]int{137: 11, 658: 16, 926: 11, 1004: 11, 1363: 13, 1747: 11, 1910: 13}
+	const receiverDigest = 0xfd857259f8c2361f
+	digest := fnv.New64a()
+	atBound := 0
+
 	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 2000; trial++ {
 		b := stream.NewBuilder()
-		n := rng.Intn(30) + 5
+		n := rng.Intn(60) + 5
 		for i := 0; i < n; i++ {
 			size := rng.Intn(4) + 1
 			b.Add(rng.Intn(10), size, float64(rng.Intn(20)+1))
@@ -189,82 +167,182 @@ func TestEndToEndMatchesSimulation(t *testing.T) {
 
 		var wire bytes.Buffer
 		snd := pump(t, st, SenderConfig{ServerBuffer: B, Rate: R, Policy: drop.Greedy}, &wire)
-		played, incomplete, _ := receiveAll(t, &wire, snd.Delay())
+		played := map[int]bool{}
+		var benefit float64
+		stats, err := ReceiveStream(&wire, snd.Delay(), 1, func(d *Data) {
+			played[int(d.SliceID)] = true
+			benefit += d.Weight
+		})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
 
 		sim, err := core.Simulate(st, core.Config{ServerBuffer: B, Rate: R, Policy: drop.Greedy})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantPlayed := map[int]bool{}
+		wantPlayed := 0
 		for id, o := range sim.Outcomes {
+			if o.Played() != played[id] {
+				t.Fatalf("trial %d: slice %d played on the wire = %v, in the simulation = %v", trial, id, played[id], o.Played())
+			}
 			if o.Played() {
-				wantPlayed[id] = true
+				wantPlayed++
 			}
 		}
-		if incomplete != 0 {
-			t.Fatalf("trial %d: %d incomplete slices on a lossless wire", trial, incomplete)
+		if stats.Played != wantPlayed || len(played) != wantPlayed || stats.PerStream[0].Played != wantPlayed {
+			t.Fatalf("trial %d: wire played %d (%d distinct), simulation %d", trial, stats.Played, len(played), wantPlayed)
 		}
-		if len(played) != len(wantPlayed) {
-			t.Fatalf("trial %d: wire played %d slices, simulation %d", trial, len(played), len(wantPlayed))
+		if math.Abs(benefit-sim.Benefit()) > 1e-9 || benefit != stats.PerStream[0].Weight {
+			t.Fatalf("trial %d: wire benefit %v (stats %v) != sim benefit %v", trial, benefit, stats.PerStream[0].Weight, sim.Benefit())
 		}
-		var benefit float64
-		for _, sl := range played {
-			if !wantPlayed[sl.ID] {
-				t.Fatalf("trial %d: wire played slice %d the simulation dropped", trial, sl.ID)
-			}
-			if !bytes.Equal(sl.Payload, SynthPayload(sl.ID, sl.Size)) {
-				t.Fatalf("trial %d: slice %d payload corrupted", trial, sl.ID)
-			}
-			benefit += sl.Weight
+		if stats.Incomplete != 0 || stats.LateBytes != 0 || stats.Corrupt != 0 {
+			t.Fatalf("trial %d: lossless wire, yet %+v", trial, stats)
 		}
-		if math.Abs(benefit-sim.Benefit()) > 1e-9 {
-			t.Fatalf("trial %d: wire benefit %v != sim benefit %v", trial, benefit, sim.Benefit())
+		if stats.MaxBuffer > B {
+			t.Fatalf("trial %d: peak buffer %d exceeds B = %d", trial, stats.MaxBuffer, B)
 		}
+		if stats.MaxBuffer == B {
+			atBound++
+		}
+		if want, ok := receiverPeak[trial]; ok && stats.MaxBuffer != want {
+			t.Fatalf("trial %d: peak buffer %d, the map-based receiver reported %d", trial, stats.MaxBuffer, want)
+		}
+		fmt.Fprintf(digest, "%d,%d;", stats.Played, stats.MaxBuffer)
+	}
+	if got := digest.Sum64(); got != receiverDigest {
+		t.Errorf("(played, peak buffer) digest %#x, the map-based receiver's was %#x", got, uint64(receiverDigest))
+	}
+	if atBound == 0 {
+		t.Error("no trial filled the client buffer to exactly B; the bound check is vacuous")
 	}
 }
 
+// dataWire encodes the messages, optionally followed by End.
+func dataWire(t testing.TB, end bool, msgs ...Data) *bytes.Buffer {
+	t.Helper()
+	var wire bytes.Buffer
+	for _, d := range msgs {
+		if err := WriteData(&wire, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if end {
+		if err := WriteEnd(&wire); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &wire
+}
+
 func TestReceiverLateBytesDiscarded(t *testing.T) {
-	rcv, err := NewReceiver(1)
+	p := SynthPayload(0, 2)
+	// D = 1: frame 0 plays at step 1, so at send step 5 its second byte is
+	// late — discarded and counted, and the slice stays incomplete.
+	stats, err := ReceiveStream(dataWire(t, true,
+		Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 0, Offset: 0, Payload: p[:1]},
+		Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 5, Offset: 1, Payload: p[1:]},
+	), 1, 1, func(*Data) { t.Error("an incomplete slice was played") })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame 0 plays at step 1.
-	if err := rcv.Ingest(&Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 0, Offset: 0, Payload: []byte{1}}); err != nil {
-		t.Fatal(err)
-	}
-	ev := rcv.Play(0)
-	if len(ev.Slices) != 0 || ev.Incomplete != 0 {
-		t.Fatalf("Play(0) = %+v", ev)
-	}
-	ev = rcv.Play(1)
-	if ev.Incomplete != 1 {
-		t.Fatalf("incomplete slice not reported: %+v", ev)
-	}
-	// A late byte of frame 0 arrives afterwards: discarded and counted.
-	if err := rcv.Ingest(&Data{SliceID: 0, Arrival: 0, Size: 2, SendStep: 5, Offset: 1, Payload: []byte{2}}); err != nil {
-		t.Fatal(err)
-	}
-	if rcv.LateBytes() != 1 {
-		t.Errorf("LateBytes = %d, want 1", rcv.LateBytes())
-	}
-	if rcv.Occupancy() != 0 {
-		t.Errorf("occupancy = %d after late discard", rcv.Occupancy())
+	if stats.Played != 0 || stats.Incomplete != 1 || stats.LateBytes != 1 || stats.MaxBuffer != 1 || stats.Corrupt != 0 {
+		t.Errorf("stats %+v, want 0 played, 1 incomplete, 1 late byte, peak buffer 1", stats)
 	}
 }
 
 func TestReceiverBadMessages(t *testing.T) {
-	rcv, err := NewReceiver(2)
+	for _, tc := range []struct {
+		name string
+		d    Data
+	}{
+		{"zero size", Data{SliceID: 1, Size: 0}},
+		{"size past MaxPayload", Data{SliceID: 1, Size: MaxPayload + 1}},
+		{"chunk past the slice end", Data{SliceID: 2, Size: 2, Offset: 2, Payload: []byte{1}}},
+		{"sent before it arrived", Data{SliceID: 3, Arrival: 4, SendStep: 3, Size: 1, Payload: []byte{1}}},
+		{"frame 2^30", Data{SliceID: 4, Arrival: 1 << 30, SendStep: 7, Size: 1, Payload: []byte{1}}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReceiveStream(dataWire(t, true, tc.d), 2, 1, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrBadSlice) {
+			t.Errorf("%s: err = %v, want ErrBadSlice", tc.name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: rejecting the message allocated %d bytes", tc.name, grew)
+		}
+	}
+	if _, err := ReceiveStream(dataWire(t, true), -1, 1, nil); err == nil {
+		t.Error("negative delay accepted")
+	}
+	if _, err := ReceiveStream(dataWire(t, false, Data{Size: 1, Payload: []byte{1}}), 2, 1, nil); !errors.Is(err, io.EOF) {
+		t.Errorf("stream cut before End: err = %v, want EOF", err)
+	}
+	// A corrupt payload byte is counted, not fatal.
+	stats, err := ReceiveStream(dataWire(t, true, Data{SliceID: 5, Size: 2, Payload: []byte{0, 0}}), 2, 1, nil)
+	if err != nil || stats.Corrupt != 1 || stats.Played != 1 {
+		t.Errorf("corrupt payload: %+v, %v; want 1 corrupt, 1 played", stats, err)
+	}
+}
+
+// TestReceiveFarSendStep — one message claiming the last send step must cost
+// a resolve clamped to the frames actually seen, not 2^32 playout steps.
+func TestReceiveFarSendStep(t *testing.T) {
+	start := time.Now()
+	stats, err := ReceiveStream(dataWire(t, true,
+		Data{SliceID: 0, Arrival: 0, Size: 1, SendStep: 0, Payload: SynthPayload(0, 1)},
+		Data{SliceID: 1, Arrival: 1, Size: 1, SendStep: math.MaxUint32, Payload: SynthPayload(1, 1)},
+	), 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rcv.Ingest(&Data{SliceID: 1, Arrival: 0, Size: 0}); err == nil {
-		t.Error("zero-size slice accepted")
+	if stats.Played != 1 || stats.LateBytes != 1 {
+		t.Errorf("stats %+v, want slice 0 played and slice 1's byte late", stats)
 	}
-	if err := rcv.Ingest(&Data{SliceID: 2, Arrival: 0, Size: 2, Offset: 2, Payload: []byte{1}}); err == nil {
-		t.Error("out-of-range offset accepted")
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("took %v", took)
 	}
-	if _, err := NewReceiver(-1); err == nil {
-		t.Error("negative delay accepted")
+}
+
+// TestReceiveHandshake — Receive's own part: Hello out, Accept in, and an
+// Accept that is not one, or raises the delay asked for, ends the session.
+func TestReceiveHandshake(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		accept func(w io.Writer) error
+		ok     bool
+	}{
+		{"lawful", func(w io.Writer) error {
+			return WriteAccept(w, Accept{Rate: 1, Delay: 4, ServerBuffer: 4, StepMicros: 1})
+		}, true},
+		{"delay raised", func(w io.Writer) error {
+			return WriteAccept(w, Accept{Rate: 1, Delay: 1 << 30, ServerBuffer: 4, StepMicros: 1})
+		}, false},
+		{"not an accept", WriteEnd, false},
+	} {
+		var conn struct {
+			io.Reader
+			io.Writer
+		}
+		var in, out bytes.Buffer
+		conn.Reader, conn.Writer = &in, &out
+		if err := tc.accept(&in); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteEnd(&in); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := Receive(conn, 0, 6, 1, nil)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: err = %v", tc.name, err)
+		}
+		if tc.ok && stats.Delay != 4 {
+			t.Errorf("%s: delay %d, want the accepted 4", tc.name, stats.Delay)
+		}
+		if hello, err := ReadMsg(&out); err != nil || hello.Hello == nil || hello.Hello.DesiredDelay != 6 {
+			t.Errorf("%s: client opened with %+v, %v", tc.name, hello, err)
+		}
 	}
 }
 

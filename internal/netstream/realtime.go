@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/stream"
 )
 
@@ -32,43 +33,74 @@ func NegotiateSession(h Hello, rate, maxDelay int) (delay, buffer int) {
 // slice ID, so receivers can verify content integrity end to end.
 func SynthPayload(id, size int) []byte {
 	p := make([]byte, size)
-	x := uint32(id)*2654435761 + 1
+	x := synthSeed(uint32(id))
 	for i := range p {
-		x ^= x << 13
-		x ^= x >> 17
-		x ^= x << 5
+		x = synthNext(x)
 		p[i] = byte(x)
 	}
 	return p
 }
 
+// SynthPayload's generator: an xorshift32 sequence seeded from the slice ID.
+func synthSeed(id uint32) uint32 { return id*2654435761 + 1 }
+
+func synthNext(x uint32) uint32 {
+	x ^= x << 13
+	x ^= x >> 17
+	x ^= x << 5
+	return x
+}
+
+// synthMatches reports whether chunk equals SynthPayload(id, ·)[offset:],
+// by running the generator past the chunk: no reassembly buffer and no
+// reference payload, so a receive loop can verify content as it arrives.
+func synthMatches(id uint32, offset int, chunk []byte) bool {
+	x := synthSeed(id)
+	for i := 0; i < offset; i++ {
+		x = synthNext(x)
+	}
+	for _, b := range chunk {
+		if x = synthNext(x); b != byte(x) {
+			return false
+		}
+	}
+	return true
+}
+
+// StreamStats is one substream's share of a receiving session: the complete
+// slices played, their payload bytes, and the weight delivered.
+type StreamStats struct {
+	Played int
+	Bytes  int
+	Weight float64
+}
+
 // PlayStats summarizes a receiving session.
 type PlayStats struct {
-	// Played is the number of complete slices delivered to the playout
-	// callback; PlayedBytes their total payload.
+	// Played is the number of slices delivered complete by their frame's
+	// play time; PlayedBytes their total payload.
 	Played, PlayedBytes int
 	// Incomplete is the number of slices discarded at their deadline.
 	Incomplete int
 	// LateBytes counts payload bytes that arrived after their deadline.
 	LateBytes int
-	// MaxBuffer is the receiver's peak buffer occupancy in bytes.
+	// MaxBuffer is the receiver's peak buffer occupancy in bytes, recorded
+	// at the end of every play step (at most B = R·D, Lemma 3.4).
 	MaxBuffer int
 	// Delay is the negotiated smoothing delay.
 	Delay int
-	// Corrupt counts played slices whose payload failed verification.
+	// Corrupt counts data messages whose payload differs from
+	// SynthPayload's bytes for that slice; only single-stream sessions are
+	// verified (a multiplexed session's content is keyed by IDs the wire
+	// does not carry).
 	Corrupt int
+	// PerStream splits Played and PlayedBytes by StreamID.
+	PerStream []StreamStats
 }
 
 // Receive performs the client side of a session on conn: it sends Hello,
-// reads Accept, then consumes data messages, anchoring its playout clock
-// at the first one (the paper's timer-based client — no clock
-// synchronization). onPlay, if non-nil, is invoked once per playout step.
-//
-// The playout clock is driven by the *message* clock rather than the wall
-// clock: frame a plays once a message with SendStep >= a+D has been seen
-// or the stream ended. On a paced sender this coincides with wall-clock
-// playout but keeps tests and tools deterministic and fast.
-func Receive(conn io.ReadWriter, clientBuffer, desiredDelay int, onPlay func(PlayEvent)) (PlayStats, error) {
+// reads Accept, then runs ReceiveStream under the negotiated delay.
+func Receive(conn io.ReadWriter, clientBuffer, desiredDelay, streams int, onPlay func(*Data)) (PlayStats, error) {
 	if err := WriteHello(conn, Hello{
 		ClientBuffer: uint32(clientBuffer),
 		DesiredDelay: uint32(desiredDelay),
@@ -82,34 +114,35 @@ func Receive(conn io.ReadWriter, clientBuffer, desiredDelay int, onPlay func(Pla
 	if msg.Accept == nil {
 		return PlayStats{}, fmt.Errorf("netstream: expected accept, got %+v", msg)
 	}
-	delay := int(msg.Accept.Delay)
-	rcv, err := NewReceiver(delay)
-	if err != nil {
-		return PlayStats{}, err
+	// NegotiateSession never raises the delay a client names, and the
+	// delay sizes the receive window: do not let a peer pick the size.
+	if desiredDelay > 0 && int(msg.Accept.Delay) > desiredDelay {
+		return PlayStats{}, fmt.Errorf("netstream: accept names delay %d, above the %d asked for", msg.Accept.Delay, desiredDelay)
 	}
-	stats := PlayStats{Delay: delay}
-	playUpTo := -1
-	flush := func(step int) {
-		for playUpTo < step {
-			playUpTo++
-			ev := rcv.Play(playUpTo)
-			for _, sl := range ev.Slices {
-				stats.Played++
-				stats.PlayedBytes += sl.Size
-				if !bytesEqual(sl.Payload, SynthPayload(sl.ID, sl.Size)) {
-					stats.Corrupt++
-				}
-			}
-			stats.Incomplete += ev.Incomplete
-			if onPlay != nil && (len(ev.Slices) > 0 || ev.Incomplete > 0) {
-				onPlay(ev)
-			}
-		}
+	return ReceiveStream(conn, int(msg.Accept.Delay), streams, onPlay)
+}
+
+// ReceiveStream is the paper's timer-based client over the data messages of
+// one session, single-stream (streams = 1, content verified) or multiplexed:
+// a core.RecvWindow buffers what arrives, frame a plays at step a+D, and
+// what misses its deadline is discarded. It anchors at the first message —
+// no clock synchronization — and is driven by the *message* clock rather
+// than the wall clock: frame a is resolved once a message with SendStep >
+// a+D has been seen or the stream ended. On a paced sender this coincides
+// with wall-clock playout but keeps tests and tools deterministic and fast.
+//
+// A slice is played exactly when its last byte is accepted into the window
+// (an accepted byte's frame is unresolved, hence on time), so the loop
+// credits the slice, and calls onPlay if non-nil, from the message in hand
+// at that moment; d aliases decoder memory valid only during the call.
+func ReceiveStream(r io.Reader, delay, streams int, onPlay func(d *Data)) (PlayStats, error) {
+	if delay < 0 || streams < 1 {
+		return PlayStats{}, fmt.Errorf("netstream: invalid delay %d or stream count %d", delay, streams)
 	}
-	// Decoder reuses one payload scratch buffer across messages; Ingest
-	// copies the bytes out immediately, so the aliasing is safe and the
-	// receive loop is allocation-free in steady state.
-	dec := NewDecoder(conn)
+	stats := PlayStats{Delay: delay, PerStream: make([]StreamStats, streams)}
+	var win core.RecvWindow
+	win.Reset(delay, 1) // Data.Check keeps the live frames within D+1
+	dec := NewDecoder(r)
 	for {
 		msg, err := dec.Next()
 		if err != nil {
@@ -118,38 +151,37 @@ func Receive(conn io.ReadWriter, clientBuffer, desiredDelay int, onPlay func(Pla
 		if msg.End {
 			break
 		}
-		if msg.Data == nil {
+		d := msg.Data
+		if d == nil {
 			return stats, fmt.Errorf("netstream: unexpected message %+v", msg)
 		}
-		// All frames whose deadline precedes this send step are due.
-		flush(int(msg.Data.SendStep) - 1)
-		if err := rcv.Ingest(msg.Data); err != nil {
-			return stats, err
+		if err := d.Check(); err != nil {
+			return stats, fmt.Errorf("%w: slice %d at send step %d", err, d.SliceID, d.SendStep)
+		}
+		if int(d.StreamID) >= streams {
+			return stats, fmt.Errorf("netstream: slice %d tagged with unknown stream %d", d.SliceID, d.StreamID)
+		}
+		if streams == 1 && !synthMatches(d.SliceID, int(d.Offset), d.Payload) {
+			stats.Corrupt++
+		}
+		// Frames due strictly before this message's send step have reached
+		// their playout deadline: resolve them, then ingest.
+		win.ResolveTo(int(d.SendStep) - 1 - delay)
+		if win.Ingest(int32(d.SliceID), int(d.Arrival), int32(d.Size), int32(len(d.Payload))) {
+			stats.Played++
+			stats.PlayedBytes += int(d.Size)
+			ps := &stats.PerStream[d.StreamID]
+			ps.Played++
+			ps.Bytes += int(d.Size)
+			ps.Weight += d.Weight
+			if onPlay != nil {
+				onPlay(d)
+			}
 		}
 	}
-	// Stream over: everything buffered is due.
-	maxFrame := -1
-	for a := range rcv.byFrame {
-		if a > maxFrame {
-			maxFrame = a
-		}
-	}
-	flush(maxFrame + delay)
-	stats.LateBytes = rcv.LateBytes()
-	stats.MaxBuffer = rcv.MaxOccupancy()
+	win.Finish() // stream over: everything buffered is due
+	stats.Incomplete, stats.LateBytes, stats.MaxBuffer = win.Incomplete(), win.LateBytes(), win.MaxOccupancy()
 	return stats, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // OfferStream converts a stream plus payload function into per-step offers;

@@ -182,136 +182,3 @@ func (s *Sender) Drain() (int, error) {
 	s.enc.PutEnd()
 	return steps, s.enc.Flush()
 }
-
-// ReceivedSlice is a fully reassembled slice ready for playout.
-type ReceivedSlice struct {
-	ID       int
-	StreamID int
-	Arrival  int
-	Size     int
-	Weight   float64
-	Payload  []byte
-}
-
-// PlayEvent reports one playout step at the receiver.
-type PlayEvent struct {
-	// Step is the receiver's model step.
-	Step int
-	// Slices are the complete slices played this step, in the order their
-	// first bytes arrived on the wire — the sender's FIFO transmission
-	// order, which for every sender in this package coincides with slice
-	// ID order within a frame.
-	Slices []ReceivedSlice
-	// Incomplete counts slices of this frame that had bytes but were not
-	// fully delivered by the deadline (they are discarded).
-	Incomplete int
-}
-
-// Receiver reassembles slices from data messages and determines playout by
-// the paper's rule: a slice sent in step s is available from step s; the
-// playout of the frame with arrival a happens at step a+D (the transport's
-// propagation is absorbed into the receiver's anchor, so P = 0 in model
-// terms). Drive it with Ingest for each message and Play once per step.
-type Receiver struct {
-	delay int
-
-	byFrame   map[int][]int // arrival -> slice IDs seen
-	partial   map[int]*ReceivedSlice
-	received  map[int]int
-	watermark int // latest frame already resolved by Play
-	lateBytes int
-	occ       int
-	maxOcc    int
-}
-
-// NewReceiver returns a receiver enforcing smoothing delay D.
-func NewReceiver(delay int) (*Receiver, error) {
-	if delay < 0 {
-		return nil, fmt.Errorf("netstream: negative delay %d", delay)
-	}
-	return &Receiver{
-		delay:     delay,
-		byFrame:   make(map[int][]int),
-		partial:   make(map[int]*ReceivedSlice),
-		received:  make(map[int]int),
-		watermark: -1,
-	}, nil
-}
-
-// Occupancy returns the bytes currently buffered; MaxOccupancy the peak.
-func (r *Receiver) Occupancy() int    { return r.occ }
-func (r *Receiver) MaxOccupancy() int { return r.maxOcc }
-
-// LateBytes returns the number of payload bytes that arrived after their
-// frame's playout deadline and were discarded.
-func (r *Receiver) LateBytes() int { return r.lateBytes }
-
-// Ingest stores the bytes of one data message.
-func (r *Receiver) Ingest(d *Data) error {
-	id := int(d.SliceID)
-	if int(d.Arrival) <= r.watermark {
-		// Bytes of an already-resolved frame: too late, discard.
-		r.lateBytes += len(d.Payload)
-		return nil
-	}
-	p, ok := r.partial[id]
-	if !ok {
-		if d.Size == 0 || d.Size > MaxPayload {
-			return fmt.Errorf("netstream: slice %d has invalid size %d", id, d.Size)
-		}
-		p = &ReceivedSlice{
-			ID:       id,
-			StreamID: int(d.StreamID),
-			Arrival:  int(d.Arrival),
-			Size:     int(d.Size),
-			Weight:   d.Weight,
-			Payload:  make([]byte, d.Size),
-		}
-		r.partial[id] = p
-		r.byFrame[p.Arrival] = append(r.byFrame[p.Arrival], id)
-	}
-	if int(d.Offset)+len(d.Payload) > p.Size {
-		return fmt.Errorf("netstream: slice %d bytes [%d, %d) beyond size %d",
-			id, d.Offset, int(d.Offset)+len(d.Payload), p.Size)
-	}
-	copy(p.Payload[d.Offset:], d.Payload)
-	r.received[id] += len(d.Payload)
-	r.occ += len(d.Payload)
-	return nil
-}
-
-// Play resolves the frame scheduled for the given (sender-clock) step:
-// complete slices with arrival step-D are returned; incomplete ones are
-// discarded, and any bytes of this frame arriving later will be dropped on
-// ingest.
-func (r *Receiver) Play(step int) PlayEvent {
-	frame := step - r.delay
-	ev := PlayEvent{Step: step}
-	ids := r.byFrame[frame]
-	delete(r.byFrame, frame)
-	if frame > r.watermark {
-		r.watermark = frame
-	}
-	// ids is already in wire-arrival order: byFrame appends on first byte
-	// seen, and the server queue transmits FIFO — no per-tick sort needed.
-	for _, id := range ids {
-		p := r.partial[id]
-		delete(r.partial, id)
-		got := r.received[id]
-		delete(r.received, id)
-		r.occ -= got
-		if got == p.Size {
-			ev.Slices = append(ev.Slices, *p)
-		} else {
-			ev.Incomplete++
-		}
-	}
-	// Peak occupancy is recorded at step boundaries (after playout), the
-	// same end-of-step convention as the model's Bc(t) in Lemma 3.4;
-	// mid-step, the buffer may transiently hold up to R extra bytes of
-	// the frame being played this step.
-	if r.occ > r.maxOcc {
-		r.maxOcc = r.occ
-	}
-	return ev
-}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -296,7 +297,7 @@ func TestCatchUpAfterShardStall(t *testing.T) {
 				clientErr = err
 				return
 			}
-			res, clientErr = runClient(conn, delay)
+			res, clientErr = runClient(conn, delay, 1)
 			_ = conn.Close()
 		}()
 		conn, err := ln.Accept()
@@ -347,7 +348,7 @@ func TestCatchUpAfterShardStall(t *testing.T) {
 	if cur != c.Steps() || off != c.WireBytes() {
 		t.Fatalf("the stalled session got %d steps and %d bytes, the plan has %d and %d", cur, off, c.Steps(), c.WireBytes())
 	}
-	if got.stats != want.stats || len(got.played) != len(want.played) {
+	if !reflect.DeepEqual(got.stats, want.stats) || len(got.played) != len(want.played) {
 		t.Fatalf("the stalled client played %+v, an unstalled one %+v", got.stats, want.stats)
 	}
 	//smoothvet:ordered membership check only; any order reaches the same verdict
@@ -403,7 +404,7 @@ func TestHandleBoundsSilentClient(t *testing.T) {
 			// several times over still drains to End.
 			server, client = net.Pipe()
 			go func() { handled <- eng.Handle(server) }()
-			res, err := runClient(client, 4)
+			res, err := runClient(client, 4, content.streams)
 			_ = client.Close()
 			if err != nil {
 				t.Fatalf("session longer than the handshake timeout: %v", err)

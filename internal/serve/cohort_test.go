@@ -121,8 +121,8 @@ func TestCohortGoldenEquivalence(t *testing.T) {
 // TestMuxCohortGoldenEquivalence is the multiplexed twin: a NewMux engine's
 // plan is byte-identical to the unpaced netstream.ServeMux reference for
 // the same (clips, SenderConfig), and one session served through Handle,
-// decoded by ReceiveMux, plays exactly what the reference stream plays per
-// substream.
+// decoded by netstream.ReceiveStream, plays exactly what the reference stream plays
+// per substream — and what the map-based receiver played, pinned as literals.
 func TestMuxCohortGoldenEquivalence(t *testing.T) {
 	const k, delay = 3, 8
 	clips := testClips(t, k, 40)
@@ -130,7 +130,14 @@ func TestMuxCohortGoldenEquivalence(t *testing.T) {
 	for _, c := range clips {
 		total += c.AverageRate()
 	}
-	for _, rateFactor := range []float64{0.8, 2.0} {
+	for _, tc := range []struct {
+		rateFactor float64
+		perStream  []netstream.StreamStats // what the map-based receiver played
+	}{
+		{0.8, []netstream.StreamStats{{Played: 37, Bytes: 407, Weight: 2535}, {Played: 36, Bytes: 338, Weight: 2275}, {Played: 33, Bytes: 311, Weight: 2030}}},
+		{2.0, []netstream.StreamStats{{Played: 40, Bytes: 423, Weight: 2551}, {Played: 40, Bytes: 356, Weight: 2293}, {Played: 40, Bytes: 347, Weight: 2066}}},
+	} {
+		rateFactor, perStream := tc.rateFactor, tc.perStream
 		rate := int(rateFactor * total)
 		eng, err := NewMux(clips, trace.PaperWeights(), Config{
 			Rate: rate, Shards: 1, StepDuration: 200 * time.Microsecond, MaxDelay: delay, Policy: drop.Greedy,
@@ -158,9 +165,12 @@ func TestMuxCohortGoldenEquivalence(t *testing.T) {
 		if rateFactor < 1 && refDropped == 0 {
 			t.Fatalf("rf=%.1f: the under-provisioned link shed nothing", rateFactor)
 		}
-		want, err := netstream.ReceiveMux(&ref, delay, k)
+		want, err := netstream.ReceiveStream(&ref, delay, k, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want.PerStream, perStream) || want.Incomplete != 0 {
+			t.Fatalf("rf=%.1f: the reference played %+v, the map-based receiver %+v and 0 incomplete", rateFactor, want, perStream)
 		}
 
 		server, client := net.Pipe()
@@ -173,7 +183,7 @@ func TestMuxCohortGoldenEquivalence(t *testing.T) {
 		if err != nil || msg.Accept == nil || msg.Accept.Delay != delay || int(msg.Accept.ServerBuffer) != rate*delay {
 			t.Fatalf("rf=%.1f: accept %+v, %v", rateFactor, msg.Accept, err)
 		}
-		got, err := netstream.ReceiveMux(client, delay, k)
+		got, err := netstream.ReceiveStream(client, delay, k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -422,7 +432,7 @@ func TestDrainAdmitRace(t *testing.T) {
 		clientWG.Add(1)
 		go func(c net.Conn) {
 			defer clientWG.Done()
-			_, _ = runClient(c, 4) // aborted sessions error; that's fine
+			_, _ = runClient(c, 4, 1) // aborted sessions error; that's fine
 			_ = c.Close()
 		}(client)
 		wg.Add(1)

@@ -3,6 +3,7 @@ package serve
 import (
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -70,14 +71,12 @@ type clientResult struct {
 	played map[int]bool // slice IDs delivered complete and on time
 }
 
-// runClient drives one receive session against conn and records the exact
-// set of played slice IDs.
-func runClient(conn net.Conn, delay int) (clientResult, error) {
+// runClient drives one receive session of `streams` substreams against conn
+// and records the exact set of played slice IDs.
+func runClient(conn net.Conn, delay, streams int) (clientResult, error) {
 	res := clientResult{played: map[int]bool{}}
-	stats, err := netstream.Receive(conn, 0, delay, func(ev netstream.PlayEvent) {
-		for _, sl := range ev.Slices {
-			res.played[sl.ID] = true
-		}
+	stats, err := netstream.Receive(conn, 0, delay, streams, func(d *netstream.Data) {
+		res.played[int(d.SliceID)] = true
 	})
 	res.stats = stats
 	return res, err
@@ -106,7 +105,7 @@ func runEngine(t *testing.T, clip *trace.Clip, shards, clients int) []clientResu
 		wg.Add(1)
 		go func(i int, c net.Conn) {
 			defer wg.Done()
-			results[i], errs[i] = runClient(c, 8)
+			results[i], errs[i] = runClient(c, 8, 1)
 			_ = c.Close()
 		}(i, client)
 		wg.Add(1)
@@ -159,7 +158,7 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 	// And every session of one engine run saw the same stream.
 	for i := 1; i < clients; i++ {
-		if one[i].stats != one[0].stats {
+		if !reflect.DeepEqual(one[i].stats, one[0].stats) {
 			t.Errorf("session %d diverged from session 0: %+v vs %+v", i, one[i].stats, one[0].stats)
 		}
 	}
@@ -193,7 +192,7 @@ func TestMaxSessionsRejects(t *testing.T) {
 			go func() { handled <- eng.Handle(server1) }()
 			clientDone := make(chan error, 1)
 			go func() {
-				_, err := runClient(client1, 4)
+				_, err := runClient(client1, 4, content.streams)
 				_ = client1.Close()
 				clientDone <- err
 			}()
@@ -219,7 +218,7 @@ func TestMaxSessionsRejects(t *testing.T) {
 			server3, client3 := net.Pipe()
 			go func() { handled <- eng.Handle(server3) }()
 			go func() {
-				_, err := runClient(client3, 4)
+				_, err := runClient(client3, 4, content.streams)
 				_ = client3.Close()
 				clientDone <- err
 			}()
@@ -276,7 +275,7 @@ func TestCloseAbortsInFlight(t *testing.T) {
 	go func() { _ = eng.Handle(server) }() // rejection also aborts the client below
 	clientErr := make(chan error, 1)
 	go func() {
-		_, err := runClient(client, 8)
+		_, err := runClient(client, 8, 1)
 		clientErr <- err
 	}()
 	// Let the stream get going, then kill the engine.

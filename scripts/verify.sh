@@ -53,6 +53,15 @@ if grep -rlE 'Epoll(Wait|Create1|Ctl)' --include=*.go internal cmd | grep -v '^i
     exit 1
 fi
 
+echo "== one receiver"
+# Every client — netstream.Receive for single and multiplexed sessions,
+# loadgen, smoothbench — accounts playout on core.RecvWindow; the map-based
+# receiver and its result types must not come back.
+if grep -rnE 'NewReceiver|ReceiveMux|PlayEvent|ReceivedSlice|MuxStats' --include=*.go .; then
+    echo "a second receiving path is named (lines above)" >&2
+    exit 1
+fi
+
 echo "== go test"
 go test ./...
 
