@@ -6,7 +6,6 @@ package repro
 // core data paths.
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -18,8 +17,8 @@ import (
 	"repro/internal/trace"
 )
 
-// benchExperiment runs one registered experiment per iteration at a fixed
-// sweep worker count (0 = the Config default, GOMAXPROCS).
+// benchExperimentWorkers runs one registered experiment per iteration at a
+// fixed sweep worker count (0 = the Config default, GOMAXPROCS).
 func benchExperimentWorkers(b *testing.B, name string, workers int) {
 	b.Helper()
 	runner := experiment.All()[name]
@@ -45,15 +44,15 @@ func benchExperiment(b *testing.B, name string) {
 	benchExperimentWorkers(b, name, 0)
 }
 
-// BenchmarkSweepWorkers compares sequential (Workers=1) against parallel
-// (Workers=GOMAXPROCS) sweeps on representative experiments. On a 1-CPU
-// host the two run at the same speed; on multi-core hosts the parallel
-// variant should approach a core-count speedup because sweep points are
-// independent simulations.
-func BenchmarkSweepWorkers(b *testing.B) {
+// BenchmarkSequentialSweep runs representative experiments with
+// Workers=1: one goroutine, so the arena and pool reuse of a sweep is
+// measured without the scheduling-dependent pool misses of the parallel
+// engine. The parallel runs are the Benchmark{Fig2,Table*} functions below
+// (Workers=0, GOMAXPROCS); the parallel speed-up is smoothbench's
+// experiment.par_speedup.
+func BenchmarkSequentialSweep(b *testing.B) {
 	for _, name := range []string{"fig2", "brd", "muxgain", "robust"} {
-		b.Run(name+"/seq", func(b *testing.B) { benchExperimentWorkers(b, name, 1) })
-		b.Run(name+"/par", func(b *testing.B) { benchExperimentWorkers(b, name, runtime.GOMAXPROCS(0)) })
+		b.Run(name, func(b *testing.B) { benchExperimentWorkers(b, name, 1) })
 	}
 }
 

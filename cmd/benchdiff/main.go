@@ -1,63 +1,123 @@
-// Command benchdiff compares a fresh benchmark run (benchjson format)
-// against a committed baseline and exits non-zero when any benchmark
-// regressed beyond its threshold. It is the regression gate behind
-// scripts/verify.sh and CI: the allocation discipline of the simulation
-// core (see DESIGN.md "Memory layout & amortization") is enforced by
-// machine, not by review.
+// Command benchdiff is the allocation gate behind scripts/verify.sh and CI:
+// the allocation discipline of the simulation core and the serving, client
+// and relay paths (DESIGN.md "Memory layout & amortization") is enforced by
+// machine, not by review. It reads `go test -bench -benchmem` text on stdin
+// and either records it as the ledger or checks it against the ledger:
 //
-// Usage:
+//	scripts/bench_baseline.sh                                        # go test, then benchdiff -record
+//	benchdiff -rule 'BenchmarkSimulate/*:allocs=0.0+0' < bin/bench.txt # check
 //
-//	benchdiff -baseline BENCH_quick.json -current bench_new.json
-//	benchdiff -baseline BENCH_quick.json -current bench_new.json \
-//	    -allocs 0.25 -rule 'BenchmarkSimulate/*:allocs=0.0+0'
-//
-// A benchmark regresses on a metric when
+// The ledger (-baseline, default BENCH_quick.json) holds one row per
+// (package, benchmark): the name without its -N procs suffix, B/op and
+// allocs/op. A duplicate (package, name) in either input is an error, and
+// so is a ledger row absent from the run. A metric regresses when
 //
 //	current > baseline*(1+ratio) + slack
 //
-// with per-metric global ratios/slacks (-bytes, -allocs, *-slack) that
-// can be overridden per benchmark with repeatable -rule flags:
-//
-//	-rule 'GLOB:METRIC=RATIO[+SLACK][,METRIC=RATIO[+SLACK]...]'
-//
-// GLOB is a path.Match pattern over the benchmark name (no -N procs
-// suffix); METRIC is bytes or allocs; RATIO is the allowed fractional
-// growth (negative disables the metric for matching benchmarks); SLACK is
-// an absolute allowance on top, defaulting to the global slack. Later rules
-// win. Bytes and allocs are deterministic at a fixed iteration count and can
-// be tight. Wall time is not gated here: ns/op at -benchtime 5x on a shared
+// with globalLimits (2× plus 16 KiB or 64 allocs) overridden per benchmark
+// by repeatable -rule 'GLOB:METRIC=RATIO[+SLACK][,...]' flags: GLOB is a
+// path.Match pattern over the name, METRIC is bytes or allocs, a negative
+// RATIO disables the metric, SLACK defaults to the global one, and later
+// rules win. Wall time is not gated: ns/op at -benchtime 5x on a shared
 // host says little, and smoothbench (bench/) measures time end to end.
 package main
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result mirrors cmd/benchjson's per-benchmark record.
-type Result struct {
-	Name        string  `json:"name"`
-	Pkg         string  `json:"pkg,omitempty"`
-	Procs       int     `json:"procs"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+// Row is one benchmark's entry in the ledger, and one result line of a run.
+type Row struct {
+	Pkg    string `json:"pkg"`
+	Name   string `json:"name"`
+	Bytes  int64  `json:"bytes_per_op"`
+	Allocs int64  `json:"allocs_per_op"`
 }
 
-// File mirrors cmd/benchjson's document format.
-type File struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	Pkg        string   `json:"pkg,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
-	Benchmarks []Result `json:"benchmarks"`
+type key struct {
+	pkg  string
+	name string
+}
+
+// index maps rows by (pkg, name), refusing a duplicate: two rows for one
+// benchmark (a -cpu list, two runs concatenated) have no single baseline.
+func index(rows []Row) (map[key]Row, error) {
+	m := make(map[key]Row, len(rows))
+	for _, r := range rows {
+		k := key{r.Pkg, r.Name}
+		if _, dup := m[k]; dup {
+			return nil, fmt.Errorf("duplicate benchmark %s %s", r.Pkg, r.Name)
+		}
+		m[k] = r
+	}
+	return m, nil
+}
+
+// Parse reads `go test -bench -benchmem` output: a "pkg:" header sets the
+// package of the result lines after it, and a result line is
+//
+//	BenchmarkName-8  5  9561906 ns/op  [value unit ...]  4096 B/op  12 allocs/op
+//
+// with the -N procs suffix stripped from the name, so a run at any
+// GOMAXPROCS pairs with the ledger. Every other line, including one that
+// merely starts with "Benchmark", is ignored. Input without result lines
+// and a duplicate (pkg, name) are errors.
+func Parse(r io.Reader) ([]Row, error) {
+	var rows []Row
+	pkg := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = p
+			continue
+		}
+		f := strings.Fields(line)
+		if !strings.HasPrefix(line, "Benchmark") || len(f) < 4 || f[3] != "ns/op" {
+			continue
+		}
+		row := Row{Pkg: pkg, Name: f[0]}
+		if i := strings.LastIndex(row.Name, "-"); i > 0 {
+			if _, err := strconv.Atoi(row.Name[i+1:]); err == nil {
+				row.Name = row.Name[:i]
+			}
+		}
+		var haveBytes, haveAllocs bool
+		for i := 4; i+1 < len(f); i += 2 {
+			switch f[i+1] {
+			case "B/op":
+				v, err := strconv.ParseInt(f[i], 10, 64)
+				row.Bytes, haveBytes = v, err == nil
+			case "allocs/op":
+				v, err := strconv.ParseInt(f[i], 10, 64)
+				row.Allocs, haveAllocs = v, err == nil
+			}
+		}
+		if !haveBytes || !haveAllocs {
+			return nil, fmt.Errorf("%s: no B/op and allocs/op (run go test with -benchmem)", f[0])
+		}
+		rows = append(rows, row)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("reading benchmark output: %w", err)
+	}
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("no benchmark result lines in input")
+	}
+	if _, err := index(rows); err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // Limit is one metric's allowance: current may grow to
@@ -79,6 +139,15 @@ func (l Limit) allows(base, cur float64) bool {
 type Limits struct {
 	Bytes  Limit
 	Allocs Limit
+}
+
+// globalLimits apply to every benchmark no -rule matches. They are
+// generous because sync.Pool hit rates vary with GC timing, so the pooled
+// arenas of the sweep benchmarks jitter; the allocation-free paths get
+// tight rules instead.
+var globalLimits = Limits{
+	Bytes:  Limit{Ratio: 1.0, Slack: 16384},
+	Allocs: Limit{Ratio: 1.0, Slack: 64},
 }
 
 // Rule is a per-benchmark override selected by a path.Match glob on the
@@ -111,7 +180,6 @@ func limitsFor(name string, global Limits, rules []Rule) Limits {
 // Regression describes one tripped metric.
 type Regression struct {
 	Name     string
-	Procs    int
 	Metric   string
 	Baseline float64
 	Current  float64
@@ -120,90 +188,36 @@ type Regression struct {
 
 func (r Regression) String() string {
 	allowed := r.Baseline*(1+r.Limit.Ratio) + r.Limit.Slack
-	return fmt.Sprintf("%s (procs=%d) %s: baseline %.6g, current %.6g (allowed <= %.6g)",
-		r.Name, r.Procs, r.Metric, r.Baseline, r.Current, allowed)
+	return fmt.Sprintf("%s %s: baseline %.6g, current %.6g (allowed <= %.6g)",
+		r.Name, r.Metric, r.Baseline, r.Current, allowed)
 }
 
-type key struct {
-	pkg  string
-	name string
-}
-
-// Compare checks every baseline benchmark against the current run and
-// returns tripped metrics, baseline benchmarks missing from the current
-// run, and the number of benchmark pairs compared.
-//
-// A baseline row pairs with the current row of the same package, name and
-// procs. A benchmark the baseline recorded at a single procs value is not a
-// procs profile, only a record of the host's GOMAXPROCS, so it pairs with
-// the current run's row whatever its procs: a baseline taken on a 1-CPU
-// host still checks every row — above all the 0 B/op 0 allocs/op pins,
-// which do not depend on procs — on a 2-CPU one.
-func Compare(baseline, current *File, global Limits, rules []Rule) (regs []Regression, missing []string, compared int) {
-	cur := make(map[key][]Result, len(current.Benchmarks))
-	for _, b := range current.Benchmarks {
-		k := key{pkgOf(current, b), b.Name}
-		cur[k] = append(cur[k], b)
-	}
-	baseRows := make(map[key]int, len(baseline.Benchmarks))
-	for _, base := range baseline.Benchmarks {
-		baseRows[key{pkgOf(baseline, base), base.Name}]++
-	}
-	for _, base := range baseline.Benchmarks {
-		k := key{pkgOf(baseline, base), base.Name}
-		now, ok := pick(cur[k], base.Procs, baseRows[k] == 1)
+// Compare checks every baseline row against the current row of the same
+// (pkg, name) and returns tripped metrics in baseline order, baseline rows
+// missing from the current run, and the number of rows compared. Both
+// inputs must be free of duplicates (Parse and load check).
+func Compare(baseline, current []Row, global Limits, rules []Rule) (regs []Regression, missing []string, compared int) {
+	cur, _ := index(current)
+	for _, base := range baseline {
+		now, ok := cur[key{base.Pkg, base.Name}]
 		if !ok {
-			missing = append(missing, fmt.Sprintf("%s (procs=%d)", base.Name, base.Procs))
+			missing = append(missing, base.Pkg+" "+base.Name)
 			continue
 		}
 		compared++
 		lim := limitsFor(base.Name, global, rules)
-		if base.BytesPerOp != nil && now.BytesPerOp != nil &&
-			!lim.Bytes.allows(float64(*base.BytesPerOp), float64(*now.BytesPerOp)) {
-			regs = append(regs, Regression{base.Name, base.Procs, "B/op",
-				float64(*base.BytesPerOp), float64(*now.BytesPerOp), lim.Bytes})
+		if !lim.Bytes.allows(float64(base.Bytes), float64(now.Bytes)) {
+			regs = append(regs, Regression{base.Name, "B/op", float64(base.Bytes), float64(now.Bytes), lim.Bytes})
 		}
-		if base.AllocsPerOp != nil && now.AllocsPerOp != nil &&
-			!lim.Allocs.allows(float64(*base.AllocsPerOp), float64(*now.AllocsPerOp)) {
-			regs = append(regs, Regression{base.Name, base.Procs, "allocs/op",
-				float64(*base.AllocsPerOp), float64(*now.AllocsPerOp), lim.Allocs})
+		if !lim.Allocs.allows(float64(base.Allocs), float64(now.Allocs)) {
+			regs = append(regs, Regression{base.Name, "allocs/op", float64(base.Allocs), float64(now.Allocs), lim.Allocs})
 		}
 	}
-	sort.Slice(regs, func(i, j int) bool {
-		if regs[i].Name != regs[j].Name {
-			return regs[i].Name < regs[j].Name
-		}
-		return regs[i].Metric < regs[j].Metric
-	})
 	return regs, missing, compared
 }
 
-// pick returns the row recorded at procs, or — when anyProcs allows it and
-// no row matches exactly — the first row there is.
-func pick(rows []Result, procs int, anyProcs bool) (Result, bool) {
-	for _, r := range rows {
-		if r.Procs == procs {
-			return r, true
-		}
-	}
-	if anyProcs && len(rows) > 0 {
-		return rows[0], true
-	}
-	return Result{}, false
-}
-
-// pkgOf resolves a benchmark's package: the per-result field when the file
-// spans several packages, else the file-level one.
-func pkgOf(f *File, r Result) string {
-	if r.Pkg != "" {
-		return r.Pkg
-	}
-	return f.Pkg
-}
-
-// parseRule parses 'GLOB:METRIC=RATIO[+SLACK],...'; the glob may itself
-// contain ':' only if no metric assignment would parse after it, so the
-// split is on the LAST ':' that precedes a valid assignment list.
+// parseRule parses 'GLOB:METRIC=RATIO[+SLACK],...'; the split is on the
+// last ':', so the glob may itself contain one.
 func parseRule(s string, defaults Limits) (Rule, error) {
 	i := strings.LastIndex(s, ":")
 	if i <= 0 || i == len(s)-1 {
@@ -218,12 +232,13 @@ func parseRule(s string, defaults Limits) (Rule, error) {
 		if !ok {
 			return Rule{}, fmt.Errorf("rule %q: bad assignment %q", s, part)
 		}
+		var dst **Limit
 		var def Limit
 		switch m {
 		case "bytes":
-			def = defaults.Bytes
+			dst, def = &r.Bytes, defaults.Bytes
 		case "allocs":
-			def = defaults.Allocs
+			dst, def = &r.Allocs, defaults.Allocs
 		default:
 			return Rule{}, fmt.Errorf("rule %q: unknown metric %q (want bytes or allocs)", s, m)
 		}
@@ -235,100 +250,107 @@ func parseRule(s string, defaults Limits) (Rule, error) {
 		}
 		lim.Ratio = ratio
 		if hasSlack {
-			slack, err := strconv.ParseFloat(slackStr, 64)
-			if err != nil {
+			if lim.Slack, err = strconv.ParseFloat(slackStr, 64); err != nil {
 				return Rule{}, fmt.Errorf("rule %q: bad slack %q", s, slackStr)
 			}
-			lim.Slack = slack
 		}
-		switch m {
-		case "bytes":
-			r.Bytes = &lim
-		case "allocs":
-			r.Allocs = &lim
-		}
+		*dst = &lim
 	}
 	return r, nil
 }
 
 // ruleFlags collects repeated -rule flags.
-type ruleFlags struct {
-	specs []string
-}
+type ruleFlags []string
 
-func (r *ruleFlags) String() string     { return strings.Join(r.specs, "; ") }
-func (r *ruleFlags) Set(s string) error { r.specs = append(r.specs, s); return nil }
+func (r *ruleFlags) String() string     { return strings.Join(*r, "; ") }
+func (r *ruleFlags) Set(s string) error { *r = append(*r, s); return nil }
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		os.Exit(1)
 	}
 }
 
-func run() error {
-	basePath := flag.String("baseline", "BENCH_quick.json", "committed baseline (benchjson format)")
-	curPath := flag.String("current", "", "fresh run to check (benchjson format); required")
-	bytesRatio := flag.Float64("bytes", 0.5, "allowed fractional B/op growth (negative disables)")
-	bytesSlack := flag.Float64("bytes-slack", 4096, "absolute B/op allowance on top of the ratio")
-	allocsRatio := flag.Float64("allocs", 0.5, "allowed fractional allocs/op growth (negative disables)")
-	allocsSlack := flag.Float64("allocs-slack", 8, "absolute allocs/op allowance on top of the ratio")
-	strict := flag.Bool("strict", false, "fail when a baseline benchmark is missing from the current run")
-	var rules ruleFlags
-	flag.Var(&rules, "rule", "per-benchmark override 'GLOB:METRIC=RATIO[+SLACK],...' (repeatable)")
-	flag.Parse()
-
-	if *curPath == "" {
-		return fmt.Errorf("-current is required")
+func run(args []string, stdin io.Reader, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	ledger := fs.String("baseline", "BENCH_quick.json", "the committed ledger")
+	record := fs.Bool("record", false, "write the run on stdin to -baseline instead of checking it")
+	var specs ruleFlags
+	fs.Var(&specs, "rule", "per-benchmark override 'GLOB:METRIC=RATIO[+SLACK],...' (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-	global := Limits{
-		Bytes:  Limit{*bytesRatio, *bytesSlack},
-		Allocs: Limit{*allocsRatio, *allocsSlack},
-	}
-	parsed := make([]Rule, 0, len(rules.specs))
-	for _, spec := range rules.specs {
-		r, err := parseRule(spec, global)
-		if err != nil {
+	rules := make([]Rule, len(specs))
+	for i, spec := range specs {
+		var err error
+		if rules[i], err = parseRule(spec, globalLimits); err != nil {
 			return err
 		}
-		parsed = append(parsed, r)
 	}
-
-	baseline, err := load(*basePath)
+	current, err := Parse(stdin)
 	if err != nil {
 		return err
 	}
-	current, err := load(*curPath)
+	if *record {
+		return write(*ledger, current)
+	}
+	baseline, err := load(*ledger)
 	if err != nil {
 		return err
 	}
 
-	regs, missing, compared := Compare(baseline, current, global, parsed)
+	regs, missing, compared := Compare(baseline, current, globalLimits, rules)
 	for _, m := range missing {
-		fmt.Fprintf(os.Stderr, "benchdiff: missing from current run: %s\n", m)
+		fmt.Fprintf(stdout, "MISSING %s\n", m)
 	}
 	for _, r := range regs {
-		fmt.Printf("REGRESSION %s\n", r)
+		fmt.Fprintf(stdout, "REGRESSION %s\n", r)
 	}
-	fmt.Printf("benchdiff: %d compared, %d regressed, %d missing (baseline %s)\n",
-		compared, len(regs), len(missing), *basePath)
-	if len(regs) > 0 || (*strict && len(missing) > 0) {
-		os.Exit(1)
+	fmt.Fprintf(stdout, "benchdiff: %d compared, %d regressed, %d missing (baseline %s)\n",
+		compared, len(regs), len(missing), *ledger)
+	if len(regs) > 0 || len(missing) > 0 {
+		return fmt.Errorf("%d regressed, %d missing", len(regs), len(missing))
 	}
 	return nil
 }
 
-func load(path string) (*File, error) {
-	buf, err := os.ReadFile(path)
+// load reads a ledger: a JSON array of rows, unique by (pkg, name).
+func load(file string) ([]Row, error) {
+	buf, err := os.ReadFile(file)
 	if err != nil {
 		return nil, err
 	}
-	var f File
-	if err := json.Unmarshal(buf, &f); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	var rows []Row
+	if err := json.Unmarshal(buf, &rows); err != nil {
+		return nil, fmt.Errorf("%s: %v", file, err)
 	}
-	if len(f.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks", path)
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("%s: no benchmarks", file)
 	}
-	return &f, nil
+	if _, err := index(rows); err != nil {
+		return nil, fmt.Errorf("%s: %v", file, err)
+	}
+	return rows, nil
+}
+
+// write stores rows as a JSON array with one row per line, so a refreshed
+// ledger diffs line by line.
+func write(file string, rows []Row) error {
+	var b bytes.Buffer
+	b.WriteString("[\n")
+	for i, r := range rows {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return err
+		}
+		b.WriteString("  ")
+		b.Write(line)
+		if i < len(rows)-1 {
+			b.WriteByte(',')
+		}
+		b.WriteByte('\n')
+	}
+	b.WriteString("]\n")
+	return os.WriteFile(file, b.Bytes(), 0o644)
 }

@@ -27,7 +27,7 @@
 //	smoothlb [-listen :4320] -backends host1:4321,host2:4321
 //	         [-backend-metrics host1:6060,host2:6060]
 //	         [-shards N] [-max-sessions N] [-slots 10000]
-//	         [-pending 4096] [-place-workers 16] [-replace-limit 3]
+//	         [-pending 4096] [-place-workers 16]
 //	         [-admit-capacity 0] [-admit-eps 1e-6] [-frames 500] [-seed 1]
 //	         [-drain 10s] [-debug localhost:6061]
 package main
@@ -60,7 +60,6 @@ func main() {
 		slots        = flag.Int("slots", 10000, "per-backend session capacity that headroom is scored against")
 		pending      = flag.Int("pending", 4096, "pending-admit queue bound")
 		placeWorkers = flag.Int("place-workers", 16, "concurrent placement (dial+handshake) workers")
-		replaceLimit = flag.Int("replace-limit", 3, "re-placements per session before it fails")
 		admitCap     = flag.Float64("admit-capacity", 0, "fleet capacity in units/step for Chernoff admission (0 = no admission gate)")
 		admitEps     = flag.Float64("admit-eps", 1e-6, "per-step overflow probability bound for admission")
 		frames       = flag.Int("frames", 500, "synthetic clip length for admission demand samples (match the backends)")
@@ -111,7 +110,6 @@ func main() {
 		BackendSlots: *slots,
 		PendingLimit: *pending,
 		PlaceWorkers: *placeWorkers,
-		ReplaceLimit: *replaceLimit,
 		Gate:         gate,
 		Instrument:   diag.RegisterRuntimeMetrics,
 		OnSessionDone: func(s lb.SessionStats) {

@@ -23,7 +23,7 @@
 //     LB-local active count as the always-fresh floor), dials the best
 //     backend, forwards the Hello, and relays the Accept back to the
 //     client. Dial or handshake failure marks the backend unhealthy and
-//     re-places the session elsewhere, up to Config.ReplaceLimit times;
+//     re-places the session elsewhere, up to three times (replaceLimit);
 //     a backend entering drain (DrainBackend, or a scraped
 //     serve_draining=1) is skipped by scoring and sessions already
 //     picked for it are re-placed before the dial — graceful drain is a
@@ -99,9 +99,6 @@ type Config struct {
 	// PlaceWorkers bounds concurrent placement (dial+handshake) workers
 	// (default 16).
 	PlaceWorkers int
-	// ReplaceLimit bounds how many times one session is re-placed after
-	// dial/handshake failures or drains before it fails (default 3).
-	ReplaceLimit int
 	// DialTimeout bounds one backend TCP dial (default 5s).
 	DialTimeout time.Duration
 	// HandshakeTimeout bounds the Hello/Accept exchange on either side
@@ -194,9 +191,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.PlaceWorkers <= 0 {
 		cfg.PlaceWorkers = 16
-	}
-	if cfg.ReplaceLimit <= 0 {
-		cfg.ReplaceLimit = 3
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 5 * time.Second

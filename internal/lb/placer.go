@@ -61,8 +61,12 @@ func (e *Engine) placeLoop() {
 	}
 }
 
+// replaceLimit bounds how many times one session is re-placed after dial
+// or handshake failures, drains or an empty fleet before it fails.
+const replaceLimit = 3
+
 // place scores, dials and registers one session, re-placing it on
-// failure or drain up to Config.ReplaceLimit times.
+// failure or drain up to replaceLimit times.
 func (e *Engine) place(s *session) {
 	for {
 		if e.closing.Load() {
@@ -73,7 +77,7 @@ func (e *Engine) place(s *session) {
 		if b == nil {
 			// Every backend is unhealthy or draining; bounded wait for a
 			// probe to revive one.
-			if s.retries >= e.cfg.ReplaceLimit {
+			if s.retries >= replaceLimit {
 				e.failPlacement(s, errNoBackend, e.monotonic())
 				return
 			}
@@ -128,7 +132,7 @@ func (e *Engine) place(s *session) {
 		e.met.reg.GlobalInc(e.met.cReplaced)
 		e.recs[0].Record(e.monotonic(), obs.EvReplace, s.id, int64(b.idx))
 		s.retries++
-		if s.retries > e.cfg.ReplaceLimit {
+		if s.retries > replaceLimit {
 			e.failPlacement(s, err, e.monotonic())
 			return
 		}

@@ -1,28 +1,21 @@
 #!/bin/sh
-# Record the benchmark suite in the committed-baseline protocol and convert
-# it to benchjson format. Usage:
+# The benchmark protocol, written once: every benchmark in the module at a
+# fixed iteration count (-benchtime 5x), so B/op and allocs/op are
+# deterministic. Its text goes to cmd/benchdiff, which either records it or
+# checks it:
 #
-#   scripts/bench_baseline.sh [OUT.json]     (default: BENCH_quick.json)
+#   scripts/bench_baseline.sh                   record into BENCH_quick.json
+#   scripts/bench_baseline.sh -rule ... [...]   check against BENCH_quick.json
 #
-# The protocol is a fixed iteration count (-benchtime 5x) so bytes/op and
-# allocs/op are deterministic, plus a second pass over BenchmarkSweepWorkers
-# at -cpu 1,4 to record the sweep-parallelism profile on multi-core hosts.
-# scripts/verify.sh runs the identical protocol and diffs the result against
-# BENCH_quick.json with cmd/benchdiff; run this script (with no argument)
-# and commit the result after an intentional performance change.
+# Any arguments are benchdiff flags; none means -record. scripts/verify.sh
+# runs the check with the repo's pins; run the record form and commit the
+# result after an intentional change in allocation behaviour. The raw text
+# is left in bin/bench.txt.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_quick.json}"
-tmp="$(mktemp)"
-trap 'rm -f "$tmp"' EXIT
-
-go build -o bin/benchjson ./cmd/benchjson
-
-go test -run '^$' -bench . -benchmem -benchtime 5x ./... > "$tmp"
-go test -run '^$' -bench '^BenchmarkSweepWorkers$' -benchmem -benchtime 5x \
-    -cpu 1,4 . >> "$tmp"
-
-bin/benchjson -in "$tmp" -out "$out"
-echo "bench baseline written to $out"
+[ $# -gt 0 ] || set -- -record
+go build -o bin/benchdiff ./cmd/benchdiff
+go test -run '^$' -bench . -benchmem -benchtime 5x ./... > bin/bench.txt
+bin/benchdiff "$@" < bin/bench.txt

@@ -95,39 +95,33 @@ echo "== fleet relay smoke (1k sessions, mid-wave backend drain)"
 LB_SMOKE=1000 go test -count=1 -run '^TestFleetSmoke$' ./internal/lb
 
 echo "== bench + regression gate"
-# Run every benchmark at the same short protocol the committed baseline was
-# recorded with (-benchtime 5x; BenchmarkSweepWorkers additionally at
-# -cpu 1,4), then gate on BENCH_quick.json via cmd/benchdiff. Allocation
-# metrics are deterministic at a fixed iteration count and held tight —
-# the simulation core must stay allocation-free (see DESIGN.md "Memory
-# layout & amortization"); wall time is not gated here (five iterations on
-# a shared 2-vCPU host measure the host; smoothbench measures time).
-# Refresh the baseline with scripts/bench_baseline.sh after an intentional
-# change in allocation behaviour.
-go build -o bin/benchjson ./cmd/benchjson
-go build -o bin/benchdiff ./cmd/benchdiff
-./scripts/bench_baseline.sh bin/bench_current.json
-# Global thresholds are generous (sync.Pool hit rates vary with GC timing,
-# so pooled-arena benchmarks have some alloc jitter); the allocation-free
-# core paths get tight per-benchmark rules, and the parallel sweep variants
-# — whose pool misses depend on goroutine scheduling — get looser ones.
+# Run every benchmark in the protocol the committed ledger was recorded
+# with (scripts/bench_baseline.sh, -benchtime 5x) and check the text against
+# BENCH_quick.json with cmd/benchdiff: every ledger row must be present, and
+# B/op and allocs/op — deterministic at a fixed iteration count — may grow
+# only within benchdiff's global limits (2x + slack, generous because
+# sync.Pool hit rates vary with GC timing) or the tight rules below. The
+# simulation core must stay allocation-free (see DESIGN.md "Memory layout &
+# amortization"); wall time is not gated here (five iterations on a shared
+# 2-vCPU host measure the host; smoothbench measures time). Refresh the
+# ledger with scripts/bench_baseline.sh after an intentional change in
+# allocation behaviour.
+#
 # The cohort-served density benchmark is pinned at exactly zero steady-state
 # allocations: the whole point of the compute-once layer is that a shard
 # tick over 100k sessions touches no allocator at all — nor does the
 # coalesced catch-up walk (cohort/catchup, every row four steps behind),
-# which the same glob covers. The client engine's
-# per-step path (BenchmarkLoadgenStep) carries the same zero pin — the dual
-# invariant for the receiving side — as does the observability record path
+# which the same glob covers. The client engine's per-step path
+# (BenchmarkLoadgenStep) carries the same zero pin — the dual invariant for
+# the receiving side — as do the front tier's splice relay
+# (BenchmarkLBRelayStep) and the observability record path
 # (BenchmarkObsRecord): a metric increment, histogram observation or
 # flight-recorder append must never touch the allocator. The end-to-end
-# loopback waves
-# get wide bounds: one op there is a full wave of real dials and sessions,
-# so the dial-path allocation count wobbles with the host.
-bin/benchdiff -baseline BENCH_quick.json -current bin/bench_current.json \
-    -bytes 1.0 -bytes-slack 16384 -allocs 1.0 -allocs-slack 64 \
+# loopback waves get wide bounds: one op there is a full wave of real dials
+# and sessions, so the dial-path allocation count wobbles with the host.
+./scripts/bench_baseline.sh \
     -rule 'BenchmarkServerStep:allocs=0.0+4,bytes=0.0+4096' \
     -rule 'BenchmarkSimulate/*:allocs=0.0+4,bytes=0.0+4096' \
-    -rule 'BenchmarkSweepWorkers/*/par:allocs=4.0+256,bytes=4.0+65536' \
     -rule 'BenchmarkEngineStepDensity/cohort/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkLoadgenStep/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkObsRecord/*:allocs=0.0+0,bytes=0.0+0' \
