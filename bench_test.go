@@ -123,7 +123,7 @@ func BenchmarkServerStep(b *testing.B) {
 	// Warm up one full drain so every backing array reaches its working
 	// size before measurement starts.
 	for t := 0; t <= horizon || !sv.Empty(); t++ {
-		sv.Step(t, st.ArrivalsAt(t))
+		sv.Step(t, st.RunsAt(t))
 	}
 	reset()
 	b.ReportAllocs()
@@ -138,7 +138,7 @@ func BenchmarkServerStep(b *testing.B) {
 			t = 0
 			b.StartTimer()
 		}
-		sv.Step(t, st.ArrivalsAt(t))
+		sv.Step(t, st.RunsAt(t))
 		t++
 	}
 }

@@ -172,19 +172,15 @@ func Run(st *stream.Stream, buffer int, cfg Config, policy drop.Factory) (*Resul
 
 	res := &Result{}
 	var reserved, sent int64
-	weights := make(map[int]float64, 64)
-	for _, sl := range st.Slices() {
-		weights[sl.ID] = sl.Weight
-	}
 	var benefit float64
 	for t := 0; t <= st.Horizon() || !server.Empty(); t++ {
-		arrived := 0
-		for _, sl := range st.ArrivalsAt(t) {
-			arrived += sl.Size
-		}
-		stepRes := server.Step(t, st.ArrivalsAt(t))
-		for _, id := range stepRes.Finished {
-			benefit += weights[id]
+		arrived := st.BytesAt(t)
+		stepRes := server.Step(t, st.RunsAt(t))
+		for _, b := range stepRes.Sent {
+			first, end := b.Finished()
+			for id := first; id < end; id++ {
+				benefit += st.Slice(id).Weight
+			}
 		}
 		reserved += int64(server.Rate())
 		sent += int64(stepRes.SentBytes)

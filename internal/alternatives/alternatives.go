@@ -19,7 +19,9 @@
 package alternatives
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/drop"
@@ -44,21 +46,21 @@ func Truncation(st *stream.Stream, R int) (*TruncationResult, error) {
 		return nil, fmt.Errorf("alternatives: non-positive rate %d", R)
 	}
 	res := &TruncationResult{}
+	var order []stream.Run
 	for t := 0; t <= st.Horizon(); t++ {
-		frame := st.ArrivalsAt(t)
-		if len(frame) == 0 {
-			continue
-		}
 		// Highest byte value first; ties to smaller ID for determinism.
-		order := make([]stream.Slice, len(frame))
-		copy(order, frame)
-		sortByByteValueDesc(order)
+		// Runs are disjoint ID ranges of one byte value each, so ordering
+		// them orders their slices.
+		order = append(order[:0], st.RunsAt(t)...)
+		slices.SortStableFunc(order, func(a, b stream.Run) int { return cmp.Compare(b.ByteValue(), a.ByteValue()) })
 		budget := R
-		for _, sl := range order {
-			if sl.Size <= budget {
-				budget -= sl.Size
-				res.PlayedBytes += sl.Size
-				res.Benefit += sl.Weight
+		for _, r := range order {
+			for range r.Count {
+				if r.Size <= budget {
+					budget -= r.Size
+					res.PlayedBytes += r.Size
+					res.Benefit += r.Weight
+				}
 			}
 		}
 	}
@@ -69,20 +71,6 @@ func Truncation(st *stream.Stream, R int) (*TruncationResult, error) {
 		res.WeightedLoss = (tw - res.Benefit) / tw
 	}
 	return res, nil
-}
-
-func sortByByteValueDesc(slices []stream.Slice) {
-	// Insertion sort: frames are small; avoids pulling in sort for a
-	// custom multi-key comparison... but sort is clearer:
-	for i := 1; i < len(slices); i++ {
-		for j := i; j > 0; j-- {
-			a, b := slices[j-1], slices[j]
-			if a.ByteValue() > b.ByteValue() || (a.ByteValue() == b.ByteValue() && a.ID < b.ID) {
-				break
-			}
-			slices[j-1], slices[j] = b, a
-		}
-	}
 }
 
 // PeakRate returns the rate a peak-allocation reservation needs: the
@@ -126,9 +114,7 @@ func Renegotiate(st *stream.Stream, window int) (*RenegotiatedPlan, error) {
 	for start := 0; start <= st.Horizon(); start += window {
 		arr := 0
 		for t := start; t < start+window; t++ {
-			for _, sl := range st.ArrivalsAt(t) {
-				arr += sl.Size
-			}
+			arr += st.BytesAt(t)
 		}
 		need := backlog + arr
 		rate := (need + window - 1) / window

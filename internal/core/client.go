@@ -25,15 +25,13 @@ type Client struct {
 	linkDelay int
 	st        *stream.Stream
 
-	// held[id] is the number of bytes of slice id currently buffered;
-	// 0 means not held (the link never delivers empty batches). ignored[id]
-	// marks slices whose fate is sealed (played or given up on), so stray
-	// late bytes are discarded. Slice IDs are dense per stream, so flat
-	// arrays sized st.Len() replace the maps the client originally used.
-	held    []int32
-	ignored []bool
-	// [heldLo, heldHi) bounds the IDs that may have held bytes; it only
-	// widens within a run and is used by the (rare) overflow scan.
+	// held[id] is the number of bytes of slice id currently buffered, or
+	// -1 once its fate is sealed (played or given up on), so stray late
+	// bytes are discarded. Slice IDs are dense per stream, so a flat array
+	// sized st.Len() replaces the maps the client originally used.
+	held []int32
+	// [heldLo, heldHi) bounds the IDs that may have held bytes; it is used
+	// by the (rare) overflow scan.
 	heldLo, heldHi int
 	occ            int
 
@@ -76,32 +74,16 @@ func NewClient(buffer, delay, linkDelay int, st *stream.Stream) *Client {
 //
 //smoothvet:noalloc
 func (cl *Client) Reset(buffer, delay, linkDelay int, st *stream.Stream) {
-	cl.buffer = buffer
-	cl.delay = delay
-	cl.linkDelay = linkDelay
-	cl.st = st
+	cl.buffer, cl.delay, cl.linkDelay, cl.st = buffer, delay, linkDelay, st
 	n := st.Len()
 	if cap(cl.held) < n {
 		cl.held = make([]int32, n)
 	} else {
-		// Clear the full capacity, not just [:n]: a previous, larger run
-		// may have left non-zero entries beyond this stream's length.
-		cl.held = cl.held[:cap(cl.held)]
-		clear(cl.held)
 		cl.held = cl.held[:n]
+		clear(cl.held)
 	}
-	if cap(cl.ignored) < n {
-		cl.ignored = make([]bool, n)
-	} else {
-		cl.ignored = cl.ignored[:cap(cl.ignored)]
-		clear(cl.ignored)
-		cl.ignored = cl.ignored[:n]
-	}
-	cl.heldLo = n
-	cl.heldHi = 0
-	cl.occ = 0
-	cl.played = cl.played[:0]
-	cl.dropped = cl.dropped[:0]
+	cl.heldLo, cl.heldHi, cl.occ = n, 0, 0
+	cl.played, cl.dropped = cl.played[:0], cl.dropped[:0]
 }
 
 // Occupancy returns the bytes currently buffered.
@@ -113,43 +95,38 @@ func (cl *Client) Occupancy() int { return cl.occ }
 //smoothvet:aliased
 //smoothvet:noalloc
 func (cl *Client) Step(t int, delivered []Batch) ClientStepResult {
-	cl.played = cl.played[:0]
-	cl.dropped = cl.dropped[:0]
-	var res ClientStepResult
+	cl.played, cl.dropped = cl.played[:0], cl.dropped[:0]
 
 	for _, b := range delivered {
-		if cl.ignored[b.SliceID] {
-			continue
-		}
-		if cl.held[b.SliceID] == 0 {
-			if b.SliceID < cl.heldLo {
-				cl.heldLo = b.SliceID
+		_, end := b.Started()
+		cl.heldLo = min(cl.heldLo, b.SliceID)
+		cl.heldHi = max(cl.heldHi, end)
+		id, off := b.SliceID, b.Offset
+		for left := b.Bytes; left > 0; id, off = id+1, 0 {
+			n := min(left, b.Size-off)
+			left -= n
+			if cl.held[id] >= 0 {
+				cl.held[id] += int32(n)
+				cl.occ += n
 			}
-			if b.SliceID+1 > cl.heldHi {
-				cl.heldHi = b.SliceID + 1
-			}
 		}
-		cl.held[b.SliceID] += int32(b.Bytes)
-		cl.occ += b.Bytes
 	}
 
 	// Play frame t-P-D: whole slices only; incomplete ones missed their
 	// deadline and are discarded.
-	for _, sl := range cl.st.ArrivalsAt(t - cl.linkDelay - cl.delay) {
-		if cl.ignored[sl.ID] {
-			continue
+	for _, r := range cl.st.RunsAt(t - cl.linkDelay - cl.delay) {
+		for id := r.First; id < r.End(); id++ {
+			switch held := int(cl.held[id]); {
+			case held < 0:
+				continue
+			case held == r.Size:
+				cl.played = append(cl.played, id)
+			default:
+				cl.dropped = append(cl.dropped, id)
+			}
+			cl.occ -= int(cl.held[id])
+			cl.held[id] = -1
 		}
-		if int(cl.held[sl.ID]) == sl.Size {
-			cl.played = append(cl.played, sl.ID)
-			cl.occ -= sl.Size
-			cl.held[sl.ID] = 0
-			cl.ignored[sl.ID] = true
-			continue
-		}
-		cl.dropped = append(cl.dropped, sl.ID)
-		cl.occ -= int(cl.held[sl.ID])
-		cl.held[sl.ID] = 0
-		cl.ignored[sl.ID] = true
 	}
 
 	// Overflow: discard buffered slices, latest deadline first, until the
@@ -161,32 +138,23 @@ func (cl *Client) Step(t int, delivered []Batch) ClientStepResult {
 		}
 		cl.dropped = append(cl.dropped, victim)
 		cl.occ -= int(cl.held[victim])
-		cl.held[victim] = 0
-		cl.ignored[victim] = true
+		cl.held[victim] = -1
 	}
 
-	res.Played = cl.played
-	res.Dropped = cl.dropped
-	res.Occupancy = cl.occ
-	return res
+	return ClientStepResult{Played: cl.played, Dropped: cl.dropped, Occupancy: cl.occ}
 }
 
 // latestDeadlineHeld returns the buffered slice with the largest play time
-// (ties to the largest ID), or -1 if nothing is buffered. Linear scan over
-// the held ID range: overflow is rare and the ascending scan with >= makes
-// the tie-break fall out for free.
+// (ties to the largest ID), or -1 if nothing is buffered. Stream IDs follow
+// arrival order, so that is the highest held ID: a downward scan that
+// narrows the held range as it passes empty IDs.
 //
 //smoothvet:noalloc
 func (cl *Client) latestDeadlineHeld() int {
-	best := -1
-	bestArrival := -1
-	for id := cl.heldLo; id < cl.heldHi; id++ {
-		if cl.held[id] == 0 {
-			continue
-		}
-		if a := cl.st.Slice(id).Arrival; a >= bestArrival {
-			best, bestArrival = id, a
+	for ; cl.heldHi > cl.heldLo; cl.heldHi-- {
+		if cl.held[cl.heldHi-1] > 0 {
+			return cl.heldHi - 1
 		}
 	}
-	return best
+	return -1
 }

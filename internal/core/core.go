@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/drop"
 	"repro/internal/sched"
@@ -116,11 +117,27 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Batch is a run of consecutive bytes of one slice entering (or leaving)
-// the link within a single step.
+// Batch is a run of consecutive bytes entering (or leaving) the link within
+// a single step: Bytes bytes of consecutive slices of one run, all of size
+// Size, starting Offset bytes into slice SliceID (the bytes of SliceID
+// before Offset left in earlier steps).
 type Batch struct {
 	SliceID int
 	Bytes   int
+	Offset  int
+	Size    int
+}
+
+// Started returns the IDs [first, end) whose first byte the batch carries:
+// the slices that commence transmission with it.
+// A batch that starts mid-slice (Offset > 0) continues SliceID instead.
+func (b Batch) Started() (first, end int) {
+	return b.SliceID + min(b.Offset, 1), b.SliceID + (b.Offset+b.Bytes+b.Size-1)/b.Size
+}
+
+// Finished returns the IDs [first, end) whose last byte the batch carries.
+func (b Batch) Finished() (first, end int) {
+	return b.SliceID, b.SliceID + (b.Offset+b.Bytes)/b.Size
 }
 
 // NewComponents resolves the configuration and returns a fresh schedule
@@ -134,31 +151,30 @@ func NewComponents(st *stream.Stream, cfg Config) (*sched.Schedule, *Server, *Cl
 		return nil, nil, nil, err
 	}
 	policy := cfg.Policy()
-	out := &sched.Schedule{
-		Stream: st,
-		Params: sched.Params{
-			ServerBuffer: cfg.ServerBuffer,
-			ClientBuffer: cfg.ClientBuffer,
-			Rate:         cfg.Rate,
-			Delay:        cfg.Delay,
-			LinkDelay:    cfg.LinkDelay,
-		},
-		Outcomes:  make([]sched.Outcome, st.Len()),
-		Algorithm: "generic/" + policy.Name(),
-	}
-	for i := range out.Outcomes {
-		out.Outcomes[i] = sched.Outcome{
-			SendStart: sched.None, SendEnd: sched.None,
-			DropTime: sched.None, PlayTime: sched.None,
-		}
-	}
-	server := NewServer(cfg.ServerBuffer, cfg.Rate, policy, ServerOptions{
-		DropLate:  cfg.ServerDropsLate,
-		Deadline:  cfg.Delay,
-		LinkDelay: cfg.LinkDelay,
-	})
+	out := &sched.Schedule{}
+	cfg.resetSchedule(out, st, "generic/"+policy.Name())
+	server := NewServer(cfg.ServerBuffer, cfg.Rate, policy, cfg.serverOptions())
 	client := NewClient(cfg.ClientBuffer, cfg.Delay, cfg.LinkDelay, st)
 	return out, server, client, nil
+}
+
+// resetSchedule readies out for a run of st under the resolved config: all
+// outcomes unresolved, Params filled, the per-step traces emptied, every
+// backing array reused.
+func (c Config) resetSchedule(out *sched.Schedule, st *stream.Stream, algorithm string) {
+	out.Stream, out.Algorithm = st, algorithm
+	out.Params = sched.Params{ServerBuffer: c.ServerBuffer, ClientBuffer: c.ClientBuffer,
+		Rate: c.Rate, Delay: c.Delay, LinkDelay: c.LinkDelay}
+	out.Outcomes = slices.Grow(out.Outcomes[:0], st.Len())[:st.Len()]
+	for i := range out.Outcomes {
+		out.Outcomes[i] = sched.Outcome{SendStart: sched.None, SendEnd: sched.None, DropTime: sched.None, PlayTime: sched.None}
+	}
+	out.SentPerStep, out.ServerOcc, out.ClientOcc = out.SentPerStep[:0], out.ServerOcc[:0], out.ClientOcc[:0]
+}
+
+// serverOptions returns the server behaviour the resolved config asks for.
+func (c Config) serverOptions() ServerOptions {
+	return ServerOptions{DropLate: c.ServerDropsLate, Deadline: c.Delay}
 }
 
 // Simulate runs the generic algorithm for the whole stream and returns the

@@ -422,7 +422,7 @@ func TestServerAccessorsAndCompaction(t *testing.T) {
 	}
 	sent := 0
 	for t2 := 0; t2 <= st.Horizon() || !sv.Empty(); t2++ {
-		res := sv.Step(t2, st.ArrivalsAt(t2))
+		res := sv.Step(t2, st.RunsAt(t2))
 		sent += res.SentBytes
 		if sv.Occupancy() != res.Occupancy {
 			t.Fatalf("Occupancy() %d != step result %d", sv.Occupancy(), res.Occupancy)
@@ -436,7 +436,7 @@ func TestServerAccessorsAndCompaction(t *testing.T) {
 func TestClientOccupancyAccessor(t *testing.T) {
 	st := stream.NewBuilder().Add(0, 3, 3).MustBuild()
 	cl := NewClient(3, 1, 0, st)
-	cl.Step(0, []Batch{{SliceID: 0, Bytes: 3}})
+	cl.Step(0, []Batch{{SliceID: 0, Bytes: 3, Size: 3}})
 	if cl.Occupancy() != 3 {
 		t.Errorf("Occupancy = %d, want 3", cl.Occupancy())
 	}

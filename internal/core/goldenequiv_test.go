@@ -651,7 +651,28 @@ func goldenPolicies() []goldenPolicy {
 		{"random-42", drop.Random(42), func() refPolicy { return newRefRandom(42) }},
 		{"anticipate", drop.Anticipate(0.7, 2.0), func() refPolicy { return newRefAnticipate(0.7, 2.0) }},
 		{"randommix-7", drop.RandomMix(7, 0.5), func() refPolicy { return newRefRandomMix(7, 0.5) }},
+		// Victims that punch holes anywhere in a run: mostly-random mixes,
+		// another random seed, and anticipation with no value floor.
+		{"random-7", drop.Random(7), func() refPolicy { return newRefRandom(7) }},
+		{"randommix-11", drop.RandomMix(11, 0.9), func() refPolicy { return newRefRandomMix(11, 0.9) }},
+		{"anticipate-nofloor", drop.Anticipate(0.5, 0), func() refPolicy { return newRefAnticipate(0.5, 0) }},
 	}
+}
+
+// mixedRunStream builds frames of up to four runs each, with run lengths
+// 1..6, slice sizes 1..4 and a few weights per size, so adjacent runs
+// sometimes coalesce and victims, late drops and partial sends cut runs of
+// every shape.
+func mixedRunStream(seed int64, steps int) *stream.Stream {
+	rng := rand.New(rand.NewSource(seed))
+	b := stream.NewBuilder()
+	for t := 0; t < steps; t++ {
+		for j := rng.Intn(4); j >= 0; j-- {
+			size := 1 + rng.Intn(4)
+			b.AddRun(t, 1+rng.Intn(6), size, float64(size*(1+rng.Intn(3))))
+		}
+	}
+	return b.MustBuild()
 }
 
 // TestGoldenEquivalence runs every policy over unit-slice and variable-size
@@ -705,6 +726,27 @@ func TestGoldenEquivalence(t *testing.T) {
 				{ServerBuffer: 2 * maxFrame, Rate: int(0.7 * avg)}, // lossy
 				{ServerBuffer: maxFrame / 2, Rate: int(avg)},       // oversize slices dropped on arrival
 				{ServerBuffer: 2 * maxFrame, Rate: int(0.8 * avg), LinkDelay: 1},
+			},
+		},
+		{
+			name: "mixed",
+			st:   mixedRunStream(5, 120),
+			configs: []core.Config{
+				{ServerBuffer: 96, Rate: 22},                                  // mild loss
+				{ServerBuffer: 48, Rate: 18},                                  // lossy
+				{ServerBuffer: 24, Rate: 12},                                  // heavy loss
+				{ServerBuffer: 3, Rate: 3},                                    // size-4 slices dropped on arrival
+				{ServerBuffer: 60, Rate: 18, Delay: 2, ServerDropsLate: true}, // late drops cut runs
+				{ServerBuffer: 60, Rate: 16, Delay: 1, ServerDropsLate: true, LinkDelay: 1},
+				{ServerBuffer: 48, Rate: 20, ClientBuffer: 16}, // client overflow path
+			},
+		},
+		{
+			name: "mixed-late",
+			st:   mixedRunStream(9, 80),
+			configs: []core.Config{
+				{ServerBuffer: 40, Rate: 14, Delay: 1, ServerDropsLate: true},
+				{ServerBuffer: 80, Rate: 20, Delay: 2, ServerDropsLate: true, LinkDelay: 2},
 			},
 		},
 	}

@@ -84,69 +84,50 @@ func (r *Runner) run(st *stream.Stream, cfg Config) (*sched.Schedule, error) {
 	}
 
 	out := &r.out
-	out.Stream = st
-	out.Params = sched.Params{
-		ServerBuffer: cfg.ServerBuffer,
-		ClientBuffer: cfg.ClientBuffer,
-		Rate:         cfg.Rate,
-		Delay:        cfg.Delay,
-		LinkDelay:    cfg.LinkDelay,
-	}
-	out.Algorithm = r.algo
-	n := st.Len()
-	if cap(out.Outcomes) < n {
-		out.Outcomes = make([]sched.Outcome, n)
-	}
-	out.Outcomes = out.Outcomes[:n]
-	for i := range out.Outcomes {
-		out.Outcomes[i] = sched.Outcome{
-			SendStart: sched.None, SendEnd: sched.None,
-			DropTime: sched.None, PlayTime: sched.None,
-		}
-	}
-	out.SentPerStep = out.SentPerStep[:0]
-	out.ServerOcc = out.ServerOcc[:0]
-	out.ClientOcc = out.ClientOcc[:0]
-
-	r.server.Reset(cfg.ServerBuffer, cfg.Rate, policy, ServerOptions{
-		DropLate:  cfg.ServerDropsLate,
-		Deadline:  cfg.Delay,
-		LinkDelay: cfg.LinkDelay,
-	})
+	cfg.resetSchedule(out, st, r.algo)
+	r.server.Reset(cfg.ServerBuffer, cfg.Rate, policy, cfg.serverOptions())
 	r.client.Reset(cfg.ClientBuffer, cfg.Delay, cfg.LinkDelay, st)
 	r.link.reset(cfg.LinkDelay)
 	clear(r.pendingLate)
 
-	resolved := 0
+	resolved, n := 0, st.Len()
 	for t := 0; t <= st.Horizon() || resolved < n || !r.server.Empty() || !r.link.empty(); t++ {
-		res := r.server.Step(t, st.ArrivalsAt(t))
+		res := r.server.Step(t, st.RunsAt(t))
 		for _, d := range res.Dropped {
-			// A slice the client had already declared late may now be
-			// physically discarded by the server (proactive late drop);
-			// the server is the drop site — that is where the bytes died.
-			delete(r.pendingLate, d.ID)
-			if out.Outcomes[d.ID].DropTime == sched.None {
-				out.Outcomes[d.ID].DropTime = t
-				out.Outcomes[d.ID].DropSite = sched.SiteServer
-				resolved++
+			for id := d.First; id < d.End(); id++ {
+				// A slice the client had already declared late may now be
+				// physically discarded by the server (proactive late
+				// drop); the server is the drop site — that is where the
+				// bytes died.
+				delete(r.pendingLate, id)
+				if out.Outcomes[id].DropTime == sched.None {
+					out.Outcomes[id].DropTime = t
+					out.Outcomes[id].DropSite = sched.SiteServer
+					resolved++
+				}
 			}
 		}
 		for _, b := range res.Sent {
-			o := &out.Outcomes[b.SliceID]
-			if o.SendStart == sched.None {
-				o.SendStart = t
+			first, end := b.Started()
+			for id := first; id < end; id++ {
+				out.Outcomes[id].SendStart = t
 			}
-		}
-		for _, id := range res.Finished {
-			out.Outcomes[id].SendEnd = t
-			if lateAt, ok := r.pendingLate[id]; ok {
-				// The slice's bytes have fully left the server; the client
-				// discarded (or will discard) them on arrival. It counts
-				// as lost at the client from its play time on.
-				delete(r.pendingLate, id)
-				out.Outcomes[id].DropTime = lateAt
-				out.Outcomes[id].DropSite = sched.SiteClient
-				resolved++
+			first, end = b.Finished()
+			for id := first; id < end; id++ {
+				out.Outcomes[id].SendEnd = t
+				if len(r.pendingLate) == 0 {
+					continue
+				}
+				if lateAt, ok := r.pendingLate[id]; ok {
+					// The slice's bytes have fully left the server; the
+					// client discarded (or will discard) them on arrival.
+					// It counts as lost at the client from its play time
+					// on.
+					delete(r.pendingLate, id)
+					out.Outcomes[id].DropTime = lateAt
+					out.Outcomes[id].DropSite = sched.SiteClient
+					resolved++
+				}
 			}
 		}
 		r.link.push(res.Sent)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/drop"
 	"repro/internal/stream"
 )
@@ -13,9 +15,6 @@ type ServerOptions struct {
 	DropLate bool
 	// Deadline is D, used only when DropLate is set.
 	Deadline int
-	// LinkDelay is P; retained for documentation/symmetry (the deadline
-	// test at the server is on send time, which is independent of P).
-	LinkDelay int
 }
 
 // Server is the sending side of the generic algorithm: a FIFO buffer of
@@ -23,52 +22,44 @@ type ServerOptions struct {
 // chosen by a drop.Policy on overflow, never preempting a slice whose
 // transmission has begun. It is driven step-by-step, so it can be used both
 // by the offline Simulate driver and by online/real-time transports.
+//
+// The buffer holds runs of slices (stream.Run), not slices: a step costs
+// O(runs touched), however many single-byte slices a frame has.
 type Server struct {
 	buffer int
 	rate   int
 	policy drop.Policy
 	opts   ServerOptions
 
-	queue []serverEntry
-	head  int
-	// pos maps slice ID -> queue index + 1 (0 = absent). Slice IDs are
-	// dense per stream, so a flat array replaces the map the server
-	// originally used — no hashing, and Reset clears it with one memclr.
-	pos []int32
-	occ int // bytes currently stored
+	// queue[head:] is the FIFO of stored slices, in ID order. Victims may
+	// punch holes into a run, which then splits in two. The first slice of
+	// queue[head] has had sentHead bytes sent already; once positive, that
+	// slice is in transmission and no longer droppable.
+	queue    []stream.Run
+	head     int
+	sentHead int
+	occ      int // bytes currently stored
 
-	// Reusable ServerStepResult backing arrays (see Step): the hot loops
-	// in Simulate and the sweep experiments call Step millions of times,
-	// and reusing these keeps the per-step allocation count at zero once
-	// the arrays have grown to their working size.
-	sent     []Batch
-	finished []int
-	dropped  []stream.Slice
-}
-
-type serverEntry struct {
-	s         stream.Slice
-	remaining int
-	started   bool
-	dropped   bool
+	// Reusable ServerStepResult backing arrays (see Step), which keep
+	// Step allocation-free once they have grown to their working size.
+	sent    []Batch
+	dropped []stream.Run
 }
 
 // ServerStepResult reports what the server did in one step.
 //
-// The Sent, Finished and Dropped slices alias buffers owned by the Server
-// and are overwritten by the next Step call; callers that retain them
-// across steps must copy.
+// The Sent and Dropped slices alias buffers owned by the Server and are
+// overwritten by the next Step call; callers that retain them across steps
+// must copy.
 type ServerStepResult struct {
 	// Sent lists byte batches submitted to the link this step, in FIFO
-	// order. Batches of distinct slices never interleave.
+	// order; each covers consecutive slices of one run (see Batch).
 	Sent []Batch
 	// SentBytes is the total size of Sent.
 	SentBytes int
-	// Finished lists slice IDs whose last byte was sent this step.
-	Finished []int
-	// Dropped lists slices discarded this step (overflow, oversize, or
-	// proactive late drop).
-	Dropped []stream.Slice
+	// Dropped lists runs of slices discarded this step (overflow,
+	// oversize, or proactive late drop).
+	Dropped []stream.Run
 	// Occupancy is |Bs(t)|, the buffer occupancy at the end of the step.
 	Occupancy int
 }
@@ -88,18 +79,9 @@ func NewServer(buffer, rate int, policy drop.Policy, opts ServerOptions) *Server
 //
 //smoothvet:noalloc
 func (sv *Server) Reset(buffer, rate int, policy drop.Policy, opts ServerOptions) {
-	sv.buffer = buffer
-	sv.rate = rate
-	sv.policy = policy
-	sv.opts = opts
-	sv.queue = sv.queue[:0]
-	sv.head = 0
-	sv.occ = 0
-	sv.pos = sv.pos[:cap(sv.pos)]
-	clear(sv.pos)
-	sv.sent = sv.sent[:0]
-	sv.finished = sv.finished[:0]
-	sv.dropped = sv.dropped[:0]
+	sv.buffer, sv.rate, sv.policy, sv.opts = buffer, rate, policy, opts
+	sv.queue, sv.head, sv.sentHead, sv.occ = sv.queue[:0], 0, 0, 0
+	sv.sent, sv.dropped = sv.sent[:0], sv.dropped[:0]
 }
 
 // Occupancy returns the bytes currently stored.
@@ -117,39 +99,36 @@ func (sv *Server) SetRate(rate int) {
 	}
 }
 
-// posAt returns the queue index of the slice, or -1 if it is not stored.
+// find returns the index of the stored run holding id, or -1.
 //
 //smoothvet:noalloc
-func (sv *Server) posAt(id int) int {
-	if id < 0 || id >= len(sv.pos) {
+func (sv *Server) find(id int) int {
+	k := sv.head + stream.SearchRuns(sv.queue[sv.head:], id)
+	if k == len(sv.queue) || sv.queue[k].First > id {
 		return -1
 	}
-	return int(sv.pos[id]) - 1
+	return k
 }
 
 // Contains reports whether the slice still has unsent bytes stored in the
 // server buffer.
-func (sv *Server) Contains(id int) bool {
-	i := sv.posAt(id)
-	return i >= 0 && !sv.queue[i].dropped && sv.queue[i].remaining > 0
-}
+func (sv *Server) Contains(id int) bool { return sv.find(id) >= 0 }
 
 // Empty reports whether the buffer holds no bytes.
 func (sv *Server) Empty() bool { return sv.occ == 0 }
 
-// Step executes one time step t: accept arrivals, transmit up to R bytes in
-// FIFO order, then discard slices per the policy until occupancy is within
-// the buffer (Eqs. 2–3 of the paper, with whole-slice drops).
+// Step executes one time step t: accept the arriving runs, transmit up to
+// R bytes in FIFO order, then discard slices per the policy until occupancy
+// is within the buffer (Eqs. 2–3 of the paper, with whole-slice drops).
+// Arrivals must continue the ID order: each run starts at or above the end
+// of every run offered before.
 //
 //smoothvet:aliased
 //smoothvet:noalloc
-func (sv *Server) Step(t int, arrivals []stream.Slice) ServerStepResult {
+func (sv *Server) Step(t int, arrivals []stream.Run) ServerStepResult {
 	// Reuse the result backing arrays from the previous step (see the
 	// ServerStepResult aliasing contract).
-	sv.sent = sv.sent[:0]
-	sv.finished = sv.finished[:0]
-	sv.dropped = sv.dropped[:0]
-	var res ServerStepResult
+	sv.sent, sv.dropped = sv.sent[:0], sv.dropped[:0]
 
 	if sv.opts.DropLate {
 		sv.dropLate(t)
@@ -157,18 +136,16 @@ func (sv *Server) Step(t int, arrivals []stream.Slice) ServerStepResult {
 
 	// Arrivals join the buffer; a slice larger than the whole buffer can
 	// never be stored and is discarded on the spot.
-	for _, sl := range arrivals {
-		if sl.Size > sv.buffer {
-			sv.dropped = append(sv.dropped, sl)
-			continue
+	for _, r := range arrivals {
+		switch {
+		case r.Count <= 0:
+		case r.Size > sv.buffer:
+			sv.dropped = append(sv.dropped, r)
+		default:
+			sv.queue = append(sv.queue, r)
+			sv.occ += r.Bytes()
+			sv.policy.Add(r)
 		}
-		for len(sv.pos) <= sl.ID {
-			sv.pos = append(sv.pos, 0)
-		}
-		sv.pos[sl.ID] = int32(len(sv.queue)) + 1
-		sv.queue = append(sv.queue, serverEntry{s: sl, remaining: sl.Size})
-		sv.occ += sl.Size
-		sv.policy.Add(sl)
 	}
 
 	// Proactive policies may shed slices before transmission admits a new
@@ -180,36 +157,28 @@ func (sv *Server) Step(t int, arrivals []stream.Slice) ServerStepResult {
 			if !more {
 				break
 			}
-			sv.removeByID(victim.ID)
-			sv.dropped = append(sv.dropped, victim)
+			sv.discard(victim)
 		}
 	}
 
 	// Transmit: |S(t)| = min(R, |Bs(t-1)| + |A(t)|), FIFO, no preemption.
 	budget := sv.rate
 	for budget > 0 && sv.head < len(sv.queue) {
-		e := &sv.queue[sv.head]
-		if e.dropped {
-			sv.advanceHead()
-			continue
+		r := &sv.queue[sv.head]
+		b := Batch{SliceID: r.First, Offset: sv.sentHead, Bytes: min(budget, r.Bytes()-sv.sentHead), Size: r.Size}
+		// The slices whose first byte leaves now commence transmission:
+		// they are no longer droppable.
+		if first, end := b.Started(); first < end {
+			sv.policy.Remove(first, end)
 		}
-		if !e.started {
-			e.started = true
-			// The slice has commenced transmission: it is no longer
-			// droppable.
-			sv.policy.Remove(e.s.ID)
-		}
-		n := e.remaining
-		if n > budget {
-			n = budget
-		}
-		e.remaining -= n
-		budget -= n
-		sv.occ -= n
-		sv.sent = append(sv.sent, Batch{SliceID: e.s.ID, Bytes: n})
-		res.SentBytes += n
-		if e.remaining == 0 {
-			sv.finished = append(sv.finished, e.s.ID)
+		sv.sent = append(sv.sent, b)
+		budget -= b.Bytes
+		sv.occ -= b.Bytes
+		_, done := b.Finished()
+		r.Count -= done - r.First
+		r.First = done
+		sv.sentHead = (b.Offset + b.Bytes) % r.Size
+		if r.Count == 0 {
 			sv.advanceHead()
 		}
 	}
@@ -219,74 +188,68 @@ func (sv *Server) Step(t int, arrivals []stream.Slice) ServerStepResult {
 	// Lmax-1 <= B-1 bytes, so the loop always terminates within capacity
 	// as long as every stored slice fits the buffer (guaranteed above).
 	for sv.occ > sv.buffer {
-		victim, ok := sv.policy.Victim()
+		victim, ok := sv.policy.Victim(sv.occ - sv.buffer)
 		if !ok {
 			break // only the in-transmission residue remains
 		}
-		sv.removeByID(victim.ID)
-		sv.dropped = append(sv.dropped, victim)
+		sv.discard(victim)
 	}
 
-	res.Sent = sv.sent
-	res.Finished = sv.finished
-	res.Dropped = sv.dropped
-	res.Occupancy = sv.occ
-	return res
+	return ServerStepResult{Sent: sv.sent, SentBytes: sv.rate - budget, Dropped: sv.dropped, Occupancy: sv.occ}
 }
 
 // dropLate proactively discards queued, not-yet-started slices whose
-// deadline (arrival + D) has already passed.
+// deadline (arrival + D) has already passed. Stream IDs follow arrival
+// order, so the late slices are a prefix of the queue.
 //
 //smoothvet:noalloc
 func (sv *Server) dropLate(t int) {
-	for i := sv.head; i < len(sv.queue); i++ {
-		e := &sv.queue[i]
-		if e.dropped || e.started {
-			continue
+	for i := sv.head; i < len(sv.queue) && sv.queue[i].Arrival+sv.opts.Deadline < t; {
+		late := sv.queue[i]
+		if i == sv.head && sv.sentHead > 0 {
+			// The slice in transmission stays; the rest of its run goes.
+			late.First++
+			late.Count--
+			i++
 		}
-		if e.s.Arrival+sv.opts.Deadline < t {
-			sv.policy.Remove(e.s.ID)
-			sv.removeByID(e.s.ID)
-			sv.dropped = append(sv.dropped, e.s)
+		if late.Count > 0 {
+			sv.policy.Remove(late.First, late.End())
+			sv.discard(late)
 		}
 	}
 }
 
-// removeByID marks the slice dropped and releases its bytes.
+// discard releases the stored, unsent slices of r, which lie in one stored
+// run, splitting that run if r is inside it, and reports them dropped.
 //
 //smoothvet:noalloc
-func (sv *Server) removeByID(id int) {
-	i := sv.posAt(id)
-	if i < 0 {
-		return
+func (sv *Server) discard(r stream.Run) {
+	sv.dropped = append(sv.dropped, r)
+	sv.occ -= r.Bytes()
+	k := sv.find(r.First)
+	q := &sv.queue[k]
+	tail := *q
+	tail.First, tail.Count = r.End(), q.End()-r.End()
+	q.Count = r.First - q.First
+	switch {
+	case q.Count > 0 && tail.Count > 0:
+		sv.queue = slices.Insert(sv.queue, k+1, tail)
+	case tail.Count > 0:
+		*q = tail
+	case q.Count == 0:
+		sv.queue = slices.Delete(sv.queue, k, k+1)
 	}
-	e := &sv.queue[i]
-	if e.dropped {
-		return
-	}
-	e.dropped = true
-	sv.occ -= e.remaining
-	sv.pos[id] = 0
 }
 
-// advanceHead moves past the head entry and compacts the queue when more
-// than half of it is dead, keeping memory proportional to live entries.
+// advanceHead moves past the fully sent head run and compacts the queue
+// when more than half of it is dead, keeping memory proportional to live
+// runs.
 //
 //smoothvet:noalloc
 func (sv *Server) advanceHead() {
-	if id := sv.queue[sv.head].s.ID; sv.posAt(id) == sv.head {
-		sv.pos[id] = 0
-	}
 	sv.head++
 	if sv.head > 64 && sv.head > len(sv.queue)/2 {
-		live := sv.queue[sv.head:]
-		copy(sv.queue, live)
-		sv.queue = sv.queue[:len(live)]
+		sv.queue = sv.queue[:copy(sv.queue, sv.queue[sv.head:])]
 		sv.head = 0
-		for i := range sv.queue {
-			if !sv.queue[i].dropped {
-				sv.pos[sv.queue[i].s.ID] = int32(i) + 1
-			}
-		}
 	}
 }

@@ -17,10 +17,11 @@
 // the buffer, start transmission, or finish; when an overflow occurs it
 // repeatedly asks for a victim until the buffer fits.
 //
-// All policies index membership with a dense ID window (see window.go)
-// instead of hash maps, exploiting the monotone slice IDs the simulator
-// guarantees, and their instances are recycled through Recycle so the
-// simulation hot loop runs allocation-free.
+// Policies work on ID ranges: the simulator adds whole runs of slices (see
+// stream.Run) and takes victims back as runs, so a byte-sliced frame costs
+// one Add and one Victim however many slices it holds. Membership is a
+// presence bitmap over the live ID span (see window.go), and instances are
+// recycled through Recycle so the simulation hot loop runs allocation-free.
 package drop
 
 import (
@@ -32,24 +33,26 @@ import (
 )
 
 // Policy selects victims on server-buffer overflow. Implementations keep an
-// internal index of droppable slices; all methods are called from a single
-// goroutine by the simulator. Add must be called in non-decreasing slice-ID
-// order (the simulator's arrival order), which is what lets the policies use
-// dense windows instead of hash maps.
+// index of droppable slice IDs; all methods are called from a single
+// goroutine by the simulator. Each added run must start at or above the end
+// of the previous one (the simulator's arrival order).
 type Policy interface {
 	// Name returns a short human-readable policy name.
 	Name() string
-	// Add registers a slice that has entered the server buffer and is
-	// droppable.
-	Add(s stream.Slice)
-	// Remove unregisters a slice that left the droppable set without
-	// being chosen as a victim: it either started transmission or was
-	// fully sent within the step it arrived. Removing an unknown or
-	// already-removed ID is a no-op.
-	Remove(id int)
-	// Victim removes and returns the next slice to drop. ok is false if
-	// no droppable slice remains.
-	Victim() (s stream.Slice, ok bool)
+	// Add registers a run of slices that has entered the server buffer
+	// and is droppable.
+	Add(r stream.Run)
+	// Remove unregisters the IDs in [first, end) that left the droppable
+	// set without being chosen as victims: they started transmission or
+	// were discarded as late. Unknown or already-removed IDs are skipped.
+	Remove(first, end int)
+	// Victim removes and returns the next slices to drop, given that the
+	// buffer holds over > 0 bytes too many. The victims are consecutive
+	// IDs of one run, at most ceil(over/size) of them (only the policy
+	// knows the victim's size), chosen exactly as that many single-slice
+	// victims would be; the caller asks again while it is still over.
+	// ok is false if no droppable slice remains.
+	Victim(over int) (r stream.Run, ok bool)
 	// Len returns the number of droppable slices currently registered.
 	Len() int
 	// Reset clears all state so the policy can be reused for a new run.
@@ -69,10 +72,8 @@ type Factory func() Policy
 // ended) may recycle it; core.Runner does so at the end of every run.
 func Recycle(p Policy) {
 	switch p := p.(type) {
-	case *tailDrop:
-		tailPool.Put(p)
-	case *headDrop:
-		headPool.Put(p)
+	case *edgeDrop:
+		edgePool.Put(p)
 	case *greedy:
 		greedyPool.Put(p)
 	case *random:
@@ -85,141 +86,110 @@ func Recycle(p Policy) {
 }
 
 var (
-	tailPool       = sync.Pool{New: func() any { return new(tailDrop) }}
-	headPool       = sync.Pool{New: func() any { return new(headDrop) }}
+	edgePool       = sync.Pool{New: func() any { return new(edgeDrop) }}
 	greedyPool     = sync.Pool{New: func() any { return new(greedy) }}
-	randomPool     = sync.Pool{New: func() any { return new(random) }}
-	anticipatePool = sync.Pool{New: func() any { return new(anticipate) }}
-	randomMixPool  = sync.Pool{New: func() any { return new(randomMix) }}
+	randomPool     = sync.Pool{New: func() any { return newRandom() }}
+	anticipatePool = sync.Pool{New: func() any { return &anticipate{greedy: new(greedy)} }}
+	randomMixPool  = sync.Pool{New: func() any { return &randomMix{g: new(greedy), r: newRandom()} }}
 )
 
+// newRandom returns an unseeded random policy; its source is reseeded on
+// first use (see source).
+func newRandom() *random { return &random{rng: rand.New(rand.NewSource(0))} }
+
 // ---------------------------------------------------------------------------
-// TailDrop
+// TailDrop and HeadDrop
 // ---------------------------------------------------------------------------
 
-// tailDrop drops the newest slice first. Because the simulator adds slices
-// in arrival order, a stack with lazy deletion gives O(1) amortized victims.
-type tailDrop struct {
-	stack []int
-	w     window
+// edgeDrop drops from one end of the droppable set: the newest live ID and
+// the live IDs just below it in its run (tail drop), or the oldest live ID
+// and the live IDs just above it (head drop).
+type edgeDrop struct {
+	w      window
+	newest bool
 }
 
 // NewTailDrop returns a policy that discards the most recently arrived
 // droppable slice first.
-func NewTailDrop() Policy {
-	p := tailPool.Get().(*tailDrop)
+func NewTailDrop() Policy { return newEdgeDrop(true) }
+
+// NewHeadDrop returns a policy that discards the oldest droppable slice
+// first (drop-from-front).
+func NewHeadDrop() Policy { return newEdgeDrop(false) }
+
+func newEdgeDrop(newest bool) Policy {
+	p := edgePool.Get().(*edgeDrop)
 	p.Reset()
+	p.newest = newest
 	return p
 }
 
 // TailDrop is the Factory for NewTailDrop.
 func TailDrop() Policy { return NewTailDrop() }
 
-func (p *tailDrop) Name() string { return "taildrop" }
-
-//smoothvet:noalloc
-func (p *tailDrop) Add(s stream.Slice) {
-	p.w.add(s)
-	p.stack = append(p.stack, s.ID)
-}
-
-//smoothvet:noalloc
-func (p *tailDrop) Remove(id int) { p.w.remove(id) }
-
-//smoothvet:noalloc
-func (p *tailDrop) Victim() (stream.Slice, bool) {
-	for len(p.stack) > 0 {
-		id := p.stack[len(p.stack)-1]
-		p.stack = p.stack[:len(p.stack)-1]
-		if s, ok := p.w.get(id); ok {
-			p.w.remove(id)
-			return s, true
-		}
-	}
-	return stream.Slice{}, false
-}
-
-func (p *tailDrop) Len() int { return p.w.len() }
-
-//smoothvet:noalloc
-func (p *tailDrop) Reset() {
-	p.stack = p.stack[:0]
-	p.w.reset()
-}
-
-// ---------------------------------------------------------------------------
-// HeadDrop
-// ---------------------------------------------------------------------------
-
-// headDrop drops the oldest droppable slice first. The victim order needs
-// no auxiliary queue at all: slices are added in ID order, so the oldest
-// droppable slice is exactly the window's head entry, by construction.
-type headDrop struct {
-	w window
-}
-
-// NewHeadDrop returns a policy that discards the oldest droppable slice
-// first (drop-from-front).
-func NewHeadDrop() Policy {
-	p := headPool.Get().(*headDrop)
-	p.Reset()
-	return p
-}
-
 // HeadDrop is the Factory for NewHeadDrop.
 func HeadDrop() Policy { return NewHeadDrop() }
 
-func (p *headDrop) Name() string { return "headdrop" }
-
-//smoothvet:noalloc
-func (p *headDrop) Add(s stream.Slice) { p.w.add(s) }
-
-//smoothvet:noalloc
-func (p *headDrop) Remove(id int) { p.w.remove(id) }
-
-//smoothvet:noalloc
-func (p *headDrop) Victim() (stream.Slice, bool) {
-	s, ok := p.w.first()
-	if !ok {
-		return stream.Slice{}, false
+func (p *edgeDrop) Name() string {
+	if p.newest {
+		return "taildrop"
 	}
-	p.w.remove(s.ID)
-	return s, true
+	return "headdrop"
 }
 
-func (p *headDrop) Len() int { return p.w.len() }
+//smoothvet:noalloc
+func (p *edgeDrop) Add(r stream.Run) { p.w.add(r) }
 
 //smoothvet:noalloc
-func (p *headDrop) Reset() { p.w.reset() }
+func (p *edgeDrop) Remove(first, end int) { p.w.remove(first, end) }
+
+//smoothvet:noalloc
+func (p *edgeDrop) Victim(over int) (stream.Run, bool) {
+	switch {
+	case p.w.len() == 0:
+		return stream.Run{}, false
+	case p.newest:
+		hi := p.w.newest()
+		return p.w.takeDown(p.w.runOf(hi), hi, over), true
+	}
+	lo := p.w.oldest()
+	return p.w.takeUp(p.w.runOf(lo), lo, over), true
+}
+
+func (p *edgeDrop) Len() int { return p.w.len() }
+
+//smoothvet:noalloc
+func (p *edgeDrop) Reset() { p.w.reset() }
 
 // ---------------------------------------------------------------------------
 // Greedy
 // ---------------------------------------------------------------------------
 
-// greedyRun is one item of the min-heap behind the greedy policy: the
-// consecutive slice IDs first..end-1, which all have one byte value. In the
-// byte-slice model a frame is such a run, so a frame costs one heap push
-// and its slices leave from the newest down. The heap orders runs by lowest
-// byte value first; ties are broken toward the newest slice (largest ID),
-// matching the tail-drop intuition that newer data has had less invested in
-// it. The paper allows arbitrary tie-breaking.
+// greedyRun is one item of the min-heap behind the greedy policy: an added
+// run, whose slices all have one byte value, so a byte-sliced frame costs
+// one heap push and its slices leave from the newest down. The heap orders
+// runs by lowest byte value first; ties are broken toward the newest slice
+// (largest end), matching the tail-drop intuition that newer data has had
+// less invested in it (the paper allows arbitrary tie-breaking). Runs are
+// disjoint, so this is the per-slice order "lowest byte value, then largest
+// ID".
 type greedyRun struct {
-	first, end int
-	byteValue  float64
+	stream.Run
+	byteValue float64
 }
 
 // greedyHeap is a hand-rolled min-heap rather than a container/heap
 // implementation: heap.Push/Pop box every item into an interface, which
 // costs one allocation per operation in the simulator's hot path. The
 // direct methods below are allocation-free, and push reuses the backing
-// array truncated by shrink and Reset.
+// array truncated by pop and Reset.
 type greedyHeap []greedyRun
 
 func (h greedyHeap) less(i, j int) bool {
 	if h[i].byteValue != h[j].byteValue {
 		return h[i].byteValue < h[j].byteValue
 	}
-	return h[i].end > h[j].end
+	return h[i].End() > h[j].End()
 }
 
 // push inserts a run and restores the heap invariant (sift-up).
@@ -236,41 +206,39 @@ func (h *greedyHeap) push(r greedyRun) {
 	}
 }
 
-// shrink takes the newest ID off the minimum run, removes the run once it
-// is empty, and restores the heap invariant (sift-down). The backing array
-// is retained for reuse.
-func (h *greedyHeap) shrink() {
+// pop removes the minimum run and restores the heap invariant.
+func (h *greedyHeap) pop() {
 	s := *h
-	if s[0].end--; s[0].end == s[0].first {
-		s[0] = s[len(s)-1]
-		s = s[:len(s)-1]
-		*h = s
-	}
-	for i, n := 0, len(s); ; {
+	s[0] = s[len(s)-1]
+	*h = s[:len(s)-1]
+	h.down(0)
+}
+
+// down restores the heap invariant below i after i's key grew (sift-down).
+func (h greedyHeap) down(i int) {
+	for n := len(h); ; {
 		left, right := 2*i+1, 2*i+2
 		smallest := i
-		if left < n && s.less(left, smallest) {
+		if left < n && h.less(left, smallest) {
 			smallest = left
 		}
-		if right < n && s.less(right, smallest) {
+		if right < n && h.less(right, smallest) {
 			smallest = right
 		}
 		if smallest == i {
-			break
+			return
 		}
-		s[i], s[smallest] = s[smallest], s[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
 }
 
 // greedy drops the slice with the lowest byte value w(s)/|s| first
-// (Section 4.1), via a min-heap of ID runs with lazy deletion. The run
-// being built by consecutive Adds is staged outside the heap, because
-// growing a run that is already in the heap would change its key.
+// (Section 4.1), via a min-heap of added runs with lazy deletion: a run's
+// removed IDs stay in the heap until they surface.
 type greedy struct {
-	h     greedyHeap
-	stage greedyRun // empty when first == end
-	w     window
+	h greedyHeap
+	w window
 }
 
 // NewGreedy returns the greedy policy of Section 4.1: on overflow, discard
@@ -287,53 +255,45 @@ func Greedy() Policy { return NewGreedy() }
 func (p *greedy) Name() string { return "greedy" }
 
 //smoothvet:noalloc
-func (p *greedy) Add(s stream.Slice) {
-	p.w.add(s)
-	bv := s.ByteValue()
-	if p.stage.first < p.stage.end && s.ID == p.stage.end && bv == p.stage.byteValue {
-		p.stage.end++
-		return
+func (p *greedy) Add(r stream.Run) {
+	p.w.add(r)
+	if r.Count > 0 {
+		p.h.push(greedyRun{Run: r, byteValue: r.ByteValue()})
 	}
-	p.flush()
-	p.stage = greedyRun{first: s.ID, end: s.ID + 1, byteValue: bv}
 }
 
-// flush moves the staged run into the heap.
+//smoothvet:noalloc
+func (p *greedy) Remove(first, end int) { p.w.remove(first, end) }
+
+//smoothvet:noalloc
+func (p *greedy) Victim(over int) (stream.Run, bool) {
+	hi, ok := p.peek()
+	if !ok {
+		return stream.Run{}, false
+	}
+	top := &p.h[0]
+	v := p.w.takeDown(top.Run, hi, over)
+	if top.Count = v.First - top.First; top.Count == 0 {
+		p.h.pop()
+	} else {
+		p.h.down(0)
+	}
+	return v, true
+}
+
+// peek discards exhausted runs from the top of the heap and returns the
+// newest live ID of the minimum run, p.h[0].
 //
 //smoothvet:noalloc
-func (p *greedy) flush() {
-	if p.stage.first < p.stage.end {
-		p.h.push(p.stage)
-		p.stage = greedyRun{}
-	}
-}
-
-//smoothvet:noalloc
-func (p *greedy) Remove(id int) { p.w.remove(id) }
-
-//smoothvet:noalloc
-func (p *greedy) Victim() (stream.Slice, bool) {
-	s, ok := p.peek()
-	if ok {
-		p.w.remove(s.ID)
-		p.h.shrink()
-	}
-	return s, ok
-}
-
-// peek returns the live minimum-byte-value slice without removing it,
-// discarding stale heap entries along the way.
-//
-//smoothvet:noalloc
-func (p *greedy) peek() (stream.Slice, bool) {
-	p.flush()
+func (p *greedy) peek() (int, bool) {
 	for len(p.h) > 0 {
-		if s, ok := p.w.get(p.h[0].end - 1); ok {
-			return s, true
+		top := p.h[0]
+		if hi := p.w.last(top.First, top.End(), true); hi >= top.First {
+			return hi, true
 		}
-		p.h.shrink()
+		p.h.pop()
 	}
-	return stream.Slice{}, false
+	return 0, false
 }
 
 func (p *greedy) Len() int { return p.w.len() }
@@ -341,7 +301,6 @@ func (p *greedy) Len() int { return p.w.len() }
 //smoothvet:noalloc
 func (p *greedy) Reset() {
 	p.h = p.h[:0]
-	p.stage = greedyRun{}
 	p.w.reset()
 }
 
@@ -349,14 +308,19 @@ func (p *greedy) Reset() {
 // Random
 // ---------------------------------------------------------------------------
 
-// random drops a uniformly random droppable slice, using a swap-delete
-// vector plus the window's aux payload as the id->position index.
+// random drops a uniformly random droppable slice, one at a time, using a
+// swap-delete vector of live IDs plus pos, the id->position index, over the
+// live ID span.
 type random struct {
-	rng  *rand.Rand
-	seed int64
-	name string
-	ids  []int
-	w    window
+	rng    *rand.Rand
+	seed   int64
+	seeded bool // rng has been seeded with seed since the last Reset
+	name   string
+	ids    []int
+	// pos[id-posBase] is the index of id in ids plus one; 0 = absent.
+	pos     []int32
+	posBase int
+	w       window
 }
 
 // NewRandom returns a policy that discards a uniformly random droppable
@@ -385,50 +349,75 @@ func (p *random) setSeed(seed int64) {
 func (p *random) Name() string { return p.name }
 
 //smoothvet:noalloc
-func (p *random) Add(s stream.Slice) {
-	if _, ok := p.w.get(s.ID); ok {
-		return
-	}
-	p.w.add(s)
-	p.w.setAux(s.ID, int32(len(p.ids)))
-	p.ids = append(p.ids, s.ID)
-}
-
-//smoothvet:noalloc
-func (p *random) Remove(id int) {
-	aux, ok := p.w.auxOf(id)
-	if !ok {
-		return
-	}
-	i, last := int(aux), len(p.ids)-1
-	p.ids[i] = p.ids[last]
-	p.w.setAux(p.ids[i], aux)
-	p.ids = p.ids[:last]
-	p.w.remove(id)
-}
-
-//smoothvet:noalloc
-func (p *random) Victim() (stream.Slice, bool) {
+func (p *random) Add(r stream.Run) {
+	p.w.add(r)
 	if len(p.ids) == 0 {
-		return stream.Slice{}, false
+		p.posBase, p.pos = r.First, p.pos[:0]
+	} else if d := p.w.oldest() - p.posBase; d > 64 && d > len(p.pos)/2 {
+		// Compact the dead prefix of the index.
+		p.pos = p.pos[:copy(p.pos, p.pos[d:])]
+		p.posBase += d
 	}
-	id := p.ids[p.rng.Intn(len(p.ids))]
-	s, _ := p.w.get(id)
-	p.Remove(id)
-	return s, true
+	for len(p.pos) < r.End()-p.posBase {
+		p.pos = append(p.pos, 0)
+	}
+	for id := r.First; id < r.End(); id++ {
+		p.ids = append(p.ids, id)
+		p.pos[id-p.posBase] = int32(len(p.ids))
+	}
+}
+
+//smoothvet:noalloc
+func (p *random) Remove(first, end int) {
+	first = max(first, p.posBase)
+	end = min(end, p.posBase+len(p.pos))
+	for id := first; id < end; id++ {
+		at := p.pos[id-p.posBase]
+		if at == 0 {
+			continue
+		}
+		last := len(p.ids) - 1
+		moved := p.ids[last]
+		p.ids[at-1] = moved
+		p.pos[moved-p.posBase] = at
+		p.ids = p.ids[:last]
+		p.pos[id-p.posBase] = 0
+	}
+	p.w.remove(first, end)
+}
+
+// source returns the random source, seeding it on first use after Reset:
+// most runs never overflow, and seeding costs as much as a short run.
+//
+//smoothvet:noalloc
+func (p *random) source() *rand.Rand {
+	if !p.seeded {
+		// Reseeding restores exactly the state of a fresh source
+		// (rand.NewSource seeds the same way) without reallocating it.
+		p.rng.Seed(p.seed)
+		p.seeded = true
+	}
+	return p.rng
+}
+
+//smoothvet:noalloc
+func (p *random) Victim(int) (stream.Run, bool) {
+	if len(p.ids) == 0 {
+		return stream.Run{}, false
+	}
+	id := p.ids[p.source().Intn(len(p.ids))]
+	v := p.w.runOf(id)
+	p.Remove(id, id+1)
+	v.First, v.Count = id, 1
+	return v, true
 }
 
 func (p *random) Len() int { return len(p.ids) }
 
 //smoothvet:noalloc
 func (p *random) Reset() {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.seed))
-	} else {
-		// Reseeding restores exactly the state of a fresh source without
-		// reallocating it (rand.NewSource seeds the same way).
-		p.rng.Seed(p.seed)
-	}
+	p.seeded = false
 	p.ids = p.ids[:0]
+	p.pos = p.pos[:0]
 	p.w.reset()
 }

@@ -1,24 +1,27 @@
 package drop
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
 )
 
-func slice(id, arrival, size int, weight float64) stream.Slice {
-	return stream.Slice{ID: id, Arrival: arrival, Size: size, Weight: weight}
+// slice returns a one-slice run.
+func slice(id, arrival, size int, weight float64) stream.Run {
+	return stream.Run{First: id, Count: 1, Arrival: arrival, Size: size, Weight: weight}
 }
 
-// drain pulls victims until exhaustion and returns their IDs in order.
+// drain pulls single-slice victims until exhaustion and returns their IDs
+// in order.
 func drain(p Policy) []int {
 	var ids []int
 	for {
-		s, ok := p.Victim()
+		s, ok := p.Victim(1)
 		if !ok {
 			return ids
 		}
-		ids = append(ids, s.ID)
+		ids = append(ids, s.First)
 	}
 }
 
@@ -67,8 +70,8 @@ func TestGreedyTieBreaksToNewest(t *testing.T) {
 	p := NewGreedy()
 	p.Add(slice(3, 0, 1, 5))
 	p.Add(slice(7, 1, 1, 5))
-	if s, _ := p.Victim(); s.ID != 7 {
-		t.Errorf("greedy tie victim = %d, want 7 (newest)", s.ID)
+	if s, _ := p.Victim(1); s.First != 7 {
+		t.Errorf("greedy tie victim = %d, want 7 (newest)", s.First)
 	}
 }
 
@@ -83,15 +86,15 @@ func TestRemovePreventsVictim(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p.Add(slice(0, 0, 1, 1))
 			p.Add(slice(1, 0, 1, 2))
-			p.Remove(1)
+			p.Remove(1, 2)
 			if p.Len() != 1 {
 				t.Errorf("Len = %d after remove, want 1", p.Len())
 			}
-			s, ok := p.Victim()
-			if !ok || s.ID != 0 {
-				t.Errorf("victim = %v/%v, want slice 0", s.ID, ok)
+			s, ok := p.Victim(1)
+			if !ok || s.First != 0 {
+				t.Errorf("victim = %v/%v, want slice 0", s.First, ok)
 			}
-			if _, ok := p.Victim(); ok {
+			if _, ok := p.Victim(1); ok {
 				t.Error("victim available after all removed")
 			}
 		})
@@ -100,9 +103,9 @@ func TestRemovePreventsVictim(t *testing.T) {
 
 func TestRemoveUnknownIsNoop(t *testing.T) {
 	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
-		p.Remove(42)
+		p.Remove(42, 43)
 		p.Add(slice(1, 0, 1, 1))
-		p.Remove(99)
+		p.Remove(99, 100)
 		if p.Len() != 1 {
 			t.Errorf("%s: Len = %d, want 1", p.Name(), p.Len())
 		}
@@ -111,7 +114,7 @@ func TestRemoveUnknownIsNoop(t *testing.T) {
 
 func TestVictimOnEmpty(t *testing.T) {
 	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
-		if _, ok := p.Victim(); ok {
+		if _, ok := p.Victim(1); ok {
 			t.Errorf("%s: victim from empty policy", p.Name())
 		}
 	}
@@ -124,12 +127,12 @@ func TestReset(t *testing.T) {
 		if p.Len() != 0 {
 			t.Errorf("%s: Len = %d after reset", p.Name(), p.Len())
 		}
-		if _, ok := p.Victim(); ok {
+		if _, ok := p.Victim(1); ok {
 			t.Errorf("%s: victim after reset", p.Name())
 		}
 		// Reusable after reset.
 		p.Add(slice(5, 0, 1, 1))
-		if s, ok := p.Victim(); !ok || s.ID != 5 {
+		if s, ok := p.Victim(1); !ok || s.First != 5 {
 			t.Errorf("%s: not reusable after reset", p.Name())
 		}
 	}
@@ -169,12 +172,77 @@ func TestRandomCoversAll(t *testing.T) {
 	}
 }
 
-func TestRandomDoubleAddIgnored(t *testing.T) {
-	p := NewRandom(1)
-	p.Add(slice(0, 0, 1, 1))
-	p.Add(slice(0, 0, 1, 1))
-	if p.Len() != 1 {
-		t.Errorf("Len = %d after double add, want 1", p.Len())
+// TestAddRequiresIncreasingIDs pins the Add contract: a run that starts
+// below the end of an earlier run is a driver bug and panics, for every
+// policy, rather than corrupting the index.
+func TestAddRequiresIncreasingIDs(t *testing.T) {
+	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
+		p.Add(stream.Run{First: 0, Count: 3, Size: 1, Weight: 1})
+		p.Remove(0, 3)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: re-adding ID 2 did not panic", p.Name())
+				}
+			}()
+			p.Add(slice(2, 0, 1, 1))
+		}()
+	}
+}
+
+// TestRandomResetSeedsLazily checks that Reset defers seeding to the first
+// victim without changing the victim sequence: a policy reset twice with
+// no victim in between draws exactly what a fresh one draws.
+func TestRandomResetSeedsLazily(t *testing.T) {
+	fill := func(p Policy) Policy {
+		p.Add(stream.Run{First: 0, Count: 40, Size: 1, Weight: 1})
+		return p
+	}
+	want := drain(fill(NewRandom(9)))
+	p := NewRandom(9)
+	drain(fill(p)) // advance the source
+	p.Reset()
+	p.Reset()
+	if got := drain(fill(p)); !slices.Equal(got, want) {
+		t.Fatalf("after two Resets: %v, fresh policy: %v", got, want)
+	}
+	r := p.(*random)
+	if !r.seeded {
+		t.Fatal("victims drawn from an unseeded source")
+	}
+	if r.Reset(); r.seeded {
+		t.Error("Reset seeded the source eagerly")
+	}
+}
+
+// TestVictimRuns checks that one Victim call takes as many consecutive
+// slices of one run as the excess needs, from the end each policy drops
+// from, and stops at a hole.
+func TestVictimRuns(t *testing.T) {
+	frame := stream.Run{First: 10, Count: 8, Arrival: 1, Size: 3, Weight: 6}
+	cases := []struct {
+		p     Policy
+		over  int
+		first int
+		count int
+	}{
+		{NewTailDrop(), 7, 15, 3},   // ceil(7/3) newest
+		{NewHeadDrop(), 4, 10, 2},   // ceil(4/3) oldest
+		{NewGreedy(), 100, 13, 5},   // the newest, down to the hole at 12
+		{NewHeadDrop(), 100, 10, 2}, // the oldest, up to the hole at 12
+		{NewRandom(1), 100, -1, 1},  // always one slice
+	}
+	for _, c := range cases {
+		c.p.Add(frame)
+		c.p.Remove(12, 13)
+		v, ok := c.p.Victim(c.over)
+		if !ok || v.Count != c.count || (c.first >= 0 && v.First != c.first) ||
+			v.Size != 3 || v.Weight != 6 || v.Arrival != 1 {
+			t.Errorf("%s: Victim(%d) = %+v, want %d slices from %d", c.p.Name(), c.over, v, c.count, c.first)
+		}
+		if c.p.Len() != 7-c.count {
+			t.Errorf("%s: Len %d after taking %d of 7", c.p.Name(), c.p.Len(), c.count)
+		}
 	}
 }
 
@@ -185,9 +253,9 @@ func TestHeadDropCompaction(t *testing.T) {
 		p.Add(slice(i, i, 1, 1))
 	}
 	for i := 0; i < 300; i++ {
-		s, ok := p.Victim()
-		if !ok || s.ID != i {
-			t.Fatalf("victim %d = %v/%v", i, s.ID, ok)
+		s, ok := p.Victim(1)
+		if !ok || s.First != i {
+			t.Fatalf("victim %d = %v/%v", i, s.First, ok)
 		}
 	}
 	for i := 500; i < 600; i++ {
@@ -195,14 +263,14 @@ func TestHeadDropCompaction(t *testing.T) {
 	}
 	prev := -1
 	for {
-		s, ok := p.Victim()
+		s, ok := p.Victim(1)
 		if !ok {
 			break
 		}
-		if s.ID <= prev {
-			t.Fatalf("headdrop order violated after compaction: %d after %d", s.ID, prev)
+		if s.First <= prev {
+			t.Fatalf("headdrop order violated after compaction: %d after %d", s.First, prev)
 		}
-		prev = s.ID
+		prev = s.First
 	}
 	if p.Len() != 0 {
 		t.Errorf("Len = %d after full drain", p.Len())
@@ -246,23 +314,23 @@ func TestAnticipateEarlyVictim(t *testing.T) {
 	}
 	// Occupancy 8 of 10: above half — shed the low-value slice only.
 	s, ok := p.EarlyVictim(8, 10)
-	if !ok || s.ID != 0 {
-		t.Fatalf("early victim = %v/%v, want slice 0", s.ID, ok)
+	if !ok || s.First != 0 {
+		t.Fatalf("early victim = %v/%v, want slice 0", s.First, ok)
 	}
 	if _, ok := p.EarlyVictim(8, 10); ok {
 		t.Error("early victim above the value floor was shed")
 	}
 	// The remaining slice is still droppable on real overflow.
-	if s, ok := p.Victim(); !ok || s.ID != 1 {
-		t.Errorf("overflow victim = %v/%v, want slice 1", s.ID, ok)
+	if s, ok := p.Victim(1); !ok || s.First != 1 {
+		t.Errorf("overflow victim = %v/%v, want slice 1", s.First, ok)
 	}
 }
 
 func TestAnticipateNoFloorShedsAnything(t *testing.T) {
 	p := NewAnticipate(0, 0).(EarlyDropper)
 	p.Add(slice(0, 0, 1, 100))
-	if s, ok := p.EarlyVictim(1, 10); !ok || s.ID != 0 {
-		t.Errorf("floorless anticipate refused to shed: %v/%v", s.ID, ok)
+	if s, ok := p.EarlyVictim(1, 10); !ok || s.First != 0 {
+		t.Errorf("floorless anticipate refused to shed: %v/%v", s.First, ok)
 	}
 	if _, ok := p.EarlyVictim(0, 10); ok {
 		t.Error("early victim from empty occupancy 0... policy should be empty")
@@ -284,10 +352,10 @@ func TestAnticipatePeekSkipsStale(t *testing.T) {
 	p := NewAnticipate(0, 0).(EarlyDropper)
 	p.Add(slice(0, 0, 1, 1))
 	p.Add(slice(1, 0, 1, 2))
-	p.Remove(0) // stale heap top
+	p.Remove(0, 1) // stale heap top
 	s, ok := p.EarlyVictim(5, 10)
-	if !ok || s.ID != 1 {
-		t.Errorf("early victim = %v/%v, want live slice 1", s.ID, ok)
+	if !ok || s.First != 1 {
+		t.Errorf("early victim = %v/%v, want live slice 1", s.First, ok)
 	}
 }
 
@@ -345,20 +413,20 @@ func TestRandomMixBothIndexesConsistent(t *testing.T) {
 	p := NewRandomMix(3, 0.5)
 	p.Add(slice(0, 0, 1, 1))
 	p.Add(slice(1, 0, 1, 2))
-	p.Remove(0)
+	p.Remove(0, 1)
 	if p.Len() != 1 {
 		t.Errorf("Len = %d after remove", p.Len())
 	}
-	s, ok := p.Victim()
-	if !ok || s.ID != 1 {
-		t.Errorf("victim = %v/%v", s.ID, ok)
+	s, ok := p.Victim(1)
+	if !ok || s.First != 1 {
+		t.Errorf("victim = %v/%v", s.First, ok)
 	}
-	if _, ok := p.Victim(); ok {
+	if _, ok := p.Victim(1); ok {
 		t.Error("victim from empty mix")
 	}
 	p.Reset()
 	p.Add(slice(7, 0, 1, 1))
-	if s, ok := p.Victim(); !ok || s.ID != 7 {
+	if s, ok := p.Victim(1); !ok || s.First != 7 {
 		t.Error("mix unusable after reset")
 	}
 }
@@ -367,7 +435,7 @@ func TestRandomMixClampsProbability(t *testing.T) {
 	for _, pr := range []float64{-0.5, 1.5} {
 		p := NewRandomMix(1, pr)
 		p.Add(slice(0, 0, 1, 1))
-		if _, ok := p.Victim(); !ok {
+		if _, ok := p.Victim(1); !ok {
 			t.Errorf("p=%v: unusable", pr)
 		}
 	}

@@ -11,16 +11,16 @@ import (
 // goes first, regardless of size or arrival order.
 func Example() {
 	p := drop.NewGreedy()
-	p.Add(stream.Slice{ID: 0, Size: 120, Weight: 1440}) // I frame, 12/byte
-	p.Add(stream.Slice{ID: 1, Size: 23, Weight: 23})    // B frame, 1/byte
-	p.Add(stream.Slice{ID: 2, Size: 55, Weight: 440})   // P frame, 8/byte
+	p.Add(stream.Run{First: 0, Count: 1, Size: 120, Weight: 1440}) // I frame, 12/byte
+	p.Add(stream.Run{First: 1, Count: 1, Size: 23, Weight: 23})    // B frame, 1/byte
+	p.Add(stream.Run{First: 2, Count: 1, Size: 55, Weight: 440})   // P frame, 8/byte
 
 	for {
-		victim, ok := p.Victim()
+		victim, ok := p.Victim(1)
 		if !ok {
 			break
 		}
-		fmt.Printf("drop slice %d (%.0f per byte)\n", victim.ID, victim.ByteValue())
+		fmt.Printf("drop slice %d (%.0f per byte)\n", victim.First, victim.ByteValue())
 	}
 	// Output:
 	// drop slice 1 (1 per byte)
@@ -32,13 +32,12 @@ func Example() {
 // undroppable once its transmission starts.
 func ExamplePolicy_noPreemption() {
 	p := drop.NewTailDrop()
-	p.Add(stream.Slice{ID: 0, Size: 4, Weight: 4})
-	p.Add(stream.Slice{ID: 1, Size: 4, Weight: 4})
+	p.Add(stream.Run{First: 0, Count: 2, Size: 4, Weight: 4})
 
-	p.Remove(1) // slice 1 commenced transmission: no longer droppable
-	victim, _ := p.Victim()
-	fmt.Printf("victim: slice %d\n", victim.ID)
-	_, ok := p.Victim()
+	p.Remove(1, 2) // slice 1 commenced transmission: no longer droppable
+	victim, _ := p.Victim(1)
+	fmt.Printf("victim: slice %d\n", victim.First)
+	_, ok := p.Victim(1)
 	fmt.Printf("more victims: %v\n", ok)
 	// Output:
 	// victim: slice 0

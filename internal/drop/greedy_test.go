@@ -7,149 +7,113 @@ import (
 	"repro/internal/stream"
 )
 
-// greedyModel is the per-item reference the run heap replaces: one
-// (id, byte value) item per Add, the minimum found by a scan (lowest byte
-// value, ties to the largest ID), stale items discarded when they surface.
+// greedyModel is the per-slice reference the run heap replaces: one slice
+// per live ID, the victim found by a scan (lowest byte value, ties to the
+// largest ID).
 type greedyModel struct {
-	items   []greedyModelItem
-	present map[int]stream.Slice
+	present map[int]stream.Run // live ID -> its run
 }
 
-type greedyModelItem struct {
-	id        int
-	byteValue float64
-}
-
-func (m *greedyModel) add(s stream.Slice) {
-	m.present[s.ID] = s
-	m.items = append(m.items, greedyModelItem{s.ID, s.ByteValue()})
-}
-
-// peek discards stale minima and returns the index of the live minimum
-// item, or -1.
-func (m *greedyModel) peek() int {
-	for len(m.items) > 0 {
-		best := 0
-		for i, it := range m.items {
-			b := m.items[best]
-			if it.byteValue < b.byteValue || (it.byteValue == b.byteValue && it.id > b.id) {
-				best = i
-			}
-		}
-		if _, ok := m.present[m.items[best].id]; ok {
-			return best
-		}
-		m.pop(best)
+func (m *greedyModel) add(r stream.Run) {
+	for id := r.First; id < r.End(); id++ {
+		m.present[id] = r
 	}
-	return -1
 }
 
-func (m *greedyModel) pop(i int) {
-	m.items[i] = m.items[len(m.items)-1]
-	m.items = m.items[:len(m.items)-1]
-}
-
-func (m *greedyModel) victim() (stream.Slice, bool) {
-	i := m.peek()
-	if i < 0 {
-		return stream.Slice{}, false
+// victim returns the ID the per-slice policy would drop next, or -1.
+func (m *greedyModel) victim() int {
+	best := -1
+	for id, r := range m.present {
+		if best < 0 {
+			best = id
+			continue
+		}
+		b := m.present[best]
+		if r.ByteValue() < b.ByteValue() || (r.ByteValue() == b.ByteValue() && id > best) {
+			best = id
+		}
 	}
-	s := m.present[m.items[i].id]
-	delete(m.present, s.ID)
-	m.pop(i)
-	return s, true
-}
-
-func (m *greedyModel) reset() {
-	m.items = m.items[:0]
-	clear(m.present)
+	return best
 }
 
 // driveGreedy replays an operation stream against the run heap and the
-// per-item model: adds in non-decreasing ID order (consecutive IDs that
-// repeat a byte value, ID gaps, the last ID again, byte values that come
-// from different size/weight pairs), removals, victims, peeks and resets.
-// The victim and Len must agree after every step, and the final drain too.
+// per-slice model: runs added in ID order (repeating a byte value, after ID
+// gaps, byte values that come from different size/weight pairs), range
+// removals, victims asked for various excesses, and resets. Every Victim
+// must return consecutive IDs of one run that are exactly the model's next
+// single-slice victims, no more than the excess needs; Len must agree after
+// every step, and the final drain too.
 func driveGreedy(t *testing.T, ops []byte) {
 	t.Helper()
 	p := NewGreedy().(*greedy)
 	defer Recycle(p)
-	m := &greedyModel{present: make(map[int]stream.Slice)}
+	m := &greedyModel{present: make(map[int]stream.Run)}
 	nextID := 0
 	value := 1.0
-	var added []int
-	same := func(step int, what string, ps stream.Slice, pok bool, ms stream.Slice, mok bool) {
+	victim := func(step, over int) bool {
 		t.Helper()
-		if pok != mok || ps != ms {
-			t.Fatalf("step %d %s: greedy (%+v,%v), model (%+v,%v)", step, what, ps, pok, ms, mok)
+		v, ok := p.Victim(over)
+		if !ok {
+			if id := m.victim(); id >= 0 {
+				t.Fatalf("step %d: no victim, model has %d", step, id)
+			}
+			return false
 		}
-	}
-	add := func(step, id int, op byte) {
-		size := 1 + int(op>>6)&1
-		s := stream.Slice{ID: id, Arrival: step, Size: size, Weight: value * float64(size)}
-		p.Add(s)
-		m.add(s)
-		added = append(added, id)
+		if v.Count < 1 || v.Count > victimCount(over, v.Size) {
+			t.Fatalf("step %d: Victim(%d) took %d slices of size %d", step, over, v.Count, v.Size)
+		}
+		for id := v.End() - 1; id >= v.First; id-- {
+			want := m.victim()
+			if r := m.present[want]; want != id || r.Size != v.Size || r.Weight != v.Weight || r.Arrival != v.Arrival {
+				t.Fatalf("step %d: Victim(%d) = %+v, model's next victim is %d of %+v", step, over, v, want, r)
+			}
+			delete(m.present, id)
+		}
+		return true
 	}
 	for step, op := range ops {
 		switch op % 8 {
-		case 0, 1, 2: // extend the run: next ID, current byte value
-			add(step, nextID, op)
-			nextID++
+		case 0, 1, 2: // a run at the current byte value
+			size := 1 + int(op>>6)&1
+			r := stream.Run{First: nextID, Count: 1 + int(op>>3)%9, Arrival: step, Size: size, Weight: value * float64(size)}
+			p.Add(r)
+			m.add(r)
+			nextID = r.End()
 		case 3: // new byte value, sometimes after an ID gap
 			value = 0.5 * float64(op>>3%5+1)
 			if op>>3%3 == 0 {
 				nextID += int(op>>5) + 1
 			}
-			add(step, nextID, op)
-			nextID++
-		case 4: // remove a known id (possibly already gone: no-op)
-			if len(added) > 0 {
-				id := added[int(op>>3)%len(added)]
-				p.Remove(id)
-				delete(m.present, id)
-			}
-		case 5:
-			ps, pok := p.Victim()
-			ms, mok := m.victim()
-			same(step, "Victim", ps, pok, ms, mok)
-		case 6:
-			ps, pok := p.peek()
-			var ms stream.Slice
-			i := m.peek()
-			if i >= 0 {
-				ms = m.present[m.items[i].id]
-			}
-			same(step, "peek", ps, pok, ms, i >= 0)
-		case 7: // the last ID again (Add allows equal IDs), rarely a Reset
-			switch {
-			case op>>3%8 == 0:
-				p.Reset()
-				m.reset()
-				added = added[:0]
-			case nextID > 0:
-				if op>>3%2 == 0 {
-					value = 0.5 * float64(op>>4%5+1)
+		case 4: // remove a range (possibly already gone: skipped)
+			if nextID > 0 {
+				first := int(op>>3) * 31 % nextID
+				end := first + int(op>>5) + 1
+				p.Remove(first, end)
+				for id := first; id < end; id++ {
+					delete(m.present, id)
 				}
-				add(step, nextID-1, op)
+			}
+		case 5, 6:
+			victim(step, int(op>>3)%7+1)
+		case 7:
+			if op>>3%8 == 0 {
+				p.Reset()
+				clear(m.present)
+				nextID = 0 // a reused policy starts a new stream
+			} else if _, ok := p.peek(); ok != (len(m.present) > 0) {
+				t.Fatalf("step %d: peek %v with %d live", step, ok, len(m.present))
 			}
 		}
 		if p.Len() != len(m.present) {
 			t.Fatalf("step %d: Len %d, model %d", step, p.Len(), len(m.present))
 		}
 	}
-	for step := len(ops); ; step++ {
-		ps, pok := p.Victim()
-		ms, mok := m.victim()
-		same(step, "drain", ps, pok, ms, mok)
-		if !pok {
-			break
-		}
+	for step := len(ops); victim(step, 1+step%5); step++ {
 	}
 }
 
 // TestGreedyRunsAgainstModel drives long random interleavings from fixed
-// seeds, with the operation mix skewed so that runs grow long on some seeds
+// seeds, with the operation mix skewed so that runs pile up on some seeds
 // and victims dominate on others.
 func TestGreedyRunsAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
@@ -158,7 +122,7 @@ func TestGreedyRunsAgainstModel(t *testing.T) {
 		for i := range ops {
 			ops[i] = byte(rng.Intn(256))
 			if seed%3 == 0 && rng.Intn(2) == 0 {
-				ops[i] &^= 7 // case 0: extend the run
+				ops[i] &^= 7 // case 0: add a run
 			}
 		}
 		driveGreedy(t, ops)
@@ -171,12 +135,8 @@ func TestGreedyRunsAgainstModel(t *testing.T) {
 func TestGreedyFrameIsOneRun(t *testing.T) {
 	p := NewGreedy().(*greedy)
 	defer Recycle(p)
-	id := 0
 	for frame, value := range []float64{3, 1, 2} {
-		for k := 0; k < 50; k++ {
-			p.Add(slice(id, frame, 1, value))
-			id++
-		}
+		p.Add(stream.Run{First: 50 * frame, Count: 50, Arrival: frame, Size: 1, Weight: value})
 	}
 	if _, ok := p.peek(); !ok {
 		t.Fatal("peek found nothing")
@@ -191,7 +151,7 @@ func TestGreedyFrameIsOneRun(t *testing.T) {
 }
 
 // FuzzGreedyRuns lets the fuzzer search for operation interleavings where
-// the run heap diverges from the per-item model. Run with `go test -fuzz
+// the run heap diverges from the per-slice model. Run with `go test -fuzz
 // FuzzGreedyRuns ./internal/drop` for an open-ended search; in normal test
 // runs the seed corpus below is replayed.
 func FuzzGreedyRuns(f *testing.F) {

@@ -1,6 +1,8 @@
 package drop
 
 import (
+	"math"
+
 	"repro/internal/stream"
 )
 
@@ -19,11 +21,12 @@ import (
 // one step later, wasting link capacity on cheap bytes.
 type EarlyDropper interface {
 	Policy
-	// EarlyVictim may return a slice to discard proactively given the
-	// current occupancy and capacity. It is called repeatedly until
-	// ok == false. The returned slice must currently be droppable; the
-	// policy must unregister it, exactly like Victim.
-	EarlyVictim(occupancy, capacity int) (s stream.Slice, ok bool)
+	// EarlyVictim may return slices to discard proactively given the
+	// current occupancy and capacity: consecutive IDs of one run, like
+	// Victim. It is called repeatedly until ok == false. The returned
+	// slices must currently be droppable; the policy must unregister
+	// them, exactly like Victim.
+	EarlyVictim(occupancy, capacity int) (r stream.Run, ok bool)
 }
 
 // anticipate wraps the greedy policy with a threshold rule: whenever the
@@ -44,20 +47,9 @@ type anticipate struct {
 // threshold is clamped to [0, 1]. valueFloor <= 0 disables the value
 // filter (any lowest-value slice may be shed early).
 func NewAnticipate(threshold, valueFloor float64) Policy {
-	if threshold < 0 {
-		threshold = 0
-	}
-	if threshold > 1 {
-		threshold = 1
-	}
 	p := anticipatePool.Get().(*anticipate)
-	if p.greedy == nil {
-		p.greedy = NewGreedy().(*greedy)
-	} else {
-		p.greedy.Reset()
-	}
-	p.threshold = threshold
-	p.valueFloor = valueFloor
+	p.greedy.Reset()
+	p.threshold, p.valueFloor = min(max(threshold, 0), 1), valueFloor
 	return p
 }
 
@@ -73,44 +65,22 @@ func (p *anticipate) Name() string { return "anticipate" }
 // online algorithms; a randomized policy denies the adversary knowledge of
 // when the last low-value slice departs, so against an oblivious adversary
 // its expected competitive ratio can differ from any deterministic
-// policy's. The "onlinelb" experiment measures exactly that.
+// policy's. The "onlinelb" experiment measures exactly that. The coin is
+// drawn from the random policy's own source, per victim slice.
 type randomMix struct {
 	g    *greedy
 	r    *random
-	rng  *randSource
 	prob float64
 }
-
-// randSource wraps math/rand for the mix coin to keep determinism per seed.
-type randSource struct{ f func() float64 }
 
 // NewRandomMix returns a policy that, on each overflow victim decision,
 // picks a uniformly random droppable slice with probability p and the
 // greedy (lowest byte value) one otherwise. Deterministic per seed.
 func NewRandomMix(seed int64, p float64) Policy {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
 	m := randomMixPool.Get().(*randomMix)
-	if m.g == nil {
-		m.g = NewGreedy().(*greedy)
-	} else {
-		m.g.Reset()
-	}
-	if m.r == nil {
-		m.r = NewRandom(seed).(*random)
-	} else {
-		m.r.setSeed(seed)
-		m.r.Reset()
-	}
-	if m.rng == nil {
-		m.rng = &randSource{}
-	}
-	m.rng.f = m.r.rng.Float64
-	m.prob = p
+	m.r.setSeed(seed)
+	m.Reset()
+	m.prob = min(max(p, 0), 1)
 	return m
 }
 
@@ -121,31 +91,27 @@ func RandomMix(seed int64, p float64) Factory {
 
 func (p *randomMix) Name() string { return "randommix" }
 
-func (p *randomMix) Add(s stream.Slice) {
-	p.g.Add(s)
-	p.r.Add(s)
+func (p *randomMix) Add(r stream.Run) {
+	p.g.Add(r)
+	p.r.Add(r)
 }
 
-func (p *randomMix) Remove(id int) {
-	p.g.Remove(id)
-	p.r.Remove(id)
+func (p *randomMix) Remove(first, end int) {
+	p.g.Remove(first, end)
+	p.r.Remove(first, end)
 }
 
-func (p *randomMix) Victim() (stream.Slice, bool) {
-	var s stream.Slice
-	var ok bool
-	if p.rng.f() < p.prob {
-		s, ok = p.r.Victim()
-		if ok {
-			p.g.Remove(s.ID)
-		}
-		return s, ok
+// Victim returns a single slice: every victim slice tosses its own coin.
+func (p *randomMix) Victim(int) (stream.Run, bool) {
+	from, other := Policy(p.g), Policy(p.r)
+	if p.r.source().Float64() < p.prob {
+		from, other = other, from
 	}
-	s, ok = p.g.Victim()
+	v, ok := from.Victim(1)
 	if ok {
-		p.r.Remove(s.ID)
+		other.Remove(v.First, v.End())
 	}
-	return s, ok
+	return v, ok
 }
 
 func (p *randomMix) Len() int { return p.g.Len() }
@@ -153,21 +119,22 @@ func (p *randomMix) Len() int { return p.g.Len() }
 func (p *randomMix) Reset() {
 	p.g.Reset()
 	p.r.Reset()
-	p.rng.f = p.r.rng.Float64
 }
 
-func (p *anticipate) EarlyVictim(occupancy, capacity int) (stream.Slice, bool) {
-	if float64(occupancy) <= p.threshold*float64(capacity) {
-		return stream.Slice{}, false
+// EarlyVictim sheds the cheapest droppable slices while occupancy exceeds
+// threshold*capacity, as many as single-slice shedding would take from the
+// cheapest run in one go.
+func (p *anticipate) EarlyVictim(occupancy, capacity int) (stream.Run, bool) {
+	limit := p.threshold * float64(capacity)
+	if float64(occupancy) <= limit {
+		return stream.Run{}, false
 	}
 	// Peek at the cheapest droppable slice; only shed it if it is below
 	// the value floor (when a floor is configured).
-	s, ok := p.peek()
-	if !ok {
-		return stream.Slice{}, false
+	if _, ok := p.peek(); !ok || p.valueFloor > 0 && p.h[0].byteValue >= p.valueFloor {
+		return stream.Run{}, false
 	}
-	if p.valueFloor > 0 && s.ByteValue() >= p.valueFloor {
-		return stream.Slice{}, false
-	}
-	return p.Victim()
+	// Occupancy is an integer, so it exceeds limit exactly while it
+	// exceeds floor(limit).
+	return p.Victim(occupancy - int(math.Floor(limit)))
 }

@@ -2,166 +2,219 @@ package drop
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/stream"
 )
 
-// window is the dense membership index shared by the drop policies: a
-// ring-buffer-like view over a contiguous range of slice IDs backed by one
-// flat array, replacing the hash maps the policies used originally.
+// window is the membership index shared by the drop policies: a presence
+// bitmap over the live slice-ID span, plus the added runs, so a victim's
+// size, weight and arrival are one binary search away. The simulator adds
+// runs in ID order, so membership is one bit per ID and every query is a
+// few word operations, however long the runs are.
 //
-// It exploits the structure the simulator guarantees (stream.Slice IDs are
-// assigned densely in arrival order, and the server registers slices in
-// exactly that order): Add is only ever called with an ID at least as large
-// as every ID added before, so membership is a monotone window [base+head,
-// base+len(entries)) and entry lookup is plain subtraction — no hashing, no
-// per-Add map growth, O(1) everything.
-//
-// The window self-compacts: removals advance head past dead entries, and
-// once the dead prefix dominates, the live suffix is copied down and base
-// advances. Memory is therefore proportional to the ID span of the live
-// droppable set (roughly the server buffer), not to the whole stream, and
-// the backing array is retained across Reset for allocation-free reuse.
+// Removals trim dead words from both ends and compact the front (words and
+// the runs below it) once it dominates, and an empty window rebases at the
+// next add, so memory is proportional to the ID span of the live droppable
+// set (roughly the server buffer). reset retains the backing arrays.
 type window struct {
-	base    int // slice ID of entries[0]
-	head    int // index of the first live (present) entry; == len(entries) when empty
-	n       int // number of present entries
-	entries []windowEntry
+	base  int      // slice ID of bit 0 of words[0]; a multiple of 64
+	head  int      // words[:head] are dead
+	words []uint64 // presence bits; the last word is non-zero unless empty
+	n     int      // number of live IDs
+	end   int      // one past the last ID ever added
+	runs  []stream.Run
 }
 
-// windowEntry is one slot of the window. aux carries per-policy payload
-// (the random policy stores the slice's position in its shuffle vector);
-// policies that do not need it leave it zero.
-type windowEntry struct {
-	s       stream.Slice
-	aux     int32
-	present bool
-}
-
-// add registers a slice. IDs must be monotone: s.ID must be >= base+head
-// (the simulator adds slices in ID order, so this always holds; violating
-// it indicates a driver bug and panics rather than corrupting the index).
+// add registers the IDs of r, which must start at or above the end of every
+// run added before; anything else is a driver bug and panics rather than
+// corrupting the index.
 //
 //smoothvet:noalloc
-func (w *window) add(s stream.Slice) {
+func (w *window) add(r stream.Run) {
+	if r.First < w.end {
+		panicNonMonotone(r.First, w.end)
+	}
+	if r.Count <= 0 {
+		return
+	}
+	w.end = r.End()
 	if w.n == 0 {
-		// Empty window: rebase at the new ID so long-dead prefixes from
-		// earlier in the run cost neither memory nor scan time.
-		w.base = s.ID
-		w.head = 0
-		w.entries = w.entries[:0]
+		// Rebase, so long-dead prefixes cost neither memory nor scans.
+		w.base, w.head, w.words, w.runs = r.First&^63, 0, w.words[:0], w.runs[:0]
 	}
-	idx := s.ID - w.base
-	switch {
-	case idx < w.head:
-		panicNonMonotone(s.ID, w.base+w.head)
-	case idx < len(w.entries):
-		// Re-add inside the window (idempotent, mirroring the map's put).
-		e := &w.entries[idx]
-		if !e.present {
-			w.n++
-		}
-		e.s = s
-		e.present = true
-		return
+	w.runs = append(w.runs, r)
+	for len(w.words) <= (r.End()-1-w.base)>>6 {
+		w.words = append(w.words, 0)
 	}
-	// Gap IDs (slices that never became droppable) get dead placeholders.
-	for len(w.entries) < idx {
-		w.entries = append(w.entries, windowEntry{})
-	}
-	w.entries = append(w.entries, windowEntry{s: s, present: true})
-	w.n++
+	w.n += w.update(r.First, r.End(), true)
 }
 
-// remove unregisters an ID; unknown or already-removed IDs are no-ops.
+// remove unregisters the IDs in [first, end); unknown or already-removed
+// IDs are skipped.
 //
 //smoothvet:noalloc
-func (w *window) remove(id int) {
-	idx := id - w.base
-	if idx < w.head || idx >= len(w.entries) || !w.entries[idx].present {
+func (w *window) remove(first, end int) {
+	if w.n == 0 {
 		return
 	}
-	w.entries[idx].present = false
-	w.n--
-	w.advance()
-}
-
-// advance moves head past dead entries and compacts the backing array when
-// the dead prefix dominates, keeping memory bounded on long runs.
-//
-//smoothvet:noalloc
-func (w *window) advance() {
-	for w.head < len(w.entries) && !w.entries[w.head].present {
+	if w.n -= w.update(first, end, false); w.n == 0 {
+		w.head, w.words = 0, w.words[:0]
+		return
+	}
+	for w.words[w.head] == 0 {
 		w.head++
 	}
-	if w.head > 64 && w.head > len(w.entries)/2 {
-		live := w.entries[w.head:]
-		copy(w.entries, live)
-		w.entries = w.entries[:len(live)]
-		w.base += w.head
+	for w.words[len(w.words)-1] == 0 {
+		w.words = w.words[:len(w.words)-1]
+	}
+	if w.head > 64 && w.head > len(w.words)/2 {
+		w.words = w.words[:copy(w.words, w.words[w.head:])]
+		w.base += 64 * w.head
 		w.head = 0
+		w.runs = w.runs[:copy(w.runs, w.runs[stream.SearchRuns(w.runs, w.base):])]
 	}
 }
 
-// get returns the slice registered under id.
+// update sets (live) or clears the presence bits of [first, end), clamped to
+// the stored words, and returns how many bits changed.
 //
 //smoothvet:noalloc
-func (w *window) get(id int) (stream.Slice, bool) {
-	idx := id - w.base
-	if idx < w.head || idx >= len(w.entries) || !w.entries[idx].present {
-		return stream.Slice{}, false
+func (w *window) update(first, end int, live bool) int {
+	first, end = w.clamp(first, end)
+	changed := 0
+	for first < end {
+		off := first - w.base
+		bit := off & 63
+		span := min(64-bit, end-first)
+		mask := ^uint64(0) >> (64 - span) << bit
+		word := &w.words[off>>6]
+		if live {
+			changed += bits.OnesCount64(mask &^ *word)
+			*word |= mask
+		} else {
+			changed += bits.OnesCount64(mask & *word)
+			*word &^= mask
+		}
+		first += span
 	}
-	return w.entries[idx].s, true
+	return changed
 }
 
-// first returns the present slice with the smallest ID. After advance, that
-// is exactly the head entry — the oldest droppable slice, by construction.
+// word returns the i-th presence word; words outside the stored span are
+// all dead.
+func (w *window) word(i int) uint64 {
+	if i < w.head || i >= len(w.words) {
+		return 0
+	}
+	return w.words[i]
+}
+
+// clamp narrows [lo, hi) to the stored span, outside which nothing is live.
+func (w *window) clamp(lo, hi int) (int, int) {
+	return max(lo, w.base+64*w.head), min(hi, w.base+64*len(w.words))
+}
+
+// last returns the highest ID in [lo, hi) whose liveness equals live, or
+// lo-1 if there is none.
 //
 //smoothvet:noalloc
-func (w *window) first() (stream.Slice, bool) {
-	if w.n == 0 {
-		return stream.Slice{}, false
+func (w *window) last(lo, hi int, live bool) int {
+	none := lo - 1
+	if live {
+		lo, hi = w.clamp(lo, hi)
 	}
-	return w.entries[w.head].s, true
+	for hi > lo {
+		off := hi - 1 - w.base
+		bit := off & 63
+		word := w.word(off >> 6)
+		if !live {
+			word = ^word
+		}
+		if word &= ^uint64(0) >> (63 - bit); word != 0 {
+			if id := hi - 1 - bit + 63 - bits.LeadingZeros64(word); id >= lo {
+				return id
+			}
+			return none
+		}
+		hi -= bit + 1
+	}
+	return none
 }
 
-// aux returns the auxiliary payload stored for id.
+// firstDead returns the lowest dead ID in [lo, hi), or hi if there is none.
 //
 //smoothvet:noalloc
-func (w *window) auxOf(id int) (int32, bool) {
-	idx := id - w.base
-	if idx < w.head || idx >= len(w.entries) || !w.entries[idx].present {
-		return 0, false
+func (w *window) firstDead(lo, hi int) int {
+	for lo < hi {
+		off := lo - w.base
+		bit := off & 63
+		if word := ^w.word(off>>6) >> bit; word != 0 {
+			return min(hi, lo+bits.TrailingZeros64(word))
+		}
+		lo += 64 - bit
 	}
-	return w.entries[idx].aux, true
+	return hi
 }
 
-// setAux stores the auxiliary payload for a present id.
+// oldest and newest return the lowest and highest live IDs; the window must
+// not be empty, so its first and last words are non-zero.
+func (w *window) oldest() int {
+	return w.base + 64*w.head + bits.TrailingZeros64(w.words[w.head])
+}
+
+func (w *window) newest() int {
+	return w.base + 64*len(w.words) - 1 - bits.LeadingZeros64(w.words[len(w.words)-1])
+}
+
+// runOf returns the added run holding id, which must be live.
 //
 //smoothvet:noalloc
-func (w *window) setAux(id int, v int32) {
-	idx := id - w.base
-	if idx < w.head || idx >= len(w.entries) || !w.entries[idx].present {
-		return
-	}
-	w.entries[idx].aux = v
+func (w *window) runOf(id int) stream.Run {
+	return w.runs[stream.SearchRuns(w.runs, id)]
 }
 
-// len returns the number of present entries.
+// takeDown removes and returns what single-slice victims "newest live ID
+// of r first" would take while over bytes remain: the live IDs of r from
+// hi (live) down to the first dead one, at most ceil(over/r.Size) of them.
+//
+//smoothvet:noalloc
+func (w *window) takeDown(r stream.Run, hi, over int) stream.Run {
+	lo := max(r.First, hi+1-victimCount(over, r.Size))
+	lo = w.last(lo, hi, false) + 1
+	w.remove(lo, hi+1)
+	r.First, r.Count = lo, hi+1-lo
+	return r
+}
+
+// takeUp is takeDown from the oldest end: the live IDs of r from lo (live)
+// upward.
+//
+//smoothvet:noalloc
+func (w *window) takeUp(r stream.Run, lo, over int) stream.Run {
+	hi := min(r.End(), lo+victimCount(over, r.Size))
+	hi = w.firstDead(lo+1, hi)
+	w.remove(lo, hi)
+	r.First, r.Count = lo, hi-lo
+	return r
+}
+
+// victimCount returns how many slices of the given size cover over bytes:
+// ceil(over/size), and at least one.
+func victimCount(over, size int) int { return max(1, (over+size-1)/size) }
+
+// len returns the number of live IDs.
 func (w *window) len() int { return w.n }
 
-// reset empties the window, retaining the backing array for reuse.
+// reset empties the window, retaining the backing arrays for reuse.
 //
 //smoothvet:noalloc
 func (w *window) reset() {
-	w.base = 0
-	w.head = 0
-	w.n = 0
-	w.entries = w.entries[:0]
+	w.base, w.head, w.words, w.n, w.end, w.runs = 0, 0, w.words[:0], 0, 0, w.runs[:0]
 }
 
 // panicNonMonotone is split out of add so the formatted message's boxing
 // stays off the annotated hot path.
-func panicNonMonotone(id, start int) {
-	panic(fmt.Sprintf("drop: non-monotone slice ID %d added below window start %d", id, start))
+func panicNonMonotone(id, end int) {
+	panic(fmt.Sprintf("drop: non-monotone slice ID %d added below the end %d of earlier runs", id, end))
 }

@@ -7,119 +7,124 @@ import (
 	"repro/internal/stream"
 )
 
-// windowModel is the map-based reference the dense window replaces: plain
-// hash-map membership with recomputed-by-scan queries.
+// windowModel is the map-based reference the bitmap window replaces: plain
+// hash-map membership with every query recomputed by scanning.
 type windowModel struct {
-	present map[int]stream.Slice
-	aux     map[int]int32
+	present map[int]stream.Run // live ID -> the run it was added in
 }
 
-func newWindowModel() *windowModel {
-	return &windowModel{present: make(map[int]stream.Slice), aux: make(map[int]int32)}
-}
-
-func (m *windowModel) add(s stream.Slice) {
-	m.present[s.ID] = s
-	if _, ok := m.aux[s.ID]; !ok {
-		m.aux[s.ID] = 0
+func (m *windowModel) add(r stream.Run) {
+	for id := r.First; id < r.End(); id++ {
+		m.present[id] = r
 	}
 }
 
-func (m *windowModel) remove(id int) {
-	delete(m.present, id)
-	delete(m.aux, id)
+func (m *windowModel) remove(first, end int) {
+	for id := first; id < end; id++ {
+		delete(m.present, id)
+	}
 }
 
-func (m *windowModel) first() (stream.Slice, bool) {
-	best, ok := stream.Slice{}, false
-	for id, s := range m.present {
-		if !ok || id < best.ID {
-			best, ok = s, true
+// last and first mirror window.last and window.first by scanning.
+func (m *windowModel) last(lo, hi int, live bool) int {
+	for id := hi - 1; id >= lo; id-- {
+		if _, ok := m.present[id]; ok == live {
+			return id
 		}
 	}
-	return best, ok
+	return lo - 1
+}
+
+func (m *windowModel) first(lo, hi int, live bool) int {
+	for id := lo; id < hi; id++ {
+		if _, ok := m.present[id]; ok == live {
+			return id
+		}
+	}
+	return hi
 }
 
 // checkAgainstModel asserts every observable of the window matches the
-// model over the full live ID range.
+// model over [lo, hi), which should reach past both ends of the live span.
 func checkAgainstModel(t *testing.T, w *window, m *windowModel, lo, hi int) {
 	t.Helper()
 	if w.len() != len(m.present) {
 		t.Fatalf("len: window %d, model %d", w.len(), len(m.present))
 	}
-	wf, wok := w.first()
-	mf, mok := m.first()
-	if wok != mok || (wok && wf != mf) {
-		t.Fatalf("first: window (%+v,%v), model (%+v,%v)", wf, wok, mf, mok)
-	}
-	for id := lo; id <= hi; id++ {
-		ws, wok := w.get(id)
-		ms, mok := m.present[id]
-		if wok != mok || (wok && ws != ms) {
-			t.Fatalf("get(%d): window (%+v,%v), model (%+v,%v)", id, ws, wok, ms, mok)
+	if w.len() > 0 {
+		oldest, newest := -1, -1
+		for id := range m.present {
+			if oldest < 0 || id < oldest {
+				oldest = id
+			}
+			newest = max(newest, id)
 		}
-		wa, wok := w.auxOf(id)
-		ma, mok2 := m.aux[id]
-		if wok != mok2 || (wok && wa != ma) {
-			t.Fatalf("aux(%d): window (%d,%v), model (%d,%v)", id, wa, wok, ma, mok2)
+		if w.oldest() != oldest || w.newest() != newest {
+			t.Fatalf("oldest, newest: window %d, %d, model %d, %d", w.oldest(), w.newest(), oldest, newest)
+		}
+	}
+	for id := lo; id < hi; id++ {
+		r, ok := m.present[id]
+		if w.has(id) != ok {
+			t.Fatalf("has(%d): window %v, model %v", id, !ok, ok)
+		}
+		if ok && w.runOf(id) != r {
+			t.Fatalf("runOf(%d): window %+v, model %+v", id, w.runOf(id), r)
+		}
+	}
+	// Range queries from a spread of windows, including ones that reach
+	// outside the stored words.
+	for a := lo; a < hi; a += 7 {
+		for b := a; b <= hi; b += 13 {
+			for _, live := range []bool{true, false} {
+				if got, want := w.last(a, b, live), m.last(a, b, live); got != want {
+					t.Fatalf("last(%d, %d, %v): window %d, model %d", a, b, live, got, want)
+				}
+			}
+			if got, want := w.firstDead(a, b), m.first(a, b, false); got != want {
+				t.Fatalf("firstDead(%d, %d): window %d, model %d", a, b, got, want)
+			}
 		}
 	}
 }
 
-// driveWindow replays an operation stream (monotone adds, arbitrary
-// removals/aux writes) against both implementations and cross-checks after
-// every step. ops bytes select the operation; the walk is deterministic.
+// driveWindow replays an operation stream (runs added in ID order, some
+// after gaps; arbitrary range removals) against both implementations and
+// cross-checks after every step. ops bytes select the operation; the walk
+// is deterministic.
 func driveWindow(t *testing.T, ops []byte) {
 	t.Helper()
 	w := &window{}
-	m := newWindowModel()
+	m := &windowModel{present: make(map[int]stream.Run)}
 	nextID := 0
-	live := []int{} // ids added and not yet removed (may contain stale ids)
-	lo := 0
 	for i, op := range ops {
-		switch op % 5 {
-		case 0, 1: // add the next ID, sometimes skipping a gap
+		switch op % 4 {
+		case 0, 1: // add a run, sometimes after a gap
 			if op%7 == 0 {
-				nextID += int(op%3) + 1 // gap: IDs the policy never sees
+				nextID += int(op%3)*40 + 1 // gap: IDs the policy never sees
 			}
-			s := stream.Slice{ID: nextID, Arrival: i, Size: int(op%9) + 1, Weight: float64(op%13) + 1}
-			w.add(s)
-			m.add(s)
-			live = append(live, nextID)
-			nextID++
-		case 2: // remove a known id (possibly already removed: no-op)
-			if len(live) > 0 {
-				id := live[int(op)%len(live)]
-				w.remove(id)
-				m.remove(id)
-			}
-		case 3: // re-add the most recent id (idempotent refresh)
-			if len(live) > 0 {
-				id := live[len(live)-1]
-				if s, ok := m.present[id]; ok {
-					w.add(s)
-					m.add(s)
-				}
-			}
-		case 4: // set aux on a known id
-			if len(live) > 0 {
-				id := live[int(op)%len(live)]
-				v := int32(op)
-				w.setAux(id, v)
-				if _, ok := m.present[id]; ok {
-					m.aux[id] = v
-				}
+			r := stream.Run{First: nextID, Count: int(op)%70 + 1, Arrival: i, Size: int(op%9) + 1, Weight: float64(op%13) + 1}
+			w.add(r)
+			m.add(r)
+			nextID = r.End()
+		case 2, 3: // remove a range (possibly already removed: skipped)
+			if nextID > 0 {
+				first := int(op) * 7919 % nextID
+				end := first + int(op)%90
+				w.remove(first, end)
+				m.remove(first, end)
 			}
 		}
-		checkAgainstModel(t, w, m, lo, nextID+1)
+		checkAgainstModel(t, w, m, max(0, nextID-400), nextID+70)
 	}
 	// Reset must empty the window and keep it consistent for a fresh run.
 	w.reset()
-	if w.len() != 0 {
+	if w.len() != 0 || w.has(0) {
 		t.Fatalf("after reset: len %d", w.len())
 	}
-	if _, ok := w.first(); ok {
-		t.Fatal("after reset: first returned an entry")
+	w.add(stream.Run{First: 0, Count: 1, Size: 1})
+	if w.oldest() != 0 || w.newest() != 0 {
+		t.Fatal("window unusable after reset")
 	}
 }
 
@@ -127,7 +132,7 @@ func driveWindow(t *testing.T, ops []byte) {
 func TestWindowAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		ops := make([]byte, 400)
+		ops := make([]byte, 300)
 		for i := range ops {
 			ops[i] = byte(rng.Intn(256))
 		}
@@ -136,7 +141,7 @@ func TestWindowAgainstModel(t *testing.T) {
 }
 
 // FuzzWindow lets the fuzzer search for operation interleavings where the
-// dense window diverges from the map model. Run with `go test -fuzz
+// bitmap window diverges from the map model. Run with `go test -fuzz
 // FuzzWindow ./internal/drop` for an open-ended search; in normal test runs
 // the seed corpus below is replayed.
 func FuzzWindow(f *testing.F) {
@@ -144,68 +149,72 @@ func FuzzWindow(f *testing.F) {
 	f.Add([]byte{7, 14, 21, 28, 35, 2, 2, 2, 2, 0, 0, 0})
 	f.Add([]byte{0, 1, 0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 255, 128, 64})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 2048 {
-			ops = ops[:2048]
+		if len(ops) > 512 {
+			ops = ops[:512]
 		}
 		driveWindow(t, ops)
 	})
 }
 
 // TestWindowMonotonePanic locks in the contract violation diagnostic: adding
-// an ID below the window start must panic rather than corrupt the index.
+// a run that starts below the end of an earlier one must panic rather than
+// corrupt the index.
 func TestWindowMonotonePanic(t *testing.T) {
 	w := &window{}
-	w.add(stream.Slice{ID: 5, Size: 1})
-	w.add(stream.Slice{ID: 6, Size: 1})
-	w.remove(5)
+	w.add(stream.Run{First: 5, Count: 1, Size: 1})
+	w.add(stream.Run{First: 6, Count: 1, Size: 1})
+	w.remove(5, 6)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on non-monotone add")
 		}
 	}()
-	w.add(stream.Slice{ID: 4, Size: 1})
+	w.add(stream.Run{First: 4, Count: 1, Size: 1})
 }
 
 // TestWindowCompaction forces the dead-prefix compaction path and checks
-// the live suffix survives with correct IDs.
+// the live suffix survives with correct IDs and runs.
 func TestWindowCompaction(t *testing.T) {
 	w := &window{}
 	const n = 300
 	for id := 0; id < n; id++ {
-		w.add(stream.Slice{ID: id, Size: 1, Weight: float64(id)})
+		w.add(stream.Run{First: 64 * id, Count: 64, Size: 1, Weight: float64(id)})
 	}
-	for id := 0; id < n-10; id++ {
-		w.remove(id)
+	w.remove(0, 64*(n-10)+5)
+	if w.len() != 10*64-5 {
+		t.Fatalf("len = %d, want %d", w.len(), 10*64-5)
 	}
-	if w.len() != 10 {
-		t.Fatalf("len = %d, want 10", w.len())
-	}
-	for id := n - 10; id < n; id++ {
-		s, ok := w.get(id)
-		if !ok || s.ID != id || s.Weight != float64(id) {
-			t.Fatalf("get(%d) = (%+v, %v) after compaction", id, s, ok)
+	for id := 64*(n-10) + 5; id < 64*n; id++ {
+		if r := w.runOf(id); !w.has(id) || r.Weight != float64(id/64) {
+			t.Fatalf("id %d: has %v, run %+v after compaction", id, w.has(id), r)
 		}
 	}
-	if s, ok := w.first(); !ok || s.ID != n-10 {
-		t.Fatalf("first = (%+v, %v), want ID %d", s, ok, n-10)
+	if got := w.oldest(); got != 64*(n-10)+5 {
+		t.Fatalf("oldest = %d, want %d", got, 64*(n-10)+5)
 	}
-	// The backing array must have shrunk to near the live span.
-	if len(w.entries) > 64+10 {
-		t.Fatalf("entries not compacted: len %d", len(w.entries))
+	// The backing arrays must have shrunk to near the live span.
+	if len(w.words) > 64+10 || len(w.runs) > 64+10 {
+		t.Fatalf("not compacted: %d words, %d runs", len(w.words), len(w.runs))
 	}
 }
 
 // TestWindowRebase checks that an add into an empty window rebases instead
-// of growing the array across the dead gap.
+// of growing the bitmap across the dead gap.
 func TestWindowRebase(t *testing.T) {
 	w := &window{}
-	w.add(stream.Slice{ID: 0, Size: 1})
-	w.remove(0)
-	w.add(stream.Slice{ID: 1 << 20, Size: 1})
-	if len(w.entries) != 1 {
-		t.Fatalf("entries len %d after rebase, want 1", len(w.entries))
+	w.add(stream.Run{First: 0, Count: 1, Size: 1})
+	w.remove(0, 1)
+	w.add(stream.Run{First: 1 << 20, Count: 3, Size: 1})
+	if len(w.words) != 1 || len(w.runs) != 1 {
+		t.Fatalf("%d words, %d runs after rebase, want 1 and 1", len(w.words), len(w.runs))
 	}
-	if s, ok := w.first(); !ok || s.ID != 1<<20 {
-		t.Fatalf("first = (%+v, %v)", s, ok)
+	if w.oldest() != 1<<20 || w.newest() != 1<<20+2 {
+		t.Fatalf("oldest %d, newest %d", w.oldest(), w.newest())
 	}
+}
+
+// has reports whether id is live.
+func (w *window) has(id int) bool {
+	off := id - w.base
+	return off >= 0 && w.word(off>>6)>>(off&63)&1 != 0
 }

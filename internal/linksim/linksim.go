@@ -168,7 +168,7 @@ func Simulate(st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sche
 	bound := st.Horizon() + schedule.Params.LinkDelay + schedule.Params.Delay +
 		st.TotalBytes()/schedule.Params.Rate + 16
 	for t := 0; t <= st.Horizon() || rs.count < st.Len() || !server.Empty() || !link.Empty() || !reg.Empty(); t++ {
-		res := server.Step(t, st.ArrivalsAt(t))
+		res := server.Step(t, st.RunsAt(t))
 		rs.noteServer(t, res)
 		link.Push(t, res.Sent)
 		reg.Offer(t, link.Pop(t))
@@ -209,9 +209,11 @@ func SimulateUnregulated(st *stream.Stream, cfg core.Config, jitter int, seed in
 	bound := st.Horizon() + rs.schedule.Params.LinkDelay + jitter + rs.schedule.Params.Delay +
 		st.TotalBytes()/rs.schedule.Params.Rate + 16
 	for t := 0; t <= st.Horizon() || rs.count < st.Len() || !server.Empty() || !link.Empty(); t++ {
-		res := server.Step(t, st.ArrivalsAt(t))
+		res := server.Step(t, st.RunsAt(t))
 		rs.noteServer(t, res)
-		out.DroppedServer += len(res.Dropped)
+		for _, d := range res.Dropped {
+			out.DroppedServer += d.Count
+		}
 		link.Push(t, res.Sent)
 		arrivals := link.Pop(t)
 		batches := make([]core.Batch, len(arrivals))
@@ -246,26 +248,31 @@ func newRun(st *stream.Stream, cfg core.Config) (*runState, *core.Server, *core.
 }
 
 func (rs *runState) noteServer(t int, res core.ServerStepResult) {
+	outcomes := rs.schedule.Outcomes
 	for _, d := range res.Dropped {
-		delete(rs.pendingLate, d.ID)
-		if rs.schedule.Outcomes[d.ID].DropTime == sched.None {
-			rs.schedule.Outcomes[d.ID].DropTime = t
-			rs.schedule.Outcomes[d.ID].DropSite = sched.SiteServer
-			rs.count++
+		for id := d.First; id < d.End(); id++ {
+			delete(rs.pendingLate, id)
+			if outcomes[id].DropTime == sched.None {
+				outcomes[id].DropTime = t
+				outcomes[id].DropSite = sched.SiteServer
+				rs.count++
+			}
 		}
 	}
 	for _, b := range res.Sent {
-		if o := &rs.schedule.Outcomes[b.SliceID]; o.SendStart == sched.None {
-			o.SendStart = t
+		first, end := b.Started()
+		for id := first; id < end; id++ {
+			outcomes[id].SendStart = t
 		}
-	}
-	for _, id := range res.Finished {
-		rs.schedule.Outcomes[id].SendEnd = t
-		if lateAt, ok := rs.pendingLate[id]; ok {
-			delete(rs.pendingLate, id)
-			rs.schedule.Outcomes[id].DropTime = lateAt
-			rs.schedule.Outcomes[id].DropSite = sched.SiteClient
-			rs.count++
+		first, end = b.Finished()
+		for id := first; id < end; id++ {
+			outcomes[id].SendEnd = t
+			if lateAt, ok := rs.pendingLate[id]; ok {
+				delete(rs.pendingLate, id)
+				outcomes[id].DropTime = lateAt
+				outcomes[id].DropSite = sched.SiteClient
+				rs.count++
+			}
 		}
 	}
 }

@@ -37,7 +37,6 @@ func benchSpans(tb testing.TB, frames int) (spans [][]byte, delay int, stepNanos
 	if err != nil {
 		tb.Fatal(err)
 	}
-	slices := st.Slices()
 	payload := make([]byte, st.MaxSliceSize())
 	prev := 0
 	mark := func() {
@@ -45,11 +44,12 @@ func benchSpans(tb testing.TB, frames int) (spans [][]byte, delay int, stepNanos
 		prev = buf.Len()
 	}
 	var offered []netstream.Offered
-	for step, i := 0, 0; step <= st.Horizon(); step++ {
+	for step := 0; step <= st.Horizon(); step++ {
 		offered = offered[:0]
-		for i < len(slices) && slices[i].Arrival == step {
-			offered = append(offered, netstream.Offered{Slice: slices[i], Payload: payload[:slices[i].Size]})
-			i++
+		for _, r := range st.RunsAt(step) {
+			for id := r.First; id < r.End(); id++ {
+				offered = append(offered, netstream.Offered{Slice: r.Slice(id), Payload: payload[:r.Size]})
+			}
 		}
 		if _, err := snd.Tick(offered); err != nil {
 			tb.Fatal(err)

@@ -327,11 +327,7 @@ func (w *WindowSmoother) Backlog() int64 { return w.backlog }
 // requirement).
 func (w *WindowSmoother) SmoothStream(st *stream.Stream) (sends []int, peak int, maxBacklog int64) {
 	for t := 0; t <= st.Horizon() || w.backlog > 0; t++ {
-		arrived := 0
-		for _, sl := range st.ArrivalsAt(t) {
-			arrived += sl.Size
-		}
-		send := w.Step(arrived)
+		send := w.Step(st.BytesAt(t))
 		sends = append(sends, send)
 		if send > peak {
 			peak = send

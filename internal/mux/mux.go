@@ -109,24 +109,25 @@ func (r *Result) FairnessIndex() float64 {
 // within one input stream is preserved.
 func Merge(streams []*stream.Stream) (*stream.Stream, []int, error) {
 	type rec struct {
-		sl     stream.Slice
+		run    stream.Run
 		origin int
-		seq    int
 	}
 	var recs []rec
 	for si, st := range streams {
-		for _, sl := range st.Slices() {
-			recs = append(recs, rec{sl: sl, origin: si, seq: len(recs)})
+		for _, r := range st.Runs() {
+			recs = append(recs, rec{run: r, origin: si})
 		}
 	}
 	// The Builder sorts stably by arrival, so pre-sorting the records the
 	// same way keeps origin[] aligned with the assigned IDs.
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].sl.Arrival < recs[j].sl.Arrival })
+	sort.SliceStable(recs, func(i, j int) bool { return recs[i].run.Arrival < recs[j].run.Arrival })
 	b := stream.NewBuilder()
-	origin := make([]int, len(recs))
-	for i, r := range recs {
-		b.Add(r.sl.Arrival, r.sl.Size, r.sl.Weight)
-		origin[i] = r.origin
+	origin := make([]int, 0, len(recs))
+	for _, r := range recs {
+		b.AddRun(r.run.Arrival, r.run.Count, r.run.Size, r.run.Weight)
+		for range r.run.Count {
+			origin = append(origin, r.origin)
+		}
 	}
 	combined, err := b.Build()
 	if err != nil {

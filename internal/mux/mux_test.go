@@ -45,7 +45,7 @@ func TestMergeAlignsOrigins(t *testing.T) {
 		counts[o]++
 		src := []*stream.Stream{a, b}[o]
 		found := false
-		for _, cand := range src.Slices() {
+		for _, cand := range src.Runs() {
 			if cand.Arrival == sl.Arrival && cand.Size == sl.Size && cand.Weight == sl.Weight {
 				found = true
 			}

@@ -43,10 +43,12 @@ func NewMuxer(streams []*stream.Stream) (*Muxer, error) {
 	next := 0
 	for step := 0; step <= m.horizon; step++ {
 		for si, st := range streams {
-			for _, sl := range st.ArrivalsAt(step) {
-				m.ids[si][sl.ID] = next
-				m.local[next] = struct{ si, local int }{si, sl.ID}
-				next++
+			for _, r := range st.RunsAt(step) {
+				for id := r.First; id < r.End(); id++ {
+					m.ids[si][id] = next
+					m.local[next] = struct{ si, local int }{si, id}
+					next++
+				}
 			}
 		}
 	}
@@ -65,14 +67,17 @@ func (m *Muxer) Streams() int { return len(m.streams) }
 func (m *Muxer) Offers(step int, payload func(streamIdx int, sl stream.Slice) []byte) []Offered {
 	var out []Offered
 	for si, st := range m.streams {
-		for _, sl := range st.ArrivalsAt(step) {
-			tagged := sl
-			tagged.ID = m.ids[si][sl.ID]
-			out = append(out, Offered{
-				Slice:    tagged,
-				Payload:  payload(si, sl),
-				StreamID: si,
-			})
+		for _, r := range st.RunsAt(step) {
+			for id := r.First; id < r.End(); id++ {
+				sl := r.Slice(id)
+				tagged := sl
+				tagged.ID = m.ids[si][id]
+				out = append(out, Offered{
+					Slice:    tagged,
+					Payload:  payload(si, sl),
+					StreamID: si,
+				})
+			}
 		}
 	}
 	return out

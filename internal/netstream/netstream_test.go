@@ -119,6 +119,37 @@ func TestSenderValidation(t *testing.T) {
 	}
 }
 
+// TestSenderTickAllOrNothing checks that a tick whose arrival list fails
+// validation part way through registers none of it, so the corrected list
+// can be retried, and that IDs out of order are an error, not a panic in
+// the drop policy.
+func TestSenderTickAllOrNothing(t *testing.T) {
+	var buf bytes.Buffer
+	s, err := NewSender(&buf, SenderConfig{ServerBuffer: 8, Rate: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer := func(id, size, payload int) Offered {
+		return Offered{Slice: stream.Slice{ID: id, Size: size, Weight: 1}, Payload: make([]byte, payload)}
+	}
+	if _, err := s.Tick([]Offered{offer(0, 1, 1), offer(1, 2, 1)}); err == nil {
+		t.Fatal("payload size mismatch accepted")
+	}
+	if _, err := s.Tick([]Offered{offer(5, 1, 1), offer(3, 1, 1)}); err == nil {
+		t.Fatal("decreasing slice IDs accepted")
+	}
+	ts, err := s.Tick([]Offered{offer(0, 1, 1), offer(1, 2, 2)})
+	if err != nil {
+		t.Fatalf("retry of the corrected tick: %v", err)
+	}
+	if ts.Step != 0 || ts.SentBytes != 2 || s.Backlog() != 1 {
+		t.Errorf("retry: step %d, sent %d, backlog %d; want 0, 2, 1", ts.Step, ts.SentBytes, s.Backlog())
+	}
+	if _, err := s.Tick([]Offered{offer(1, 1, 1)}); err == nil {
+		t.Error("slice ID offered twice accepted")
+	}
+}
+
 // pump drives a sender over a whole stream and drains it.
 func pump(t *testing.T, st *stream.Stream, cfg SenderConfig, w io.Writer) *Sender {
 	t.Helper()

@@ -188,8 +188,10 @@ func ReceiveStream(r io.Reader, delay, streams int, onPlay func(d *Data)) (PlayS
 // a convenience for tests and tools driving a Sender manually.
 func OfferStream(st *stream.Stream, step int, payload func(stream.Slice) []byte) []Offered {
 	var out []Offered
-	for _, sl := range st.ArrivalsAt(step) {
-		out = append(out, Offered{Slice: sl, Payload: payload(sl)})
+	for _, r := range st.RunsAt(step) {
+		for id := r.First; id < r.End(); id++ {
+			out = append(out, Offered{Slice: r.Slice(id), Payload: payload(r.Slice(id))})
+		}
 	}
 	return out
 }

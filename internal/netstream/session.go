@@ -32,16 +32,16 @@ type SenderConfig struct {
 // call on the underlying writer (see Encoder), so a session costs one
 // syscall per step regardless of how many slices it advances.
 type Sender struct {
-	enc      *Encoder
-	server   *core.Server
-	delay    int
-	step     int
-	payload  map[int][]byte // remaining payload per live slice
-	sent     map[int]int    // bytes already sent per slice
-	meta     map[int]stream.Slice
-	streamOf map[int]int  // substream tag per live slice
-	seen     map[int]bool // all slice IDs ever offered (uniqueness guard)
-	scratch  []stream.Slice
+	enc    *Encoder
+	server *core.Server
+	delay  int
+	step   int
+	// live holds every offer the server still stores, by slice ID: its
+	// metadata, substream tag and payload, which Tick frames as the
+	// server's range batches leave.
+	live   map[int]Offered
+	lastID int          // the highest slice ID offered so far
+	runs   []stream.Run // this tick's arrivals, coalesced into runs
 }
 
 // TickStats reports what one step did.
@@ -65,14 +65,11 @@ func NewSender(w io.Writer, cfg SenderConfig) (*Sender, error) {
 		policy = cfg.Policy
 	}
 	return &Sender{
-		enc:      NewEncoder(w),
-		server:   core.NewServer(cfg.ServerBuffer, cfg.Rate, policy(), core.ServerOptions{}),
-		delay:    cfg.Delay,
-		payload:  make(map[int][]byte),
-		sent:     make(map[int]int),
-		meta:     make(map[int]stream.Slice),
-		streamOf: make(map[int]int),
-		seen:     make(map[int]bool),
+		enc:    NewEncoder(w),
+		server: core.NewServer(cfg.ServerBuffer, cfg.Rate, policy(), core.ServerOptions{}),
+		delay:  cfg.Delay,
+		live:   make(map[int]Offered),
+		lastID: -1,
 	}, nil
 }
 
@@ -87,7 +84,7 @@ func (s *Sender) Backlog() int { return s.server.Occupancy() }
 
 // Offered pairs a slice with its payload bytes; len(Payload) must equal
 // Slice.Size. StreamID tags the substream in multiplexed sessions (leave 0
-// for single-stream use); slice IDs must be unique across the WHOLE
+// for single-stream use); slice IDs must increase across the WHOLE
 // session, not just within one substream — see Muxer.
 type Offered struct {
 	Slice    stream.Slice
@@ -98,69 +95,74 @@ type Offered struct {
 // Tick advances one model step: the arrivals join the buffer, up to R
 // payload bytes are framed and batched, and overflow is shed via the drop
 // policy; the whole batch then goes to the wire in one Write. Slice IDs
-// must be unique across the session.
+// must increase strictly across the session. A tick whose arrivals fail
+// validation changes nothing, so the caller may correct and retry it.
 //
 //smoothvet:noalloc
 func (s *Sender) Tick(arrivals []Offered) (TickStats, error) {
-	s.scratch = s.scratch[:0]
+	last := s.lastID
 	for _, a := range arrivals {
-		if len(a.Payload) != a.Slice.Size {
+		switch {
+		case a.Slice.Size <= 0 || len(a.Payload) != a.Slice.Size:
 			return TickStats{}, fmt.Errorf("netstream: slice %d payload %d bytes, size says %d",
 				a.Slice.ID, len(a.Payload), a.Slice.Size)
+		case a.Slice.ID <= last:
+			return TickStats{}, fmt.Errorf("netstream: slice ID %d offered after ID %d", a.Slice.ID, last)
 		}
-		if s.seen[a.Slice.ID] {
-			return TickStats{}, fmt.Errorf("netstream: duplicate slice ID %d", a.Slice.ID)
-		}
-		s.seen[a.Slice.ID] = true
-		s.scratch = append(s.scratch, a.Slice)
-		s.payload[a.Slice.ID] = a.Payload
-		s.meta[a.Slice.ID] = a.Slice
-		s.streamOf[a.Slice.ID] = a.StreamID
+		last = a.Slice.ID
 	}
-	res := s.server.Step(s.step, s.scratch)
+	s.lastID = last
+	s.runs = s.runs[:0]
+	for _, a := range arrivals {
+		s.live[a.Slice.ID] = a
+		sl := a.Slice
+		if k := len(s.runs) - 1; k >= 0 && s.runs[k].End() == sl.ID &&
+			s.runs[k].Arrival == sl.Arrival && s.runs[k].Size == sl.Size && s.runs[k].Weight == sl.Weight {
+			s.runs[k].Count++
+			continue
+		}
+		s.runs = append(s.runs, stream.Run{First: sl.ID, Count: 1, Arrival: sl.Arrival, Size: sl.Size, Weight: sl.Weight})
+	}
+	res := s.server.Step(s.step, s.runs)
 	for _, b := range res.Sent {
-		sl := s.meta[b.SliceID]
-		off := s.sent[b.SliceID]
-		chunk := s.payload[b.SliceID][:b.Bytes]
-		s.payload[b.SliceID] = s.payload[b.SliceID][b.Bytes:]
-		s.sent[b.SliceID] = off + b.Bytes
-		err := s.enc.PutData(&Data{
-			StreamID: uint32(s.streamOf[b.SliceID]),
-			SliceID:  uint32(b.SliceID),
-			Arrival:  uint32(sl.Arrival),
-			Size:     uint32(sl.Size),
-			Weight:   sl.Weight,
-			SendStep: uint32(s.step),
-			Offset:   uint32(off),
-			Payload:  chunk,
-		})
-		if err != nil {
-			return TickStats{}, err
-		}
-		if s.sent[b.SliceID] == sl.Size {
-			delete(s.payload, b.SliceID)
-			delete(s.sent, b.SliceID)
-			delete(s.meta, b.SliceID)
-			delete(s.streamOf, b.SliceID)
+		// One Data message per slice the batch touches.
+		id, off := b.SliceID, b.Offset
+		for left := b.Bytes; left > 0; id, off = id+1, 0 {
+			n := min(left, b.Size-off)
+			left -= n
+			a := s.live[id]
+			err := s.enc.PutData(&Data{
+				StreamID: uint32(a.StreamID),
+				SliceID:  uint32(id),
+				Arrival:  uint32(a.Slice.Arrival),
+				Size:     uint32(a.Slice.Size),
+				Weight:   a.Slice.Weight,
+				SendStep: uint32(s.step),
+				Offset:   uint32(off),
+				Payload:  a.Payload[off : off+n],
+			})
+			if err != nil {
+				return TickStats{}, err
+			}
+			if off+n == a.Slice.Size {
+				delete(s.live, id)
+			}
 		}
 	}
+	// TickStats outlives the step, so the dropped slices are copied out
+	// (drops are rare — usually nil).
+	var dropped []stream.Slice
 	for _, d := range res.Dropped {
-		delete(s.payload, d.ID)
-		delete(s.sent, d.ID)
-		delete(s.meta, d.ID)
-		delete(s.streamOf, d.ID)
+		for id := d.First; id < d.End(); id++ {
+			dropped = append(dropped, s.live[id].Slice)
+			delete(s.live, id)
+		}
 	}
 	// One Write per step: everything this step framed leaves together.
 	if err := s.enc.Flush(); err != nil {
 		return TickStats{}, err
 	}
 	s.step++
-	// res.Dropped aliases a buffer the server reuses next Step; TickStats
-	// outlives the step, so copy (drops are rare — usually nil).
-	var dropped []stream.Slice
-	if len(res.Dropped) > 0 {
-		dropped = append(dropped, res.Dropped...)
-	}
 	return TickStats{
 		Step:      s.step - 1,
 		SentBytes: res.SentBytes,

@@ -52,23 +52,25 @@ func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
 	drainFrom0 := make([]int, horizon+1)
 
 	for t := 0; t <= horizon; t++ {
-		for _, sl := range st.ArrivalsAt(t) {
-			bits := make([]uint64, words)
-			choice[sl.ID] = bits
-			if sl.Size > B {
-				// Never acceptable; dp unchanged (reject forced).
-				continue
-			}
-			// Accept transitions shift occupancy up by Size; process
-			// descending so each slice is considered once.
-			for o := capMax; o >= sl.Size; o-- {
-				from := o - sl.Size
-				if dp[from] == reject {
+		for _, r := range st.RunsAt(t) {
+			for id := r.First; id < r.End(); id++ {
+				bits := make([]uint64, words)
+				choice[id] = bits
+				if r.Size > B {
+					// Never acceptable; dp unchanged (reject forced).
 					continue
 				}
-				if v := dp[from] + sl.Weight; v > dp[o] {
-					dp[o] = v
-					bits[o/64] |= 1 << (o % 64)
+				// Accept transitions shift occupancy up by Size; process
+				// descending so each slice is considered once.
+				for o := capMax; o >= r.Size; o-- {
+					from := o - r.Size
+					if dp[from] == reject {
+						continue
+					}
+					if v := dp[from] + r.Weight; v > dp[o] {
+						dp[o] = v
+						bits[o/64] |= 1 << (o % 64)
+					}
 				}
 			}
 		}
@@ -118,14 +120,15 @@ func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
 		} else {
 			o += R
 		}
-		arr := st.ArrivalsAt(t)
-		for i := len(arr) - 1; i >= 0; i-- {
-			sl := arr[i]
-			bits := choice[sl.ID]
-			if o >= 0 && o <= capMax && bits[o/64]&(1<<(o%64)) != 0 {
-				res.Accepted[sl.ID] = true
-				res.Bytes += sl.Size
-				o -= sl.Size
+		runs := st.RunsAt(t)
+		for i := len(runs) - 1; i >= 0; i-- {
+			r := runs[i]
+			for id := r.End() - 1; id >= r.First; id-- {
+				if o >= 0 && o <= capMax && choice[id][o/64]&(1<<(o%64)) != 0 {
+					res.Accepted[id] = true
+					res.Bytes += r.Size
+					o -= r.Size
+				}
 			}
 		}
 	}

@@ -77,14 +77,17 @@ func Feasible(st *stream.Stream, accepted func(id int) bool, B, R int) bool {
 	}
 	occ := 0
 	for t := 0; t <= st.Horizon(); t++ {
-		for _, sl := range st.ArrivalsAt(t) {
-			if accepted(sl.ID) {
-				if sl.Size > B {
-					// A slice larger than the whole buffer can never be
-					// stored (the paper assumes Lmax <= B throughout).
-					return false
+		for _, r := range st.RunsAt(t) {
+			for id := r.First; id < r.End(); id++ {
+				if accepted(id) {
+					if r.Size > B {
+						// A slice larger than the whole buffer can never
+						// be stored (the paper assumes Lmax <= B
+						// throughout).
+						return false
+					}
+					occ += r.Size
 				}
-				occ += sl.Size
 			}
 		}
 		occ -= R

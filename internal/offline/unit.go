@@ -48,20 +48,21 @@ func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 		return res, nil
 	}
 
-	// One run per arrival step is what a byte-sliced clip produces.
-	runs := make([]unitRun, 0, min(st.Len(), st.Horizon()+1))
-	for _, sl := range st.Slices() {
-		if k := len(runs) - 1; k >= 0 && runs[k].arrival == sl.Arrival && runs[k].weight == sl.Weight {
-			runs[k].count++
+	// The stream's runs, merged where only a zero's sign tells weights
+	// apart; a byte-sliced clip has one per arrival step.
+	runs := make([]stream.Run, 0, len(st.Runs()))
+	for _, r := range st.Runs() {
+		if k := len(runs) - 1; k >= 0 && runs[k].Arrival == r.Arrival && runs[k].Weight == r.Weight {
+			runs[k].Count += r.Count
 			continue
 		}
-		runs = append(runs, unitRun{first: sl.ID, count: 1, arrival: sl.Arrival, weight: sl.Weight})
+		runs = append(runs, r)
 	}
 	// Weight descending; ties by arrival then ID for determinism (any
 	// tie-break yields the same total benefit, by the matroid exchange
 	// property). This is the order the slices themselves would sort in.
-	slices.SortFunc(runs, func(a, b unitRun) int {
-		return cmp.Or(cmp.Compare(b.weight, a.weight), cmp.Compare(a.arrival, b.arrival), cmp.Compare(a.first, b.first))
+	slices.SortFunc(runs, func(a, b stream.Run) int {
+		return cmp.Or(cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.Arrival, b.Arrival), cmp.Compare(a.First, b.First))
 	})
 
 	// H is indexed by i in [0, horizon+1]; H[i] = N(i-1) - R*i starts at
@@ -69,28 +70,21 @@ func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 	tree := newRiseTree(st.Horizon()+2, func(i int) int64 { return -int64(R) * int64(i) })
 
 	for _, r := range runs {
-		cross := tree.suffixMax(r.arrival+1) - tree.prefixMin(r.arrival)
-		m := min(int64(B)-cross, int64(r.count))
+		cross := tree.suffixMax(r.Arrival+1) - tree.prefixMin(r.Arrival)
+		m := min(int64(B)-cross, int64(r.Count))
 		if m <= 0 {
 			continue
 		}
-		tree.addSuffix(r.arrival+1, m)
+		tree.addSuffix(r.Arrival+1, m)
 		// The weight is added once per slice, not as m·weight, so Benefit
 		// is the same float sum a slice-at-a-time greedy produces.
-		for id := r.first; id < r.first+int(m); id++ {
+		for id := r.First; id < r.First+int(m); id++ {
 			res.Accepted[id] = true
-			res.Benefit += r.weight
+			res.Benefit += r.Weight
 		}
 		res.Bytes += int(m)
 	}
 	return res, nil
-}
-
-// unitRun is a maximal run of consecutive slice IDs first..first+count-1
-// that share one arrival and one weight.
-type unitRun struct {
-	first, count, arrival int
-	weight                float64
 }
 
 // riseTree is a segment tree over an int64 array supporting suffix add and

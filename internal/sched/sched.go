@@ -123,9 +123,11 @@ type Schedule struct {
 // Throughput returns the total number of bytes played out (Definition 2.4).
 func (s *Schedule) Throughput() int {
 	n := 0
-	for id, o := range s.Outcomes {
-		if o.Played() {
-			n += s.Stream.Slice(id).Size
+	for _, r := range s.Stream.Runs() {
+		for _, o := range s.Outcomes[r.First:r.End()] {
+			if o.Played() {
+				n += r.Size
+			}
 		}
 	}
 	return n
@@ -134,9 +136,11 @@ func (s *Schedule) Throughput() int {
 // Benefit returns the total weight of played slices (Definition 2.6).
 func (s *Schedule) Benefit() float64 {
 	var w float64
-	for id, o := range s.Outcomes {
-		if o.Played() {
-			w += s.Stream.Slice(id).Weight
+	for _, r := range s.Stream.Runs() {
+		for _, o := range s.Outcomes[r.First:r.End()] {
+			if o.Played() {
+				w += r.Weight
+			}
 		}
 	}
 	return w
@@ -145,9 +149,11 @@ func (s *Schedule) Benefit() float64 {
 // DroppedBytes returns the total size of dropped slices.
 func (s *Schedule) DroppedBytes() int {
 	n := 0
-	for id, o := range s.Outcomes {
-		if o.Dropped() {
-			n += s.Stream.Slice(id).Size
+	for _, r := range s.Stream.Runs() {
+		for _, o := range s.Outcomes[r.First:r.End()] {
+			if o.Dropped() {
+				n += r.Size
+			}
 		}
 	}
 	return n

@@ -16,11 +16,11 @@ func TestBuilderAssignsIDsInArrivalOrder(t *testing.T) {
 		Add(2, 4, 4).
 		MustBuild()
 	arrivals := make([]int, st.Len())
-	for i, s := range st.Slices() {
-		if s.ID != i {
+	for i := range st.Len() {
+		if s := st.Slice(i); s.ID != i {
 			t.Errorf("slice %d has ID %d", i, s.ID)
 		}
-		arrivals[i] = s.Arrival
+		arrivals[i] = st.Slice(i).Arrival
 	}
 	want := []int{0, 2, 5, 5}
 	if !reflect.DeepEqual(arrivals, want) {
@@ -275,7 +275,8 @@ func TestAddFrame(t *testing.T) {
 	if st.Len() != 3 {
 		t.Fatalf("AddFrame built %d slices, want 3", st.Len())
 	}
-	for _, s := range st.Slices() {
+	for id := range st.Len() {
+		s := st.Slice(id)
 		if s.Arrival != 3 {
 			t.Errorf("slice %d arrival = %d, want 3", s.ID, s.Arrival)
 		}

@@ -138,9 +138,7 @@ func ByteSliceStream(c *Clip, w WeightMap) (*stream.Stream, error) {
 		if !ok {
 			return nil, fmt.Errorf("trace: no weight for frame type %q", f.Type)
 		}
-		for i := 0; i < f.Size; i++ {
-			b.Add(f.Index, 1, wt)
-		}
+		b.AddRun(f.Index, f.Size, 1, wt)
 	}
 	return b.Build()
 }
