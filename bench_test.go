@@ -208,7 +208,8 @@ func BenchmarkTraceGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkMinRate measures the O(T^2) zero-loss rate calculator.
+// BenchmarkMinRate measures the zero-loss rate calculator: an O(T)
+// feasibility pass per candidate rate, O(log R) of them.
 func BenchmarkMinRate(b *testing.B) {
 	st := benchFrameStream(b, 1000)
 	b.ReportAllocs()

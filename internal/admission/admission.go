@@ -78,17 +78,31 @@ func ChernoffExponent(samples []int, K int, C float64) (float64, error) {
 	}
 	// The objective is convex in s with objective(0) = 0; minimize by
 	// ternary search over an exponentially located bracket.
-	hi := 1e-6
-	for objective(2*hi) < objective(hi) && hi < 1e6 {
-		hi *= 2
+	hi, fHi := 1e-6, objective(1e-6)
+	for hi < 1e6 {
+		f2 := objective(2 * hi)
+		if !(f2 < fHi) {
+			break
+		}
+		hi, fHi = 2*hi, f2
 	}
+	// An iteration maps (lo, hi) to a pair that depends on that pair
+	// alone, so once one leaves it unchanged (the thirds no longer move in
+	// float64) every later one would too: stop there, at exactly the pair
+	// that all 200 iterations reach.
 	lo := 0.0
 	for i := 0; i < 200; i++ {
 		m1 := lo + (hi-lo)/3
 		m2 := hi - (hi-lo)/3
 		if objective(m1) < objective(m2) {
+			if m2 == hi {
+				break
+			}
 			hi = m2
 		} else {
+			if m1 == lo {
+				break
+			}
 			lo = m1
 		}
 	}

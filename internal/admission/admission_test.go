@@ -123,6 +123,73 @@ func TestChernoffExponentLimits(t *testing.T) {
 	}
 }
 
+// chernoff200 is ChernoffExponent as it was before the search stopped at
+// its fixed point: the bracketing loop evaluates both ends every time and
+// all 200 ternary iterations run. Test-only reference.
+func chernoff200(samples []int, K int, C float64) float64 {
+	objective := func(s float64) float64 {
+		l, _ := LogMGF(samples, s)
+		return float64(K)*l - s*C
+	}
+	hi := 1e-6
+	for objective(2*hi) < objective(hi) && hi < 1e6 {
+		hi *= 2
+	}
+	lo := 0.0
+	for i := 0; i < 200; i++ {
+		m1 := lo + (hi-lo)/3
+		m2 := hi - (hi-lo)/3
+		if objective(m1) < objective(m2) {
+			hi = m2
+		} else {
+			lo = m1
+		}
+	}
+	v := objective((lo + hi) / 2)
+	if v > 0 {
+		v = 0
+	}
+	return v
+}
+
+// TestChernoffExponentMatches200Iterations checks that stopping at the
+// fixed point changes no bit: the admission table's calls (C = 8 x mean,
+// K = 5..10), capacities below, between and above K x mean and K x peak,
+// and constant and two-valued demand.
+func TestChernoffExponentMatches200Iterations(t *testing.T) {
+	train := demandSamples(t, 1, 2000)
+	var mean float64
+	peak := 0
+	for _, x := range train {
+		mean += float64(x)
+		peak = max(peak, x)
+	}
+	mean /= float64(len(train))
+	type call struct {
+		samples []int
+		K       int
+		C       float64
+	}
+	var calls []call
+	for K := 5; K <= 10; K++ {
+		calls = append(calls, call{train, K, 8 * mean})
+	}
+	for _, f := range []float64{0.9, 1.2, 1.5} {
+		calls = append(calls, call{train, 4, 4 * mean * f})
+	}
+	calls = append(calls, call{train, 4, float64(4*peak) + 1},
+		call{[]int{10, 10, 10}, 2, 15}, call{[]int{10, 10, 10}, 2, 25}, call{[]int{120, 2}, 1, 100})
+	for _, c := range calls {
+		got, err := ChernoffExponent(c.samples, c.K, c.C)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := chernoff200(c.samples, c.K, c.C); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("K=%d C=%v over %d samples: exponent %v, 200 iterations give %v", c.K, c.C, len(c.samples), got, want)
+		}
+	}
+}
+
 func TestChernoffBoundsMeasuredOverflow(t *testing.T) {
 	// The Chernoff bound must upper-bound the measured per-step overflow
 	// frequency of independent streams drawn from the same generator.

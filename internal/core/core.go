@@ -140,12 +140,13 @@ func (b Batch) Finished() (first, end int) {
 	return b.SliceID, b.SliceID + (b.Offset+b.Bytes)/b.Size
 }
 
-// NewComponents resolves the configuration and returns a fresh schedule
-// skeleton (all outcomes unresolved, Params filled with the resolved
-// values), server and client, for callers that drive their own step loop
-// (e.g. package linksim, which puts a jittery link and a regulator between
-// server and client).
-func NewComponents(st *stream.Stream, cfg Config) (*sched.Schedule, *Server, *Client, error) {
+// NewComponents resolves the configuration and returns a Recorder over a
+// fresh schedule skeleton (all outcomes unresolved, Params filled with the
+// resolved values), a server and a client, for callers that drive their
+// own step loop (e.g. package linksim, which puts a jittery link and a
+// regulator between server and client) and pass every step's results to
+// Recorder.Record.
+func NewComponents(st *stream.Stream, cfg Config) (*Recorder, *Server, *Client, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, nil, nil, err
@@ -153,9 +154,11 @@ func NewComponents(st *stream.Stream, cfg Config) (*sched.Schedule, *Server, *Cl
 	policy := cfg.Policy()
 	out := &sched.Schedule{}
 	cfg.resetSchedule(out, st, "generic/"+policy.Name())
+	rec := &Recorder{}
+	rec.reset(out)
 	server := NewServer(cfg.ServerBuffer, cfg.Rate, policy, cfg.serverOptions())
 	client := NewClient(cfg.ClientBuffer, cfg.Delay, cfg.LinkDelay, st)
-	return out, server, client, nil
+	return rec, server, client, nil
 }
 
 // resetSchedule readies out for a run of st under the resolved config: all

@@ -23,13 +23,7 @@ type Runner struct {
 	client Client
 	link   pipe
 	out    sched.Schedule
-
-	// pendingLate tracks slices the client has given up on (their play
-	// time passed) while their bytes are still in the server buffer; they
-	// are resolved when those bytes finally leave the server, so that the
-	// recorded occupancies stay exact. It is empty whenever B = R·D holds
-	// (Lemma 3.3), so a small map is fine here.
-	pendingLate map[int]int
+	rec    Recorder
 
 	// algo caches the "generic/<policy>" algorithm string so repeated runs
 	// with the same policy do not concatenate it again.
@@ -39,9 +33,7 @@ type Runner struct {
 
 // NewRunner returns an empty arena. The first Run grows every backing array
 // to the stream's working size; subsequent runs reuse them.
-func NewRunner() *Runner {
-	return &Runner{pendingLate: make(map[int]int)}
-}
+func NewRunner() *Runner { return &Runner{} }
 
 var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
 
@@ -85,78 +77,15 @@ func (r *Runner) run(st *stream.Stream, cfg Config) (*sched.Schedule, error) {
 
 	out := &r.out
 	cfg.resetSchedule(out, st, r.algo)
+	r.rec.reset(out)
 	r.server.Reset(cfg.ServerBuffer, cfg.Rate, policy, cfg.serverOptions())
 	r.client.Reset(cfg.ClientBuffer, cfg.Delay, cfg.LinkDelay, st)
 	r.link.reset(cfg.LinkDelay)
-	clear(r.pendingLate)
 
-	resolved, n := 0, st.Len()
-	for t := 0; t <= st.Horizon() || resolved < n || !r.server.Empty() || !r.link.empty(); t++ {
+	for t := 0; t <= st.Horizon() || r.rec.resolved < st.Len() || !r.server.Empty() || !r.link.empty(); t++ {
 		res := r.server.Step(t, st.RunsAt(t))
-		for _, d := range res.Dropped {
-			for id := d.First; id < d.End(); id++ {
-				// A slice the client had already declared late may now be
-				// physically discarded by the server (proactive late
-				// drop); the server is the drop site — that is where the
-				// bytes died.
-				delete(r.pendingLate, id)
-				if out.Outcomes[id].DropTime == sched.None {
-					out.Outcomes[id].DropTime = t
-					out.Outcomes[id].DropSite = sched.SiteServer
-					resolved++
-				}
-			}
-		}
-		for _, b := range res.Sent {
-			first, end := b.Started()
-			for id := first; id < end; id++ {
-				out.Outcomes[id].SendStart = t
-			}
-			first, end = b.Finished()
-			for id := first; id < end; id++ {
-				out.Outcomes[id].SendEnd = t
-				if len(r.pendingLate) == 0 {
-					continue
-				}
-				if lateAt, ok := r.pendingLate[id]; ok {
-					// The slice's bytes have fully left the server; the
-					// client discarded (or will discard) them on arrival.
-					// It counts as lost at the client from its play time
-					// on.
-					delete(r.pendingLate, id)
-					out.Outcomes[id].DropTime = lateAt
-					out.Outcomes[id].DropSite = sched.SiteClient
-					resolved++
-				}
-			}
-		}
 		r.link.push(res.Sent)
-
-		cres := r.client.Step(t, r.link.pop())
-		for _, id := range cres.Played {
-			out.Outcomes[id].PlayTime = t
-			resolved++
-		}
-		for _, id := range cres.Dropped {
-			// The client reports every scheduled slice it could not play;
-			// slices the server already dropped were resolved upstream,
-			// and slices still (partly) at the server are resolved when
-			// their bytes leave it.
-			if out.Outcomes[id].DropTime != sched.None {
-				continue
-			}
-			if r.server.Contains(id) {
-				r.pendingLate[id] = t
-				continue
-			}
-			out.Outcomes[id].DropTime = t
-			out.Outcomes[id].DropSite = sched.SiteClient
-			resolved++
-		}
-
-		out.SentPerStep = append(out.SentPerStep, res.SentBytes)
-		out.ServerOcc = append(out.ServerOcc, res.Occupancy)
-		out.ClientOcc = append(out.ClientOcc, cres.Occupancy)
+		r.rec.Record(t, &r.server, res, r.client.Step(t, r.link.pop()))
 
 		if t > st.Horizon()+cfg.LinkDelay+cfg.Delay+totalSteps(st, cfg.Rate)+8 {
 			// Defensive: the loop provably terminates (the server sends R
@@ -165,4 +94,107 @@ func (r *Runner) run(st *stream.Stream, cfg Config) (*sched.Schedule, error) {
 		}
 	}
 	return out, nil
+}
+
+// Recorder fills a sched.Schedule from the step results of a Server and a
+// Client: every slice's send span, its play time or its drop time and
+// site, and the per-step traces. Runner drives one, and so do callers that
+// put their own link between server and client (see NewComponents).
+type Recorder struct {
+	out      *sched.Schedule
+	resolved int
+
+	// pendingLate tracks slices the client has given up on (their play
+	// time passed) while their bytes are still in the server buffer; they
+	// are resolved when those bytes finally leave the server, so that the
+	// recorded occupancies stay exact. It is empty whenever B = R·D holds
+	// (Lemma 3.3), so a small map is fine here.
+	pendingLate map[int]int
+}
+
+// reset readies the recorder to fill out, whose outcomes are all
+// unresolved and whose traces are empty.
+func (rec *Recorder) reset(out *sched.Schedule) {
+	rec.out, rec.resolved = out, 0
+	if rec.pendingLate == nil {
+		rec.pendingLate = make(map[int]int)
+	}
+	clear(rec.pendingLate)
+}
+
+// Schedule returns the schedule the recorder fills.
+func (rec *Recorder) Schedule() *sched.Schedule { return rec.out }
+
+// Resolved returns how many slices have their fate recorded: played, or
+// dropped at the server or the client.
+func (rec *Recorder) Resolved() int { return rec.resolved }
+
+// Record notes step t: first res, the step result of sv, then cres, the
+// step result of the client.
+func (rec *Recorder) Record(t int, sv *Server, res ServerStepResult, cres ClientStepResult) {
+	out := rec.out
+	for _, d := range res.Dropped {
+		for id := d.First; id < d.End(); id++ {
+			// A slice the client had already declared late may now be
+			// physically discarded by the server (proactive late drop);
+			// the server is the drop site — that is where the bytes died.
+			delete(rec.pendingLate, id)
+			if out.Outcomes[id].DropTime == sched.None {
+				out.Outcomes[id].DropTime = t
+				out.Outcomes[id].DropSite = sched.SiteServer
+				rec.resolved++
+			}
+		}
+	}
+	for _, b := range res.Sent {
+		first, end := b.Started()
+		for id := first; id < end; id++ {
+			out.Outcomes[id].SendStart = t
+		}
+		first, end = b.Finished()
+		for id := first; id < end; id++ {
+			out.Outcomes[id].SendEnd = t
+			if len(rec.pendingLate) == 0 {
+				continue
+			}
+			if lateAt, ok := rec.pendingLate[id]; ok {
+				// The slice's bytes have fully left the server; the client
+				// discarded (or will discard) them on arrival. It counts
+				// as lost at the client from its play time on.
+				delete(rec.pendingLate, id)
+				out.Outcomes[id].DropTime = lateAt
+				out.Outcomes[id].DropSite = sched.SiteClient
+				rec.resolved++
+			}
+		}
+	}
+
+	for _, s := range cres.Played {
+		for id := s.First; id < s.End; id++ {
+			out.Outcomes[id].PlayTime = t
+		}
+		rec.resolved += s.End - s.First
+	}
+	for _, s := range cres.Dropped {
+		for id := s.First; id < s.End; id++ {
+			// The client reports every scheduled slice it could not play;
+			// slices the server already dropped were resolved upstream,
+			// and slices still (partly) at the server are resolved when
+			// their bytes leave it.
+			if out.Outcomes[id].DropTime != sched.None {
+				continue
+			}
+			if sv.Contains(id) {
+				rec.pendingLate[id] = t
+				continue
+			}
+			out.Outcomes[id].DropTime = t
+			out.Outcomes[id].DropSite = sched.SiteClient
+			rec.resolved++
+		}
+	}
+
+	out.SentPerStep = append(out.SentPerStep, res.SentBytes)
+	out.ServerOcc = append(out.ServerOcc, res.Occupancy)
+	out.ClientOcc = append(out.ClientOcc, cres.Occupancy)
 }

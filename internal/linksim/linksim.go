@@ -160,23 +160,18 @@ func Simulate(st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sche
 	// client configured for the regulated total delay.
 	effective := cfg
 	effective.LinkDelay = cfg.LinkDelay + jitter
-	rs, server, client, err := newRun(st, effective)
+	rec, server, client, err := core.NewComponents(st, effective)
 	if err != nil {
 		return nil, 0, err
 	}
-	schedule := rs.schedule
+	schedule := rec.Schedule()
 	bound := st.Horizon() + schedule.Params.LinkDelay + schedule.Params.Delay +
 		st.TotalBytes()/schedule.Params.Rate + 16
-	for t := 0; t <= st.Horizon() || rs.count < st.Len() || !server.Empty() || !link.Empty() || !reg.Empty(); t++ {
+	for t := 0; t <= st.Horizon() || rec.Resolved() < st.Len() || !server.Empty() || !link.Empty() || !reg.Empty(); t++ {
 		res := server.Step(t, st.RunsAt(t))
-		rs.noteServer(t, res)
 		link.Push(t, res.Sent)
 		reg.Offer(t, link.Pop(t))
-		cres := client.Step(t, reg.Release(t))
-		rs.noteClient(t, cres, server)
-		schedule.SentPerStep = append(schedule.SentPerStep, res.SentBytes)
-		schedule.ServerOcc = append(schedule.ServerOcc, res.Occupancy)
-		schedule.ClientOcc = append(schedule.ClientOcc, cres.Occupancy)
+		rec.Record(t, server, res, client.Step(t, reg.Release(t)))
 		if t > bound {
 			return nil, 0, fmt.Errorf("linksim: simulation failed to terminate by step %d", t)
 		}
@@ -201,16 +196,15 @@ func SimulateUnregulated(st *stream.Stream, cfg core.Config, jitter int, seed in
 	if err != nil {
 		return UnregulatedResult{}, err
 	}
-	rs, server, client, err := newRun(st, cfg)
+	rec, server, client, err := core.NewComponents(st, cfg)
 	if err != nil {
 		return UnregulatedResult{}, err
 	}
 	var out UnregulatedResult
-	bound := st.Horizon() + rs.schedule.Params.LinkDelay + jitter + rs.schedule.Params.Delay +
-		st.TotalBytes()/rs.schedule.Params.Rate + 16
-	for t := 0; t <= st.Horizon() || rs.count < st.Len() || !server.Empty() || !link.Empty(); t++ {
+	params := rec.Schedule().Params
+	bound := st.Horizon() + params.LinkDelay + jitter + params.Delay + st.TotalBytes()/params.Rate + 16
+	for t := 0; t <= st.Horizon() || rec.Resolved() < st.Len() || !server.Empty() || !link.Empty(); t++ {
 		res := server.Step(t, st.RunsAt(t))
-		rs.noteServer(t, res)
 		for _, d := range res.Dropped {
 			out.DroppedServer += d.Count
 		}
@@ -221,77 +215,14 @@ func SimulateUnregulated(st *stream.Stream, cfg core.Config, jitter int, seed in
 			batches[i] = a.Batch
 		}
 		cres := client.Step(t, batches)
-		rs.noteClient(t, cres, server)
-		out.Played += len(cres.Played)
+		rec.Record(t, server, res, cres)
+		for _, s := range cres.Played {
+			out.Played += s.End - s.First
+		}
 		if t > bound {
 			return out, fmt.Errorf("linksim: simulation failed to terminate by step %d", t)
 		}
 	}
 	out.DroppedLate = st.Len() - out.Played - out.DroppedServer
 	return out, nil
-}
-
-// runState tracks per-slice resolution while mirroring core.Simulate's
-// bookkeeping for linksim's two drivers.
-type runState struct {
-	schedule    *sched.Schedule
-	count       int
-	pendingLate map[int]int
-}
-
-func newRun(st *stream.Stream, cfg core.Config) (*runState, *core.Server, *core.Client, error) {
-	schedule, server, client, err := core.NewComponents(st, cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return &runState{schedule: schedule, pendingLate: make(map[int]int)}, server, client, nil
-}
-
-func (rs *runState) noteServer(t int, res core.ServerStepResult) {
-	outcomes := rs.schedule.Outcomes
-	for _, d := range res.Dropped {
-		for id := d.First; id < d.End(); id++ {
-			delete(rs.pendingLate, id)
-			if outcomes[id].DropTime == sched.None {
-				outcomes[id].DropTime = t
-				outcomes[id].DropSite = sched.SiteServer
-				rs.count++
-			}
-		}
-	}
-	for _, b := range res.Sent {
-		first, end := b.Started()
-		for id := first; id < end; id++ {
-			outcomes[id].SendStart = t
-		}
-		first, end = b.Finished()
-		for id := first; id < end; id++ {
-			outcomes[id].SendEnd = t
-			if lateAt, ok := rs.pendingLate[id]; ok {
-				delete(rs.pendingLate, id)
-				outcomes[id].DropTime = lateAt
-				outcomes[id].DropSite = sched.SiteClient
-				rs.count++
-			}
-		}
-	}
-}
-
-func (rs *runState) noteClient(t int, cres core.ClientStepResult, server *core.Server) {
-	for _, id := range cres.Played {
-		rs.schedule.Outcomes[id].PlayTime = t
-		rs.count++
-	}
-	for _, id := range cres.Dropped {
-		if rs.schedule.Outcomes[id].DropTime != sched.None {
-			continue
-		}
-		if server.Contains(id) {
-			rs.pendingLate[id] = t
-			continue
-		}
-		rs.schedule.Outcomes[id].DropTime = t
-		rs.schedule.Outcomes[id].DropSite = sched.SiteClient
-		rs.count++
-	}
 }

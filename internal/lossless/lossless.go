@@ -65,26 +65,43 @@ func MinRate(st *stream.Stream, B int) (int, error) {
 	if st.MaxSliceSize() > B {
 		return 0, fmt.Errorf("lossless: slice of size %d exceeds buffer %d", st.MaxSliceSize(), B)
 	}
-	cum := st.CumulativeArrivals()
-	R := 1
-	for t1 := 0; t1 < len(cum); t1++ {
-		var before int64
-		if t1 > 0 {
-			before = cum[t1-1]
+	return minFeasibleRate(st.CumulativeArrivals(), func(int64) int64 { return int64(B) }), nil
+}
+
+// minFeasibleRate returns the smallest R >= 1 under which no interval I of
+// the stream carries more than R·|I| + slack(R) bytes, given the prefix
+// sums cum. With P[t] = cum[t] − R·(t+1) and P[−1] = 0, the interval
+// [s+1, t] carries P[t] − P[s] bytes more than R·|I|, so one pass keeping
+// the running minimum of P tests a rate in O(T). Feasibility is monotone
+// in R (a larger rate has a larger slack and a smaller R·|I| deficit), so
+// doubling finds a feasible rate and bisection the least one: O(T log R)
+// for what is the maximum over all O(T²) intervals of the per-interval
+// bound.
+func minFeasibleRate(cum []int64, slack func(R int64) int64) int {
+	feasible := func(R int64) bool {
+		s, minP := slack(R), int64(0)
+		for t, c := range cum {
+			p := c - R*int64(t+1)
+			if p-minP > s {
+				return false
+			}
+			minP = min(minP, p)
 		}
-		for t2 := t1; t2 < len(cum); t2++ {
-			need := cum[t2] - before - int64(B)
-			if need <= 0 {
-				continue
-			}
-			length := int64(t2 - t1 + 1)
-			r := int((need + length - 1) / length)
-			if r > R {
-				R = r
-			}
+		return true
+	}
+	hi := int64(1)
+	for !feasible(hi) {
+		hi *= 2
+	}
+	// hi/2 failed the test (or is 0 when 1 passed at once).
+	for lo := hi / 2; hi-lo > 1; {
+		if mid := lo + (hi-lo)/2; feasible(mid) {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
-	return R, nil
+	return int(hi)
 }
 
 // MinRateForDelay returns the smallest link rate R such that the generic
@@ -96,22 +113,8 @@ func MinRateForDelay(st *stream.Stream, D int) (int, error) {
 	if D < 0 {
 		return 0, fmt.Errorf("lossless: negative delay %d", D)
 	}
-	cum := st.CumulativeArrivals()
-	R := 1
-	for t1 := 0; t1 < len(cum); t1++ {
-		var before int64
-		if t1 > 0 {
-			before = cum[t1-1]
-		}
-		for t2 := t1; t2 < len(cum); t2++ {
-			bytes := cum[t2] - before
-			window := int64(t2 - t1 + 1 + D)
-			r := int((bytes + window - 1) / window)
-			if r > R {
-				R = r
-			}
-		}
-	}
+	// A(I) <= R·(|I|+D) for every interval I is A(I) − R·|I| <= R·D.
+	R := minFeasibleRate(st.CumulativeArrivals(), func(R int64) int64 { return R * int64(D) })
 	// The lawful buffer must also hold the largest slice.
 	if D > 0 {
 		if minB := st.MaxSliceSize(); minB > R*D {

@@ -104,6 +104,122 @@ func TestMinRateForDelayExact(t *testing.T) {
 	}
 }
 
+// quadraticMinRate is MinRate as it was before the O(T log R) search: the
+// largest per-interval bound over every one of the O(T²) intervals.
+// Test-only reference.
+func quadraticMinRate(st *stream.Stream, B int) int {
+	cum := st.CumulativeArrivals()
+	R := 1
+	for t1 := 0; t1 < len(cum); t1++ {
+		var before int64
+		if t1 > 0 {
+			before = cum[t1-1]
+		}
+		for t2 := t1; t2 < len(cum); t2++ {
+			need := cum[t2] - before - int64(B)
+			if need <= 0 {
+				continue
+			}
+			length := int64(t2 - t1 + 1)
+			if r := int((need + length - 1) / length); r > R {
+				R = r
+			}
+		}
+	}
+	return R
+}
+
+// quadraticIntervalRate is MinRateForDelay's interval maximum as it was
+// before the O(T log R) search, without the largest-slice adjustment.
+// Test-only reference.
+func quadraticIntervalRate(st *stream.Stream, D int) int {
+	cum := st.CumulativeArrivals()
+	R := 1
+	for t1 := 0; t1 < len(cum); t1++ {
+		var before int64
+		if t1 > 0 {
+			before = cum[t1-1]
+		}
+		for t2 := t1; t2 < len(cum); t2++ {
+			bytes := cum[t2] - before
+			window := int64(t2 - t1 + 1 + D)
+			if r := int((bytes + window - 1) / window); r > R {
+				R = r
+			}
+		}
+	}
+	return R
+}
+
+// TestMinRateMatchesQuadraticReference compares MinRate and
+// MinRateForDelay with the interval-by-interval definitions on random
+// streams of 0-40 steps, whose frames hold up to three runs of up to five
+// slices of size 1-8 and whose share of empty steps varies, so the rates
+// range from 1 to well above the mean; half of them add one slice of size
+// 8-31.
+func TestMinRateMatchesQuadraticReference(t *testing.T) {
+	var rateOne, oversizeForBuffer, zeroDelay, oversizeForDelay int
+	for seed := int64(0); seed < 3000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := stream.NewBuilder()
+		busy := rng.Float64() * rng.Float64()
+		for at := rng.Intn(40); at >= 0; at-- {
+			if rng.Float64() > busy {
+				continue
+			}
+			for runs := 1 + rng.Intn(3); runs > 0; runs-- {
+				size := 1 + rng.Intn(8)
+				b.AddRun(at, 1+rng.Intn(5), size, float64(size))
+			}
+		}
+		if rng.Intn(2) == 0 {
+			// One large slice, which the largest-slice rule may have to
+			// pay for when the rest is light.
+			size := 8 + rng.Intn(24)
+			b.Add(rng.Intn(40), size, float64(size))
+		}
+		st := b.MustBuild()
+
+		B := 1 + rng.Intn(2*st.MaxSliceSize()+8)
+		got, err := MinRate(st, B)
+		switch {
+		case st.MaxSliceSize() > B:
+			oversizeForBuffer++
+			if err == nil {
+				t.Fatalf("seed %d: MinRate accepted B=%d below a slice of %d", seed, B, st.MaxSliceSize())
+			}
+		case err != nil:
+			t.Fatalf("seed %d: MinRate(B=%d): %v", seed, B, err)
+		case got != quadraticMinRate(st, B):
+			t.Fatalf("seed %d: MinRate(B=%d) = %d, quadratic reference %d", seed, B, got, quadraticMinRate(st, B))
+		case got == 1:
+			rateOne++
+		}
+
+		D := rng.Intn(6)
+		want := quadraticIntervalRate(st, D)
+		switch {
+		case D == 0:
+			zeroDelay++
+			want = max(want, st.MaxSliceSize())
+		case st.MaxSliceSize() > want*D:
+			oversizeForDelay++
+			want = (st.MaxSliceSize() + D - 1) / D
+		}
+		if got, err := MinRateForDelay(st, D); err != nil || got != want {
+			t.Fatalf("seed %d: MinRateForDelay(D=%d) = %d, %v; quadratic reference %d", seed, D, got, err, want)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"R = 1", rateOne}, {"slice > B", oversizeForBuffer}, {"D = 0", zeroDelay}, {"slice > R·D", oversizeForDelay}} {
+		if c.n < 50 {
+			t.Errorf("only %d of 3000 streams covered %s", c.n, c.name)
+		}
+	}
+}
+
 func TestMinBufferSmoke(t *testing.T) {
 	// 6 bytes at step 0, R=2: occupancy after step 0 is 4.
 	st := stream.NewBuilder().AddFrame(0, 1, 1, 1, 1, 1, 1).MustBuild()

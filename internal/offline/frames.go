@@ -20,7 +20,14 @@ import (
 // occupancy drains by min(R, occ). dp[o] is the best benefit over
 // histories ending in interim occupancy o.
 //
-// Time O(n·(B+R)), memory O((n+T)·(B+R) bits) for choice reconstruction.
+// Only the band 0..hi is live, where hi bounds every reachable occupancy:
+// it rises by each acceptable slice's size (capped at B+R) and falls by R
+// at each drain, whatever the DP values, so every dp[o] above it rejects.
+// An accept pass runs over the band alone, a drain moves the window's base
+// up by R instead of copying the array, and a slice's choice bitset covers
+// its band. Time O(n·band + T·R) with band ≤ B+R, memory O(B+R) floats
+// plus one bit per slice and occupancy in its band.
+//
 // Exact: drop-at-arrival and work conservation are WLOG (see package doc),
 // so feasibility is fully captured by the occupancy recursion.
 func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
@@ -35,34 +42,59 @@ func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
 
 	capMax := B + R
 	reject := math.Inf(-1)
-	dp := make([]float64, capMax+1)
-	next := make([]float64, capMax+1)
-	for i := 1; i <= capMax; i++ {
-		dp[i] = reject
-	}
-
-	// choice[k] is a bitset over post-accept occupancy: bit o set means the
-	// optimal way to be at interim occupancy o just after considering
-	// slice k is to accept it.
-	choice := make([][]uint64, n)
-	words := (capMax + 64) / 64
-	// drainFrom0[t] is the pre-drain occupancy that yields post-drain 0
-	// optimally at step t (only the o' == 0 target is ambiguous).
 	horizon := st.Horizon()
-	drainFrom0 := make([]int, horizon+1)
 
+	// The band does not depend on the DP values, so one pass sizes every
+	// choice bitset. The bits of slice id are choice[off[id]:off[id+1]]:
+	// bit o set means the optimal way to be at interim occupancy o just
+	// after considering the slice is to accept it.
+	off := make([]int, n+1)
+	hi := 0
 	for t := 0; t <= horizon; t++ {
 		for _, r := range st.RunsAt(t) {
 			for id := r.First; id < r.End(); id++ {
-				bits := make([]uint64, words)
-				choice[id] = bits
-				if r.Size > B {
-					// Never acceptable; dp unchanged (reject forced).
-					continue
+				words := 0
+				if r.Size <= B {
+					hi = min(capMax, hi+r.Size)
+					words = hi/64 + 1
 				}
+				off[id+1] = off[id] + words
+			}
+		}
+		hi = max(0, hi-R)
+	}
+	choice := make([]uint64, off[n])
+
+	// dp is win[base : base+capMax+1]. Two windows' worth of room lets the
+	// drain move base up by R; the live band moves back to the front only
+	// once every (B+R+1)/R steps or so.
+	win := make([]float64, 2*(capMax+1))
+	base := 0
+	hi = 0
+	// drainFrom0[t] is the pre-drain occupancy that yields post-drain 0
+	// optimally at step t (only the o' == 0 target is ambiguous).
+	drainFrom0 := make([]int, horizon+1)
+
+	for t := 0; t <= horizon; t++ {
+		if base+capMax >= len(win) {
+			copy(win, win[base:base+hi+1])
+			base = 0
+		}
+		dp := win[base : base+capMax+1]
+		for _, r := range st.RunsAt(t) {
+			if r.Size > B {
+				continue // never acceptable: dp unchanged, reject forced
+			}
+			for id := r.First; id < r.End(); id++ {
+				top := min(capMax, hi+r.Size)
+				for o := hi + 1; o <= top; o++ {
+					dp[o] = reject
+				}
+				hi = top
+				bits := choice[off[id]:off[id+1]]
 				// Accept transitions shift occupancy up by Size; process
 				// descending so each slice is considered once.
-				for o := capMax; o >= r.Size; o-- {
+				for o := top; o >= r.Size; o-- {
 					from := o - r.Size
 					if dp[from] == reject {
 						continue
@@ -74,35 +106,29 @@ func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
 				}
 			}
 		}
-		// Drain: post = max(0, o - R); post-drain occupancy must be <= B,
-		// which holds automatically since o <= B+R.
-		for i := range next {
-			next[i] = reject
-		}
+		// Drain: post = max(0, o - R), which is at most B since o <= B+R.
+		// Every o <= R lands on 0, where the best wins (ties to the
+		// lowest o); the rest shift down by R, which moving base does.
 		bestZero, bestZeroVal := -1, reject
-		for o := 0; o <= capMax; o++ {
-			if dp[o] == reject {
-				continue
-			}
-			post := o - R
-			if post <= 0 {
-				if dp[o] > bestZeroVal {
-					bestZeroVal = dp[o]
-					bestZero = o
-				}
-			} else if dp[o] > next[post] {
-				next[post] = dp[o]
+		for o := 0; o <= min(R, hi); o++ {
+			if dp[o] > bestZeroVal {
+				bestZeroVal, bestZero = dp[o], o
 			}
 		}
-		next[0] = bestZeroVal
 		drainFrom0[t] = bestZero
-		dp, next = next, dp
+		if hi > R {
+			base, hi = base+R, hi-R
+		} else {
+			hi = 0
+		}
+		win[base] = bestZeroVal
 	}
 
 	// Best final state: any occupancy (the buffer drains freely after the
 	// last arrival with no further constraints).
+	dp := win[base : base+hi+1]
 	bestOcc, bestVal := 0, dp[0]
-	for o := 1; o <= capMax; o++ {
+	for o := 1; o <= hi; o++ {
 		if dp[o] > bestVal {
 			bestVal = dp[o]
 			bestOcc = o
@@ -124,7 +150,8 @@ func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
 		for i := len(runs) - 1; i >= 0; i-- {
 			r := runs[i]
 			for id := r.End() - 1; id >= r.First; id-- {
-				if o >= 0 && o <= capMax && choice[id][o/64]&(1<<(o%64)) != 0 {
+				bits := choice[off[id]:off[id+1]]
+				if o >= 0 && o/64 < len(bits) && bits[o/64]&(1<<(o%64)) != 0 {
 					res.Accepted[id] = true
 					res.Bytes += r.Size
 					o -= r.Size

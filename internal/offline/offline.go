@@ -37,7 +37,8 @@
 //     over the interval constraints and runs in O(log T) per run of
 //     consecutive slices with one arrival and one weight.
 //   - OptimalFrames handles atomic variable-size slices by dynamic
-//     programming over (time, occupancy); exact in O(n·(B+R)) time.
+//     programming over (time, occupancy), over the reachable occupancies
+//     only; exact in O(n·(B+R)) time at worst.
 package offline
 
 import (

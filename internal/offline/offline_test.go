@@ -221,6 +221,146 @@ func TestOptimalFramesMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// fullWidthOptimalFrames is OptimalFrames as it was before the band: every
+// accept pass and drain runs over all of 0..B+R, and every slice gets a
+// bitset of B+R+1 bits. Test-only reference.
+func fullWidthOptimalFrames(st *stream.Stream, B, R int) *Result {
+	n := st.Len()
+	res := &Result{Accepted: make([]bool, n)}
+	if n == 0 {
+		return res
+	}
+	capMax := B + R
+	reject := math.Inf(-1)
+	dp := make([]float64, capMax+1)
+	next := make([]float64, capMax+1)
+	for i := 1; i <= capMax; i++ {
+		dp[i] = reject
+	}
+	choice := make([][]uint64, n)
+	words := (capMax + 64) / 64
+	horizon := st.Horizon()
+	drainFrom0 := make([]int, horizon+1)
+	for t := 0; t <= horizon; t++ {
+		for _, r := range st.RunsAt(t) {
+			for id := r.First; id < r.End(); id++ {
+				bits := make([]uint64, words)
+				choice[id] = bits
+				if r.Size > B {
+					continue
+				}
+				for o := capMax; o >= r.Size; o-- {
+					from := o - r.Size
+					if dp[from] == reject {
+						continue
+					}
+					if v := dp[from] + r.Weight; v > dp[o] {
+						dp[o] = v
+						bits[o/64] |= 1 << (o % 64)
+					}
+				}
+			}
+		}
+		for i := range next {
+			next[i] = reject
+		}
+		bestZero, bestZeroVal := -1, reject
+		for o := 0; o <= capMax; o++ {
+			if dp[o] == reject {
+				continue
+			}
+			post := o - R
+			if post <= 0 {
+				if dp[o] > bestZeroVal {
+					bestZeroVal = dp[o]
+					bestZero = o
+				}
+			} else if dp[o] > next[post] {
+				next[post] = dp[o]
+			}
+		}
+		next[0] = bestZeroVal
+		drainFrom0[t] = bestZero
+		dp, next = next, dp
+	}
+	bestOcc, bestVal := 0, dp[0]
+	for o := 1; o <= capMax; o++ {
+		if dp[o] > bestVal {
+			bestVal = dp[o]
+			bestOcc = o
+		}
+	}
+	res.Benefit = bestVal
+	o := bestOcc
+	for t := horizon; t >= 0; t-- {
+		if o == 0 {
+			o = drainFrom0[t]
+		} else {
+			o += R
+		}
+		runs := st.RunsAt(t)
+		for i := len(runs) - 1; i >= 0; i-- {
+			r := runs[i]
+			for id := r.End() - 1; id >= r.First; id-- {
+				if o >= 0 && o <= capMax && choice[id][o/64]&(1<<(o%64)) != 0 {
+					res.Accepted[id] = true
+					res.Bytes += r.Size
+					o -= r.Size
+				}
+			}
+		}
+	}
+	return res
+}
+
+// TestOptimalFramesMatchesFullWidthDP compares the banded DP with the
+// full-width one on 2000 random streams of up to 30 steps, each step up to
+// three runs of 1-4 slices of size 1-9 with weights whose sums round, so
+// any change in the order of the additions shows in Benefit's bits. B is
+// 1-14 and R 1-5, so slices larger than B, R = 1 and long runs of steps
+// (which move the window's base back to the front) all occur.
+func TestOptimalFramesMatchesFullWidthDP(t *testing.T) {
+	weights := []float64{0.1, 0.3, 1.0 / 3, 2.5, 7, 12.7}
+	rateOne, oversize := 0, 0
+	for seed := int64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := stream.NewBuilder()
+		for at := rng.Intn(30); at >= 0; at-- {
+			for runs := rng.Intn(4); runs > 0; runs-- {
+				b.AddRun(at, 1+rng.Intn(4), 1+rng.Intn(9), weights[rng.Intn(len(weights))])
+			}
+		}
+		st := b.MustBuild()
+		B, R := 1+rng.Intn(14), 1+rng.Intn(5)
+		if R == 1 {
+			rateOne++
+		}
+		if st.MaxSliceSize() > B {
+			oversize++
+		}
+		got, err := OptimalFrames(st, B, R)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := fullWidthOptimalFrames(st, B, R)
+		for id := range want.Accepted {
+			if got.Accepted[id] != want.Accepted[id] {
+				t.Fatalf("seed %d B=%d R=%d: Accepted[%d] = %v, full-width DP %v",
+					seed, B, R, id, got.Accepted[id], want.Accepted[id])
+			}
+		}
+		if got.Bytes != want.Bytes {
+			t.Fatalf("seed %d: Bytes = %d, full-width DP %d", seed, got.Bytes, want.Bytes)
+		}
+		if math.Float64bits(got.Benefit) != math.Float64bits(want.Benefit) {
+			t.Fatalf("seed %d: Benefit = %v, full-width DP %v: not the same bits", seed, got.Benefit, want.Benefit)
+		}
+	}
+	if rateOne < 200 || oversize < 200 {
+		t.Errorf("R = 1 in %d and a slice > B in %d of 2000 instances, want 200 each", rateOne, oversize)
+	}
+}
+
 func TestOptimalFramesAgreesWithOptimalUnitOnUnitStreams(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
