@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/drop"
 	"repro/internal/sched"
+	"repro/internal/stream"
 	"repro/internal/trace"
 )
 
@@ -45,13 +46,15 @@ func main() {
 		}
 		lost := map[trace.FrameType]int{}
 		kept := map[trace.FrameType]int{}
-		for id, o := range s.Outcomes {
-			if o.Dropped() {
-				lost[types[id]] += st.Slice(id).Size
-			} else {
-				kept[types[id]] += st.Slice(id).Size
+		s.Walk(func(o sched.Outcome, r stream.Run) {
+			for id := r.First; id < r.End(); id++ {
+				if o.Dropped() {
+					lost[types[id]] += r.Size
+				} else {
+					kept[types[id]] += r.Size
+				}
 			}
-		}
+		})
 		fmt.Printf("%s: byte loss %.2f%%, weighted loss %.2f%%\n",
 			s.Algorithm, 100*s.ByteLoss(), 100*s.WeightedLoss())
 		for _, ft := range []trace.FrameType{trace.I, trace.P, trace.B} {

@@ -157,8 +157,10 @@ func MinRateForLoss(st *stream.Stream, delay int, target float64) (int, error) {
 	if target < 0 || target >= 1 {
 		return 0, fmt.Errorf("alternatives: loss target %v outside [0, 1)", target)
 	}
+	r := core.AcquireRunner()
+	defer core.ReleaseRunner(r)
 	lossAt := func(R int) (float64, error) {
-		s, err := core.Simulate(st, core.Config{
+		s, err := r.Run(st, core.Config{
 			ServerBuffer: R * delay,
 			Rate:         R,
 			Delay:        delay,

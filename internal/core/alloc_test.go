@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -23,9 +24,6 @@ const (
 
 func allocStream(t *testing.T) *stream.Stream {
 	t.Helper()
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items, which allocates")
-	}
 	cfg := trace.DefaultGenConfig()
 	cfg.Frames = 300
 	clip, err := trace.Generate(cfg)
@@ -110,6 +108,38 @@ func TestRunnerDoesNotAllocate(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(5, func() { _, _ = r.Run(st, cfg) }); n != 0 {
 				t.Errorf("%v allocs per run, want 0", n)
+			}
+		})
+	}
+}
+
+// TestRunnerDoesNotAllocateAcrossGC pins a warm run at zero allocations
+// even right after garbage collections: the free lists behind
+// AcquireRunner and the drop policies keep their items through GC cycles,
+// which a sync.Pool would empty.
+func TestRunnerDoesNotAllocateAcrossGC(t *testing.T) {
+	st := allocStream(t)
+	for _, tc := range []struct {
+		name string
+		f    drop.Factory
+	}{{"taildrop", drop.TailDrop}, {"greedy", drop.Greedy}, {"random", drop.Random(1)}, {"randommix", drop.RandomMix(1, 0.5)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := core.Config{ServerBuffer: allocBuffer, Rate: allocRate, Policy: tc.f}
+			run := func() {
+				r := core.AcquireRunner()
+				defer core.ReleaseRunner(r)
+				if _, err := r.Run(st, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			acrossGC := func() {
+				runtime.GC()
+				runtime.GC()
+				run()
+			}
+			if n := testing.AllocsPerRun(5, acrossGC); n != 0 {
+				t.Errorf("%v allocs per run after two GC cycles, want 0", n)
 			}
 		})
 	}

@@ -27,7 +27,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/drop"
 	"repro/internal/sched"
@@ -161,16 +160,17 @@ func NewComponents(st *stream.Stream, cfg Config) (*Recorder, *Server, *Client, 
 	return rec, server, client, nil
 }
 
-// resetSchedule readies out for a run of st under the resolved config: all
-// outcomes unresolved, Params filled, the per-step traces emptied, every
-// backing array reused.
+// resetSchedule readies out for a run of st under the resolved config: one
+// span of unresolved outcomes, Params filled, the per-step traces emptied,
+// every backing array reused.
 func (c Config) resetSchedule(out *sched.Schedule, st *stream.Stream, algorithm string) {
 	out.Stream, out.Algorithm = st, algorithm
 	out.Params = sched.Params{ServerBuffer: c.ServerBuffer, ClientBuffer: c.ClientBuffer,
 		Rate: c.Rate, Delay: c.Delay, LinkDelay: c.LinkDelay}
-	out.Outcomes = slices.Grow(out.Outcomes[:0], st.Len())[:st.Len()]
-	for i := range out.Outcomes {
-		out.Outcomes[i] = sched.Outcome{SendStart: sched.None, SendEnd: sched.None, DropTime: sched.None, PlayTime: sched.None}
+	out.Outcomes = out.Outcomes[:0]
+	if st.Len() > 0 {
+		out.Outcomes = append(out.Outcomes, sched.Outcome{First: 0, End: st.Len(),
+			SendStart: sched.None, SendEnd: sched.None, DropTime: sched.None, PlayTime: sched.None})
 	}
 	out.SentPerStep, out.ServerOcc, out.ClientOcc = out.SentPerStep[:0], out.ServerOcc[:0], out.ClientOcc[:0]
 }

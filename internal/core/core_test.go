@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -142,7 +143,7 @@ func TestTailDropDropsNewest(t *testing.T) {
 	// needed no drop. Count drops from frame 1.
 	dropped1 := 0
 	for id := 3; id < 6; id++ {
-		if s.Outcomes[id].Dropped() {
+		if s.At(id).Dropped() {
 			dropped1++
 		}
 	}
@@ -160,7 +161,7 @@ func TestGreedyKeepsValuable(t *testing.T) {
 	st := b.MustBuild()
 	s := mustSimulate(t, st, Config{ServerBuffer: 3, Rate: 1, Policy: drop.Greedy})
 	for id := 3; id < 6; id++ {
-		if !s.Outcomes[id].Played() {
+		if !s.At(id).Played() {
 			t.Errorf("greedy lost high-value slice %d", id)
 		}
 	}
@@ -171,7 +172,8 @@ func TestPlayTimesRealTime(t *testing.T) {
 	const P = 4
 	s := mustSimulate(t, st, Config{ServerBuffer: 4, Rate: 2, LinkDelay: P})
 	D := s.Params.Delay
-	for id, o := range s.Outcomes {
+	for id := 0; id < st.Len(); id++ {
+		o := s.At(id)
 		if !o.Played() {
 			t.Fatalf("slice %d not played", id)
 		}
@@ -184,10 +186,10 @@ func TestPlayTimesRealTime(t *testing.T) {
 func TestOversizeSliceDropped(t *testing.T) {
 	st := stream.NewBuilder().Add(0, 10, 10).Add(0, 2, 2).MustBuild()
 	s := mustSimulate(t, st, Config{ServerBuffer: 4, Rate: 2})
-	if !s.Outcomes[0].Dropped() {
+	if !s.At(0).Dropped() {
 		t.Error("oversize slice not dropped")
 	}
-	if !s.Outcomes[1].Played() {
+	if !s.At(1).Played() {
 		t.Error("fitting slice was lost")
 	}
 }
@@ -202,7 +204,7 @@ func TestNoPreemption(t *testing.T) {
 	}
 	st := b.MustBuild()
 	s := mustSimulate(t, st, Config{ServerBuffer: 4, Rate: 1, Policy: drop.HeadDrop})
-	if !s.Outcomes[0].Played() {
+	if !s.At(0).Played() {
 		t.Error("in-transmission slice was lost despite no-preemption rule")
 	}
 }
@@ -330,10 +332,8 @@ func TestDeterminism(t *testing.T) {
 	if a.Benefit() != b.Benefit() || a.Throughput() != b.Throughput() {
 		t.Error("simulation not deterministic")
 	}
-	for i := range a.Outcomes {
-		if a.Outcomes[i] != b.Outcomes[i] {
-			t.Fatalf("outcome %d differs between identical runs", i)
-		}
+	if !slices.Equal(a.Outcomes, b.Outcomes) {
+		t.Fatal("outcomes differ between identical runs")
 	}
 }
 

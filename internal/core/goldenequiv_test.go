@@ -765,6 +765,7 @@ func TestGoldenEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: reference: %v", label, err)
 					}
+					want.Outcomes = spansOf(want.Outcomes)
 					wantJSON := scheduleJSON(t, want)
 
 					simCfg := cfg

@@ -26,7 +26,8 @@ func TestLemma32SendWithinBOverR(t *testing.T) {
 			return false
 		}
 		D := s.Params.Delay // = ceil(B/R)
-		for id, o := range s.Outcomes {
+		for id := 0; id < s.Stream.Len(); id++ {
+			o := s.At(id)
 			if o.SendEnd == sched.None {
 				continue
 			}
@@ -57,7 +58,8 @@ func TestLemma33ReceiveWindow(t *testing.T) {
 			return false
 		}
 		D := s.Params.Delay
-		for id, o := range s.Outcomes {
+		for id := 0; id < s.Stream.Len(); id++ {
+			o := s.At(id)
 			if !o.Played() {
 				continue
 			}
@@ -94,7 +96,8 @@ func TestLemma44BufferValueBound(t *testing.T) {
 		T := len(s.SentPerStep)
 		bufVal := make([]float64, T)  // value of w(Bs(t))
 		sentVal := make([]float64, T) // value of w(S(t))
-		for id, o := range s.Outcomes {
+		for id := 0; id < s.Stream.Len(); id++ {
+			o := s.At(id)
 			sl := st.Slice(id)
 			switch {
 			case o.Played():
@@ -188,7 +191,8 @@ func TestNoPreemptionInvariant(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			for id, o := range s.Outcomes {
+			for id := 0; id < s.Stream.Len(); id++ {
+				o := s.At(id)
 				if o.SendStart != sched.None && o.SendEnd == sched.None {
 					t.Logf("seed %d: slice %d started but never finished", seed, id)
 					return false

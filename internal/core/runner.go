@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/drop"
+	"repro/internal/freelist"
 	"repro/internal/sched"
 	"repro/internal/stream"
 )
@@ -17,7 +17,7 @@ import (
 // collector.
 //
 // A Runner is not safe for concurrent use; give each goroutine its own
-// (AcquireRunner/ReleaseRunner pool them).
+// (AcquireRunner/ReleaseRunner keep a free list of them).
 type Runner struct {
 	server Server
 	client Client
@@ -35,15 +35,16 @@ type Runner struct {
 // to the stream's working size; subsequent runs reuse them.
 func NewRunner() *Runner { return &Runner{} }
 
-var runnerPool = sync.Pool{New: func() any { return NewRunner() }}
+var freeRunners freelist.List[Runner]
 
-// AcquireRunner returns a pooled arena. Pair with ReleaseRunner.
-func AcquireRunner() *Runner { return runnerPool.Get().(*Runner) }
+// AcquireRunner returns a recycled arena, or a new one. Pair with
+// ReleaseRunner.
+func AcquireRunner() *Runner { return freeRunners.Get(NewRunner) }
 
-// ReleaseRunner returns an arena to the pool. The schedules the arena
+// ReleaseRunner returns an arena to the free list. The schedules the arena
 // produced must no longer be in use: another goroutine may acquire the
 // arena and overwrite them.
-func ReleaseRunner(r *Runner) { runnerPool.Put(r) }
+func ReleaseRunner(r *Runner) { freeRunners.Put(r) }
 
 // Run simulates the generic algorithm for the whole stream, exactly like
 // Simulate, but into the arena's recycled state.
@@ -66,8 +67,8 @@ func (r *Runner) run(st *stream.Stream, cfg Config) (*sched.Schedule, error) {
 		return nil, err
 	}
 	policy := cfg.Policy()
-	// The policy is handed back to its pool at the end of the run; the
-	// server holds it only between Reset calls.
+	// The policy is handed back to its free list at the end of the run;
+	// the server holds it only between Reset calls.
 	defer drop.Recycle(policy)
 
 	if name := policy.Name(); r.algo == "" || r.algoPolicy != name {
@@ -93,108 +94,6 @@ func (r *Runner) run(st *stream.Stream, cfg Config) (*sched.Schedule, error) {
 			return nil, fmt.Errorf("core: simulation failed to terminate by step %d", t)
 		}
 	}
+	r.rec.merge()
 	return out, nil
-}
-
-// Recorder fills a sched.Schedule from the step results of a Server and a
-// Client: every slice's send span, its play time or its drop time and
-// site, and the per-step traces. Runner drives one, and so do callers that
-// put their own link between server and client (see NewComponents).
-type Recorder struct {
-	out      *sched.Schedule
-	resolved int
-
-	// pendingLate tracks slices the client has given up on (their play
-	// time passed) while their bytes are still in the server buffer; they
-	// are resolved when those bytes finally leave the server, so that the
-	// recorded occupancies stay exact. It is empty whenever B = R·D holds
-	// (Lemma 3.3), so a small map is fine here.
-	pendingLate map[int]int
-}
-
-// reset readies the recorder to fill out, whose outcomes are all
-// unresolved and whose traces are empty.
-func (rec *Recorder) reset(out *sched.Schedule) {
-	rec.out, rec.resolved = out, 0
-	if rec.pendingLate == nil {
-		rec.pendingLate = make(map[int]int)
-	}
-	clear(rec.pendingLate)
-}
-
-// Schedule returns the schedule the recorder fills.
-func (rec *Recorder) Schedule() *sched.Schedule { return rec.out }
-
-// Resolved returns how many slices have their fate recorded: played, or
-// dropped at the server or the client.
-func (rec *Recorder) Resolved() int { return rec.resolved }
-
-// Record notes step t: first res, the step result of sv, then cres, the
-// step result of the client.
-func (rec *Recorder) Record(t int, sv *Server, res ServerStepResult, cres ClientStepResult) {
-	out := rec.out
-	for _, d := range res.Dropped {
-		for id := d.First; id < d.End(); id++ {
-			// A slice the client had already declared late may now be
-			// physically discarded by the server (proactive late drop);
-			// the server is the drop site — that is where the bytes died.
-			delete(rec.pendingLate, id)
-			if out.Outcomes[id].DropTime == sched.None {
-				out.Outcomes[id].DropTime = t
-				out.Outcomes[id].DropSite = sched.SiteServer
-				rec.resolved++
-			}
-		}
-	}
-	for _, b := range res.Sent {
-		first, end := b.Started()
-		for id := first; id < end; id++ {
-			out.Outcomes[id].SendStart = t
-		}
-		first, end = b.Finished()
-		for id := first; id < end; id++ {
-			out.Outcomes[id].SendEnd = t
-			if len(rec.pendingLate) == 0 {
-				continue
-			}
-			if lateAt, ok := rec.pendingLate[id]; ok {
-				// The slice's bytes have fully left the server; the client
-				// discarded (or will discard) them on arrival. It counts
-				// as lost at the client from its play time on.
-				delete(rec.pendingLate, id)
-				out.Outcomes[id].DropTime = lateAt
-				out.Outcomes[id].DropSite = sched.SiteClient
-				rec.resolved++
-			}
-		}
-	}
-
-	for _, s := range cres.Played {
-		for id := s.First; id < s.End; id++ {
-			out.Outcomes[id].PlayTime = t
-		}
-		rec.resolved += s.End - s.First
-	}
-	for _, s := range cres.Dropped {
-		for id := s.First; id < s.End; id++ {
-			// The client reports every scheduled slice it could not play;
-			// slices the server already dropped were resolved upstream,
-			// and slices still (partly) at the server are resolved when
-			// their bytes leave it.
-			if out.Outcomes[id].DropTime != sched.None {
-				continue
-			}
-			if sv.Contains(id) {
-				rec.pendingLate[id] = t
-				continue
-			}
-			out.Outcomes[id].DropTime = t
-			out.Outcomes[id].DropSite = sched.SiteClient
-			rec.resolved++
-		}
-	}
-
-	out.SentPerStep = append(out.SentPerStep, res.SentBytes)
-	out.ServerOcc = append(out.ServerOcc, res.Occupancy)
-	out.ClientOcc = append(out.ClientOcc, cres.Occupancy)
 }

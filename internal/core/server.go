@@ -29,6 +29,7 @@ type Server struct {
 	buffer int
 	rate   int
 	policy drop.Policy
+	early  drop.EarlyDropper // policy's proactive extension, or nil
 	opts   ServerOptions
 
 	// queue[head:] is the FIFO of stored slices, in ID order. Victims may
@@ -80,6 +81,7 @@ func NewServer(buffer, rate int, policy drop.Policy, opts ServerOptions) *Server
 //smoothvet:noalloc
 func (sv *Server) Reset(buffer, rate int, policy drop.Policy, opts ServerOptions) {
 	sv.buffer, sv.rate, sv.policy, sv.opts = buffer, rate, policy, opts
+	sv.early = drop.EarlyOf(policy)
 	sv.queue, sv.head, sv.sentHead, sv.occ = sv.queue[:0], 0, 0, 0
 	sv.sent, sv.dropped = sv.sent[:0], sv.dropped[:0]
 }
@@ -113,6 +115,13 @@ func (sv *Server) find(id int) int {
 // Contains reports whether the slice still has unsent bytes stored in the
 // server buffer.
 func (sv *Server) Contains(id int) bool { return sv.find(id) >= 0 }
+
+// stored returns the runs of slices with unsent bytes in the buffer, in ID
+// order. The result aliases the queue and is valid until the next Step.
+//
+//smoothvet:aliased
+//smoothvet:noalloc
+func (sv *Server) stored() []stream.Run { return sv.queue[sv.head:] }
 
 // Empty reports whether the buffer holds no bytes.
 func (sv *Server) Empty() bool { return sv.occ == 0 }
@@ -151,9 +160,9 @@ func (sv *Server) Step(t int, arrivals []stream.Run) ServerStepResult {
 	// Proactive policies may shed slices before transmission admits a new
 	// slice to the unpreemptable head of the queue (Section 6's open
 	// problem; see drop.EarlyDropper).
-	if ed, ok := sv.policy.(drop.EarlyDropper); ok {
+	if sv.early != nil {
 		for {
-			victim, more := ed.EarlyVictim(sv.occ, sv.buffer)
+			victim, more := sv.early.EarlyVictim(sv.occ, sv.buffer)
 			if !more {
 				break
 			}

@@ -47,7 +47,7 @@ func TestTheorem35GenericOptimalForUnitSlices(t *testing.T) {
 			played := 0
 			for _, o := range s.Outcomes {
 				if o.Played() {
-					played++
+					played += o.Len()
 				}
 			}
 			if float64(played) != opt.Benefit {

@@ -27,8 +27,8 @@ package drop
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/stream"
 )
 
@@ -64,7 +64,7 @@ type Policy interface {
 type Factory func() Policy
 
 // Recycle returns a policy obtained from one of this package's constructors
-// to its free pool, so the next constructor call reuses its grown backing
+// to its free list, so the next constructor call reuses its grown backing
 // arrays instead of allocating. The caller must not touch the policy after
 // recycling it. Policies of foreign types are ignored.
 //
@@ -73,24 +73,25 @@ type Factory func() Policy
 func Recycle(p Policy) {
 	switch p := p.(type) {
 	case *edgeDrop:
-		edgePool.Put(p)
+		edgeFree.Put(p)
 	case *greedy:
-		greedyPool.Put(p)
+		greedyFree.Put(p)
 	case *random:
-		randomPool.Put(p)
+		randomFree.Put(p)
 	case *anticipate:
-		anticipatePool.Put(p)
+		anticipateFree.Put(p)
 	case *randomMix:
-		randomMixPool.Put(p)
+		randomMixFree.Put(p)
 	}
 }
 
+// The free lists behind Recycle, one per policy type.
 var (
-	edgePool       = sync.Pool{New: func() any { return new(edgeDrop) }}
-	greedyPool     = sync.Pool{New: func() any { return new(greedy) }}
-	randomPool     = sync.Pool{New: func() any { return newRandom() }}
-	anticipatePool = sync.Pool{New: func() any { return &anticipate{greedy: new(greedy)} }}
-	randomMixPool  = sync.Pool{New: func() any { return &randomMix{g: new(greedy), r: newRandom()} }}
+	edgeFree       freelist.List[edgeDrop]
+	greedyFree     freelist.List[greedy]
+	randomFree     freelist.List[random]
+	anticipateFree freelist.List[anticipate]
+	randomMixFree  freelist.List[randomMix]
 )
 
 // newRandom returns an unseeded random policy; its source is reseeded on
@@ -118,7 +119,7 @@ func NewTailDrop() Policy { return newEdgeDrop(true) }
 func NewHeadDrop() Policy { return newEdgeDrop(false) }
 
 func newEdgeDrop(newest bool) Policy {
-	p := edgePool.Get().(*edgeDrop)
+	p := edgeFree.Get(func() *edgeDrop { return new(edgeDrop) })
 	p.Reset()
 	p.newest = newest
 	return p
@@ -244,7 +245,7 @@ type greedy struct {
 // NewGreedy returns the greedy policy of Section 4.1: on overflow, discard
 // the droppable slice with the lowest byte value.
 func NewGreedy() Policy {
-	p := greedyPool.Get().(*greedy)
+	p := greedyFree.Get(func() *greedy { return new(greedy) })
 	p.Reset()
 	return p
 }
@@ -326,7 +327,7 @@ type random struct {
 // NewRandom returns a policy that discards a uniformly random droppable
 // slice, driven by a deterministic source seeded with seed.
 func NewRandom(seed int64) Policy {
-	p := randomPool.Get().(*random)
+	p := randomFree.Get(newRandom)
 	p.setSeed(seed)
 	p.Reset()
 	return p
@@ -337,7 +338,7 @@ func Random(seed int64) Factory {
 	return func() Policy { return NewRandom(seed) }
 }
 
-// setSeed (re)parameterizes a pooled instance, rebuilding the cached name
+// setSeed (re)parameterizes a recycled instance, rebuilding the cached name
 // only when the seed actually changed.
 func (p *random) setSeed(seed int64) {
 	if p.name == "" || p.seed != seed {

@@ -29,6 +29,23 @@ type EarlyDropper interface {
 	EarlyVictim(occupancy, capacity int) (r stream.Run, ok bool)
 }
 
+// EarlyOf returns p's EarlyDropper extension, or nil if it has none. It
+// tells this package's policies apart by their concrete types: an
+// assertion to an interface type goes through a per-call-site runtime
+// cache that is built lazily, at a random one of its first thousand or so
+// misses, so it would allocate at an unpredictable run. A foreign Policy
+// falls back to that assertion.
+func EarlyOf(p Policy) EarlyDropper {
+	switch p := p.(type) {
+	case *anticipate:
+		return p
+	case *edgeDrop, *greedy, *random, *randomMix:
+		return nil
+	}
+	ed, _ := p.(EarlyDropper)
+	return ed
+}
+
 // anticipate wraps the greedy policy with a threshold rule: whenever the
 // buffer is more than threshold-full, slices whose byte value is below
 // valueFloor are discarded proactively (lowest first), before they can
@@ -47,7 +64,7 @@ type anticipate struct {
 // threshold is clamped to [0, 1]. valueFloor <= 0 disables the value
 // filter (any lowest-value slice may be shed early).
 func NewAnticipate(threshold, valueFloor float64) Policy {
-	p := anticipatePool.Get().(*anticipate)
+	p := anticipateFree.Get(func() *anticipate { return &anticipate{greedy: new(greedy)} })
 	p.greedy.Reset()
 	p.threshold, p.valueFloor = min(max(threshold, 0), 1), valueFloor
 	return p
@@ -77,7 +94,7 @@ type randomMix struct {
 // picks a uniformly random droppable slice with probability p and the
 // greedy (lowest byte value) one otherwise. Deterministic per seed.
 func NewRandomMix(seed int64, p float64) Policy {
-	m := randomMixPool.Get().(*randomMix)
+	m := randomMixFree.Get(func() *randomMix { return &randomMix{g: new(greedy), r: newRandom()} })
 	m.r.setSeed(seed)
 	m.Reset()
 	m.prob = min(max(p, 0), 1)

@@ -189,7 +189,7 @@ func TableDecode(c Config) (*Table, error) {
 				return nil, err
 			}
 			// Whole-frame slices: slice ID == frame index.
-			stats := trace.Decodability(cl, func(i int) bool { return s.Outcomes[i].Played() })
+			stats := trace.Decodability(cl, func(i int) bool { return s.At(i).Played() })
 			row[p.name+"-delivered"] = 100 * float64(stats.Delivered) / float64(stats.Total)
 			row[p.name+"-decodable"] = 100 * stats.DecodableFraction()
 		}
@@ -320,7 +320,7 @@ func TableJitter(c Config) (*Table, error) {
 		played := 0
 		for _, o := range sch.Outcomes {
 			if o.Played() {
-				played++
+				played += o.Len()
 			}
 		}
 		total := float64(st.Len())

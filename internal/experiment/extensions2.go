@@ -55,7 +55,7 @@ func TableGlitch(c Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			p := trace.Glitches(cl, func(i int) bool { return s.Outcomes[i].Played() })
+			p := trace.Glitches(cl, func(i int) bool { return s.At(i).Played() })
 			row[pol.name+"-glitches"] = p.PerKiloframe
 			row[pol.name+"-longest"] = float64(p.Longest)
 		}
@@ -85,10 +85,14 @@ func TableAdaptive(c Config) (*Table, error) {
 	B := 6 * cl.MaxFrameSize()
 
 	// Static CBR reference at 1.1 x avg with the same buffer.
-	static, err := core.Simulate(st, core.Config{ServerBuffer: B, Rate: int(1.1 * avg), Policy: drop.Greedy})
+	r := core.AcquireRunner()
+	static, err := r.Run(st, core.Config{ServerBuffer: B, Rate: int(1.1 * avg), Policy: drop.Greedy})
 	if err != nil {
+		core.ReleaseRunner(r)
 		return nil, err
 	}
+	staticLoss := static.WeightedLoss()
+	core.ReleaseRunner(r)
 
 	t := &Table{
 		ID:     "adaptive",
@@ -99,7 +103,7 @@ func TableAdaptive(c Config) (*Table, error) {
 		Notes: []string{
 			fmt.Sprintf("frames=%d buffer=%d greedy policy; headroom 1.2", c.Frames, B),
 			fmt.Sprintf("static CBR at 1.1 x avg with the same buffer: wloss %.2f%%",
-				100*static.WeightedLoss()),
+				100*staticLoss),
 		},
 	}
 	windows := []int{2, 4, 8, 16, 32, 64, 128}

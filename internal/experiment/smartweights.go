@@ -60,7 +60,7 @@ func TableSmartWeights(c Config) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			return 100 * trace.Decodability(cl, func(i int) bool { return s.Outcomes[i].Played() }).DecodableFraction(), nil
+			return 100 * trace.Decodability(cl, func(i int) bool { return s.At(i).Played() }).DecodableFraction(), nil
 		}
 		fPaper, err := decodable(paper, drop.Greedy)
 		if err != nil {

@@ -85,17 +85,15 @@ func TableBRD(c Config) (*Table, error) {
 		}
 		total := float64(st.TotalBytes())
 		server, client := 0, 0
-		for id, o := range s.Outcomes {
-			if !o.Dropped() {
-				continue
+		s.Walk(func(o sched.Outcome, run stream.Run) {
+			switch {
+			case !o.Dropped():
+			case o.DropSite == sched.SiteServer:
+				server += run.Bytes()
+			default:
+				client += run.Bytes()
 			}
-			sz := st.Slice(id).Size
-			if o.DropSite == sched.SiteServer {
-				server += sz
-			} else {
-				client += sz
-			}
-		}
+		})
 		byteloss := 100 * float64(st.TotalBytes()-s.Throughput()) / total
 		sLate, err := r.Run(st, core.Config{
 			ServerBuffer:    B,

@@ -25,7 +25,7 @@ func Example() {
 	played := 0
 	for _, o := range sch.Outcomes {
 		if o.Played() {
-			played++
+			played += o.Len()
 		}
 	}
 	fmt.Printf("with regulator: %d of %d played, total delay P+J = %d, regulator buffer %d\n",

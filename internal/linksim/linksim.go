@@ -164,9 +164,8 @@ func Simulate(st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sche
 	if err != nil {
 		return nil, 0, err
 	}
-	schedule := rec.Schedule()
-	bound := st.Horizon() + schedule.Params.LinkDelay + schedule.Params.Delay +
-		st.TotalBytes()/schedule.Params.Rate + 16
+	params := rec.Schedule().Params
+	bound := st.Horizon() + params.LinkDelay + params.Delay + st.TotalBytes()/params.Rate + 16
 	for t := 0; t <= st.Horizon() || rec.Resolved() < st.Len() || !server.Empty() || !link.Empty() || !reg.Empty(); t++ {
 		res := server.Step(t, st.RunsAt(t))
 		link.Push(t, res.Sent)
@@ -176,7 +175,7 @@ func Simulate(st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sche
 			return nil, 0, fmt.Errorf("linksim: simulation failed to terminate by step %d", t)
 		}
 	}
-	return schedule, reg.MaxOccupancy(), nil
+	return rec.Schedule(), reg.MaxOccupancy(), nil
 }
 
 // UnregulatedResult summarizes a run without jitter control.

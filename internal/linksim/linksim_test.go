@@ -215,7 +215,7 @@ func TestUnregulatedZeroJitterMatchesPlain(t *testing.T) {
 		played := 0
 		for _, o := range plain.Outcomes {
 			if o.Played() {
-				played++
+				played += o.Len()
 			}
 		}
 		return res.Played == played

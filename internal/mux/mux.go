@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/drop"
+	"repro/internal/sched"
 	"repro/internal/stream"
 )
 
@@ -147,7 +148,9 @@ func Shared(streams []*stream.Stream, totalRate, totalBuffer int, policy drop.Fa
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.Simulate(combined, core.Config{
+	r := core.AcquireRunner()
+	defer core.ReleaseRunner(r)
+	s, err := r.Run(combined, core.Config{
 		ServerBuffer: totalBuffer,
 		Rate:         totalRate,
 		Policy:       policy,
@@ -155,17 +158,20 @@ func Shared(streams []*stream.Stream, totalRate, totalBuffer int, policy drop.Fa
 	if err != nil {
 		return nil, err
 	}
+	// Merged runs may hold slices of several streams, so each stream's
+	// sums still take its slices one at a time, in ID order.
 	res := &Result{PerStream: make([]StreamMetrics, len(streams)), Mode: "shared"}
-	for id, o := range s.Outcomes {
-		sl := combined.Slice(id)
-		m := &res.PerStream[origin[id]]
-		m.OfferedBytes += sl.Size
-		m.OfferedWeight += sl.Weight
-		if o.Played() {
-			m.PlayedBytes += sl.Size
-			m.PlayedWeight += sl.Weight
+	s.Walk(func(o sched.Outcome, run stream.Run) {
+		for _, from := range origin[run.First:run.End()] {
+			m := &res.PerStream[from]
+			m.OfferedBytes += run.Size
+			m.OfferedWeight += run.Weight
+			if o.Played() {
+				m.PlayedBytes += run.Size
+				m.PlayedWeight += run.Weight
+			}
 		}
-	}
+	})
 	return res, nil
 }
 
@@ -188,8 +194,10 @@ func Partitioned(streams []*stream.Stream, totalRate, totalBuffer int, policy dr
 	}
 	delay := core.DelayFor(totalBuffer, totalRate)
 	res := &Result{PerStream: make([]StreamMetrics, k), Mode: "partitioned"}
+	r := core.AcquireRunner()
+	defer core.ReleaseRunner(r)
 	for i, st := range streams {
-		s, err := core.Simulate(st, core.Config{
+		s, err := r.Run(st, core.Config{
 			ServerBuffer: buffer,
 			Rate:         rate,
 			Delay:        delay,

@@ -213,7 +213,8 @@ func TestEndToEndMatchesSimulation(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantPlayed := 0
-		for id, o := range sim.Outcomes {
+		for id := 0; id < sim.Stream.Len(); id++ {
+			o := sim.At(id)
 			if o.Played() != played[id] {
 				t.Fatalf("trial %d: slice %d played on the wire = %v, in the simulation = %v", trial, id, played[id], o.Played())
 			}

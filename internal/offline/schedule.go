@@ -22,16 +22,14 @@ func ScheduleFor(st *stream.Stream, res *Result, B, R int) (*sched.Schedule, err
 	// Build the accepted sub-stream; Restrict preserves order, so the
 	// k-th accepted original slice becomes restricted slice k.
 	keep := make(map[int]bool, st.Len())
-	var origOf []int // restricted ID -> original ID
 	for id, ok := range res.Accepted {
 		if ok {
 			keep[id] = true
-			origOf = append(origOf, id)
 		}
 	}
 	sub := st.Restrict(keep)
-	if sub.Len() != len(origOf) {
-		return nil, fmt.Errorf("offline: restrict produced %d slices, expected %d", sub.Len(), len(origOf))
+	if sub.Len() != len(keep) {
+		return nil, fmt.Errorf("offline: restrict produced %d slices, expected %d", sub.Len(), len(keep))
 	}
 	subSched, err := core.Simulate(sub, core.Config{ServerBuffer: B, Rate: R})
 	if err != nil {
@@ -46,21 +44,26 @@ func ScheduleFor(st *stream.Stream, res *Result, B, R int) (*sched.Schedule, err
 	out := &sched.Schedule{
 		Stream:      st,
 		Params:      subSched.Params,
-		Outcomes:    make([]sched.Outcome, st.Len()),
 		SentPerStep: subSched.SentPerStep,
 		ServerOcc:   subSched.ServerOcc,
 		ClientOcc:   subSched.ClientOcc,
 		Algorithm:   "offline-optimal",
 	}
-	for id := range out.Outcomes {
-		out.Outcomes[id] = sched.Outcome{
-			SendStart: sched.None, SendEnd: sched.None,
-			DropTime: st.Slice(id).Arrival, DropSite: sched.SiteServer,
-			PlayTime: sched.None,
+	subID := 0
+	for _, r := range st.Runs() {
+		for id := r.First; id < r.End(); id++ {
+			o := sched.Outcome{
+				SendStart: sched.None, SendEnd: sched.None,
+				DropTime: r.Arrival, DropSite: sched.SiteServer,
+				PlayTime: sched.None,
+			}
+			if res.Accepted[id] {
+				o = subSched.At(subID)
+				subID++
+			}
+			o.First, o.End = id, id+1
+			out.Outcomes = sched.AppendSpan(out.Outcomes, o)
 		}
-	}
-	for subID, origID := range origOf {
-		out.Outcomes[origID] = subSched.Outcomes[subID]
 	}
 	return out, nil
 }

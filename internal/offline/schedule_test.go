@@ -31,7 +31,8 @@ func TestScheduleForProducesValidOptimalSchedule(t *testing.T) {
 			return false
 		}
 		// Every outcome's fate matches the accepted set.
-		for id, o := range s.Outcomes {
+		for id := 0; id < s.Stream.Len(); id++ {
+			o := s.At(id)
 			if o.Played() != res.Accepted[id] {
 				t.Logf("seed %d: slice %d fate mismatch", seed, id)
 				return false

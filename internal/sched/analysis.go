@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"repro/internal/stream"
 )
 
 // RateStats summarizes the transmission-rate process of a schedule — the
@@ -70,19 +72,11 @@ func (s *Schedule) DropsPerStep() []int {
 	if len(out) == 0 {
 		return out
 	}
-	for id, o := range s.Outcomes {
-		if !o.Dropped() {
-			continue
+	s.Walk(func(o Outcome, r stream.Run) {
+		if o.Dropped() {
+			out[min(max(o.DropTime, 0), len(out)-1)] += r.Bytes()
 		}
-		t := o.DropTime
-		if t >= len(out) {
-			t = len(out) - 1
-		}
-		if t < 0 {
-			t = 0
-		}
-		out[t] += s.Stream.Slice(id).Size
-	}
+	})
 	return out
 }
 

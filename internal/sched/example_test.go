@@ -8,8 +8,8 @@ import (
 	"repro/internal/stream"
 )
 
-// Example inspects the schedule a simulation produces: per-slice fates,
-// aggregate metrics, and the model validator.
+// Example inspects the schedule a simulation produces: the fate of each
+// span of slices, aggregate metrics, and the model validator.
 func Example() {
 	st := stream.NewBuilder().
 		Add(0, 1, 1).Add(0, 1, 1).Add(0, 1, 9).
@@ -19,20 +19,20 @@ func Example() {
 	fmt.Printf("valid: %v\n", s.Validate() == nil)
 	fmt.Printf("benefit %v of %v (weighted loss %.0f%%)\n",
 		s.Benefit(), st.TotalWeight(), 100*s.WeightedLoss())
-	for id, o := range s.Outcomes {
+	for _, o := range s.Outcomes {
 		switch {
 		case o.Played():
-			fmt.Printf("slice %d: played at %d\n", id, o.PlayTime)
+			fmt.Printf("slices [%d,%d): played at %d\n", o.First, o.End, o.PlayTime)
 		default:
-			fmt.Printf("slice %d: dropped at %d (%s)\n", id, o.DropTime, o.DropSite)
+			fmt.Printf("slices [%d,%d): dropped at %d (%s)\n", o.First, o.End, o.DropTime, o.DropSite)
 		}
 	}
 	// Output:
 	// valid: true
 	// benefit 10 of 11 (weighted loss 9%)
-	// slice 0: played at 1
-	// slice 1: dropped at 0 (server)
-	// slice 2: played at 1
+	// slices [0,1): played at 1
+	// slices [1,2): dropped at 0 (server)
+	// slices [2,3): played at 1
 }
 
 // Example_rateStats summarizes the transmission-rate process.

@@ -3,6 +3,8 @@ package sched
 import (
 	"encoding/json"
 	"io"
+
+	"repro/internal/stream"
 )
 
 // jsonSchedule is the stable export schema for external tooling (plotting,
@@ -73,21 +75,22 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 			LinkReq:      s.LinkRateRequirement(),
 		},
 	}
-	out.Slices = make([]jsonSlice, len(s.Outcomes))
-	for id, o := range s.Outcomes {
-		sl := s.Stream.Slice(id)
-		out.Slices[id] = jsonSlice{
-			ID:        id,
-			Arrival:   sl.Arrival,
-			Size:      sl.Size,
-			Weight:    sl.Weight,
-			SendStart: optTime(o.SendStart),
-			SendEnd:   optTime(o.SendEnd),
-			PlayTime:  optTime(o.PlayTime),
-			DropTime:  optTime(o.DropTime),
-			DropSite:  o.DropSite.String(),
+	out.Slices = make([]jsonSlice, 0, s.Stream.Len())
+	s.Walk(func(o Outcome, r stream.Run) {
+		for id := r.First; id < r.End(); id++ {
+			out.Slices = append(out.Slices, jsonSlice{
+				ID:        id,
+				Arrival:   r.Arrival,
+				Size:      r.Size,
+				Weight:    r.Weight,
+				SendStart: optTime(o.SendStart),
+				SendEnd:   optTime(o.SendEnd),
+				PlayTime:  optTime(o.PlayTime),
+				DropTime:  optTime(o.DropTime),
+				DropSite:  o.DropSite.String(),
+			})
 		}
-	}
+	})
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }

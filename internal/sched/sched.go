@@ -4,10 +4,17 @@
 // schedule obeys the model of Section 2: causality, FIFO transmission,
 // link-rate and buffer-capacity constraints, no preemption, and the
 // real-time property (all played slices have identical sojourn time P+D).
+//
+// The paper gives every slice its own send, play and drop times. A schedule
+// stores them per span of consecutive slice IDs that share one fate (see
+// Outcome), so its size and the cost of its metrics follow the number of
+// distinct fates, not the number of slices; a byte-sliced frame that is
+// sent in one step and played in another is one span.
 package sched
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/stream"
 )
@@ -73,32 +80,58 @@ func (d DropSite) String() string {
 	}
 }
 
-// Outcome records what happened to one slice: when its transmission started
-// and finished, when it was dropped, and when it was played. Exactly one of
-// {played, dropped} holds for every slice of a terminated schedule.
+// Outcome records what happened to the slices [First, End), which share
+// one fate: when their transmission started and finished, when they were
+// dropped, and when they were played. Exactly one of {played, dropped}
+// holds for every slice of a terminated schedule.
 type Outcome struct {
-	// SendStart is ST of the slice's first byte, or None.
+	// First and End delimit the slice IDs [First, End) the outcome covers.
+	First, End int
+	// SendStart is ST of each slice's first byte, or None.
 	SendStart int
-	// SendEnd is ST of the slice's last byte, or None. A slice whose
+	// SendEnd is ST of each slice's last byte, or None. A slice whose
 	// transmission started is never preempted at the server, so
 	// SendStart != None implies SendEnd != None in a terminated schedule
 	// — even when the client ends up discarding the slice.
 	SendEnd int
-	// DropTime is DT(s), or None if the slice was never dropped.
+	// DropTime is DT(s), or None if the slices were never dropped.
 	DropTime int
-	// DropSite says which side discarded the slice, if any. Server drops
+	// DropSite says which side discarded the slices, if any. Server drops
 	// never have a send span; client drops may (their bytes crossed the
 	// link but arrived late or overflowed the client buffer).
 	DropSite DropSite
-	// PlayTime is PT(s), or None if the slice was never played.
+	// PlayTime is PT(s), or None if the slices were never played.
 	PlayTime int
 }
 
-// Played reports whether the slice was delivered to the playout device.
+// Played reports whether the slices were delivered to the playout device.
 func (o Outcome) Played() bool { return o.PlayTime != None }
 
-// Dropped reports whether the slice was discarded.
+// Dropped reports whether the slices were discarded.
 func (o Outcome) Dropped() bool { return o.DropTime != None }
+
+// Len returns the number of slices the outcome covers.
+func (o Outcome) Len() int { return o.End - o.First }
+
+// SameFate reports whether o and p record the same fate, whatever slices
+// they cover.
+func (o Outcome) SameFate(p Outcome) bool {
+	o.First, o.End = p.First, p.End
+	return o == p
+}
+
+// AppendSpan appends o to spans, an ID-ordered outcome list, extending the
+// last span instead when o continues it with the same fate, so a list built
+// by AppendSpan alone is maximal: adjacent spans differ in fate.
+//
+//smoothvet:noalloc
+func AppendSpan(spans []Outcome, o Outcome) []Outcome {
+	if n := len(spans); n > 0 && spans[n-1].End == o.First && spans[n-1].SameFate(o) {
+		spans[n-1].End = o.End
+		return spans
+	}
+	return append(spans, o)
+}
 
 // Schedule is the complete record of one smoothing run over a stream.
 type Schedule struct {
@@ -106,7 +139,9 @@ type Schedule struct {
 	Stream *stream.Stream
 	// Params are the resource parameters used.
 	Params Params
-	// Outcomes[id] is the fate of slice id.
+	// Outcomes holds the fate of every slice as spans of consecutive IDs
+	// that share one fate: sorted, gap-free, each non-empty, and together
+	// covering [0, Stream.Len()). At finds the span of one ID.
 	Outcomes []Outcome
 	// SentPerStep[t] is |S(t)|, bytes submitted to the link at step t.
 	SentPerStep []int
@@ -120,28 +155,89 @@ type Schedule struct {
 	Algorithm string
 }
 
+// At returns the outcome span holding slice id. It panics if no span holds
+// it.
+func (s *Schedule) At(id int) Outcome {
+	lo, hi := 0, len(s.Outcomes)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); s.Outcomes[mid].End > id {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(s.Outcomes) || s.Outcomes[lo].First > id {
+		panic(fmt.Sprintf("sched: no outcome for slice %d", id))
+	}
+	return s.Outcomes[lo]
+}
+
+// Walk calls fn for every outcome span cut at the stream's run boundaries,
+// in ID order: all slices of one call share fate, arrival, size and
+// weight, and r.First and r.Count delimit them. The outcome list must have
+// the shape Validate requires.
+func (s *Schedule) Walk(fn func(o Outcome, r stream.Run)) {
+	runs := s.Stream.Runs()
+	k := 0
+	for _, o := range s.Outcomes {
+		for id := o.First; id < o.End; {
+			for runs[k].End() <= id {
+				k++
+			}
+			r := runs[k]
+			end := min(o.End, r.End())
+			r.First, r.Count = id, end-id
+			fn(o, r)
+			id = end
+		}
+	}
+}
+
 // Throughput returns the total number of bytes played out (Definition 2.4).
 func (s *Schedule) Throughput() int {
 	n := 0
-	for _, r := range s.Stream.Runs() {
-		for _, o := range s.Outcomes[r.First:r.End()] {
-			if o.Played() {
-				n += r.Size
-			}
+	s.Walk(func(o Outcome, r stream.Run) {
+		if o.Played() {
+			n += r.Bytes()
 		}
-	}
+	})
 	return n
 }
 
-// Benefit returns the total weight of played slices (Definition 2.6).
+// Benefit returns the total weight of played slices (Definition 2.6): the
+// sum of their weights taken one slice at a time in ID order, so its bits
+// do not depend on how the slices are grouped into spans. While the
+// running sum and a piece's weight are integers and the sum stays below
+// 2^53, every partial sum is an exact integer, so the piece's Count·Weight
+// is added at once with the same result (the paper's weights are
+// integers); otherwise each slice's weight is added on its own.
 func (s *Schedule) Benefit() float64 {
 	var w float64
-	for _, r := range s.Stream.Runs() {
-		for _, o := range s.Outcomes[r.First:r.End()] {
-			if o.Played() {
-				w += r.Weight
-			}
+	runs, k := s.Stream.Runs(), 0
+	for i := range s.Outcomes {
+		o := &s.Outcomes[i]
+		if !o.Played() {
+			continue
 		}
+		for id := o.First; id < o.End; {
+			for runs[k].End() <= id {
+				k++
+			}
+			end := min(o.End, runs[k].End())
+			w = addWeight(w, runs[k].Weight, end-id)
+			id = end
+		}
+	}
+	return w
+}
+
+// addWeight returns w plus count slices of weight x, added one at a time.
+func addWeight(w, x float64, count int) float64 {
+	if k := float64(count); math.Abs(w)+k*math.Abs(x) < 1<<53 && w == float64(int64(w)) && x == float64(int64(x)) {
+		return w + k*x
+	}
+	for range count {
+		w += x
 	}
 	return w
 }
@@ -149,13 +245,11 @@ func (s *Schedule) Benefit() float64 {
 // DroppedBytes returns the total size of dropped slices.
 func (s *Schedule) DroppedBytes() int {
 	n := 0
-	for _, r := range s.Stream.Runs() {
-		for _, o := range s.Outcomes[r.First:r.End()] {
-			if o.Dropped() {
-				n += r.Size
-			}
+	s.Walk(func(o Outcome, r stream.Run) {
+		if o.Dropped() {
+			n += r.Bytes()
 		}
-	}
+	})
 	return n
 }
 
@@ -164,7 +258,7 @@ func (s *Schedule) DroppedSlices() int {
 	n := 0
 	for _, o := range s.Outcomes {
 		if o.Dropped() {
-			n++
+			n += o.Len()
 		}
 	}
 	return n
@@ -175,7 +269,7 @@ func (s *Schedule) DroppedAt(site DropSite) int {
 	n := 0
 	for _, o := range s.Outcomes {
 		if o.Dropped() && o.DropSite == site {
-			n++
+			n += o.Len()
 		}
 	}
 	return n

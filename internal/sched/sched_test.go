@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -26,9 +28,9 @@ func legalSchedule(t *testing.T) *Schedule {
 		Stream: tinyStream(t),
 		Params: Params{ServerBuffer: 2, ClientBuffer: 2, Rate: 1, Delay: 2, LinkDelay: 0},
 		Outcomes: []Outcome{
-			{SendStart: 0, SendEnd: 0, DropTime: None, PlayTime: 2},
-			{SendStart: 1, SendEnd: 1, DropTime: None, PlayTime: 2},
-			{SendStart: None, SendEnd: None, DropTime: 1, DropSite: SiteServer, PlayTime: None},
+			{First: 0, End: 1, SendStart: 0, SendEnd: 0, DropTime: None, PlayTime: 2},
+			{First: 1, End: 2, SendStart: 1, SendEnd: 1, DropTime: None, PlayTime: 2},
+			{First: 2, End: 3, SendStart: None, SendEnd: None, DropTime: 1, DropSite: SiteServer, PlayTime: None},
 		},
 		SentPerStep: []int{1, 1, 0},
 		ServerOcc:   []int{1, 0, 0},
@@ -107,7 +109,7 @@ func TestZeroWeightLoss(t *testing.T) {
 	s := &Schedule{
 		Stream:      st,
 		Params:      Params{ServerBuffer: 1, ClientBuffer: 1, Rate: 1, Delay: 1},
-		Outcomes:    []Outcome{{SendStart: 0, SendEnd: 0, DropTime: None, PlayTime: 1}},
+		Outcomes:    []Outcome{{First: 0, End: 1, SendStart: 0, SendEnd: 0, DropTime: None, PlayTime: 1}},
 		SentPerStep: []int{1, 0},
 		ServerOcc:   []int{0, 0},
 		ClientOcc:   []int{1, 0},
@@ -175,12 +177,12 @@ func TestValidateRejections(t *testing.T) {
 		expectViolation(t, "causality", func(s *Schedule) {
 			// Slice 2 arrives at 1; pretend it was sent from step 0 and
 			// played.
-			s.Outcomes[2] = Outcome{SendStart: 0, SendEnd: 0, DropTime: None, PlayTime: 3}
+			s.Outcomes[2] = Outcome{First: 2, End: 3, SendStart: 0, SendEnd: 0, DropTime: None, PlayTime: 3}
 		})
 	})
 	t.Run("server drop after send", func(t *testing.T) {
 		expectViolation(t, "preemption", func(s *Schedule) {
-			s.Outcomes[0] = Outcome{SendStart: 0, SendEnd: 0, DropTime: 1, DropSite: SiteServer, PlayTime: None}
+			s.Outcomes[0] = Outcome{First: 0, End: 1, SendStart: 0, SendEnd: 0, DropTime: 1, DropSite: SiteServer, PlayTime: None}
 		})
 	})
 	t.Run("wrong play time", func(t *testing.T) {
@@ -225,6 +227,57 @@ func TestValidateRejections(t *testing.T) {
 	})
 }
 
+// TestValidateSpanShape feeds Validate one malformed outcome list per
+// shape rule; each must be rejected as "shape".
+func TestValidateSpanShape(t *testing.T) {
+	o := func(first, end int) Outcome {
+		return Outcome{First: first, End: end, SendStart: None, SendEnd: None, DropTime: 1, DropSite: SiteServer, PlayTime: None}
+	}
+	for _, tc := range []struct {
+		name  string
+		spans []Outcome
+	}{
+		{"gap", []Outcome{o(0, 1), o(2, 3)}},
+		{"overlap", []Outcome{o(0, 2), o(1, 3)}},
+		{"empty span", []Outcome{o(0, 2), o(2, 2), o(2, 3)}},
+		{"inverted span", []Outcome{o(0, 2), o(2, 1), o(1, 3)}},
+		{"below the stream", []Outcome{o(-1, 2), o(2, 3)}},
+		{"beyond the stream", []Outcome{o(0, 2), o(2, 4)}},
+		{"short of the end", []Outcome{o(0, 1), o(1, 2)}},
+		{"late start", []Outcome{o(1, 3)}},
+		{"no spans", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			expectViolation(t, "shape", func(s *Schedule) { s.Outcomes = tc.spans })
+		})
+	}
+}
+
+func TestAtAndAppendSpan(t *testing.T) {
+	played := func(first, end, sendAt int) Outcome {
+		return Outcome{First: first, End: end, SendStart: sendAt, SendEnd: sendAt, DropTime: None, PlayTime: 5}
+	}
+	var spans []Outcome
+	spans = AppendSpan(spans, played(0, 2, 1))
+	spans = AppendSpan(spans, played(2, 3, 1)) // same fate: extends
+	spans = AppendSpan(spans, played(3, 4, 2)) // another send step: new span
+	if len(spans) != 2 || spans[0].End != 3 || spans[1].First != 3 {
+		t.Fatalf("AppendSpan = %+v", spans)
+	}
+	s := &Schedule{Outcomes: spans}
+	for id, want := range []int{0, 0, 0, 1} {
+		if got := s.At(id); got != spans[want] {
+			t.Errorf("At(%d) = %+v, want %+v", id, got, spans[want])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("At beyond the spans did not panic")
+		}
+	}()
+	s.At(4)
+}
+
 func TestValidateClientDropWithSendSpan(t *testing.T) {
 	// A client-dropped (late) slice may legally have a send span. B=1,
 	// R=1, D=1: slice of size 2 cannot make its deadline.
@@ -233,7 +286,7 @@ func TestValidateClientDropWithSendSpan(t *testing.T) {
 		Stream: st,
 		Params: Params{ServerBuffer: 2, ClientBuffer: 2, Rate: 1, Delay: 1, LinkDelay: 0},
 		Outcomes: []Outcome{
-			{SendStart: 0, SendEnd: 1, DropTime: 1, DropSite: SiteClient, PlayTime: None},
+			{First: 0, End: 1, SendStart: 0, SendEnd: 1, DropTime: 1, DropSite: SiteClient, PlayTime: None},
 		},
 		SentPerStep: []int{1, 1},
 		ServerOcc:   []int{1, 0},
@@ -266,5 +319,51 @@ func TestValidationErrorMessage(t *testing.T) {
 	msg := err.Error()
 	if !strings.Contains(msg, "fifo") || !strings.Contains(msg, "details here") {
 		t.Errorf("Error() = %q", msg)
+	}
+}
+
+// TestBenefitMatchesPerSliceSum checks Benefit bit for bit against adding
+// every played slice's weight on its own in ID order, over integer weights
+// (where Benefit adds whole pieces at once), fractional ones, and integer
+// sums that cross 2^53.
+func TestBenefitMatchesPerSliceSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	weights := [][]float64{
+		{1, 8, 12},
+		{0.1, 1.0 / 3, 2.5},
+		{1, 0.5, 3},
+		{4, 7, 0},
+		{1 << 50, 3 << 48, 1},
+		{math.MaxFloat64 / 4, 1},
+	}
+	for trial := 0; trial < 300; trial++ {
+		ws := weights[trial%len(weights)]
+		b := stream.NewBuilder()
+		for a := 0; a < 8; a++ {
+			for j := rng.Intn(3); j >= 0; j-- {
+				b.AddRun(a, 1+rng.Intn(40), 1, ws[rng.Intn(len(ws))])
+			}
+		}
+		st := b.MustBuild()
+		s := &Schedule{Stream: st}
+		var want float64
+		for id := 0; id < st.Len(); {
+			end := min(st.Len(), id+1+rng.Intn(30))
+			o := Outcome{First: id, End: end, SendStart: None, SendEnd: None, DropTime: None, PlayTime: None}
+			if rng.Intn(3) > 0 {
+				o.PlayTime = 1
+				for i := id; i < end; i++ {
+					want += st.Slice(i).Weight
+				}
+			} else {
+				o.DropTime, o.DropSite = 0, SiteServer
+			}
+			s.Outcomes = AppendSpan(s.Outcomes, o)
+			id = end
+		}
+		if got := s.Benefit(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: Benefit = %v (%#x), per-slice sum %v (%#x)",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
 	}
 }

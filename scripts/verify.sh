@@ -62,6 +62,20 @@ if grep -rnE 'NewReceiver|ReceiveMux|PlayEvent|ReceivedSlice|MuxStats' --include
     exit 1
 fi
 
+echo "== outcomes per span"
+# A schedule keeps its outcomes as spans of equal fate (sched.Outcome
+# First/End); outside internal/sched a reader walks them (Walk, At), and no
+# index into the span list may pose as a slice ID. core.Recorder logs ID
+# ranges; its per-slice pendingLate map must not come back.
+if grep -rnE 'Outcomes\[[A-Za-z_]' --include=*.go internal cmd examples | grep -v '_test\.go:' | grep -v '^internal/sched/'; then
+    echo "per-slice indexing of sched.Schedule.Outcomes (lines above)" >&2
+    exit 1
+fi
+if grep -rn 'pendingLate' --include=*.go internal cmd examples | grep -v '_test\.go:'; then
+    echo "the per-slice late map is back (lines above)" >&2
+    exit 1
+fi
+
 echo "== go test"
 go test ./...
 
@@ -99,10 +113,10 @@ echo "== bench + regression gate"
 # with (scripts/bench_baseline.sh, -benchtime 5x) and check the text against
 # BENCH_quick.json with cmd/benchdiff: every ledger row must be present, and
 # B/op and allocs/op — deterministic at a fixed iteration count — may grow
-# only within benchdiff's global limits (2x + slack, generous because
-# sync.Pool hit rates vary with GC timing) or the tight rules below. The
-# simulation core must stay allocation-free (see DESIGN.md "Memory layout &
-# amortization"); wall time is not gated here (five iterations on a shared
+# only within benchdiff's global limits (2x + slack) or the tight rules
+# below. The simulation core must stay allocation-free, with no slack: its
+# arenas and policies sit on free lists the GC cannot empty (see DESIGN.md
+# "Memory layout & amortization"); wall time is not gated here (five iterations on a shared
 # 2-vCPU host measure the host; smoothbench measures time). Refresh the
 # ledger with scripts/bench_baseline.sh after an intentional change in
 # allocation behaviour.
@@ -120,8 +134,8 @@ echo "== bench + regression gate"
 # loopback waves get wide bounds: one op there is a full wave of real dials
 # and sessions, so the dial-path allocation count wobbles with the host.
 ./scripts/bench_baseline.sh \
-    -rule 'BenchmarkServerStep:allocs=0.0+4,bytes=0.0+4096' \
-    -rule 'BenchmarkSimulate/*:allocs=0.0+4,bytes=0.0+4096' \
+    -rule 'BenchmarkServerStep:allocs=0.0+0,bytes=0.0+0' \
+    -rule 'BenchmarkSimulate/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkEngineStepDensity/cohort/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkLoadgenStep/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkObsRecord/*:allocs=0.0+0,bytes=0.0+0' \
