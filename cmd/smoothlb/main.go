@@ -192,9 +192,6 @@ func main() {
 	} else {
 		log.Printf("smoothlb: drain budget exceeded, aborting in-flight relays")
 	}
-	if eng.SpliceFallbacks() > 0 {
-		log.Printf("smoothlb: %d sessions relayed through the userspace fallback", eng.SpliceFallbacks())
-	}
 	os.Exit(0)
 }
 

@@ -3,10 +3,10 @@
 // per-tick step paths of the serving and load-generating engines) must not
 // read the wall clock. time.Now, time.Since and time.Until are flagged, as
 // is arming SetWriteDeadline from a wall-clock read inside such a function
-// — the per-write time.Now re-arm is exactly the regression the sharded
-// engine's tickClock exists to prevent. Hot code takes its notion of "now"
-// from the shard clock (an atomic nanosecond stamp taken once per tick or
-// per reactor wake) or from an explicit monotonic now parameter.
+// — a per-write time.Now re-arm is exactly the per-session clock read the
+// sharded engines are built to avoid. Hot code takes its notion of "now"
+// from the shard clock (a nanosecond stamp taken once per tick or per
+// reactor wake) or from an explicit monotonic now parameter.
 //
 // Reachability is the package call graph from the noalloc roots through
 // statically resolvable calls (see framework.CallGraph); calls through

@@ -27,6 +27,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/drop"
 	"repro/internal/sched"
@@ -83,8 +84,9 @@ type Config struct {
 	ServerDropsLate bool
 }
 
-// withDefaults resolves defaulted fields and validates the configuration.
-func (c Config) withDefaults() (Config, error) {
+// withDefaults resolves defaulted fields and validates the configuration
+// for a run over st.
+func (c Config) withDefaults(st *stream.Stream) (Config, error) {
 	if c.ServerBuffer <= 0 {
 		return c, fmt.Errorf("core: server buffer must be positive, got %d", c.ServerBuffer)
 	}
@@ -113,7 +115,17 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Policy == nil {
 		c.Policy = drop.TailDrop
 	}
+	// The Recorder stores a step in 32 bits.
+	if bound := c.stepBound(st); bound > math.MaxInt32 {
+		return c, fmt.Errorf("core: a run may take %d steps, more than a step can hold (%d)", bound, math.MaxInt32)
+	}
 	return c, nil
+}
+
+// stepBound is the last step a run over st can reach: the loop provably
+// ends by then (the server sends R bytes per non-empty step).
+func (c Config) stepBound(st *stream.Stream) int {
+	return st.Horizon() + c.LinkDelay + c.Delay + totalSteps(st, c.Rate) + 8
 }
 
 // Batch is a run of consecutive bytes entering (or leaving) the link within
@@ -137,27 +149,6 @@ func (b Batch) Started() (first, end int) {
 // Finished returns the IDs [first, end) whose last byte the batch carries.
 func (b Batch) Finished() (first, end int) {
 	return b.SliceID, b.SliceID + (b.Offset+b.Bytes)/b.Size
-}
-
-// NewComponents resolves the configuration and returns a Recorder over a
-// fresh schedule skeleton (all outcomes unresolved, Params filled with the
-// resolved values), a server and a client, for callers that drive their
-// own step loop (e.g. package linksim, which puts a jittery link and a
-// regulator between server and client) and pass every step's results to
-// Recorder.Record.
-func NewComponents(st *stream.Stream, cfg Config) (*Recorder, *Server, *Client, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	policy := cfg.Policy()
-	out := &sched.Schedule{}
-	cfg.resetSchedule(out, st, "generic/"+policy.Name())
-	rec := &Recorder{}
-	rec.reset(out)
-	server := NewServer(cfg.ServerBuffer, cfg.Rate, policy, cfg.serverOptions())
-	client := NewClient(cfg.ClientBuffer, cfg.Delay, cfg.LinkDelay, st)
-	return rec, server, client, nil
 }
 
 // resetSchedule readies out for a run of st under the resolved config: one

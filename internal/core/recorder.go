@@ -12,7 +12,7 @@ import (
 // Recorder fills a sched.Schedule from the step results of a Server and a
 // Client: every slice's send span, its play time or its drop time and
 // site, and the per-step traces. Runner drives one, and so do callers that
-// put their own link between server and client (see NewComponents).
+// put their own link between server and client (see Runner.Components).
 //
 // Record logs each event as an ID range and the step it happened at, so a
 // step costs O(ranges reported), not O(slices): sends and plays arrive in
@@ -38,8 +38,9 @@ type Recorder struct {
 }
 
 // event is the slices [first, end), to which something happened at step t;
-// site says where a drop happened. A step fits 32 bits (a run takes far
-// fewer steps), which keeps an event at 24 bytes.
+// site says where a drop happened. A step fits 32 bits (Config.withDefaults
+// refuses a run whose step bound does not), which keeps an event at 24
+// bytes.
 type event struct {
 	first, end int
 	t          int32
@@ -51,11 +52,7 @@ type event struct {
 //smoothvet:noalloc
 func (rec *Recorder) reset(out *sched.Schedule) {
 	rec.out, rec.resolved = out, 0
-	// Sends and plays log about one event per step: a fresh recorder sizes
-	// their logs once instead of doubling its way up.
-	steps := out.Stream.Horizon() + 1
-	rec.starts, rec.ends = slices.Grow(rec.starts[:0], steps), slices.Grow(rec.ends[:0], steps)
-	rec.plays = slices.Grow(rec.plays[:0], steps)
+	rec.starts, rec.ends, rec.plays = rec.starts[:0], rec.ends[:0], rec.plays[:0]
 	rec.drops, rec.late = rec.drops[:0], rec.late[:0]
 	words := (out.Stream.Len() + 63) >> 6
 	rec.dropped = slices.Grow(rec.dropped[:0], words)[:words]

@@ -151,7 +151,7 @@ func checkRecorderAgainstPerSlice(t *testing.T, c oracleCase) {
 	if c.mode == linkRegulated {
 		cfg.LinkDelay += jitter
 	}
-	rec, sv, cl, err := core.NewComponents(c.st, cfg)
+	rec, sv, cl, err := core.NewRunner().Components(c.st, cfg)
 	if err != nil {
 		t.Fatalf("%v: %v", c, err)
 	}

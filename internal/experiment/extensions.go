@@ -309,11 +309,13 @@ func TableJitter(c Config) (*Table, error) {
 		},
 	}
 	err = t.sweepRowsInt(c, []int{0, 1, 2, 4, 8, 16}, func(J int) (map[string]float64, error) {
-		res, err := linksim.SimulateUnregulated(st, cfg, J, c.Seed)
+		r := core.AcquireRunner()
+		defer core.ReleaseRunner(r)
+		res, err := linksim.SimulateUnregulated(r, st, cfg, J, c.Seed)
 		if err != nil {
 			return nil, err
 		}
-		sch, regOcc, err := linksim.Simulate(st, cfg, J, c.Seed)
+		sch, regOcc, err := linksim.Simulate(r, st, cfg, J, c.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -28,23 +28,22 @@
 //     serve_draining=1) is skipped by scoring and sessions already
 //     picked for it are re-placed before the dial — graceful drain is a
 //     placement event, never a client-visible failure.
-//   - Shard reactors: after the handshake the session becomes pure byte
-//     relay. Each shard is one reactor.Loop — poller, hand-off queue
-//     from the placer, fd table, idle sweep and wake are
-//     internal/reactor's, shared with internal/loadgen — and the shard,
-//     as its handler, splices backend socket → per-session pipe → client
-//     socket (kernel-to-kernel, no userspace copy, zero allocation),
-//     falling back to a per-session copy loop only if the first splice
-//     reports the fds unsupported (counted; zero in the benchmarks). A
+//   - Shard reactors: after the handshake the placer adopts both TCP
+//     sockets (reactor.Adopt) and the session becomes pure byte relay.
+//     Each shard is one reactor.Loop — poller, hand-off queue from the
+//     placer, fd table, idle sweep and wake are internal/reactor's,
+//     shared with internal/loadgen — and the shard, as its handler,
+//     splices backend socket → per-session pipe → client socket
+//     (kernel-to-kernel, no userspace copy, zero allocation). A
 //     stalled client write parks the session on a one-shot EPOLLOUT and
 //     the stall duration streams into a histogram; stalls beyond
 //     Config.StallTimeout retire the session. The tier requires Linux:
 //     New returns reactor.NewPoller's error elsewhere.
 //
 // Every wake stamps one engine-monotonic clock reading shared by all
-// sessions drained in it (the tickClock pattern), so flight-recorder
-// ticks and stall measurements never read the wall clock on the hot
-// path. The relay path carries //smoothvet:noalloc and the shard structs
+// sessions drained in it (as a serve shard stamps one per tick), so
+// flight-recorder ticks and stall measurements never read the wall clock
+// on the hot path. The relay path carries //smoothvet:noalloc and the shard structs
 // //smoothvet:confined; BenchmarkLBRelayStep pins the per-step relay at
 // exactly 0 B/op 0 allocs/op.
 package lb
@@ -159,7 +158,6 @@ type Engine struct {
 	pendCount atomic.Int64
 	active    atomic.Int64
 	seq       atomic.Uint64
-	fallbacks atomic.Int64
 
 	httpc *http.Client
 
@@ -278,7 +276,6 @@ func (e *Engine) Handle(conn net.Conn) error {
 	if msg.Hello == nil {
 		return e.reject(conn, fmt.Errorf("lb: expected hello, got %+v", msg))
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	// Reserve the slot, then test it: a check followed by a later Add lets
 	// concurrent connections past the cap together.
 	if n, limit := e.active.Add(1), e.cfg.MaxSessions; limit > 0 && n > int64(limit) {
@@ -423,9 +420,10 @@ func (e *Engine) Close() {
 // Active returns the number of admitted, unfinished sessions.
 func (e *Engine) Active() int { return int(e.active.Load()) }
 
-// SpliceFallbacks returns how many sessions abandoned the splice path
-// for the userspace copy loop — zero on a healthy Linux host.
-func (e *Engine) SpliceFallbacks() int64 { return e.fallbacks.Load() }
+// SpliceFallbacks returns how many sessions were relayed by a userspace
+// copy instead of splice: none, since the tier adopts only TCP sockets,
+// which always splice on Linux. It stays for callers that still report it.
+func (e *Engine) SpliceFallbacks() int64 { return 0 }
 
 // Obs returns the tier's metric registry for diag endpoints and tests.
 func (e *Engine) Obs() *obs.Registry { return e.met.reg }

@@ -153,9 +153,6 @@ func TestFleetRelayBasic(t *testing.T) {
 	if got := counterValue(eng, eng.met.cFailed); got != 0 {
 		t.Errorf("failed relays %d, want 0", got)
 	}
-	if f := eng.SpliceFallbacks(); f != 0 {
-		t.Errorf("splice fallbacks %d, want 0 on linux TCP", f)
-	}
 	// Direct comparison: the same wave straight at the backend must yield
 	// identical digests — the tier is a pure relay.
 	direct, drep := driveWave(t, backend, 2, n)
@@ -312,9 +309,6 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	if got := counterValue(eng, eng.met.cDrains); got < 1 {
 		t.Errorf("drain transitions %d, want >= 1", got)
-	}
-	if f := eng.SpliceFallbacks(); f != 0 {
-		t.Errorf("splice fallbacks %d, want 0", f)
 	}
 }
 

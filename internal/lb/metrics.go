@@ -25,7 +25,6 @@ type lbMetrics struct {
 	cRelayed   obs.CounterID
 	cCompleted obs.CounterID
 	cFailed    obs.CounterID
-	cFallback  obs.CounterID
 	cStalls    obs.CounterID
 	gActive    obs.GaugeID
 	hAdmitWait obs.HistID
@@ -47,7 +46,6 @@ func newLBMetrics(e *Engine, shards int, extra func(*obs.Builder)) *lbMetrics {
 	m.cRelayed = b.Counter("lb_sessions_relayed_total", "Sessions registered on a relay shard.")
 	m.cCompleted = b.Counter("lb_sessions_completed_total", "Sessions relayed to a clean backend EOF.")
 	m.cFailed = b.Counter("lb_sessions_failed_total", "Sessions retired on a relay error or timeout.")
-	m.cFallback = b.Counter("lb_splice_fallback_total", "Sessions relayed through the userspace copy path instead of splice.")
 	m.cStalls = b.Counter("lb_relay_stalls_total", "Relay pauses waiting for client-socket writability.")
 	m.gActive = b.Gauge("lb_sessions_active", "Sessions currently registered on relay shards.")
 	m.hAdmitWait = b.Histogram("lb_admit_wait_us", "Microseconds from front-door admit to shard registration.")

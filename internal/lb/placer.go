@@ -102,10 +102,12 @@ func (e *Engine) place(s *session) {
 			err = errBackendDrain
 		}
 		if err == nil {
-			err = e.forwardAccept(s)
+			if err = e.forwardAccept(s); err == nil {
+				err = s.adopt()
+			}
 			if err != nil {
-				// The client side failed — re-placing cannot help.
-				_ = s.backendConn.Close()
+				// The client side, or the socket hand-over, failed —
+				// re-placing cannot help.
 				b.active.Add(-1)
 				e.failPlacement(s, err, e.monotonic())
 				return
@@ -117,7 +119,6 @@ func (e *Engine) place(s *session) {
 			e.recs[0].Record(e.monotonic(), obs.EvPlace, s.id, int64(b.idx))
 			sh := e.shards[int(s.id)%len(e.shards)]
 			if !sh.Queue.Push(s) {
-				_ = s.backendConn.Close()
 				b.active.Add(-1)
 				e.failPlacement(s, errEngineClosed, e.monotonic())
 			}
@@ -189,9 +190,9 @@ func (e *Engine) dialBackend(s *session, b *backend) error {
 	if err != nil {
 		return fmt.Errorf("lb: dial backend %d: %w", b.idx, err)
 	}
-	dl := time.Now().Add(e.cfg.HandshakeTimeout)
-	_ = conn.SetReadDeadline(dl)
-	_ = conn.SetWriteDeadline(dl)
+	// The conn is adopted (or closed) after the handshake, so its deadline
+	// is never cleared.
+	_ = conn.SetDeadline(time.Now().Add(e.cfg.HandshakeTimeout))
 	hello := s.hello
 	if _, err := (netstream.Msg{Hello: &hello}).WriteTo(conn); err != nil {
 		_ = conn.Close()
@@ -206,8 +207,6 @@ func (e *Engine) dialBackend(s *session, b *backend) error {
 		_ = conn.Close()
 		return fmt.Errorf("lb: backend %d answered without an accept", b.idx)
 	}
-	_ = conn.SetReadDeadline(time.Time{})
-	_ = conn.SetWriteDeadline(time.Time{})
 	s.backendConn = conn
 	s.accept = *msg.Accept
 	return nil
@@ -222,13 +221,12 @@ func (e *Engine) forwardAccept(s *session) error {
 	if _, err := (netstream.Msg{Accept: &accept}).WriteTo(s.clientConn); err != nil {
 		return fmt.Errorf("lb: forwarding accept to client: %w", err)
 	}
-	_ = s.clientConn.SetWriteDeadline(time.Time{})
 	return nil
 }
 
 // failPlacement finishes a session that never reached a shard.
 func (e *Engine) failPlacement(s *session, err error, now int64) {
-	_ = s.clientConn.Close()
+	s.release()
 	e.met.reg.GlobalInc(e.met.cPlaceFailed)
 	e.recs[0].Record(now, obs.EvError, s.id, int64(s.retries))
 	e.sessionDone(s, err, now)

@@ -2,7 +2,6 @@ package lb
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"syscall"
 	"time"
@@ -21,7 +20,10 @@ const spliceChunk = 256 << 10
 // no goroutine and no timer.
 type session struct {
 	reactor.Slot
-	id          uint64
+	id uint64
+	// The placer handshakes on the conns, then adopts both sockets
+	// (reactor.Adopt): a session on a shard holds only the fds, and
+	// release closes them.
 	clientConn  net.Conn
 	backendConn net.Conn
 	cfd, bfd    int
@@ -44,13 +46,6 @@ type session struct {
 	stallStart   int64
 	lastData     int64
 	bytes        int64
-
-	// Userspace fallback (first splice unsupported): a scratch buffer
-	// with an unwritten [pendOff, pendLen) tail.
-	fallback bool
-	pend     []byte
-	pendOff  int
-	pendLen  int
 }
 
 // shard is one reactor loop plus what a relayed session needs on top of
@@ -96,10 +91,6 @@ func (sh *shard) Admit(s *session, now int64) {
 // Elapsed from the stamp instead of re-reading the wall clock.
 func (sh *shard) Retire(s *session, err error, now int64) {
 	sh.closeRelay(s)
-	if s.backendConn != nil {
-		_ = s.backendConn.Close()
-	}
-	_ = s.clientConn.Close()
 	if s.backend != nil {
 		s.backend.active.Add(-1)
 	}
@@ -163,22 +154,22 @@ func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
 	sh.relay(s, now)
 }
 
-// onClientHup classifies a client hangup. Undelivered bytes — a parked
-// pipe or copy tail — mean the client abandoned mid-stream: fail the
-// session. With nothing undelivered the verdict belongs to the backend:
-// its EOF means the client consumed the whole stream and simply closed
-// first (the two FINs race through separate sockets, which is not a
-// failure), while further payload is undeliverable. The session lingers
-// on backend events until one of those arrives; the idle sweep bounds
-// the wait. The client fd leaves the epoll set here so its level-
-// triggered HUP stops re-firing every wake.
+// onClientHup classifies a client hangup. Undelivered bytes in the pipe
+// mean the client abandoned mid-stream: fail the session. With nothing
+// undelivered the verdict belongs to the backend: its EOF means the client
+// consumed the whole stream and simply closed first (the two FINs race
+// through separate sockets, which is not a failure), while further
+// payload is undeliverable. The session lingers on backend events until
+// one of those arrives; the idle sweep bounds the wait. The client fd
+// leaves the epoll set here so its level-triggered HUP stops re-firing
+// every wake.
 //
 //smoothvet:noalloc
 func (sh *shard) onClientHup(s *session, now int64) {
 	if s.clientGone {
 		return
 	}
-	if s.pipeFill > 0 || s.pendOff < s.pendLen {
+	if s.pipeFill > 0 {
 		sh.Retire(s, errClientGone, now)
 		return
 	}
@@ -196,15 +187,7 @@ func (sh *shard) onClientHup(s *session, now int64) {
 //smoothvet:noalloc
 func (sh *shard) finishClientGone(s *session, now int64) {
 	for {
-		var n int
-		var err error
-		if s.fallback {
-			n, err = syscall.Read(s.bfd, s.pend)
-		} else {
-			var sn int64
-			sn, err = reactor.Splice(s.bfd, s.pipeW, spliceChunk)
-			n = int(sn)
-		}
+		n, err := reactor.Splice(s.bfd, s.pipeW, spliceChunk)
 		if n > 0 {
 			sh.Retire(s, errClientGone, now)
 			return
@@ -235,22 +218,7 @@ func (sh *shard) finishClientGone(s *session, now int64) {
 // for hangup only (the relay never reads the client). No immediate relay:
 // epoll is level-triggered, so bytes the backend sent while the session sat
 // in the queue surface on the next wait.
-func (sh *shard) startRelay(s *session) error {
-	ctc, ok := s.clientConn.(*net.TCPConn)
-	if !ok {
-		return fmt.Errorf("lb: client %T is not a TCP connection", s.clientConn)
-	}
-	btc, ok := s.backendConn.(*net.TCPConn)
-	if !ok {
-		return fmt.Errorf("lb: backend conn %T is not a TCP connection", s.backendConn)
-	}
-	var err error
-	if s.cfd, err = reactor.ConnFd(ctc); err != nil {
-		return err
-	}
-	if s.bfd, err = reactor.ConnFd(btc); err != nil {
-		return err
-	}
+func (sh *shard) startRelay(s *session) (err error) {
 	if s.pipeR, s.pipeW, err = reactor.Pipe(); err != nil {
 		return err
 	}
@@ -265,17 +233,54 @@ func (sh *shard) startRelay(s *session) error {
 }
 
 // closeRelay releases a session's reactor resources: epoll entries, its
-// place in the table, the pipe pair.
+// place in the table, the pipe pair, the sockets.
 func (sh *shard) closeRelay(s *session) {
 	_ = sh.Poller.Del(s.bfd) // either fd may never have been added, or
 	_ = sh.Poller.Del(s.cfd) // have left the set at a stall or a hangup
 	sh.Table.Remove(s, s.bfd, s.cfd)
-	s.bfd, s.cfd = -1, -1
 	if s.pipeR >= 0 {
 		_ = syscall.Close(s.pipeR)
 		_ = syscall.Close(s.pipeW)
 		s.pipeR, s.pipeW = -1, -1
 	}
+	s.release()
+}
+
+// adopt takes both sockets of a handshaken session out of the runtime's
+// poller. On error the session still holds what release closes.
+func (s *session) adopt() (err error) {
+	ctc, cok := s.clientConn.(*net.TCPConn)
+	btc, bok := s.backendConn.(*net.TCPConn)
+	if !cok || !bok {
+		return fmt.Errorf("lb: %T to %T is not a TCP connection pair", s.clientConn, s.backendConn)
+	}
+	if s.cfd, err = reactor.Adopt(ctc); err != nil {
+		return err
+	}
+	s.clientConn = nil
+	if s.bfd, err = reactor.Adopt(btc); err != nil {
+		return err
+	}
+	s.backendConn = nil
+	return nil
+}
+
+// release closes whatever sockets the session holds: conns before
+// adoption, fds after.
+func (s *session) release() {
+	if s.clientConn != nil {
+		_ = s.clientConn.Close()
+	}
+	if s.backendConn != nil {
+		_ = s.backendConn.Close()
+	}
+	if s.cfd >= 0 {
+		_ = syscall.Close(s.cfd)
+	}
+	if s.bfd >= 0 {
+		_ = syscall.Close(s.bfd)
+	}
+	s.clientConn, s.backendConn, s.cfd, s.bfd = nil, nil, -1, -1
 }
 
 // relay is the steady-state hot path: drain the pipe into the client,
@@ -287,10 +292,6 @@ func (sh *shard) closeRelay(s *session) {
 func (sh *shard) relay(s *session, now int64) {
 	if s.clientGone {
 		sh.finishClientGone(s, now)
-		return
-	}
-	if s.fallback {
-		sh.relayCopy(s, now)
 		return
 	}
 	for {
@@ -336,19 +337,11 @@ func (sh *shard) relay(s *session, now int64) {
 			continue
 		}
 		if en, ok := err.(syscall.Errno); ok {
-			switch en {
-			case syscall.EAGAIN:
+			if en == syscall.EAGAIN {
 				return
-			case syscall.EINTR:
+			}
+			if en == syscall.EINTR {
 				continue
-			case syscall.EINVAL, syscall.ENOSYS:
-				if s.bytes == 0 && s.pipeFill == 0 {
-					// These fds cannot splice (exotic socket type): fall
-					// back to the userspace copy loop for this session.
-					sh.toFallback(s)
-					sh.relayCopy(s, now)
-					return
-				}
 			}
 		}
 		sh.Retire(s, err, now)
@@ -375,79 +368,5 @@ func (sh *shard) stall(s *session, now int64) {
 	}
 	if err := sh.Poller.Mod(s.cfd, reactor.Out|reactor.RdHup|reactor.OneShot); err != nil {
 		sh.Retire(s, err, now)
-	}
-}
-
-// toFallback abandons the splice path for one session: close the pipe
-// (empty by the caller's check) and set up the copy buffer. This is the
-// cold exit off the hot path — it allocates, once, and is counted.
-func (sh *shard) toFallback(s *session) {
-	_ = syscall.Close(s.pipeR)
-	_ = syscall.Close(s.pipeW)
-	s.pipeR, s.pipeW = -1, -1
-	s.pend = make([]byte, 64<<10)
-	s.fallback = true
-	sh.Met.Inc(sh.eng.met.cFallback)
-	sh.eng.fallbacks.Add(1)
-}
-
-// relayCopy is the userspace fallback: read the backend into the
-// session's scratch buffer, write the tail to the client, same stall and
-// EOF discipline as the splice path. Steady state allocates nothing —
-// the scratch buffer was sized at the fallback transition.
-//
-//smoothvet:noalloc
-func (sh *shard) relayCopy(s *session, now int64) {
-	for {
-		for s.pendOff < s.pendLen {
-			n, err := syscall.Write(s.cfd, s.pend[s.pendOff:s.pendLen])
-			if n > 0 {
-				s.pendOff += n
-				s.bytes += int64(n)
-				continue
-			}
-			if en, ok := err.(syscall.Errno); ok {
-				if en == syscall.EAGAIN {
-					sh.stall(s, now)
-					return
-				}
-				if en == syscall.EINTR {
-					continue
-				}
-			}
-			sh.Retire(s, err, now)
-			return
-		}
-		if s.ended {
-			sh.Retire(s, nil, now)
-			return
-		}
-		n, err := syscall.Read(s.bfd, s.pend)
-		if n > 0 {
-			s.pendOff, s.pendLen = 0, n
-			s.lastData = now
-			if !s.anchored {
-				s.anchored = true
-				sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
-			}
-			continue
-		}
-		if n == 0 && err == nil {
-			s.ended = true
-			continue
-		}
-		if en, ok := err.(syscall.Errno); ok {
-			if en == syscall.EAGAIN {
-				return
-			}
-			if en == syscall.EINTR {
-				continue
-			}
-		}
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		sh.Retire(s, err, now)
-		return
 	}
 }

@@ -17,11 +17,12 @@ func Example() {
 	}
 	st := b.MustBuild()
 	cfg := core.Config{ServerBuffer: 4, Rate: 2, LinkDelay: 1}
+	r := core.NewRunner() // one arena for both runs
 
-	raw, _ := linksim.SimulateUnregulated(st, cfg, 3, 7)
+	raw, _ := linksim.SimulateUnregulated(r, st, cfg, 3, 7)
 	fmt.Printf("no regulator:   %d of %d slices played\n", raw.Played, st.Len())
 
-	sch, regBuf, _ := linksim.Simulate(st, cfg, 3, 7)
+	sch, regBuf, _ := linksim.Simulate(r, st, cfg, 3, 7)
 	played := 0
 	for _, o := range sch.Outcomes {
 		if o.Played() {

@@ -146,7 +146,9 @@ func (r *Regulator) Empty() bool { return r.bytes == 0 }
 // is a legal constant-delay schedule: jitter control makes the jittery link
 // indistinguishable from a slower constant link (the justification for the
 // paper's 0-jitter model). The regulator's peak occupancy is returned too.
-func Simulate(st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sched.Schedule, int, error) {
+// The run uses r's arena, so the schedule is r's until its next run, as
+// core.Runner.Run's is; pass core.NewRunner() for one the caller owns.
+func Simulate(r *core.Runner, st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sched.Schedule, int, error) {
 	if jitter < 0 {
 		return nil, 0, fmt.Errorf("linksim: negative jitter %d", jitter)
 	}
@@ -160,7 +162,7 @@ func Simulate(st *stream.Stream, cfg core.Config, jitter int, seed int64) (*sche
 	// client configured for the regulated total delay.
 	effective := cfg
 	effective.LinkDelay = cfg.LinkDelay + jitter
-	rec, server, client, err := core.NewComponents(st, effective)
+	rec, server, client, err := r.Components(st, effective)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,8 +188,9 @@ type UnregulatedResult struct {
 // SimulateUnregulated runs the generic algorithm over a jittery link with
 // NO jitter control: the client still expects every byte P steps after it
 // was sent, so positive jitter makes bytes miss their deadlines. It returns
-// the outcome counts — the damage jitter does without a regulator.
-func SimulateUnregulated(st *stream.Stream, cfg core.Config, jitter int, seed int64) (UnregulatedResult, error) {
+// the outcome counts — the damage jitter does without a regulator. The run
+// uses r's arena.
+func SimulateUnregulated(r *core.Runner, st *stream.Stream, cfg core.Config, jitter int, seed int64) (UnregulatedResult, error) {
 	if jitter < 0 {
 		return UnregulatedResult{}, fmt.Errorf("linksim: negative jitter %d", jitter)
 	}
@@ -195,7 +198,7 @@ func SimulateUnregulated(st *stream.Stream, cfg core.Config, jitter int, seed in
 	if err != nil {
 		return UnregulatedResult{}, err
 	}
-	rec, server, client, err := core.NewComponents(st, cfg)
+	rec, server, client, err := r.Components(st, cfg)
 	if err != nil {
 		return UnregulatedResult{}, err
 	}

@@ -114,7 +114,7 @@ func TestRegulatedEqualsConstantLink(t *testing.T) {
 		B := rate * (rng.Intn(5) + st.MaxSliceSize())
 		cfg := core.Config{ServerBuffer: B, Rate: rate, LinkDelay: P}
 
-		jittered, _, err := Simulate(st, cfg, J, seed)
+		jittered, _, err := Simulate(core.NewRunner(), st, cfg, J, seed)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -155,7 +155,7 @@ func TestRegulatorOccupancyBounded(t *testing.T) {
 		R = 3
 		J = 4
 	)
-	_, occ, err := Simulate(st, core.Config{ServerBuffer: 3 * R, Rate: R}, J, 5)
+	_, occ, err := Simulate(core.NewRunner(), st, core.Config{ServerBuffer: 3 * R, Rate: R}, J, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestUnregulatedJitterHurts(t *testing.T) {
 	st := b.MustBuild()
 	cfg := core.Config{ServerBuffer: 4, Rate: 2, LinkDelay: 1}
 
-	res, err := SimulateUnregulated(st, cfg, 5, 11)
+	res, err := SimulateUnregulated(core.NewRunner(), st, cfg, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestUnregulatedJitterHurts(t *testing.T) {
 	}
 
 	// The regulated run plays everything.
-	sch, _, err := Simulate(st, cfg, 5, 11)
+	sch, _, err := Simulate(core.NewRunner(), st, cfg, 5, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestUnregulatedZeroJitterMatchesPlain(t *testing.T) {
 		rate := rng.Intn(3) + 1
 		B := rate * (rng.Intn(4) + st.MaxSliceSize())
 		cfg := core.Config{ServerBuffer: B, Rate: rate, LinkDelay: rng.Intn(3)}
-		res, err := SimulateUnregulated(st, cfg, 0, seed)
+		res, err := SimulateUnregulated(core.NewRunner(), st, cfg, 0, seed)
 		if err != nil {
 			return false
 		}
@@ -227,13 +227,13 @@ func TestUnregulatedZeroJitterMatchesPlain(t *testing.T) {
 
 func TestSimulateErrors(t *testing.T) {
 	st := stream.NewBuilder().Add(0, 1, 1).MustBuild()
-	if _, _, err := Simulate(st, core.Config{ServerBuffer: 1, Rate: 1}, -1, 1); err == nil {
+	if _, _, err := Simulate(core.NewRunner(), st, core.Config{ServerBuffer: 1, Rate: 1}, -1, 1); err == nil {
 		t.Error("negative jitter accepted")
 	}
-	if _, err := SimulateUnregulated(st, core.Config{ServerBuffer: 1, Rate: 1}, -1, 1); err == nil {
+	if _, err := SimulateUnregulated(core.NewRunner(), st, core.Config{ServerBuffer: 1, Rate: 1}, -1, 1); err == nil {
 		t.Error("negative jitter accepted (unregulated)")
 	}
-	if _, _, err := Simulate(st, core.Config{ServerBuffer: 0, Rate: 1}, 0, 1); err == nil {
+	if _, _, err := Simulate(core.NewRunner(), st, core.Config{ServerBuffer: 0, Rate: 1}, 0, 1); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -11,13 +11,14 @@
 //
 //   - Dial tier: a bounded pool of dialer goroutines performs the TCP
 //     dial and the Hello/Accept handshake (the only blocking reads in the
-//     engine), records dial/handshake stage timings, then hands the
-//     connection to a shard chosen by session index.
+//     engine), records dial/handshake stage timings, then adopts the
+//     socket (reactor.Adopt) and hands its fd to a shard chosen by
+//     session index.
 //   - Shard reactors: each shard is one reactor.Loop — the poller, the
 //     hand-off queue from the dialers, the fd table, the idle sweep and the
 //     wake itself are internal/reactor's, shared with internal/lb. A wake
-//     stamps one monotonic clock reading (the tickClock pattern of
-//     internal/serve, measured from a single engine-wide monotonic base);
+//     stamps one monotonic clock reading, measured from a single
+//     engine-wide monotonic base (a serve shard stamps one per tick);
 //     the shard, as the loop's handler, drains each ready socket
 //     into a shard-owned scratch buffer with non-blocking reads, and
 //     parses complete messages through one scratch-reusing
@@ -59,6 +60,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/netstream"
@@ -403,7 +405,6 @@ func (e *Engine) dialOne(idx int) {
 		return
 	}
 	hsDur := time.Since(hsStart)
-	_ = conn.SetDeadline(time.Time{})
 
 	tc, ok := conn.(*net.TCPConn)
 	if !ok {
@@ -415,7 +416,7 @@ func (e *Engine) dialOne(idx int) {
 	// exhaust the ephemeral range within a few ramp waves at 10k+
 	// sessions.
 	_ = tc.SetLinger(0)
-	fd, err := reactor.ConnFd(tc)
+	fd, err := reactor.Adopt(tc)
 	if err != nil {
 		fail(err)
 		return
@@ -423,7 +424,6 @@ func (e *Engine) dialOne(idx int) {
 
 	s := &session{
 		idx:       idx,
-		conn:      conn,
 		fd:        fd,
 		delay:     int(acc.Delay),
 		stepNanos: int64(acc.StepMicros) * 1000,
@@ -439,7 +439,7 @@ func (e *Engine) dialOne(idx int) {
 
 	sh := e.shards[idx%len(e.shards)]
 	if !sh.Queue.Push(s) {
-		_ = conn.Close()
+		_ = syscall.Close(fd)
 		e.failSetup(idx, StageHandshake, fmt.Errorf("loadgen: engine is closed"), start)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"syscall"
 	"time"
 
@@ -32,9 +31,8 @@ var (
 // is fixed-size, and pending/win reach a stream-dependent steady state.
 type session struct {
 	reactor.Slot
-	idx  int
-	conn net.Conn
-	fd   int
+	idx int
+	fd  int // adopted (reactor.Adopt): the shard closes it at retirement
 
 	delay     int
 	stepNanos int64
@@ -177,8 +175,8 @@ func (sh *shard) Retire(s *session, err error, now int64) {
 func (sh *shard) retire(s *session, stage string, err error, now int64) {
 	_ = sh.Poller.Del(s.fd) // fails only for an fd Admit could not add
 	sh.Table.Remove(s, s.fd)
-	if s.conn != nil {
-		_ = s.conn.Close()
+	if s.fd >= 0 {
+		_ = syscall.Close(s.fd)
 	}
 	if !s.refined && s.nEarly > 0 {
 		sh.flushEarly(s)

@@ -17,9 +17,10 @@ const (
 	// EvFirstWrite marks a session's first payload write (serve) or first
 	// decoded message (loadgen); the distance from EvAdmit is startup lag.
 	EvFirstWrite
-	// EvDeadlineExpiry marks a write missing its armed deadline — the
-	// slow-client signal that precedes eviction.
-	EvDeadlineExpiry
+	// EvStalledOut marks a session retired because its client stopped
+	// reading: bytes stayed unsent while more than D steps came due (arg is
+	// steps completed). An EvError follows it.
+	EvStalledOut
 	// EvRetire marks a clean session exit (arg is steps completed).
 	EvRetire
 	// EvError marks a failed session exit (arg is a stage/errno tag).
@@ -37,15 +38,15 @@ const (
 )
 
 var eventKindNames = [...]string{
-	EvAdmit:          "admit",
-	EvCohortAssign:   "cohort-assign",
-	EvFirstWrite:     "first-write",
-	EvDeadlineExpiry: "deadline-expiry",
-	EvRetire:         "retire",
-	EvError:          "error",
-	EvPlace:          "place",
-	EvReplace:        "re-place",
-	EvBackendDrain:   "backend-drain",
+	EvAdmit:        "admit",
+	EvCohortAssign: "cohort-assign",
+	EvFirstWrite:   "first-write",
+	EvStalledOut:   "stalled-out",
+	EvRetire:       "retire",
+	EvError:        "error",
+	EvPlace:        "place",
+	EvReplace:      "re-place",
+	EvBackendDrain: "backend-drain",
 }
 
 // String returns the event kind's wire name.

@@ -4,6 +4,7 @@ package reactor
 
 import (
 	"fmt"
+	"net"
 	"syscall"
 )
 
@@ -84,4 +85,32 @@ func Pipe() (r, w int, err error) {
 func Splice(rfd, wfd, max int) (int64, error) {
 	const flags = 0x1 | 0x2 // SPLICE_F_MOVE | SPLICE_F_NONBLOCK
 	return syscall.Splice(rfd, nil, wfd, nil, max, flags)
+}
+
+// Adopt makes the caller the one owner of tc's socket: it duplicates the
+// descriptor (close-on-exec, and non-blocking like every socket the runtime
+// opens) and closes tc, which takes the original out of the runtime's
+// netpoller, so the socket lives in at most one epoll set — the engine's.
+// The peer sees nothing: the socket stays open through the duplicate until
+// the caller's syscall.Close. On error the caller still owns tc.
+func Adopt(tc *net.TCPConn) (int, error) {
+	rc, err := tc.SyscallConn()
+	if err != nil {
+		return -1, fmt.Errorf("reactor: raw conn: %w", err)
+	}
+	fd, errno := -1, syscall.Errno(0)
+	if err := rc.Control(func(f uintptr) {
+		r, _, e := syscall.Syscall(syscall.SYS_FCNTL, f, syscall.F_DUPFD_CLOEXEC, 0)
+		fd, errno = int(r), e
+	}); err != nil {
+		return -1, fmt.Errorf("reactor: conn fd: %w", err)
+	}
+	if errno != 0 {
+		return -1, fmt.Errorf("reactor: dup: %w", errno)
+	}
+	if err := tc.Close(); err != nil {
+		_ = syscall.Close(fd)
+		return -1, fmt.Errorf("reactor: releasing conn: %w", err)
+	}
+	return fd, nil
 }

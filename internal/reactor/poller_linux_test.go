@@ -3,8 +3,15 @@
 package reactor
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 // TestEventBitsMatchEpoll: the portable constants are epoll's.
@@ -86,4 +93,132 @@ func TestPollerSpliceAndPipe(t *testing.T) {
 		t.Error("nil Poller returned an error")
 	}
 	none.Close()
+}
+
+// epollWatchers counts the epoll sets in this process that watch the file
+// with inode ino, from the "tfd: ... ino:<hex>" lines of each eventpoll
+// fd's /proc/self/fdinfo entry.
+func epollWatchers(t *testing.T, ino uint64) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf(" ino:%x ", ino)
+	n := 0
+	for _, ent := range ents {
+		if link, _ := os.Readlink("/proc/self/fd/" + ent.Name()); link != "anon_inode:[eventpoll]" {
+			continue
+		}
+		info, err := os.ReadFile("/proc/self/fdinfo/" + ent.Name())
+		if err != nil {
+			continue // the directory read's own fd, or one closed since
+		}
+		for _, line := range strings.Split(string(info), "\n") {
+			if strings.HasPrefix(line, "tfd:") && strings.Contains(line+" ", want) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestAdopt: the adopted fd is close-on-exec and non-blocking, the conn it
+// came from is closed and no epoll set watches the socket any more (the
+// runtime's dropped it), the peer sees neither FIN nor RST, and bytes
+// still flow both ways until the fd is closed.
+func TestAdopt(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	tc := conn.(*net.TCPConn)
+	var st syscall.Stat_t
+	rc, _ := tc.SyscallConn()
+	if err := rc.Control(func(fd uintptr) { err = syscall.Fstat(int(fd), &st) }); err != nil {
+		t.Fatal(err)
+	}
+	if n := epollWatchers(t, st.Ino); n != 1 {
+		t.Fatalf("a fresh conn's socket is in %d epoll sets, want the runtime's 1", n)
+	}
+
+	fd, err := Adopt(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := true
+	defer func() {
+		if owned {
+			_ = syscall.Close(fd)
+		}
+	}()
+	if flags, _, e := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_GETFD, 0); e != 0 || flags&syscall.FD_CLOEXEC == 0 {
+		t.Errorf("fd flags %#x (errno %v): not close-on-exec", flags, e)
+	}
+	if flags, _, e := syscall.Syscall(syscall.SYS_FCNTL, uintptr(fd), syscall.F_GETFL, 0); e != 0 || flags&syscall.O_NONBLOCK == 0 {
+		t.Errorf("file flags %#x (errno %v): blocking", flags, e)
+	}
+	if _, err := conn.Write([]byte("x")); !errors.Is(err, net.ErrClosed) {
+		t.Errorf("write on the adopted conn: %v, want net.ErrClosed", err)
+	}
+	if n := epollWatchers(t, st.Ino); n != 0 {
+		t.Fatalf("the adopted socket is still in %d epoll sets", n)
+	}
+	p, err := NewPoller()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Add(fd, In); err != nil {
+		t.Fatal(err)
+	}
+	if n := epollWatchers(t, st.Ino); n != 1 {
+		t.Fatalf("the adopted socket is in %d epoll sets, want the engine's 1", n)
+	}
+
+	// Neither FIN nor RST reached the peer: its read times out.
+	buf := make([]byte, 16)
+	_ = peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if n, err := peer.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("peer read %d bytes, err %v after the conn closed: want a timeout", n, err)
+	}
+	_ = peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := syscall.Write(fd, []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := peer.Read(buf); err != nil || string(buf[:n]) != "ping" {
+		t.Fatalf("peer read %q, %v", buf[:n], err)
+	}
+	if _, err := peer.Write([]byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(p.Wait()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the adopted fd never turned readable")
+		}
+	}
+	if n, err := syscall.Read(fd, buf); err != nil || !bytes.Equal(buf[:n], []byte("pong")) {
+		t.Fatalf("adopted fd read %q, %v", buf[:n], err)
+	}
+	owned = false
+	if err := syscall.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := peer.Read(buf); n != 0 || err == nil {
+		t.Fatalf("peer read %d bytes, err %v after the fd closed: want EOF", n, err)
+	}
+	if _, err := Adopt(tc); err == nil {
+		t.Error("Adopt of a closed conn succeeded")
+	}
 }

@@ -4,6 +4,7 @@ package reactor
 
 import (
 	"errors"
+	"net"
 	"syscall"
 )
 
@@ -25,5 +26,7 @@ func (p *Poller) Wait() []Event                   { return nil }
 func (p *Poller) Close()                          {}
 
 func Pipe() (r, w int, err error) { return -1, -1, errNoEpoll }
+
+func Adopt(tc *net.TCPConn) (int, error) { return -1, errNoEpoll }
 
 func Splice(rfd, wfd, max int) (int64, error) { return 0, syscall.ENOSYS }

@@ -1,19 +1,26 @@
 // Package reactor is the shard reactor under internal/loadgen and
-// internal/lb, and the hand-off queue under all three engines: one epoll
-// Poller, one Queue from the goroutines that set a session up to the one
-// that runs it, one fd-indexed session Table, and one wake Loop. An engine
-// supplies only what differs — what to do with a ready fd, when a session
-// has been quiet too long, how a session ends — as the Loop's Handler.
+// internal/lb, and the hand-off queue and socket adoption under all three
+// engines: one epoll Poller, one Queue from the goroutines that set a
+// session up to the one that runs it, one fd-indexed session Table, and
+// one wake Loop. An engine supplies only what differs — what to do with a
+// ready fd, when a session has been quiet too long, how a session ends —
+// as the Loop's Handler.
+//
+// One owner per socket: an engine handshakes on a net.Conn, then Adopt
+// moves the socket out of the Go runtime's netpoller and hands back a bare
+// fd, so each socket is in at most one epoll set and every wake is one the
+// engine asked for. From then on the engine alone reads, writes and
+// closes it (one syscall.Close per session), and what crosses a Queue
+// carries the fd, not the conn (serve's conns without a socket — pipes in
+// tests, benchmark sinks — are the exception).
 //
 // The package is the only one with OS-specific files: poller_linux.go
-// holds every epoll, splice and pipe2 call in the module; elsewhere
-// NewPoller returns an error, so engines fail fast in New and everything
-// above this package compiles unchanged.
+// holds every epoll, splice, pipe2 and fd-duplication call in the module;
+// elsewhere NewPoller and Adopt return an error, so engines fail fast and
+// everything above this package compiles unchanged.
 package reactor
 
 import (
-	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -156,20 +163,4 @@ func (l *Loop[S]) Wake(events []Event, now int64) (done bool) {
 // never expires.
 func Overdue(limit time.Duration, since, now int64) bool {
 	return limit > 0 && now-since > int64(limit)
-}
-
-// ConnFd extracts a TCP connection's file descriptor for a reactor's
-// non-blocking reads. The fd stays owned by the net.Conn (the runtime keeps
-// it in its own poller; an engine never reads through the conn after the
-// handshake, so the two never contend).
-func ConnFd(tc *net.TCPConn) (int, error) {
-	rc, err := tc.SyscallConn()
-	if err != nil {
-		return -1, fmt.Errorf("reactor: raw conn: %w", err)
-	}
-	fd := -1
-	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
-		return -1, fmt.Errorf("reactor: conn fd: %w", err)
-	}
-	return fd, nil
 }

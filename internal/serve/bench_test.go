@@ -56,7 +56,7 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 					for i := 0; i < sessions; i++ {
 						eng.active.Add(1)
 						eng.sessWG.Add(1)
-						sh.queue.Push(cohortRow{cohort: c, w: io.Discard})
+						sh.queue.Push(cohortRow{cohort: c, conn: nopConn{io.Discard}})
 					}
 					tick++
 					sh.step(tick)
@@ -81,3 +81,9 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 		}
 	}
 }
+
+// nopConn is a row connection that writes to a bare writer and closes as
+// a no-op.
+type nopConn struct{ io.Writer }
+
+func (nopConn) Close() error { return nil }

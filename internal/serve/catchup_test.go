@@ -30,6 +30,8 @@ func (w *recWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+func (w *recWriter) Close() error { return nil }
+
 // writeLoad decodes the data messages of one write and returns how many
 // distinct send steps and how many payload bytes it carries.
 func writeLoad(t *testing.T, p []byte) (steps, payload int) {
@@ -115,7 +117,7 @@ func TestCatchUpProperty(t *testing.T) {
 			all = append(all, s)
 			eng.active.Add(1)
 			eng.sessWG.Add(1)
-			sh.queue.Push(cohortRow{cohort: c, w: s.w, remote: s.name})
+			sh.queue.Push(cohortRow{cohort: c, conn: s.w, remote: s.name})
 			return s
 		}
 
@@ -229,7 +231,7 @@ func TestCatchUpProperty(t *testing.T) {
 // and, on one chosen write, holds the shard goroutine until `miss` whole
 // ticks after the one being served have gone by.
 type stallConn struct {
-	net.Conn           // the engine arms its write deadlines on this
+	net.Conn           // not a *net.TCPConn, so the engine writes through Write
 	out      io.Writer // the same connection, for passing writes on
 	sh       *shard
 	stallAt  int // index of the stream write to stall on; -1 for none
@@ -248,7 +250,7 @@ func (c *stallConn) Write(p []byte) (int, error) {
 	// Stream writes run on the shard goroutine, which owns sh; its clock
 	// holds the due time of the tick being served.
 	d := c.sh.eng.cfg.StepDuration
-	tick := (c.sh.clk.nanos.Load() - c.sh.epoch.UnixNano()) / int64(d)
+	tick := (c.sh.now - c.sh.epoch.UnixNano()) / int64(d)
 	if len(c.ticks) == c.stallAt {
 		time.Sleep(time.Until(c.sh.dueAt(tick + c.miss + 1).Add(d / 4)))
 	}
@@ -376,7 +378,6 @@ func TestHandleBoundsSilentClient(t *testing.T) {
 		t.Run(content.name, func(t *testing.T) {
 			eng, frames := startEngine(t, content.streams, 40, Config{
 				Shards: 1, StepDuration: 2 * time.Millisecond, MaxDelay: 4,
-				WriteTimeout: -1, // nothing re-arms the connection's deadline after the handshake
 			})
 			defer eng.Close()
 			eng.handshakeTimeout = 30 * time.Millisecond // only Handle reads it

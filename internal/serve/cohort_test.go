@@ -468,36 +468,3 @@ func TestDrainAdmitRace(t *testing.T) {
 		t.Fatalf("%d sessions still active after close", eng.ActiveSessions())
 	}
 }
-
-// armCountConn counts SetWriteDeadline calls; Write always succeeds.
-type armCountConn struct {
-	net.Conn
-	arms int
-}
-
-func (c *armCountConn) SetWriteDeadline(time.Time) error { c.arms++; return nil }
-func (c *armCountConn) Write(p []byte) (int, error)      { return len(p), nil }
-
-// TestDeadlineWriterArmsOncePerTick — the writer re-arms only when the
-// shard tick clock advances, not per flush.
-func TestDeadlineWriterArmsOncePerTick(t *testing.T) {
-	conn := &armCountConn{}
-	var clk tickClock
-	w := &deadlineWriter{c: conn, d: time.Second, clk: &clk}
-	clk.nanos.Store(100)
-	for i := 0; i < 3; i++ {
-		if _, err := w.Write([]byte("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if conn.arms != 1 {
-		t.Fatalf("3 writes in one tick armed %d deadlines, want 1", conn.arms)
-	}
-	clk.nanos.Store(200)
-	if _, err := w.Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if conn.arms != 2 {
-		t.Fatalf("next tick armed %d deadlines total, want 2", conn.arms)
-	}
-}

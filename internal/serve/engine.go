@@ -32,6 +32,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/drop"
@@ -59,9 +60,6 @@ type Config struct {
 	MaxDelay int
 	// Policy selects the drop policy (default drop.Greedy).
 	Policy drop.Factory
-	// WriteTimeout bounds each batched wire flush so one dead client
-	// cannot stall its shard forever. Defaults to 30s; negative disables.
-	WriteTimeout time.Duration
 	// OnSessionDone, if non-nil, is called from the shard goroutine after
 	// a session ends (err is nil for a clean drain to End).
 	OnSessionDone func(s SessionStats, err error)
@@ -181,9 +179,6 @@ func newEngineOffers(stepOffers [][]netstream.Offered, cfg Config) (*Engine, err
 	if cfg.MaxDelay <= 0 {
 		cfg.MaxDelay = 64
 	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	e := &Engine{cfg: cfg, stepOffers: stepOffers, seed: maphash.MakeSeed(), handshakeTimeout: defaultHandshakeTimeout}
 	e.cohorts.m = make(map[cohortKey]*cohortEntry)
 	e.met = newEngineMetrics(e, cfg.Shards, cfg.Instrument)
@@ -215,11 +210,13 @@ const defaultHandshakeTimeout = 10 * time.Second
 // Handle performs the netstream handshake on the caller's goroutine (the
 // Hello read blocks, for at most the handshake timeout), registers the
 // session on a shard chosen by connection hash, and returns; the shard
-// clock drives the session to completion and closes the connection. The
-// session is registered in the shard's struct-of-arrays cohort rows under
-// the plan for its negotiated parameters. On rejection (engine draining,
-// session limit, bad or timed-out handshake, a plan that cannot be built)
-// the connection is closed and an error returned.
+// clock drives the session to completion and closes the connection. A TCP
+// connection's socket is adopted (reactor.Adopt): conn is closed on return
+// and the shard owns the fd. The session is registered in the shard's
+// struct-of-arrays cohort rows under the plan for its negotiated
+// parameters. On rejection (engine draining, session limit, bad or
+// timed-out handshake, a plan that cannot be built) the connection is
+// closed and an error returned.
 func (e *Engine) Handle(conn net.Conn) error {
 	if e.closing.Load() {
 		return e.reject(conn, errDraining)
@@ -240,25 +237,25 @@ func (e *Engine) Handle(conn net.Conn) error {
 	}
 	e.met.reg.GlobalInc(e.met.cCohortHits)
 	remote := conn.RemoteAddr().String()
-	sh := e.shards[e.shardOf(remote)]
-	w := io.Writer(conn)
-	if e.cfg.WriteTimeout > 0 {
-		// The deadline writer arms against the shard's tick clock, so the
-		// shard must be fixed before the writer is built.
-		w = &deadlineWriter{c: conn, d: e.cfg.WriteTimeout, clk: &sh.clk}
-	}
 	// Reserve the slot, then test it: a check followed by a later Add lets
 	// every connection that was in its handshake meanwhile past the cap.
 	if n := e.active.Add(1); max > 0 && n > int64(max) {
 		e.active.Add(-1)
 		return e.rejectOverLimit(conn)
 	}
+	row := cohortRow{cohort: c, conn: conn, remote: remote, start: time.Now(), id: e.sessSeq.Add(1)}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		if row.fd, err = reactor.Adopt(tc); err != nil {
+			e.active.Add(-1)
+			return e.reject(conn, err)
+		}
+		row.conn = nil
+	}
 	e.sessWG.Add(1)
-	if !sh.queue.Push(cohortRow{
-		cohort: c, conn: conn, w: w, remote: remote, start: time.Now(), id: e.sessSeq.Add(1),
-	}) {
+	if !e.shards[e.shardOf(remote)].queue.Push(row) {
 		e.active.Add(-1)
 		e.sessWG.Done()
+		row.close()
 		return e.reject(conn, errDraining)
 	}
 	return nil
@@ -269,7 +266,7 @@ func (e *Engine) Handle(conn net.Conn) error {
 // the whole exchange is under one deadline: a client that connects and says
 // nothing is rejected when it expires instead of holding the caller's
 // goroutine and the descriptor for ever. The deadline is cleared before
-// returning; from then on the shard's deadline writer bounds each flush.
+// returning; from then on the stalled-out rule bounds a slow client.
 func (e *Engine) handshake(conn net.Conn) (delay, buffer int, err error) {
 	if err := conn.SetDeadline(time.Now().Add(e.handshakeTimeout)); err != nil {
 		return 0, 0, fmt.Errorf("serve: arming handshake deadline: %w", err)
@@ -349,19 +346,14 @@ var (
 	errDraining = errors.New("serve: engine is draining")
 	// errAborted reports a session cut off by Close before its stream drained.
 	errAborted = errors.New("serve: engine closed mid-stream")
+	// errStalledOut reports a session whose unsent bytes outlasted D steps:
+	// its client has stopped reading for longer than its buffer covers.
+	errStalledOut = errors.New("serve: client stalled out: bytes owed for more than D steps")
 )
 
 // ---------------------------------------------------------------------------
 // Shards.
 // ---------------------------------------------------------------------------
-
-// tickClock publishes the due time (UnixNano) of the tick a shard is
-// serving to the deadline writers of its sessions, so arming a write
-// deadline costs an atomic load instead of a time.Now call per session per
-// flush.
-type tickClock struct {
-	nanos atomic.Int64
-}
 
 // cohortRow is the registration-time state of one session, as Handle hands
 // it to a shard loop.
@@ -370,21 +362,28 @@ type tickClock struct {
 // retirement.
 type cohortRow struct {
 	cohort *Cohort
-	conn   net.Conn // nil in tests/benchmarks that drive a bare writer
-	w      io.Writer
+	// fd is the adopted socket, flushed with non-blocking write(2); conn,
+	// when set, is written instead (a conn that is not TCP, or a test's
+	// writer) and may block.
+	fd     int
+	conn   io.WriteCloser
 	remote string
 	start  time.Time
 	id     uint64 // flight-recorder session id
 }
 
 // cohortRows is the shard-owned struct-of-arrays state of its sessions. A
-// shard tick walks cursors/cohorts/bases contiguously — no
+// shard tick walks cursors/cohorts/sent/bases contiguously — no
 // per-session pointer chase — and retires finished rows by swap-remove.
-// The four slices are parallel: row i is (cohorts[i], cursors[i], bases[i],
-// cold[i]).
+// The five slices are parallel: row i is (cohorts[i], cursors[i], sent[i],
+// bases[i], cold[i]).
 type cohortRows struct {
 	cohorts []*Cohort
 	cursors []int32 // next step to send
+	// sent[i] is how many bytes of its cohort's wire row i has written.
+	// Below off[cursors[i]] the row is byte-behind: its socket took less
+	// than its last flush, and the rest goes out on later ticks.
+	sent []int32
 	// bases[i] is the model tick at which row i's step 0 was due, so step s
 	// is due at tick bases[i]+s: rows admitted on different ticks keep
 	// their own schedule. It slides forward when steps are forgiven.
@@ -396,6 +395,7 @@ type cohortRows struct {
 func (r *cohortRows) push(row cohortRow, base int64) {
 	r.cohorts = append(r.cohorts, row.cohort)
 	r.cursors = append(r.cursors, 0)
+	r.sent = append(r.sent, 0)
 	r.bases = append(r.bases, base)
 	r.cold = append(r.cold, row)
 }
@@ -410,8 +410,10 @@ type shard struct {
 	quit chan struct{} //smoothvet:shared closed by Engine.Close to stop the loop
 
 	// epoch anchors the model clock: tick n is due at epoch + n·StepDuration.
+	// now is the due time (UnixNano) of the tick being served, stamped once
+	// per tick: the only clock the tick path reads.
 	epoch time.Time
-	clk   tickClock
+	now   int64
 
 	//smoothvet:shared registration queue: Handle pushes, the loop drains, shutdown closes
 	queue reactor.Queue[cohortRow]
@@ -472,11 +474,10 @@ func (sh *shard) run() {
 // step 0 is due at the tick being served.
 func (sh *shard) admit(tick int64) {
 	inc := sh.queue.Drain()
-	now := sh.clk.nanos.Load()
 	for i := range inc {
 		sh.met.Inc(sh.eng.met.cAdmitted)
-		sh.rec.Record(now, obs.EvAdmit, inc[i].id, 0)
-		sh.rec.Record(now, obs.EvCohortAssign, inc[i].id, int64(inc[i].cohort.Steps()))
+		sh.rec.Record(sh.now, obs.EvAdmit, inc[i].id, 0)
+		sh.rec.Record(sh.now, obs.EvCohortAssign, inc[i].id, int64(inc[i].cohort.Steps()))
 		sh.rows.push(inc[i], tick)
 	}
 }
@@ -488,15 +489,13 @@ func (sh *shard) admit(tick int64) {
 // payload bytes at most, the client buffer the paper provisions to absorb
 // exactly that much link output — while steps beyond D are forgiven: the
 // session's schedule slides and it finishes that many ticks later. Ticks
-// must be strictly increasing. The tick's due time is published once to
-// the shard's deadline writers, so a tick arms at most one write deadline
-// per connection no matter how many flushes it performs; nothing on this
-// path reads the wall clock.
+// must be strictly increasing. The tick's due time is stamped once into
+// sh.now; nothing on this path reads the wall clock.
 //
 //smoothvet:deterministic
 //smoothvet:noalloc
 func (sh *shard) step(tick int64) {
-	sh.clk.nanos.Store(sh.dueAt(tick).UnixNano())
+	sh.now = sh.dueAt(tick).UnixNano()
 	sh.admit(tick)
 	sh.stepRows(tick)
 	sh.met.Set(sh.eng.met.gActive, uint64(len(sh.rows.cursors)))
@@ -504,11 +503,16 @@ func (sh *shard) step(tick int64) {
 
 // stepRows advances the rows to the step due at tick: a contiguous
 // walk over the parallel arrays, flushing each phase group — the run of
-// sessions on the same cohort at the same cursor and base — with one Write
-// per row of one shared pre-encoded span, which covers every step the
-// group owes (see step for the bound). Retirement is swap-remove: the last
-// unprocessed row takes the freed slot and is processed in place, so every
-// row advances exactly once per tick.
+// sessions on the same cohort at the same cursor, base and sent offset —
+// with one non-blocking write per row of one shared pre-encoded span,
+// which covers every step the group owes (see step for the bound). A write
+// the socket takes only part of commits the steps and leaves the row
+// byte-behind: its sent offset is its own, so it forms a group of one, and
+// its next write starts where the last one stopped. The tick is the retry
+// clock: a row whose backlog has not drained when it is owed more than D
+// steps has outrun the client buffer B = R·D and is retired stalled-out.
+// Retirement is swap-remove: the last unprocessed row takes the freed slot
+// and is processed in place, so every row advances exactly once per tick.
 //
 //smoothvet:deterministic
 //smoothvet:noalloc
@@ -520,11 +524,13 @@ func (sh *shard) stepRows(tick int64) {
 		c := rows.cohorts[i]
 		cur := rows.cursors[i]
 		base := rows.bases[i]
+		sent := rows.sent[i]
 		// The group owes steps cur..tick-base; send n of them and forgive
 		// what exceeds the burst bound, unless the stream ends first.
+		d := int64(c.key.delay)
 		owed := tick - base + 1 - int64(cur)
 		n, forgiven := owed, int64(0)
-		if d := int64(c.key.delay); n > d {
+		if n > d {
 			n, forgiven = d, owed-d
 		}
 		left := int64(c.Steps()) - int64(cur)
@@ -533,46 +539,83 @@ func (sh *shard) stepRows(tick int64) {
 			n, forgiven = left, 0
 		}
 		next := cur + int32(n)
-		buf := c.span(cur, next)
+		buf := c.wire[sent:c.off[next]]
 		// One shared span serves the whole phase group [i, j).
 		j, served := i, uint64(0)
-		for j < len(rows.cursors) && rows.cohorts[j] == c && rows.cursors[j] == cur && rows.bases[j] == base {
+		for j < len(rows.cursors) && rows.cohorts[j] == c && rows.cursors[j] == cur && rows.bases[j] == base &&
+			rows.sent[j] == sent {
 			if cur == 0 {
-				sh.rec.Record(sh.clk.nanos.Load(), obs.EvFirstWrite, rows.cold[j].id, 0)
+				sh.rec.Record(sh.now, obs.EvFirstWrite, rows.cold[j].id, 0)
+			}
+			w, err := rows.cold[j].flush(buf)
+			if err != nil {
+				sh.retireRow(j, cur, err)
+				continue // the swapped-in row is processed at j
+			}
+			if sent+int32(w) < c.off[cur] {
+				// The backlog has not drained: the steps stay owed.
+				if owed > d {
+					sh.retireRow(j, cur, errStalledOut)
+					continue
+				}
+				rows.sent[j] += int32(w)
+				j++
+				continue
 			}
 			served++
-			if len(buf) > 0 {
-				if _, err := rows.cold[j].w.Write(buf); err != nil {
-					sh.retireRow(j, cur, err)
-					continue // the swapped-in row is processed at j
-				}
-			}
-			if last {
+			if last && w == len(buf) {
 				sh.retireRow(j, next, nil)
 				continue
 			}
 			rows.cursors[j] = next
+			rows.sent[j] = sent + int32(w)
 			rows.bases[j] = base + forgiven
 			j++
 		}
-		sh.met.Add(m.cCatchupSteps, served*uint64(n-1))
+		sh.met.Add(m.cCatchupSteps, served*uint64(max(n-1, 0)))
 		sh.met.Add(m.cForgivenSteps, served*uint64(forgiven))
 		i = j
 	}
 }
 
+// flush writes p to the row's connection. A socket takes what its send
+// buffer has room for: a full buffer (EAGAIN) is a short write, not an
+// error.
+//
+//smoothvet:noalloc
+func (r *cohortRow) flush(p []byte) (int, error) {
+	if len(p) == 0 {
+		return 0, nil
+	}
+	if r.conn != nil {
+		return r.conn.Write(p)
+	}
+	n, err := syscall.Write(r.fd, p)
+	if err == syscall.EAGAIN {
+		return 0, nil
+	}
+	return max(n, 0), err
+}
+
+// close releases the row's connection.
+func (r *cohortRow) close() {
+	if r.conn != nil {
+		_ = r.conn.Close()
+	} else {
+		_ = syscall.Close(r.fd)
+	}
+}
+
 // retireRow finishes the cohort session in slot j after steps completed
 // steps (err nil = clean drain to End) and swap-removes its row. It sits on
-// the noalloc tick path, so Elapsed is derived from the shard's tick clock
-// — stamped once per tick (and once by shutdown) — instead of re-reading
-// the wall clock per retirement.
+// the noalloc tick path, so Elapsed is derived from sh.now — stamped once
+// per tick (and once by shutdown) — instead of re-reading the wall clock
+// per retirement.
 func (sh *shard) retireRow(j int, steps int32, err error) {
 	rows := &sh.rows
 	cold := &rows.cold[j]
 	dropped := rows.cohorts[j].droppedThrough(steps)
-	if cold.conn != nil {
-		_ = cold.conn.Close()
-	}
+	cold.close()
 	sh.noteSessionEnd(cold.id, int(steps), err)
 	e := sh.eng
 	e.active.Add(-1)
@@ -583,27 +626,29 @@ func (sh *shard) retireRow(j int, steps int32, err error) {
 			Remote:  cold.remote,
 			Steps:   int(steps),
 			Dropped: dropped,
-			Elapsed: time.Unix(0, sh.clk.nanos.Load()).Sub(cold.start),
+			Elapsed: time.Unix(0, sh.now).Sub(cold.start),
 		}, err)
 	}
 	n := len(rows.cursors) - 1
 	rows.cohorts[j] = rows.cohorts[n]
 	rows.cursors[j] = rows.cursors[n]
+	rows.sent[j] = rows.sent[n]
 	rows.bases[j] = rows.bases[n]
 	rows.cold[j] = rows.cold[n]
 	rows.cohorts[n] = nil
 	rows.cold[n] = cohortRow{}
 	rows.cohorts = rows.cohorts[:n]
 	rows.cursors = rows.cursors[:n]
+	rows.sent = rows.sent[:n]
 	rows.bases = rows.bases[:n]
 	rows.cold = rows.cold[:n]
 }
 
 // shutdown aborts every session still registered on the shard.
 func (sh *shard) shutdown() {
-	// Re-stamp the tick clock so retirements during drain report an
-	// Elapsed that covers the time since the last tick.
-	sh.clk.nanos.Store(time.Now().UnixNano())
+	// Re-stamp the clock so retirements during drain report an Elapsed
+	// that covers the time since the last tick.
+	sh.now = time.Now().UnixNano()
 	for _, row := range sh.queue.Close() {
 		sh.rows.push(row, 0)
 	}
@@ -612,26 +657,4 @@ func (sh *shard) shutdown() {
 	}
 	sh.met.Set(sh.eng.met.gActive, 0)
 	sh.met.Publish()
-}
-
-// deadlineWriter arms a write deadline before flushing so a stalled client
-// errors out instead of blocking its whole shard. The deadline is derived
-// from the shard's tick clock — stamped once per tick — and armed at most
-// once per tick per connection, so a session flush costs neither a
-// time.Now call nor a redundant SetWriteDeadline.
-type deadlineWriter struct {
-	c     net.Conn
-	d     time.Duration
-	clk   *tickClock
-	armed int64 // tick stamp the current deadline was armed at
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if now := w.clk.nanos.Load(); now != w.armed {
-		if err := w.c.SetWriteDeadline(time.Unix(0, now).Add(w.d)); err != nil {
-			return 0, err
-		}
-		w.armed = now
-	}
-	return w.c.Write(p)
 }

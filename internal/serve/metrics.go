@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"errors"
-	"os"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // engineMetrics bundles the engine's obs registry with the slot IDs its
 // shards record through. Registration order fixes the /metrics output
@@ -14,13 +9,13 @@ type engineMetrics struct {
 	reg *obs.Registry
 
 	// Shard-recorded counters.
-	cAdmitted       obs.CounterID
-	cRetired        obs.CounterID
-	cFailed         obs.CounterID
-	cDeadlineExpiry obs.CounterID
-	cTickOverruns   obs.CounterID
-	cCatchupSteps   obs.CounterID
-	cForgivenSteps  obs.CounterID
+	cAdmitted      obs.CounterID
+	cRetired       obs.CounterID
+	cFailed        obs.CounterID
+	cStalledOut    obs.CounterID
+	cTickOverruns  obs.CounterID
+	cCatchupSteps  obs.CounterID
+	cForgivenSteps obs.CounterID
 
 	// Acceptor-recorded (global) counters.
 	cRejected   obs.CounterID
@@ -39,7 +34,7 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 	m.cAdmitted = b.Counter("serve_sessions_admitted_total", "Sessions registered on a shard after handshake.")
 	m.cRetired = b.Counter("serve_sessions_retired_total", "Sessions that drained cleanly to End.")
 	m.cFailed = b.Counter("serve_sessions_failed_total", "Sessions that ended with an error (write failure, abort).")
-	m.cDeadlineExpiry = b.Counter("serve_write_deadline_expiries_total", "Session failures whose write missed its armed deadline (slow client).")
+	m.cStalledOut = b.Counter("serve_stalled_out_total", "Sessions retired because their client stopped reading: bytes stayed unsent while more than D steps came due.")
 	m.cRejected = b.Counter("serve_sessions_rejected_total", "Connections refused before registration (draining, session limit, bad or timed-out handshake, unbuildable plan).")
 	m.cCohortHits = b.Counter("serve_cohort_hits_total", "Handshakes registered under the shared cohort plan for their (delay, buffer).")
 	m.gActive = b.Gauge("serve_sessions_active", "Sessions currently registered, summed across shards.")
@@ -61,13 +56,13 @@ func newEngineMetrics(e *Engine, shards int, extra func(*obs.Builder)) *engineMe
 }
 
 // noteSessionEnd records one session retirement into the shard's slots
-// and flight ring: counters, the deadline-expiry classifier, and the
+// and flight ring: counters, the stalled-out classifier, and the
 // retire/error lifecycle event. Runs on the shard goroutine, downstream
 // of the noalloc step path — the tick stamp comes from the shard clock.
 //
 //smoothvet:noalloc
 func (sh *shard) noteSessionEnd(id uint64, steps int, err error) {
-	now := sh.clk.nanos.Load()
+	now := sh.now
 	m := sh.eng.met
 	if err == nil {
 		sh.met.Inc(m.cRetired)
@@ -75,9 +70,9 @@ func (sh *shard) noteSessionEnd(id uint64, steps int, err error) {
 		return
 	}
 	sh.met.Inc(m.cFailed)
-	if errors.Is(err, os.ErrDeadlineExceeded) {
-		sh.met.Inc(m.cDeadlineExpiry)
-		sh.rec.Record(now, obs.EvDeadlineExpiry, id, int64(steps))
+	if err == errStalledOut {
+		sh.met.Inc(m.cStalledOut)
+		sh.rec.Record(now, obs.EvStalledOut, id, int64(steps))
 	}
 	sh.rec.Record(now, obs.EvError, id, int64(steps))
 }

@@ -47,9 +47,25 @@ GOOS=darwin go build ./...
 
 echo "== one epoll"
 # The engines share one poller: nothing outside internal/reactor may name
-# the epoll syscalls.
-if grep -rlE 'Epoll(Wait|Create1|Ctl)' --include=*.go internal cmd | grep -v '^internal/reactor/'; then
-    echo "epoll used outside internal/reactor (files above)" >&2
+# the epoll syscalls, nor duplicate a socket out of the runtime's poller
+# (reactor.Adopt is the one place that does).
+if grep -rlE 'Epoll(Wait|Create1|Ctl)|F_DUPFD' --include=*.go internal cmd | grep -v '^internal/reactor/'; then
+    echo "epoll or fd adoption used outside internal/reactor (files above)" >&2
+    exit 1
+fi
+
+echo "== one owner per socket"
+# A serve row flushes its adopted socket with a non-blocking write(2), and
+# a client that stops reading is retired stalled-out on the model clock:
+# no write deadline, deadline writer or atomic tick clock may come back.
+# Sockets are adopted (reactor.Adopt), never shared with the runtime's
+# poller, so ConnFd stays deleted.
+if grep -rnE 'SetWriteDeadline|deadlineWriter|WriteTimeout|tickClock' --include=*.go internal/serve | grep -v '_test\.go:'; then
+    echo "a blocking-write remnant is back in internal/serve (lines above)" >&2
+    exit 1
+fi
+if grep -rn 'ConnFd' --include=*.go .; then
+    echo "ConnFd is back (lines above)" >&2
     exit 1
 fi
 
@@ -103,9 +119,8 @@ LOADGEN_SMOKE=1000 go test -count=1 -run '^TestLoopbackCapacitySmoke$' ./interna
 echo "== fleet relay smoke (1k sessions, mid-wave backend drain)"
 # The same wave shape through the front tier: loadgen -> smoothlb engine
 # -> two serving engines, with a graceful backend drain landing mid-wave.
-# Zero client-visible failures are required across the drain, the drained
-# backend's placement tail must stay bounded, and the splice-fallback
-# counter must read zero — every relayed byte moved kernel-to-kernel.
+# Zero client-visible failures are required across the drain, and the
+# drained backend's placement tail must stay bounded.
 LB_SMOKE=1000 go test -count=1 -run '^TestFleetSmoke$' ./internal/lb
 
 echo "== bench + regression gate"
