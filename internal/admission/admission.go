@@ -21,6 +21,7 @@ package admission
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -34,17 +35,19 @@ func LogMGF(samples []int, s float64) (float64, error) {
 	if s < 0 || math.IsNaN(s) {
 		return 0, fmt.Errorf("admission: negative tilt %v", s)
 	}
-	maxE := math.Inf(-1)
-	for _, x := range samples {
-		if e := s * float64(x); e > maxE {
-			maxE = e
-		}
-	}
+	return logMGF(samples, slices.Max(samples), s), nil
+}
+
+// logMGF is LogMGF's one pass over the samples, given their peak. The
+// log-sum-exp shift s·peak is the largest s·x_i bit for bit: rounding is
+// monotone, so multiplying by s >= 0 keeps the maximum where it was.
+func logMGF(samples []int, peak int, s float64) float64 {
+	maxE := s * float64(peak)
 	var sum float64
 	for _, x := range samples {
 		sum += math.Exp(s*float64(x) - maxE)
 	}
-	return maxE + math.Log(sum/float64(len(samples))), nil
+	return maxE + math.Log(sum/float64(len(samples)))
 }
 
 // EffectiveBandwidth returns Λ(s)/s, the effective bandwidth of one stream
@@ -72,58 +75,51 @@ func ChernoffExponent(samples []int, K int, C float64) (float64, error) {
 	if len(samples) == 0 {
 		return 0, fmt.Errorf("admission: no samples")
 	}
-	objective := func(s float64) float64 {
-		l, _ := LogMGF(samples, s)
-		return float64(K)*l - s*C
-	}
-	// The objective is convex in s with objective(0) = 0; minimize by
-	// ternary search over an exponentially located bracket.
-	hi, fHi := 1e-6, objective(1e-6)
-	for hi < 1e6 {
-		f2 := objective(2 * hi)
-		if !(f2 < fHi) {
-			break
-		}
-		hi, fHi = 2*hi, f2
-	}
-	// An iteration maps (lo, hi) to a pair that depends on that pair
-	// alone, so once one leaves it unchanged (the thirds no longer move in
-	// float64) every later one would too: stop there, at exactly the pair
-	// that all 200 iterations reach.
-	lo := 0.0
-	for i := 0; i < 200; i++ {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		if objective(m1) < objective(m2) {
-			if m2 == hi {
-				break
-			}
-			hi = m2
-		} else {
-			if m1 == lo {
-				break
-			}
-			lo = m1
-		}
-	}
-	v := objective((lo + hi) / 2)
-	if v > 0 {
-		v = 0 // the bound is a probability: never above 1
-	}
-	return v, nil
+	peak := slices.Max(samples) // the objective is convex, 0 at s = 0
+	v := minimize(func(s float64) float64 {
+		return float64(K)*logMGF(samples, peak, s) - s*C
+	}, 0, 1e-6)
+	return min(v, 0), nil // the bound is a probability: never above 1
 }
 
-// Decision counters: every Admissible verdict increments one of these,
-// so a daemon evaluating admission control online can expose accept/deny
-// totals as scrape-time metrics (see Counters). Package-level because the
-// admission math is stateless — there is no controller object to hang
-// them on.
+// minimize returns the minimum over s >= lo of f, unimodal there. It
+// doubles a probe from first > lo while f keeps falling, so the minimiser
+// lies between the probe before last and 2x the last one, then narrows
+// that bracket by golden section — one evaluation a step — to 1e-10 of
+// the last probe. Doubling stops at s = 1e6, past every sane tilt.
+func minimize(f func(float64) float64, lo, first float64) float64 {
+	s, fs := first, f(first)
+	for f2 := f(2 * s); s < 1e6 && f2 < fs; f2 = f(2 * s) {
+		lo, s, fs = s, 2*s, f2
+	}
+	const g = 0.6180339887498949 // 1/φ
+	a, b := lo, 2*s
+	c, d := b-g*(b-a), a+g*(b-a)
+	fc, fd := f(c), f(d)
+	for b-a > 1e-10*s {
+		if fc < fd {
+			b, d, fd = d, c, fc
+			c = b - g*(b-a)
+			fc = f(c)
+		} else {
+			a, c, fc = c, d, fd
+			d = a + g*(b-a)
+			fd = f(d)
+		}
+	}
+	return min(fs, fc, fd)
+}
+
+// Decision counters: every admission decision — an Admissible verdict or
+// a Gate.TryAdmit — increments one of these, so a daemon can expose
+// accept/deny totals as scrape-time metrics (see Counters). Sizing a
+// ceiling (MaxStreams, NewGate) decides nothing and counts nothing.
 var (
 	admitCount  atomic.Uint64
 	rejectCount atomic.Uint64
 )
 
-// Counters returns how many Admissible evaluations answered yes and no
+// Counters returns how many admission decisions answered yes and no
 // since process start. Errors count in neither.
 func Counters() (admitted, rejected uint64) {
 	return admitCount.Load(), rejectCount.Load()
@@ -149,26 +145,29 @@ func Admissible(samples []int, K int, C, eps float64) (bool, error) {
 }
 
 // MaxStreams returns the largest K in [0, kMax] admissible on capacity C
-// with target eps. Admissibility is monotone decreasing in K, so a binary
-// search suffices.
+// with target eps, from the dual form of the criterion: K is admissible
+// iff K·Λ(s) − s·C <= log eps for some s > 0, that is iff K <= h(s) =
+// (s·C + log eps)/Λ(s). Each superlevel set {h >= K} is a sublevel set of
+// that convex objective, an interval, so h is unimodal (and negative below
+// its root −log(eps)/C) and K* = min(kMax, floor(sup_s h)).
 func MaxStreams(samples []int, C, eps float64, kMax int) (int, error) {
 	if kMax < 1 {
 		return 0, fmt.Errorf("admission: non-positive kMax %d", kMax)
 	}
-	lo, hi := 0, kMax
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		ok, err := Admissible(samples, mid, C, eps)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
+	if eps <= 0 || eps >= 1 {
+		return 0, fmt.Errorf("admission: eps %v outside (0, 1)", eps)
 	}
-	return lo, nil
+	if len(samples) == 0 {
+		return 0, fmt.Errorf("admission: no samples")
+	}
+	if !(C > 0) {
+		return 0, nil
+	}
+	peak, logEps := slices.Max(samples), math.Log(eps)
+	sup := -minimize(func(s float64) float64 {
+		return -(s*C + logEps) / logMGF(samples, peak, s)
+	}, -logEps/C, -2*logEps/C)
+	return int(max(0, min(float64(kMax), math.Floor(sup)))), nil
 }
 
 // MeasuredOverflow returns the empirical per-step overflow frequency of

@@ -7,7 +7,7 @@ import (
 	"repro/internal/trace"
 )
 
-func demandSamples(t *testing.T, seed int64, frames int) []int {
+func demandSamples(t testing.TB, seed int64, frames int) []int {
 	t.Helper()
 	cfg := trace.DefaultGenConfig()
 	cfg.Frames = frames
@@ -123,69 +123,113 @@ func TestChernoffExponentLimits(t *testing.T) {
 	}
 }
 
-// chernoff200 is ChernoffExponent as it was before the search stopped at
-// its fixed point: the bracketing loop evaluates both ends every time and
-// all 200 ternary iterations run. Test-only reference.
-func chernoff200(samples []int, K int, C float64) float64 {
-	objective := func(s float64) float64 {
-		l, _ := LogMGF(samples, s)
-		return float64(K)*l - s*C
-	}
-	hi := 1e-6
-	for objective(2*hi) < objective(hi) && hi < 1e6 {
-		hi *= 2
-	}
-	lo := 0.0
-	for i := 0; i < 200; i++ {
-		m1 := lo + (hi-lo)/3
-		m2 := hi - (hi-lo)/3
-		if objective(m1) < objective(m2) {
-			hi = m2
-		} else {
-			lo = m1
-		}
-	}
-	v := objective((lo + hi) / 2)
-	if v > 0 {
-		v = 0
-	}
-	return v
+// sweepConfigs and sweepEps are the sizing grid of the solver tests:
+// seeds 1–12 x 24/150/500 frames x C in {2, 8, 50, 1000} x mean demand x
+// eps in {1e-2, 1e-6, 1e-9}, 432 configurations.
+type sweepConfig struct {
+	seed    int64
+	frames  int
+	samples []int
+	mean, C float64
 }
 
-// TestChernoffExponentMatches200Iterations checks that stopping at the
-// fixed point changes no bit: the admission table's calls (C = 8 x mean,
-// K = 5..10), capacities below, between and above K x mean and K x peak,
-// and constant and two-valued demand.
-func TestChernoffExponentMatches200Iterations(t *testing.T) {
-	train := demandSamples(t, 1, 2000)
-	var mean float64
-	peak := 0
-	for _, x := range train {
-		mean += float64(x)
-		peak = max(peak, x)
+var sweepEps = []float64{1e-2, 1e-6, 1e-9}
+
+func sweepConfigs(t *testing.T) []sweepConfig {
+	t.Helper()
+	var out []sweepConfig
+	for seed := int64(1); seed <= 12; seed++ {
+		for _, frames := range []int{24, 150, 500} {
+			samples := demandSamples(t, seed, frames)
+			var mean float64
+			for _, x := range samples {
+				mean += float64(x)
+			}
+			mean /= float64(len(samples))
+			for _, c := range []float64{2, 8, 50, 1000} {
+				out = append(out, sweepConfig{seed, frames, samples, mean, c * mean})
+			}
+		}
 	}
-	mean /= float64(len(train))
-	type call struct {
-		samples []int
-		K       int
-		C       float64
-	}
-	var calls []call
-	for K := 5; K <= 10; K++ {
-		calls = append(calls, call{train, K, 8 * mean})
-	}
-	for _, f := range []float64{0.9, 1.2, 1.5} {
-		calls = append(calls, call{train, 4, 4 * mean * f})
-	}
-	calls = append(calls, call{train, 4, float64(4*peak) + 1},
-		call{[]int{10, 10, 10}, 2, 15}, call{[]int{10, 10, 10}, 2, 25}, call{[]int{120, 2}, 1, 100})
-	for _, c := range calls {
-		got, err := ChernoffExponent(c.samples, c.K, c.C)
+	return out
+}
+
+// nestedMaxStreams is the oracle for MaxStreams: a binary search over K,
+// each probe a full ChernoffExponent solve. Admissibility is monotone in
+// K because Λ >= 0 for non-negative demand.
+func nestedMaxStreams(t testing.TB, samples []int, C, eps float64, kMax int) int {
+	lo, hi := 0, kMax
+	for lo < hi {
+		mid := (lo + hi + 1) / 2
+		e, err := ChernoffExponent(samples, mid, C)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := chernoff200(c.samples, c.K, c.C); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("K=%d C=%v over %d samples: exponent %v, 200 iterations give %v", c.K, c.C, len(c.samples), got, want)
+		if e <= math.Log(eps) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// gridMin is min over a log grid of s in [1e-7, 1e3], 40 points a decade,
+// of K·Λ(s) − s·C, capped at 0.
+func gridMin(samples []int, K int, C float64) float64 {
+	best := 0.0
+	for i := 0; i <= 400; i++ {
+		s := 1e-7 * math.Pow(10, float64(i)/40)
+		l, _ := LogMGF(samples, s)
+		best = min(best, float64(K)*l-s*C)
+	}
+	return best
+}
+
+// TestChernoffExponentIsTheInfimum checks the solver against a dense grid
+// over the sizing grid, at the ceilings K* and K*+1 of every eps and at a
+// quarter, half and 0.9 of C/mean: no grid point may lie more than 1e-9
+// below the returned exponent. A search whose bracket stops short of the
+// minimiser fails here (seed 2, 150 frames, C = 1000 x mean, K = 900).
+func TestChernoffExponentIsTheInfimum(t *testing.T) {
+	for _, c := range sweepConfigs(t) {
+		ks := map[int]bool{}
+		for _, q := range []float64{0.25, 0.5, 0.9} {
+			ks[max(1, int(math.Ceil(q*c.C/c.mean)))] = true
+		}
+		for _, eps := range sweepEps {
+			k, err := MaxStreams(c.samples, c.C, eps, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks[max(1, k)], ks[k+1] = true, true
+		}
+		for K := range ks {
+			got, err := ChernoffExponent(c.samples, K, c.C)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g := gridMin(c.samples, K, c.C); got > g+1e-9 {
+				t.Errorf("seed %d, %d frames, C=%.0f x mean, K=%d: exponent %v, a grid point reaches %v",
+					c.seed, c.frames, c.C/c.mean, K, got, g)
+			}
+		}
+	}
+}
+
+// TestMaxStreamsMatchesNestedSearch checks the dual solve against the
+// nested binary search on all 432 configurations.
+func TestMaxStreamsMatchesNestedSearch(t *testing.T) {
+	for _, c := range sweepConfigs(t) {
+		for _, eps := range sweepEps {
+			got, err := MaxStreams(c.samples, c.C, eps, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := nestedMaxStreams(t, c.samples, c.C, eps, 1<<20); got != want {
+				t.Errorf("seed %d, %d frames, C=%.0f x mean, eps %v: MaxStreams %d, nested search %d",
+					c.seed, c.frames, c.C/c.mean, eps, got, want)
+			}
 		}
 	}
 }
@@ -293,4 +337,33 @@ func TestMeasuredOverflow(t *testing.T) {
 	if got != 0.25 { // only step 1 sums to 10 > 6... step 3 sums to 6, not over
 		t.Errorf("overflow = %v, want 0.25", got)
 	}
+}
+
+// FuzzMaxStreamsMatchesOracle checks the dual solve against the nested
+// search on arbitrary positive demand (one sample per byte, 1–256), a
+// capacity of c/64 x mean and eps = 10^-(1 + e mod 15). The seed corpus
+// in testdata/fuzz holds constant demand (h rising toward C/x, with an
+// integer and a fractional C/x), the gate tests' mean-4 peak-8 trace, a
+// burst at eps 1e-15, one sample, and capacity below the mean.
+func FuzzMaxStreamsMatchesOracle(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, c uint16, e uint8) {
+		if len(data) == 0 || len(data) > 256 {
+			return
+		}
+		samples := make([]int, len(data))
+		var mean float64
+		for i, b := range data {
+			samples[i] = int(b) + 1
+			mean += float64(samples[i])
+		}
+		mean /= float64(len(samples))
+		C, eps := float64(c)/64*mean, math.Pow(10, -1-float64(e%15))
+		got, err := MaxStreams(samples, C, eps, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nestedMaxStreams(t, samples, C, eps, 1<<20); got != want {
+			t.Errorf("%d samples, C=%v, eps %v: MaxStreams %d, nested search %d", len(samples), C, eps, got, want)
+		}
+	})
 }

@@ -6,13 +6,12 @@ import (
 )
 
 // Gate is the online form of the Chernoff admission test for a front
-// door that must answer per-connection, not per-trace: the expensive
-// inf_s optimization runs once at construction (via MaxStreams) to fix
-// the largest admissible stream count K* for the configured capacity and
-// overflow target, and each arriving session then pays a single atomic
-// compare against the live count. This is how an access point would
-// deploy the criterion — the per-stream demand statistics and the link
-// capacity are fixed at provisioning time, only the occupancy moves.
+// door that must answer per-connection, not per-trace: one search over
+// the tilt (MaxStreams) at construction fixes the largest admissible
+// stream count K* for the capacity and overflow target, and each arriving
+// session then pays a single atomic compare against the live count — as
+// an access point deploys the criterion: demand statistics and capacity
+// are fixed at provisioning time, only the occupancy moves.
 type Gate struct {
 	maxStreams int
 	active     atomic.Int64
@@ -20,8 +19,8 @@ type Gate struct {
 
 // NewGate precomputes the admissible-stream ceiling for per-step demand
 // samples on capacity C with target per-step overflow probability eps,
-// searching K in [0, kMax]. The returned gate admits a session iff the
-// live count is below that ceiling.
+// capped at kMax. The returned gate admits a session iff the live count
+// is below that ceiling.
 func NewGate(samples []int, C, eps float64, kMax int) (*Gate, error) {
 	k, err := MaxStreams(samples, C, eps, kMax)
 	if err != nil {

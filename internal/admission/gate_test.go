@@ -35,6 +35,19 @@ func TestGateCeilingMatchesMaxStreams(t *testing.T) {
 	}
 }
 
+// TestNewGateCountsNoDecisions checks that building a gate leaves the
+// decision counters alone: sizing the ceiling admits and rejects nobody.
+func TestNewGateCountsNoDecisions(t *testing.T) {
+	admitted0, rejected0 := Counters()
+	if _, err := NewGate(constSamples(), 1000, 1e-6, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	if admitted1, rejected1 := Counters(); admitted1 != admitted0 || rejected1 != rejected0 {
+		t.Fatalf("NewGate moved the counters: admitted %d -> %d, rejected %d -> %d",
+			admitted0, admitted1, rejected0, rejected1)
+	}
+}
+
 func TestGateAdmitsExactlyCeiling(t *testing.T) {
 	g, err := NewGate(constSamples(), 100, 1e-3, 1<<16)
 	if err != nil {
@@ -97,5 +110,23 @@ func TestGateConcurrentNeverOverAdmits(t *testing.T) {
 func TestGateRejectsEmptySamples(t *testing.T) {
 	if _, err := NewGate(nil, 1000, 1e-6, 1024); err == nil {
 		t.Fatal("NewGate with no samples succeeded")
+	}
+}
+
+// BenchmarkNewGate sizes the front tier's gate: a 150-frame clip's
+// per-step demand on C = 1000 x mean at eps = 1e-6.
+func BenchmarkNewGate(b *testing.B) {
+	samples := demandSamples(b, 1, 150)
+	var mean float64
+	for _, x := range samples {
+		mean += float64(x)
+	}
+	mean /= float64(len(samples))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewGate(samples, 1000*mean, 1e-6, 1<<20); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -201,11 +201,11 @@ func RegisterRuntimeMetrics(b *obs.Builder) {
 		runtime.ReadMemStats(&m)
 		return int64(m.NumGC)
 	})
-	b.Func("admission_admitted_total", "Admissible evaluations that answered yes.", func() int64 {
+	b.Func("admission_admitted_total", "Admission decisions that admitted: Admissible verdicts and Gate admits.", func() int64 {
 		a, _ := admission.Counters()
 		return int64(a)
 	})
-	b.Func("admission_rejected_total", "Admissible evaluations that answered no.", func() int64 {
+	b.Func("admission_rejected_total", "Admission decisions that rejected: Admissible verdicts and Gate refusals.", func() int64 {
 		_, r := admission.Counters()
 		return int64(r)
 	})

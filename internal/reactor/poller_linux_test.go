@@ -222,3 +222,67 @@ func TestAdopt(t *testing.T) {
 		t.Error("Adopt of a closed conn succeeded")
 	}
 }
+
+// BenchmarkLoopbackWriteRead measures the floor under every message the
+// engines move: one 100 B write(2) on an adopted end of a loopback TCP
+// pair and one read(2) of it on the other end, round-robin over 1000
+// pairs, with no epoll anywhere. The getppid variant is a bare syscall
+// through the same runtime entry and exit, so the ratio of the two bounds
+// what saving syscall entries alone (batching them) can gain per message.
+func BenchmarkLoopbackWriteRead(b *testing.B) {
+	const pairs = 1000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	var fds []int
+	defer func() {
+		for _, fd := range fds {
+			_ = syscall.Close(fd)
+		}
+	}()
+	for i := 0; i < pairs; i++ {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		peer, err := ln.Accept()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []net.Conn{conn, peer} {
+			fd, err := Adopt(c.(*net.TCPConn))
+			if err != nil {
+				b.Fatal(err)
+			}
+			fds = append(fds, fd)
+		}
+	}
+	msg, buf := make([]byte, 100), make([]byte, 512)
+	b.Run("pair", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			w, r := fds[2*(i%pairs)], fds[2*(i%pairs)+1]
+			if n, err := syscall.Write(w, msg); n != len(msg) || err != nil {
+				b.Fatalf("write %d bytes: %v", n, err)
+			}
+			for got := 0; got < len(msg); {
+				n, err := syscall.Read(r, buf)
+				if err == syscall.EAGAIN {
+					continue // not yet through the loopback device
+				}
+				if err != nil || n == 0 {
+					b.Fatalf("read %d bytes: %v", n, err)
+				}
+				got += n
+			}
+		}
+	})
+	b.Run("getppid", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			syscall.Syscall(syscall.SYS_GETPPID, 0, 0, 0)
+		}
+	})
+}

@@ -123,6 +123,14 @@ echo "== fleet relay smoke (1k sessions, mid-wave backend drain)"
 # drained backend's placement tail must stay bounded.
 LB_SMOKE=1000 go test -count=1 -run '^TestFleetSmoke$' ./internal/lb
 
+echo "== fuzz: admission dual solve vs nested search (10 s)"
+# The one fuzz target: admission.MaxStreams solves the Chernoff criterion
+# in its dual form (one search over the tilt) and must agree with a binary
+# search over K, each probe a full ChernoffExponent solve, on arbitrary
+# positive demand, capacity and eps. The committed seed corpus in
+# internal/admission/testdata/fuzz also runs under plain go test above.
+go test -run '^$' -fuzz '^FuzzMaxStreamsMatchesOracle$' -fuzztime 10s ./internal/admission
+
 echo "== bench + regression gate"
 # Run every benchmark in the protocol the committed ledger was recorded
 # with (scripts/bench_baseline.sh, -benchtime 5x) and check the text against
@@ -148,6 +156,8 @@ echo "== bench + regression gate"
 # flight-recorder append must never touch the allocator. The end-to-end
 # loopback waves get wide bounds: one op there is a full wave of real dials
 # and sessions, so the dial-path allocation count wobbles with the host.
+# Sizing the front tier's admission gate allocates the gate and nothing
+# else: the tilt search runs on the stack.
 ./scripts/bench_baseline.sh \
     -rule 'BenchmarkServerStep:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkSimulate/*:allocs=0.0+0,bytes=0.0+0' \
@@ -156,6 +166,7 @@ echo "== bench + regression gate"
     -rule 'BenchmarkObsRecord/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkLoopback/*:allocs=0.3+8192,bytes=0.5+8388608' \
     -rule 'BenchmarkLBRelayStep/*:allocs=0.0+0,bytes=0.0+0' \
+    -rule 'BenchmarkNewGate:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkFleetLoopback/*:allocs=0.3+8192,bytes=0.5+8388608'
 
 echo "verify: OK"
