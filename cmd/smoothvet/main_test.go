@@ -6,8 +6,8 @@ import "testing"
 // an analyzer must update this list (and DESIGN.md) deliberately.
 func TestRegisteredAnalyzers(t *testing.T) {
 	want := []string{
-		"aliasretain", "atomicpair", "clockuse", "determinism",
-		"errloss", "hotpath", "pubimmut", "shardconfine",
+		"aliasretain", "determinism", "errloss",
+		"hotpath", "pubimmut", "shardconfine",
 	}
 	got := analyzers()
 	if len(got) != len(want) {

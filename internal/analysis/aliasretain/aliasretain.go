@@ -139,19 +139,6 @@ func (c *checker) funcIsAliased(obj types.Object) bool {
 	return ok && c.markers.FuncHasMarker(fn, framework.MarkerAliased)
 }
 
-// callee resolves the static *types.Func of a call, if any.
-func (c *checker) callee(call *ast.CallExpr) *types.Func {
-	switch f := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := c.pass.TypesInfo.Uses[f].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := c.pass.TypesInfo.Uses[f.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 // taintSource returns the name of the aliased API the expression borrows
 // from, or "" if the expression is clean. Only reference-carrying types
 // can borrow: scalar projections of a tainted struct are safe copies.
@@ -159,8 +146,12 @@ func (c *checker) taintSource(e ast.Expr) string {
 	if e == nil {
 		return ""
 	}
-	if !taintable(c.pass.TypesInfo.TypeOf(e)) {
-		return ""
+	if t := c.pass.TypesInfo.TypeOf(e); !taintable(t) {
+		// A call returning (T, error) has a tuple type; its buffer result
+		// still borrows.
+		if _, tuple := t.(*types.Tuple); !tuple {
+			return ""
+		}
 	}
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -178,7 +169,7 @@ func (c *checker) taintSource(e ast.Expr) string {
 	case *ast.TypeAssertExpr:
 		return c.taintSource(e.X)
 	case *ast.CallExpr:
-		if fn := c.callee(e); fn != nil && c.markers.FuncHasMarker(fn, framework.MarkerAliased) {
+		if fn := framework.StaticCallee(c.pass.TypesInfo, e); fn != nil && c.markers.FuncHasMarker(fn, framework.MarkerAliased) {
 			return fn.FullName()
 		}
 	case *ast.CompositeLit:

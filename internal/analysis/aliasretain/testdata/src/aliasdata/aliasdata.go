@@ -30,7 +30,15 @@ type msg struct{ data *payload }
 //smoothvet:aliased
 func next() msg { return msg{data: &payload{}} }
 
+// decode returns decoder-owned scratch with an error, like
+// netstream.Decoder.Next.
+//
+//smoothvet:aliased
+func decode() (msg, error) { return msg{data: &payload{}}, nil }
+
 var global []int
+
+var lastMsg msg
 
 func use(xs []int) int { return len(xs) }
 
@@ -129,4 +137,15 @@ func branchJoin(s *server, cond bool) {
 		x = s.Step().sent
 	}
 	global = x // want `storing x in package variable global retains`
+}
+
+// tupleRetain: an aliased API that also returns an error still lends its
+// buffer result.
+func tupleRetain() error {
+	m, err := decode()
+	if err != nil {
+		return err
+	}
+	lastMsg = m // want `storing m in package variable lastMsg retains memory reused by`
+	return nil
 }

@@ -5,14 +5,20 @@
 // iteration order, the wall clock, global randomness, or goroutine
 // scheduling leak into results.
 //
-// Two triggers:
+// Three triggers:
 //
 //   - every function in the packages listed in Scope is checked for
 //     order-leaking map iteration;
 //   - functions annotated //smoothvet:deterministic (anywhere in the
-//     module) are additionally checked for wall-clock reads, global
-//     math/rand use, channel traffic inside spawned goroutines, and
-//     multi-way selects.
+//     module) are additionally checked for global math/rand use, channel
+//     traffic inside spawned goroutines, and multi-way selects;
+//   - functions annotated //smoothvet:deterministic or //smoothvet:noalloc
+//     are checked for wall-clock reads: a step path takes "now" from the
+//     shard's tick stamp or a now parameter, never from the clock.
+//
+// The marker-rooted rules extend through the package call graph to the
+// unmarked helpers a marked root reaches; calls through function values
+// and interface methods are not followed.
 //
 // A map range is accepted in three shapes: collect-keys-then-sort (the
 // ordered-collect idiom), pure map clearing (delete or overwrite of the
@@ -42,7 +48,7 @@ var Scope = []string{
 // Analyzer is the determinism checker.
 var Analyzer = &framework.Analyzer{
 	Name: "determinism",
-	Doc:  "forbid nondeterminism sources (map order, wall clock, global rand, scheduling) on step paths",
+	Doc:  "forbid nondeterminism sources (map order, wall clock, global rand, scheduling) on step paths and wall-clock reads on noalloc paths",
 	Run:  run,
 }
 
@@ -53,32 +59,57 @@ func run(pass *framework.Pass) error {
 	for _, fd := range markers.FuncDecls(framework.MarkerDeterministic) {
 		roots[fd] = framework.MarkerDeterministic
 	}
-	// The strict checks extend through the package call graph: a helper a
-	// deterministic function calls is on the deterministic path whether or
-	// not it carries its own marker.
-	reach := pass.BuildCallGraph().ReachableFrom(roots)
+	g := pass.BuildCallGraph()
+	strictReach := g.ReachableFrom(roots)
+	for _, fd := range markers.FuncDecls(framework.MarkerNoAlloc) {
+		if _, ok := roots[fd]; !ok {
+			roots[fd] = framework.MarkerNoAlloc
+		}
+	}
+	clockReach := g.ReachableFrom(roots)
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			how, strict := reach[fd]
-			if !strict && !inScope {
+			strict, isStrict := strictReach[fd]
+			clock, isClock := clockReach[fd]
+			if !isClock && !inScope {
 				continue
 			}
-			checkFunc(pass, fd, strict, how)
+			c := &checker{pass: pass, fd: fd}
+			if isStrict {
+				c.strict = &strict
+			}
+			if isClock {
+				c.clock = &clock
+			}
+			c.check()
 		}
 	}
 	return nil
 }
 
-func checkFunc(pass *framework.Pass, fd *ast.FuncDecl, strict bool, how framework.Reach) {
-	markers := pass.ParseMarkers()
-	suffix := ""
-	if strict && how.Root != fd {
-		suffix = " (reachable from " + how.Root.Name.Name + ")"
+// checker applies the rules to one function; strict and clock are the
+// reachability records of the rules that apply (nil when they do not).
+type checker struct {
+	pass          *framework.Pass
+	fd            *ast.FuncDecl
+	strict, clock *framework.Reach
+}
+
+// path names the marked root a rule reached fd from.
+func (c *checker) path(how *framework.Reach) string {
+	if how.Root == c.fd {
+		return ""
 	}
+	return " (reachable from " + how.Root.Name.Name + ")"
+}
+
+func (c *checker) check() {
+	pass, fd := c.pass, c.fd
+	markers := pass.ParseMarkers()
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.RangeStmt:
@@ -87,36 +118,36 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl, strict bool, how framewor
 				pass.Reportf(n.For, "map iteration order can reach output here; collect keys and sort, or annotate //smoothvet:ordered")
 			}
 		case *ast.CallExpr:
-			if !strict {
-				break
-			}
-			if name, ok := stdlibCall(pass, n, "time"); ok {
+			if name, ok := stdlibCall(pass, n, "time"); ok && c.clock != nil {
 				switch name {
 				case "Now", "Since", "Until", "After", "Tick", "NewTicker", "NewTimer", "AfterFunc":
-					pass.Reportf(n.Pos(), "time.%s reads the wall clock in a //smoothvet:deterministic function%s", name, suffix)
+					pass.Reportf(n.Pos(), "time.%s reads the wall clock on a //smoothvet:%s path%s; take now from the shard's tick stamp or a parameter", name, c.clock.Marker, c.path(c.clock))
 				}
 			}
+			if c.strict == nil {
+				break
+			}
 			if name, ok := stdlibCall(pass, n, "math/rand"); ok && !strings.HasPrefix(name, "New") {
-				pass.Reportf(n.Pos(), "global math/rand.%s in a //smoothvet:deterministic function%s; use a seeded *rand.Rand", name, suffix)
+				pass.Reportf(n.Pos(), "global math/rand.%s in a //smoothvet:deterministic function%s; use a seeded *rand.Rand", name, c.path(c.strict))
 			}
 			if name, ok := stdlibCall(pass, n, "math/rand/v2"); ok && !strings.HasPrefix(name, "New") {
-				pass.Reportf(n.Pos(), "global math/rand/v2.%s in a //smoothvet:deterministic function%s; use a seeded generator", name, suffix)
+				pass.Reportf(n.Pos(), "global math/rand/v2.%s in a //smoothvet:deterministic function%s; use a seeded generator", name, c.path(c.strict))
 			}
 		case *ast.GoStmt:
-			if !strict {
+			if c.strict == nil {
 				break
 			}
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				checkGoroutineBody(pass, lit)
 			}
 		case *ast.SelectStmt:
-			if !strict {
+			if c.strict == nil {
 				break
 			}
 			comm := 0
 			hasDefault := false
-			for _, c := range n.Body.List {
-				cc := c.(*ast.CommClause)
+			for _, clause := range n.Body.List {
+				cc := clause.(*ast.CommClause)
 				if cc.Comm == nil {
 					hasDefault = true
 				} else {
@@ -124,7 +155,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl, strict bool, how framewor
 				}
 			}
 			if comm > 1 || hasDefault {
-				pass.Reportf(n.Select, "select outcome depends on goroutine scheduling in a //smoothvet:deterministic function%s", suffix)
+				pass.Reportf(n.Select, "select outcome depends on goroutine scheduling in a //smoothvet:deterministic function%s", c.path(c.strict))
 			}
 		}
 		return true

@@ -2,13 +2,12 @@ package framework
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // Facts is the dataflow state of one program point: a small lattice value
-// per tracked key. Keys are usually types.Object (locals, fields) but may
-// be any comparable value — the errloss analyzer keys armed deadlines by
-// printed receiver expression, for example. The absent key is bottom.
-type Facts map[any]string
+// per tracked object (a local or a field). The absent key is bottom.
+type Facts map[types.Object]string
 
 // Clone copies the fact map (the engine never shares maps across blocks).
 func (f Facts) Clone() Facts {

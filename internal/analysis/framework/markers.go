@@ -17,7 +17,8 @@ import (
 //	                             memory that later calls overwrite; callers
 //	                             must copy before retaining (aliasretain).
 //	//smoothvet:noalloc        — the function is a steady-state-zero-alloc
-//	                             hot path (hotpath).
+//	                             hot path (hotpath) that never reads the
+//	                             wall clock (determinism).
 //	//smoothvet:deterministic  — the function's observable output must not
 //	                             depend on wall clock, global randomness or
 //	                             goroutine scheduling (determinism).

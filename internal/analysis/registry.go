@@ -5,8 +5,6 @@ package analysis
 
 import (
 	"repro/internal/analysis/aliasretain"
-	"repro/internal/analysis/atomicpair"
-	"repro/internal/analysis/clockuse"
 	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/errloss"
 	"repro/internal/analysis/framework"
@@ -19,8 +17,6 @@ import (
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
 		aliasretain.Analyzer,
-		atomicpair.Analyzer,
-		clockuse.Analyzer,
 		determinism.Analyzer,
 		errloss.Analyzer,
 		hotpath.Analyzer,

@@ -214,27 +214,15 @@ type RandomizedGameResult struct {
 	MeanOnline, Opt float64
 }
 
-// OnlineLowerBoundGameRandomized plays the Theorem 4.8 scenarios against a
-// RANDOMIZED policy under the oblivious-adversary model: the adversary must
-// fix the input in advance (it cannot react to the policy's coin flips), and
-// the policy is judged by its expected benefit over `trials` independent
-// runs. Theorem 4.8's 1.2287 bound does not apply here — this measurement
-// explores how much randomization actually buys against this adversary.
+// OnlineLowerBoundGameRandomizedOn plays the Theorem 4.8 scenarios (see
+// GameScenarios), with buffer B and rate 1, against a RANDOMIZED policy
+// under the oblivious-adversary model: the adversary must fix the input in
+// advance (it cannot react to the policy's coin flips), and the policy is
+// judged by its expected benefit over `trials` independent runs. Theorem
+// 4.8's 1.2287 bound does not apply here — this measurement explores how
+// much randomization actually buys against this adversary.
 //
 // policyFor must return a fresh policy per trial index (vary the seed).
-func OnlineLowerBoundGameRandomized(policyFor func(trial int) drop.Factory, B int, alpha float64, maxSteps, trials int) (RandomizedGameResult, error) {
-	if trials < 1 {
-		return RandomizedGameResult{}, fmt.Errorf("competitive: invalid randomized game parameters")
-	}
-	scenarios, err := GameScenarios(B, alpha, maxSteps)
-	if err != nil {
-		return RandomizedGameResult{}, err
-	}
-	return OnlineLowerBoundGameRandomizedOn(scenarios, B, policyFor, trials)
-}
-
-// OnlineLowerBoundGameRandomizedOn plays the oblivious-adversary game over
-// a precomputed scenario set (see GameScenarios) with buffer B and rate 1.
 func OnlineLowerBoundGameRandomizedOn(scenarios []GameScenario, B int, policyFor func(trial int) drop.Factory, trials int) (RandomizedGameResult, error) {
 	if trials < 1 {
 		return RandomizedGameResult{}, fmt.Errorf("competitive: invalid randomized game parameters")

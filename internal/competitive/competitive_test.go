@@ -170,9 +170,13 @@ func TestOnlineLowerBoundGameRandomized(t *testing.T) {
 		B     = 12
 		alpha = 2.0
 	)
-	res, err := OnlineLowerBoundGameRandomized(func(trial int) drop.Factory {
+	scenarios, err := GameScenarios(B, alpha, 3*B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := OnlineLowerBoundGameRandomizedOn(scenarios, B, func(trial int) drop.Factory {
 		return drop.RandomMix(int64(trial)*31+1, 0.5)
-	}, B, alpha, 3*B, 8)
+	}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +191,9 @@ func TestOnlineLowerBoundGameRandomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := OnlineLowerBoundGameRandomized(func(int) drop.Factory {
+	same, err := OnlineLowerBoundGameRandomizedOn(scenarios, B, func(int) drop.Factory {
 		return drop.RandomMix(1, 0)
-	}, B, alpha, 3*B, 1)
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +203,15 @@ func TestOnlineLowerBoundGameRandomized(t *testing.T) {
 }
 
 func TestOnlineLowerBoundGameRandomizedErrors(t *testing.T) {
-	mk := func(int) drop.Factory { return drop.Greedy }
-	if _, err := OnlineLowerBoundGameRandomized(mk, 0, 2, 5, 1); err == nil {
+	if _, err := GameScenarios(0, 2, 5); err == nil {
 		t.Error("B=0 accepted")
 	}
-	if _, err := OnlineLowerBoundGameRandomized(mk, 2, 2, 5, 0); err == nil {
+	scenarios, err := GameScenarios(2, 2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(int) drop.Factory { return drop.Greedy }
+	if _, err := OnlineLowerBoundGameRandomizedOn(scenarios, 2, mk, 0); err == nil {
 		t.Error("trials=0 accepted")
 	}
 }

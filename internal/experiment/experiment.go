@@ -39,11 +39,6 @@ type Row struct {
 	Y map[string]float64
 }
 
-// AddRow appends a row.
-func (t *Table) AddRow(x float64, y map[string]float64) {
-	t.Rows = append(t.Rows, Row{X: x, Y: y})
-}
-
 // Get returns the y value of the given series at the i-th row.
 func (t *Table) Get(i int, series string) (float64, bool) {
 	if i < 0 || i >= len(t.Rows) {

@@ -285,8 +285,8 @@ func TestTableRendering(t *testing.T) {
 		ID: "x", Title: "Demo, with comma", XLabel: "x", YLabel: "y",
 		Series: []string{"a", "b,c"},
 	}
-	tab.AddRow(1, map[string]float64{"a": 2})
-	tab.AddRow(2, map[string]float64{"a": 3, "b,c": 4})
+	tab.Rows = append(tab.Rows, Row{X: 1, Y: map[string]float64{"a": 2}})
+	tab.Rows = append(tab.Rows, Row{X: 2, Y: map[string]float64{"a": 3, "b,c": 4}})
 
 	text := tab.Text()
 	if !strings.Contains(text, "Demo") || !strings.Contains(text, "-") {
@@ -314,7 +314,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestTableGet(t *testing.T) {
 	tab := &Table{Series: []string{"a"}}
-	tab.AddRow(0, map[string]float64{"a": 7})
+	tab.Rows = append(tab.Rows, Row{X: 0, Y: map[string]float64{"a": 7}})
 	if v, ok := tab.Get(0, "a"); !ok || v != 7 {
 		t.Errorf("Get = %v/%v", v, ok)
 	}
@@ -546,8 +546,8 @@ func TestTableFairness(t *testing.T) {
 
 func TestTableMarkdown(t *testing.T) {
 	tab := &Table{ID: "x", Title: "T", XLabel: "x", Series: []string{"a"}, Notes: []string{"note"}}
-	tab.AddRow(1, map[string]float64{"a": 2.5})
-	tab.AddRow(2, nil)
+	tab.Rows = append(tab.Rows, Row{X: 1, Y: map[string]float64{"a": 2.5}})
+	tab.Rows = append(tab.Rows, Row{X: 2})
 	md := tab.Markdown()
 	for _, want := range []string{"### x — T", "> note", "| x | a |", "| 1 | 2.5 |", "| 2 | - |"} {
 		if !strings.Contains(md, want) {

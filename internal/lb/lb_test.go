@@ -375,6 +375,64 @@ func startFakeBackend(t *testing.T, stream func(c net.Conn)) string {
 	return ln.Addr().String()
 }
 
+// TestBackendAcceptAboveAskedDelayFailsPlacement: a backend whose Accept
+// raises the delay the client's Hello asked for fails the placement, and
+// that Accept never reaches the client — the delay sizes the client's
+// receive window.
+func TestBackendAcceptAboveAskedDelayFailsPlacement(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("relay reactor tests require linux")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				msg, err := netstream.ReadMsg(c)
+				if err != nil || msg.Hello == nil {
+					return
+				}
+				acc := netstream.Accept{Rate: 1, Delay: msg.Hello.DesiredDelay + 1, ServerBuffer: 1, StepMicros: 1000}
+				_, _ = (netstream.Msg{Accept: &acc}).WriteTo(c)
+			}(conn)
+		}
+	}()
+	done := make(chan SessionStats, 1)
+	lbAddr, eng := startLB(t, Config{
+		Backends:      []string{ln.Addr().String()},
+		Shards:        1,
+		ProbeInterval: 10 * time.Millisecond,
+		OnSessionDone: func(st SessionStats) { done <- st },
+	})
+	conn, err := net.Dial("tcp", lbAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	hello := netstream.Hello{ClientBuffer: 1024, DesiredDelay: 8}
+	if _, err := (netstream.Msg{Hello: &hello}).WriteTo(conn); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := netstream.ReadMsg(conn); err == nil {
+		t.Fatalf("the client was answered %+v", msg)
+	}
+	if st := <-done; st.Err == nil {
+		t.Fatal("the session did not fail")
+	}
+	if failed, placed := counterValue(eng, eng.met.cPlaceFailed), counterValue(eng, eng.met.cPlaced); failed != 1 || placed != 0 {
+		t.Errorf("placement failures %d, placements %d; want 1, 0", failed, placed)
+	}
+}
+
 // startFloodBackend streams junk as fast as the socket accepts it — the
 // fastest way to fill a non-reading client's buffers and force a relay
 // stall.

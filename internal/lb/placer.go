@@ -207,6 +207,10 @@ func (e *Engine) dialBackend(s *session, b *backend) error {
 		_ = conn.Close()
 		return fmt.Errorf("lb: backend %d answered without an accept", b.idx)
 	}
+	if err := msg.Accept.Check(hello); err != nil {
+		_ = conn.Close()
+		return fmt.Errorf("lb: backend %d: %w", b.idx, err)
+	}
 	s.backendConn = conn
 	s.accept = *msg.Accept
 	return nil

@@ -383,10 +383,8 @@ func (e *Engine) dialOne(idx int) {
 	}
 	hsStart := time.Now()
 	_ = conn.SetDeadline(hsStart.Add(e.cfg.HandshakeTimeout))
-	if err := netstream.WriteHello(conn, netstream.Hello{
-		ClientBuffer: uint32(e.cfg.Buffer),
-		DesiredDelay: uint32(e.cfg.Delay),
-	}); err != nil {
+	hello := netstream.Hello{ClientBuffer: uint32(e.cfg.Buffer), DesiredDelay: uint32(e.cfg.Delay)}
+	if err := netstream.WriteHello(conn, hello); err != nil {
 		fail(fmt.Errorf("writing hello: %w", err))
 		return
 	}
@@ -400,8 +398,8 @@ func (e *Engine) dialOne(idx int) {
 		return
 	}
 	acc := *msg.Accept
-	if acc.StepMicros == 0 {
-		fail(fmt.Errorf("accept has zero step duration"))
+	if err := acc.Check(hello); err != nil {
+		fail(err)
 		return
 	}
 	hsDur := time.Since(hsStart)

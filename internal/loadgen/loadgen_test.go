@@ -203,6 +203,38 @@ func TestStageFailureAccounting(t *testing.T) {
 		}
 	})
 
+	t.Run("accept above the asked delay", func(t *testing.T) {
+		// The delay sizes the client's receive window, so an Accept that
+		// raises the delay the Hello asked for ends the handshake.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() {
+			for {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				go func(c net.Conn) {
+					defer c.Close()
+					msg, err := netstream.ReadMsg(c)
+					if err != nil || msg.Hello == nil {
+						return
+					}
+					_ = netstream.WriteAccept(c, netstream.Accept{
+						Rate: 10, Delay: msg.Hello.DesiredDelay + 1, ServerBuffer: 50, StepMicros: 1000,
+					})
+				}(c)
+			}
+		}()
+		stages, rep := countStages(t, ln.Addr().String(), 6)
+		if rep.HandshakeFailed != 6 || stages[StageHandshake] != 6 || rep.Completed != 0 {
+			t.Fatalf("want 6 handshake failures, got report %+v stages %v", rep, stages)
+		}
+	})
+
 	t.Run("mid-stream", func(t *testing.T) {
 		// Complete the handshake, send a little data, hang up before End.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

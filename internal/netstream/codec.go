@@ -51,6 +51,10 @@ const (
 	// MaxPayload bounds a single data message's payload, as a defense
 	// against corrupt length fields.
 	MaxPayload = 16 << 20
+	// MaxDelay bounds the smoothing delay, in steps, an Accept may name
+	// when the Hello left the choice to the server (DesiredDelay 0). The
+	// delay sizes the client's receive window, one slot per step.
+	MaxDelay = 1 << 16
 )
 
 // Message type tags.
@@ -131,6 +135,24 @@ var ErrBadSlice = errors.New("netstream: data message with invalid size, offset 
 func (d *Data) Check() error {
 	if d.Size == 0 || d.Size > MaxPayload || uint64(d.Offset)+uint64(len(d.Payload)) > uint64(d.Size) || d.Arrival > d.SendStep {
 		return ErrBadSlice
+	}
+	return nil
+}
+
+// Check validates an Accept against the Hello it answers. The step
+// duration must be positive, and the delay may not exceed the one the
+// Hello asked for (MaxDelay when it asked for none): the delay sizes the
+// client's receive window, and a peer must not pick that size.
+func (a Accept) Check(h Hello) error {
+	limit := h.DesiredDelay
+	if limit == 0 {
+		limit = MaxDelay
+	}
+	if a.StepMicros == 0 {
+		return errors.New("netstream: accept has zero step duration")
+	}
+	if a.Delay > limit {
+		return fmt.Errorf("netstream: accept names delay %d, above the %d allowed", a.Delay, limit)
 	}
 	return nil
 }
@@ -233,12 +255,6 @@ type Encoder struct {
 // NewEncoder returns an encoder batching writes to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 
-// PutHello appends a Hello message to the batch.
-func (e *Encoder) PutHello(h Hello) { e.buf = appendHello(e.buf, h) }
-
-// PutAccept appends an Accept message to the batch.
-func (e *Encoder) PutAccept(a Accept) { e.buf = appendAccept(e.buf, a) }
-
 // PutData appends a Data message to the batch. The payload bytes are copied
 // into the batch buffer, so the caller may reuse them immediately.
 //
@@ -253,9 +269,6 @@ func (e *Encoder) PutData(d *Data) error {
 
 // PutEnd appends the end-of-stream marker to the batch.
 func (e *Encoder) PutEnd() { e.buf = append(e.buf, msgEnd) }
-
-// Buffered returns the number of bytes batched but not yet flushed.
-func (e *Encoder) Buffered() int { return len(e.buf) }
 
 // Flush writes the batched messages with one Write call and resets the
 // batch. Flushing an empty batch is a no-op.

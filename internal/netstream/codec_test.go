@@ -35,7 +35,11 @@ func TestCodecErrorPaths(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	hello := valid(func(e *Encoder) { e.PutHello(Hello{ClientBuffer: 7, DesiredDelay: 3}) })
+	var hb bytes.Buffer
+	if err := WriteHello(&hb, Hello{ClientBuffer: 7, DesiredDelay: 3}); err != nil {
+		t.Fatal(err)
+	}
+	hello := hb.Bytes()
 	data := valid(func(e *Encoder) {
 		if err := e.PutData(&Data{SliceID: 1, Size: 4, Payload: []byte{1, 2, 3, 4}}); err != nil {
 			t.Fatal(err)
@@ -102,12 +106,13 @@ func TestWriteDataRejectsOversizedPayload(t *testing.T) {
 	if err := WriteData(io.Discard, big); err == nil {
 		t.Error("WriteData accepted an oversized payload")
 	}
-	e := NewEncoder(io.Discard)
+	cw := &countingWriter{}
+	e := NewEncoder(cw)
 	if err := e.PutData(&big); err == nil {
 		t.Error("Encoder accepted an oversized payload")
 	}
-	if e.Buffered() != 0 {
-		t.Errorf("rejected message left %d bytes in the batch", e.Buffered())
+	if err := e.Flush(); err != nil || cw.writes != 0 {
+		t.Errorf("rejected message left bytes in the batch: %d writes, err %v", cw.writes, err)
 	}
 }
 
@@ -116,9 +121,6 @@ func TestWriteDataRejectsOversizedPayload(t *testing.T) {
 // message-at-a-time helpers.
 func TestEncoderBatchesIntoOneWrite(t *testing.T) {
 	var want bytes.Buffer
-	if err := WriteAccept(&want, Accept{Rate: 3, Delay: 7, ServerBuffer: 21, StepMicros: 40000}); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
 		d := Data{SliceID: uint32(i), Size: 3, SendStep: uint32(i), Payload: []byte{byte(i), 1, 2}}
 		if err := WriteData(&want, d); err != nil {
@@ -131,7 +133,6 @@ func TestEncoderBatchesIntoOneWrite(t *testing.T) {
 
 	cw := &countingWriter{}
 	e := NewEncoder(cw)
-	e.PutAccept(Accept{Rate: 3, Delay: 7, ServerBuffer: 21, StepMicros: 40000})
 	for i := 0; i < 5; i++ {
 		d := Data{SliceID: uint32(i), Size: 3, SendStep: uint32(i), Payload: []byte{byte(i), 1, 2}}
 		if err := e.PutData(&d); err != nil {

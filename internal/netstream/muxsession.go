@@ -21,7 +21,6 @@ import (
 type Muxer struct {
 	streams []*stream.Stream
 	ids     [][]int // ids[si][localID] = session ID
-	local   []struct{ si, local int }
 	horizon int
 }
 
@@ -31,22 +30,18 @@ func NewMuxer(streams []*stream.Stream) (*Muxer, error) {
 		return nil, fmt.Errorf("netstream: muxer needs at least one stream")
 	}
 	m := &Muxer{streams: streams, ids: make([][]int, len(streams))}
-	total := 0
 	for i, st := range streams {
 		m.ids[i] = make([]int, st.Len())
-		total += st.Len()
 		if st.Horizon() > m.horizon {
 			m.horizon = st.Horizon()
 		}
 	}
-	m.local = make([]struct{ si, local int }, total)
 	next := 0
 	for step := 0; step <= m.horizon; step++ {
 		for si, st := range streams {
 			for _, r := range st.RunsAt(step) {
 				for id := r.First; id < r.End(); id++ {
 					m.ids[si][id] = next
-					m.local[next] = struct{ si, local int }{si, id}
 					next++
 				}
 			}
@@ -57,9 +52,6 @@ func NewMuxer(streams []*stream.Stream) (*Muxer, error) {
 
 // Horizon returns the largest arrival step across the substreams.
 func (m *Muxer) Horizon() int { return m.horizon }
-
-// Streams returns the number of substreams.
-func (m *Muxer) Streams() int { return len(m.streams) }
 
 // Offers returns the combined arrivals of all substreams at the given step,
 // with session-unique slice IDs and StreamID tags. payload synthesizes the
@@ -81,17 +73,6 @@ func (m *Muxer) Offers(step int, payload func(streamIdx int, sl stream.Slice) []
 		}
 	}
 	return out
-}
-
-// LocalID converts a session-unique slice ID back to the substream-local ID.
-func (m *Muxer) LocalID(streamIdx, sessionID int) (int, error) {
-	if streamIdx < 0 || streamIdx >= len(m.streams) {
-		return 0, fmt.Errorf("netstream: no substream %d", streamIdx)
-	}
-	if sessionID < 0 || sessionID >= len(m.local) || m.local[sessionID].si != streamIdx {
-		return 0, fmt.Errorf("netstream: session ID %d outside substream %d", sessionID, streamIdx)
-	}
-	return m.local[sessionID].local, nil
 }
 
 // MuxOffers builds the whole offer table of a multiplexed session: clips

@@ -35,8 +35,8 @@ func TestMuxerOffersAndLocalIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Streams() != 2 || m.Horizon() != 1 {
-		t.Errorf("streams=%d horizon=%d", m.Streams(), m.Horizon())
+	if m.Horizon() != 1 {
+		t.Errorf("horizon=%d", m.Horizon())
 	}
 	offers := m.Offers(0, func(si int, sl stream.Slice) []byte {
 		return make([]byte, sl.Size)
@@ -52,16 +52,6 @@ func TestMuxerOffersAndLocalIDs(t *testing.T) {
 			t.Fatalf("duplicate session ID %d", o.Slice.ID)
 		}
 		ids[o.Slice.ID] = true
-	}
-	local, err := m.LocalID(1, 1)
-	if err != nil || local != 0 {
-		t.Errorf("LocalID(1, 1) = %d, %v; want 0", local, err)
-	}
-	if _, err := m.LocalID(1, 0); err == nil {
-		t.Error("cross-stream session ID accepted")
-	}
-	if _, err := m.LocalID(5, 0); err == nil {
-		t.Error("unknown substream accepted")
 	}
 	if _, err := NewMuxer(nil); err == nil {
 		t.Error("empty muxer accepted")

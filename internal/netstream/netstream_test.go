@@ -337,6 +337,26 @@ func TestReceiveFarSendStep(t *testing.T) {
 	}
 }
 
+// TestAcceptCheck: the delay an Accept names is bounded by the one the
+// Hello asked for, or by MaxDelay when it asked for none.
+func TestAcceptCheck(t *testing.T) {
+	for _, tc := range []struct {
+		asked, delay, step uint32
+		ok                 bool
+	}{
+		{8, 8, 1000, true},
+		{8, 9, 1000, false},
+		{8, 8, 0, false},
+		{0, MaxDelay, 1000, true},
+		{0, MaxDelay + 1, 1000, false},
+	} {
+		err := Accept{Delay: tc.delay, StepMicros: tc.step}.Check(Hello{DesiredDelay: tc.asked})
+		if (err == nil) != tc.ok {
+			t.Errorf("asked %d, accept delay %d step %d µs: err = %v", tc.asked, tc.delay, tc.step, err)
+		}
+	}
+}
+
 // TestReceiveHandshake — Receive's own part: Hello out, Accept in, and an
 // Accept that is not one, or raises the delay asked for, ends the session.
 func TestReceiveHandshake(t *testing.T) {
@@ -350,6 +370,9 @@ func TestReceiveHandshake(t *testing.T) {
 		}, true},
 		{"delay raised", func(w io.Writer) error {
 			return WriteAccept(w, Accept{Rate: 1, Delay: 1 << 30, ServerBuffer: 4, StepMicros: 1})
+		}, false},
+		{"no step duration", func(w io.Writer) error {
+			return WriteAccept(w, Accept{Rate: 1, Delay: 4, ServerBuffer: 4})
 		}, false},
 		{"not an accept", WriteEnd, false},
 	} {

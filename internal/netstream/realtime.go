@@ -101,10 +101,8 @@ type PlayStats struct {
 // Receive performs the client side of a session on conn: it sends Hello,
 // reads Accept, then runs ReceiveStream under the negotiated delay.
 func Receive(conn io.ReadWriter, clientBuffer, desiredDelay, streams int, onPlay func(*Data)) (PlayStats, error) {
-	if err := WriteHello(conn, Hello{
-		ClientBuffer: uint32(clientBuffer),
-		DesiredDelay: uint32(desiredDelay),
-	}); err != nil {
+	hello := Hello{ClientBuffer: uint32(clientBuffer), DesiredDelay: uint32(desiredDelay)}
+	if err := WriteHello(conn, hello); err != nil {
 		return PlayStats{}, err
 	}
 	msg, err := ReadMsg(conn)
@@ -114,10 +112,8 @@ func Receive(conn io.ReadWriter, clientBuffer, desiredDelay, streams int, onPlay
 	if msg.Accept == nil {
 		return PlayStats{}, fmt.Errorf("netstream: expected accept, got %+v", msg)
 	}
-	// NegotiateSession never raises the delay a client names, and the
-	// delay sizes the receive window: do not let a peer pick the size.
-	if desiredDelay > 0 && int(msg.Accept.Delay) > desiredDelay {
-		return PlayStats{}, fmt.Errorf("netstream: accept names delay %d, above the %d asked for", msg.Accept.Delay, desiredDelay)
+	if err := msg.Accept.Check(hello); err != nil {
+		return PlayStats{}, err
 	}
 	return ReceiveStream(conn, int(msg.Accept.Delay), streams, onPlay)
 }

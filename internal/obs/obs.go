@@ -167,7 +167,7 @@ type Registry struct {
 	nHist   int
 	funcs   []func() int64
 	// global holds the off-shard half of every scalar: atomic slots
-	// written by acceptor/dialer goroutines via GlobalInc/GlobalAdd.
+	// written by acceptor/dialer goroutines via GlobalInc.
 	// Atomic method calls mutate the words in place without writing the
 	// frozen slice header.
 	global []atomic.Uint64
@@ -184,10 +184,6 @@ func (r *Registry) Shard(i int) *ShardMetrics { return r.shards[i] }
 // GlobalInc increments the global (off-shard) half of a counter. Safe
 // from any goroutine.
 func (r *Registry) GlobalInc(id CounterID) { r.global[id].Add(1) }
-
-// GlobalAdd adds n to the global half of a counter. Safe from any
-// goroutine.
-func (r *Registry) GlobalAdd(id CounterID, n uint64) { r.global[id].Add(n) }
 
 // ShardMetrics is one shard's live metric slots. The recording methods
 // (Inc, Add, Set, Observe) touch only plain shard-owned memory and are

@@ -14,7 +14,6 @@ package sched
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/stream"
 )
@@ -233,24 +232,10 @@ func (s *Schedule) Benefit() float64 {
 
 // addWeight returns w plus count slices of weight x, added one at a time.
 func addWeight(w, x float64, count int) float64 {
-	if k := float64(count); math.Abs(w)+k*math.Abs(x) < 1<<53 && w == float64(int64(w)) && x == float64(int64(x)) {
-		return w + k*x
-	}
 	for range count {
 		w += x
 	}
 	return w
-}
-
-// DroppedBytes returns the total size of dropped slices.
-func (s *Schedule) DroppedBytes() int {
-	n := 0
-	s.Walk(func(o Outcome, r stream.Run) {
-		if o.Dropped() {
-			n += r.Bytes()
-		}
-	})
-	return n
 }
 
 // DroppedSlices returns the number of dropped slices.

@@ -66,9 +66,6 @@ func TestMetrics(t *testing.T) {
 	if got := s.Benefit(); got != 8 {
 		t.Errorf("Benefit = %v, want 8", got)
 	}
-	if got := s.DroppedBytes(); got != 2 {
-		t.Errorf("DroppedBytes = %d, want 2", got)
-	}
 	if got := s.DroppedSlices(); got != 1 {
 		t.Errorf("DroppedSlices = %d, want 1", got)
 	}

@@ -3,6 +3,8 @@ package serve
 import (
 	"fmt"
 	"io"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +20,7 @@ import (
 // ticks before every tick it serves, so each row is four steps behind and
 // takes the coalesced path: one write of four steps' bytes.
 func BenchmarkEngineStepDensity(b *testing.B) {
+	defer quietRuntime()()
 	cfg := trace.DefaultGenConfig()
 	cfg.Frames = 200
 	clip, err := trace.Generate(cfg)
@@ -62,6 +65,10 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 					sh.step(tick)
 				}
 				prime()
+				// Collect the priming garbage off the clock, and let the
+				// runtime's post-GC goroutines (scavenger, cleanups) run now.
+				runtime.GC()
+				time.Sleep(time.Millisecond)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -87,3 +94,29 @@ func BenchmarkEngineStepDensity(b *testing.B) {
 type nopConn struct{ io.Writer }
 
 func (nopConn) Close() error { return nil }
+
+// quietRuntime keeps the runtime's own allocations out of the timed
+// windows: it drops to one P for the caller's duration (restore with the
+// returned function), as testing.AllocsPerRun does, and parks spare
+// threads. The benchmark timer reads memory statistics under a
+// stop-the-world; restarting the world may wake a P, and with no idle
+// thread the runtime starts one inside the window (runtime.allocm: about
+// 5 KB in 5 mallocs, 1100 B/op at -benchtime 5x). With one P a
+// background goroutine such as the scavenger also waits for the timed
+// loop to yield. Each goroutine here holds its own thread while it sleeps.
+// internal/obs carries the same helper.
+func quietRuntime() (restore func()) {
+	procs := runtime.GOMAXPROCS(1)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			time.Sleep(time.Millisecond)
+		}()
+	}
+	wg.Wait()
+	return func() { runtime.GOMAXPROCS(procs) }
+}

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical substrate used by the trace
-// generator and the experiment harness: summary statistics, histograms, and
-// lognormal sampling with deterministic seeds. Everything is stdlib-only and
+// generator and the experiment harness: summary statistics, log-bucketed
+// histograms, and lognormal sampling with deterministic seeds. Everything is stdlib-only and
 // allocation-conscious.
 package stats
 
@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
-	"strings"
 )
 
 // Summary holds the usual scalar summary of a sample.
@@ -47,130 +45,9 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts converts and summarizes an integer sample.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // String renders the summary compactly, e.g. "n=100 mean=38.2 sd=21.0 min=4 max=120".
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g", s.N, s.Mean, s.StdDev, s.Min, s.Max)
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
-// interpolation between closest ranks. It sorts a copy; the input is not
-// modified. An empty sample returns 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-func percentileSorted(sorted []float64, p float64) float64 {
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Quantiles returns the requested percentiles of xs in one pass over a
-// single sorted copy.
-func Quantiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
-}
-
-// Histogram is a fixed-width-bin histogram over a closed interval.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-}
-
-// NewHistogram creates a histogram with the given number of equal-width bins
-// over [lo, hi]. bins must be positive and hi > lo; otherwise it panics,
-// since the arguments are programmer-controlled constants.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram bounds lo=%v hi=%v bins=%d", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation. Out-of-range observations are tallied in
-// under/overflow counters rather than dropped silently.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x > h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // x == Hi
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int {
-	n := 0
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Outliers returns the number of observations below Lo and above Hi.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
-// Render draws a simple horizontal ASCII bar chart of the histogram, one
-// line per bin, scaled so the largest bin spans width characters.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	maxC := 1
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	var sb strings.Builder
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		bar := strings.Repeat("#", c*width/maxC)
-		fmt.Fprintf(&sb, "[%8.3g, %8.3g) %6d %s\n", h.Lo+float64(i)*binW, h.Lo+float64(i+1)*binW, c, bar)
-	}
-	return sb.String()
 }
 
 // Lognormal samples a lognormal distribution with the given location (mu)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
@@ -31,82 +30,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
 		t.Errorf("empty summary = %+v", s)
 	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{1, 2, 3})
-	if s.Mean != 2 || s.N != 3 {
-		t.Errorf("SummarizeInts = %+v", s)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {-5, 1}, {110, 5}, {10, 1.4},
-	}
-	for _, tc := range tests {
-		if got := Percentile(xs, tc.p); math.Abs(got-tc.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(empty) = %v", got)
-	}
-	// Input must not be modified.
-	orig := []float64{3, 1, 2}
-	Percentile(orig, 50)
-	if orig[0] != 3 || orig[1] != 1 || orig[2] != 2 {
-		t.Error("Percentile modified its input")
-	}
-}
-
-func TestQuantiles(t *testing.T) {
-	qs := Quantiles([]float64{1, 2, 3, 4, 5}, 0, 50, 100)
-	if qs[0] != 1 || qs[1] != 3 || qs[2] != 5 {
-		t.Errorf("Quantiles = %v", qs)
-	}
-	if qs := Quantiles(nil, 50); qs[0] != 0 {
-		t.Errorf("Quantiles(empty) = %v", qs)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.9, 10} {
-		h.Add(x)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if got := h.Total(); got != 6 {
-		t.Errorf("Total = %d, want 6", got)
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 1 {
-		t.Errorf("Outliers = %d/%d, want 1/1", under, over)
-	}
-	// x == Hi lands in the last bin.
-	if h.Counts[4] != 2 { // 9.9 and 10
-		t.Errorf("last bin = %d, want 2", h.Counts[4])
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Errorf("first bin = %d, want 2", h.Counts[0])
-	}
-	if !strings.Contains(h.Render(20), "#") {
-		t.Error("Render produced no bars")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewHistogram(0,0,5) did not panic")
-		}
-	}()
-	NewHistogram(0, 0, 5)
 }
 
 func TestLognormalFromMoments(t *testing.T) {
@@ -184,29 +107,6 @@ func TestAR1ConvergesToTarget(t *testing.T) {
 	}
 	if got := sum / n; math.Abs(got-5) > 0.1 {
 		t.Errorf("AR1 long-run mean = %v, want ~5", got)
-	}
-}
-
-func TestPercentileMonotone(t *testing.T) {
-	// Property: percentiles are monotone in p.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		xs := make([]float64, rng.Intn(50)+1)
-		for i := range xs {
-			xs[i] = rng.NormFloat64()
-		}
-		prev := math.Inf(-1)
-		for p := 0.0; p <= 100; p += 7 {
-			v := Percentile(xs, p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

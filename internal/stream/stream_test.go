@@ -232,41 +232,10 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	st := NewBuilder().
-		Add(0, 1, 1).
-		Add(5, 1, 1).
-		Add(9, 1, 1).
-		MustBuild()
-	cut := st.Truncate(5)
-	if cut.Len() != 2 || cut.Horizon() != 5 {
-		t.Errorf("Truncate(5): len=%d horizon=%d, want 2, 5", cut.Len(), cut.Horizon())
-	}
-	if all := st.Truncate(100); all.Len() != 3 {
-		t.Errorf("Truncate(100) lost slices: %d", all.Len())
-	}
-	if none := st.Truncate(-1); none.Len() != 0 {
-		t.Errorf("Truncate(-1) kept slices: %d", none.Len())
-	}
-}
-
 func TestByteValue(t *testing.T) {
 	s := Slice{Size: 4, Weight: 10}
 	if got := s.ByteValue(); got != 2.5 {
 		t.Errorf("ByteValue = %v, want 2.5", got)
-	}
-}
-
-func TestFromSizes(t *testing.T) {
-	st, err := FromSizes([]int{3, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Len() != 3 || st.TotalBytes() != 6 || st.TotalWeight() != 6 {
-		t.Errorf("FromSizes wrong: len=%d bytes=%d weight=%v", st.Len(), st.TotalBytes(), st.TotalWeight())
-	}
-	if st.Slice(1).Arrival != 1 {
-		t.Errorf("second frame arrival = %d, want 1", st.Slice(1).Arrival)
 	}
 }
 

@@ -18,10 +18,9 @@ echo "== go vet"
 go vet ./...
 
 echo "== smoothvet"
-# Project-specific analyzers (aliasing, shard confinement, publication
-# immutability, determinism, clock discipline, atomic pairing, hot-path
-# allocations, error hygiene); see DESIGN.md "Enforced invariants". The
-# run is timed against a generous wall-clock budget: the flow-sensitive
+# Project-specific analyzers (aliasing, determinism and the wall clock,
+# hot-path allocations, error hygiene, publication immutability, shard
+# confinement); see DESIGN.md "Enforced invariants". The run is timed against a generous wall-clock budget: the flow-sensitive
 # engine must stay cheap enough to run on every push, and a quadratic
 # blow-up in the CFG or call-graph layer should fail loudly here, not
 # slowly rot CI.
@@ -32,6 +31,16 @@ smoothvet_elapsed=$(( $(date +%s) - smoothvet_start ))
 echo "smoothvet: ${smoothvet_elapsed}s"
 if [ "$smoothvet_elapsed" -gt 120 ]; then
     echo "smoothvet took ${smoothvet_elapsed}s (budget 120s); profile the analyzers" >&2
+    exit 1
+fi
+
+echo "== typed atomics"
+# Every atomic word is a sync/atomic type (atomic.Int64, atomic.Bool, ...),
+# whose only access path is its methods, so no plain read can race an
+# atomic store; vet's copylocks catches copies. The function forms would
+# let a word be read plainly elsewhere, so they stay out.
+if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr|Pointer)\(' --include=*.go . | grep -vE '^\./internal/analysis/[^/]+/testdata/'; then
+    echo "function-form sync/atomic call (lines above); use a typed atomic" >&2
     exit 1
 fi
 
