@@ -111,13 +111,13 @@ func benchFrameStream(b *testing.B, frames int) *stream.Stream {
 func BenchmarkServerStep(b *testing.B) {
 	st := benchByteStream(b, 1000)
 	horizon := st.Horizon()
-	pol := drop.NewGreedy()
+	pol := drop.Greedy()
 	sv := core.NewServer(480, 35, pol, core.ServerOptions{})
 	reset := func() {
 		// Recycle the policy and reset the server in place, retaining all
 		// backing arrays; steady-state steps then allocate nothing.
 		drop.Recycle(pol)
-		pol = drop.NewGreedy()
+		pol = drop.Greedy()
 		sv.Reset(480, 35, pol, core.ServerOptions{})
 	}
 	// Warm up one full drain so every backing array reaches its working

@@ -2,10 +2,15 @@
 // the allocation discipline of the simulation core and the serving, client
 // and relay paths (DESIGN.md "Memory layout & amortization") is enforced by
 // machine, not by review. It reads `go test -bench -benchmem` text on stdin
-// and either records it as the ledger or checks it against the ledger:
+// and either records it as the ledger or checks it against the ledger.
 //
-//	scripts/bench_baseline.sh                                        # go test, then benchdiff -record
-//	benchdiff -rule 'BenchmarkSimulate/*:allocs=0.0+0' < bin/bench.txt # check
+// Usage:
+//
+//	benchdiff [-baseline BENCH_quick.json] -record < bin/bench.txt   # record
+//	benchdiff [-baseline BENCH_quick.json] [-rule SPEC]... < bin/bench.txt  # check
+//
+// scripts/bench_baseline.sh runs the one `go test -bench` invocation and
+// pipes it into benchdiff: -record with no arguments, else its arguments.
 //
 // The ledger (-baseline, default BENCH_quick.json) holds one row per
 // (package, benchmark): the name without its -N procs suffix, B/op and
@@ -274,6 +279,7 @@ func main() {
 
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stdout)
 	ledger := fs.String("baseline", "BENCH_quick.json", "the committed ledger")
 	record := fs.Bool("record", false, "write the run on stdin to -baseline instead of checking it")
 	var specs ruleFlags

@@ -2,12 +2,22 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
+
+func TestDocumentedFlags(t *testing.T) {
+	parseOnly := func(args []string, stdout io.Writer) error { return run(args, strings.NewReader(""), stdout) }
+	for _, err := range cli.CheckDocs("../..", "benchdiff", parseOnly) {
+		t.Error(err)
+	}
+}
 
 func baseRows() []Row {
 	return []Row{

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -26,37 +27,32 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/experiment"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("experiments", run) }
 
-func run() error {
-	var (
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		only     = flag.String("run", "", "comma-separated experiment IDs (default: all)")
-		plot     = flag.Bool("plot", false, "render ASCII plots")
-		csvDir   = flag.String("csv", "", "directory to write per-experiment CSV files")
-		mdDir    = flag.String("md", "", "directory to write per-experiment Markdown tables")
-		quick    = flag.Bool("quick", false, "reduced settings")
-		frames   = flag.Int("frames", 0, "override synthetic clip length")
-		seed     = flag.Int64("seed", 0, "override trace seed")
-		parallel = flag.Int("parallel", 1, "experiments to run concurrently (output order preserved)")
-		workers  = flag.Int("workers", 0, "sweep-point goroutines per experiment (0 = GOMAXPROCS)")
-		timing   = flag.Bool("timing", false, "print a wall-time summary after the run")
-		compare  = flag.Bool("compare", false, "after the run, re-run each experiment with 1 worker and report the speedup (implies -timing)")
-	)
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	list := fs.Bool("list", false, "list experiment IDs and exit")
+	only := fs.String("run", "", "comma-separated experiment IDs (default: all)")
+	plot := fs.Bool("plot", false, "render ASCII plots")
+	csvDir := fs.String("csv", "", "directory to write per-experiment CSV files")
+	quick := fs.Bool("quick", false, "reduced settings")
+	parallel := fs.Int("parallel", 1, "experiments to run concurrently (output order preserved)")
+	workers := fs.Int("workers", 0, "sweep-point goroutines per experiment (0 = GOMAXPROCS)")
+	timing := fs.Bool("timing", false, "print a wall-time summary after the run")
+	compare := fs.Bool("compare", false, "after the run, re-run each experiment with 1 worker and report the speedup (implies -timing)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	registry := experiment.All()
 	if *list {
 		for _, name := range experiment.Names() {
-			fmt.Println(name)
+			fmt.Fprintln(stdout, name)
 		}
 		return nil
 	}
@@ -70,15 +66,13 @@ func run() error {
 			}
 		}
 	}
-	for _, dir := range []string{*csvDir, *mdDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				return err
-			}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			return err
 		}
 	}
 
-	cfg := experiment.Config{Quick: *quick, Frames: *frames, Seed: *seed, Workers: *workers}
+	cfg := experiment.Config{Quick: *quick, Workers: *workers}
 
 	// Run experiments with bounded concurrency; results print in the
 	// requested order regardless of completion order.
@@ -88,7 +82,7 @@ func run() error {
 		wall time.Duration
 	}
 	results := make([]chan outcome, len(names))
-	sem := make(chan struct{}, maxInt(*parallel, 1))
+	sem := make(chan struct{}, max(*parallel, 1))
 	for i, name := range names {
 		results[i] = make(chan outcome, 1)
 		go func(name string, ch chan outcome) {
@@ -106,28 +100,21 @@ func run() error {
 			return fmt.Errorf("%s: %w", name, res.err)
 		}
 		walls[i] = res.wall
-		fmt.Println(res.tab.Text())
+		fmt.Fprintln(stdout, res.tab.Text())
 		if *plot {
-			fmt.Println(res.tab.Plot(72, 18))
+			fmt.Fprintln(stdout, res.tab.Plot(72, 18))
 		}
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, name+".csv")
 			if err := os.WriteFile(path, []byte(res.tab.CSV()), 0o644); err != nil {
 				return err
 			}
-			fmt.Printf("# wrote %s\n\n", path)
-		}
-		if *mdDir != "" {
-			path := filepath.Join(*mdDir, name+".md")
-			if err := os.WriteFile(path, []byte(res.tab.Markdown()), 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("# wrote %s\n\n", path)
+			fmt.Fprintf(stdout, "# wrote %s\n\n", path)
 		}
 	}
 
 	if *timing || *compare {
-		printTiming(names, walls, registry, cfg, *compare)
+		printTiming(stdout, names, walls, registry, cfg, *compare)
 	}
 	return nil
 }
@@ -135,7 +122,7 @@ func run() error {
 // printTiming renders the end-of-run timing summary: wall time per
 // experiment (slowest first) and, with compare set, a sequential re-run
 // (Workers=1) of each experiment with the resulting speedup.
-func printTiming(names []string, walls []time.Duration, registry map[string]experiment.Runner, cfg experiment.Config, compare bool) {
+func printTiming(w io.Writer, names []string, walls []time.Duration, registry map[string]experiment.Runner, cfg experiment.Config, compare bool) {
 	type row struct {
 		name      string
 		wall, seq time.Duration
@@ -160,31 +147,24 @@ func printTiming(names []string, walls []time.Duration, registry map[string]expe
 	for _, r := range rows {
 		total += r.wall
 	}
-	fmt.Printf("# timing summary (workers=%d, GOMAXPROCS=%d)\n", cfg.Workers, runtime.GOMAXPROCS(0))
+	fmt.Fprintf(w, "# timing summary (workers=%d, GOMAXPROCS=%d)\n", cfg.Workers, runtime.GOMAXPROCS(0))
 	if compare {
-		fmt.Printf("# %-14s %12s %12s %9s\n", "experiment", "wall", "sequential", "speedup")
+		fmt.Fprintf(w, "# %-14s %12s %12s %9s\n", "experiment", "wall", "sequential", "speedup")
 	} else {
-		fmt.Printf("# %-14s %12s\n", "experiment", "wall")
+		fmt.Fprintf(w, "# %-14s %12s\n", "experiment", "wall")
 	}
 	for _, r := range rows {
 		if compare && r.seq > 0 {
-			fmt.Printf("# %-14s %12s %12s %8.2fx\n", r.name, r.wall.Round(time.Millisecond),
+			fmt.Fprintf(w, "# %-14s %12s %12s %8.2fx\n", r.name, r.wall.Round(time.Millisecond),
 				r.seq.Round(time.Millisecond), float64(r.seq)/float64(r.wall))
 		} else {
-			fmt.Printf("# %-14s %12s\n", r.name, r.wall.Round(time.Millisecond))
+			fmt.Fprintf(w, "# %-14s %12s\n", r.name, r.wall.Round(time.Millisecond))
 		}
 	}
 	if compare && seqTotal > 0 {
-		fmt.Printf("# %-14s %12s %12s %8.2fx\n", "TOTAL", total.Round(time.Millisecond),
+		fmt.Fprintf(w, "# %-14s %12s %12s %8.2fx\n", "TOTAL", total.Round(time.Millisecond),
 			seqTotal.Round(time.Millisecond), float64(seqTotal)/float64(total))
 	} else {
-		fmt.Printf("# %-14s %12s\n", "TOTAL", total.Round(time.Millisecond))
+		fmt.Fprintf(w, "# %-14s %12s\n", "TOTAL", total.Round(time.Millisecond))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

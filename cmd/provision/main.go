@@ -11,44 +11,47 @@
 //
 // Usage:
 //
-//	provision [-trace FILE] [-frames N] [-profile news|sports|movie]
+//	provision [-trace FILE] [-profile news|sports|movie]
 //	          [-loss-target 0.01] [-capacity-factor 8] [-eps 0.001]
+//
+// Without -trace, a synthetic 2000-frame clip of the given profile is
+// generated.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
-
+	"io"
 	"math"
 
 	"repro/internal/admission"
 	"repro/internal/alternatives"
+	"repro/internal/cli"
 	"repro/internal/lossless"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "provision:", err)
-		os.Exit(1)
+func main() { cli.Main("provision", run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("provision", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	tracePath := fs.String("trace", "", "trace file (default: synthetic)")
+	profile := fs.String("profile", "news", "synthetic profile: news, sports or movie")
+	lossTarget := fs.Float64("loss-target", 0.01, "weighted-loss target for lossy smoothing")
+	capFactor := fs.Float64("capacity-factor", 8, "admission link capacity in multiples of the mean rate")
+	eps := fs.Float64("eps", 1e-3, "admission overflow-probability target")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
 
-func run() error {
-	var (
-		tracePath  = flag.String("trace", "", "trace file (default: synthetic)")
-		frames     = flag.Int("frames", 2000, "synthetic clip length")
-		seed       = flag.Int64("seed", 1, "synthetic clip seed")
-		profile    = flag.String("profile", "news", "synthetic profile: news, sports or movie")
-		lossTarget = flag.Float64("loss-target", 0.01, "weighted-loss target for lossy smoothing")
-		capFactor  = flag.Float64("capacity-factor", 8, "admission link capacity in multiples of the mean rate")
-		eps        = flag.Float64("eps", 1e-3, "admission overflow-probability target")
-	)
-	flag.Parse()
-
-	clip, err := loadClip(*tracePath, *profile, *frames, *seed)
+	cfg, err := trace.ProfileNamed(*profile)
+	if err != nil {
+		return err
+	}
+	cfg.Frames = 2000
+	clip, err := trace.Load(*tracePath, cfg)
 	if err != nil {
 		return err
 	}
@@ -58,8 +61,8 @@ func run() error {
 	}
 	avg := clip.AverageRate()
 
-	fmt.Println("— stream —")
-	fmt.Printf("frames %d, mean %.1f units/frame, peak frame %d, peak/mean %.2f\n",
+	fmt.Fprintln(stdout, "— stream —")
+	fmt.Fprintf(stdout, "frames %d, mean %.1f units/frame, peak frame %d, peak/mean %.2f\n",
 		len(clip.Frames), avg, clip.MaxFrameSize(), float64(clip.MaxFrameSize())/avg)
 	demand := make([]float64, len(clip.Frames))
 	samples := make([]int, len(clip.Frames))
@@ -68,24 +71,24 @@ func run() error {
 		samples[i] = f.Size
 	}
 	if len(demand) >= 8 {
-		fmt.Printf("burstiness: IDC(16) %.1f, IDC(%d) %.1f; lag-1 autocorrelation %.2f\n",
+		fmt.Fprintf(stdout, "burstiness: IDC(16) %.1f, IDC(%d) %.1f; lag-1 autocorrelation %.2f\n",
 			stats.IndexOfDispersion(demand, 16),
 			len(demand)/4, stats.IndexOfDispersion(demand, len(demand)/4),
 			stats.Autocorrelation(demand, 1)[1])
 	}
 
-	fmt.Println("\n— zero-delay baselines —")
-	fmt.Printf("peak reservation: R = %d (%.2f x mean), zero loss, no buffer\n",
+	fmt.Fprintln(stdout, "\n— zero-delay baselines —")
+	fmt.Fprintf(stdout, "peak reservation: R = %d (%.2f x mean), zero loss, no buffer\n",
 		alternatives.PeakRate(st), float64(alternatives.PeakRate(st))/avg)
 	tr, err := alternatives.Truncation(st, int(avg))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("truncation at mean rate: %.1f%% weighted loss, no buffer\n", 100*tr.WeightedLoss)
+	fmt.Fprintf(stdout, "truncation at mean rate: %.1f%% weighted loss, no buffer\n", 100*tr.WeightedLoss)
 
-	fmt.Println("\n— smoothing (B = R*D) —")
-	fmt.Printf("%8s %16s %18s %14s\n", "delay D", "lossless R/mean", "R/mean @ loss<=", "rcbr peak/mean")
-	fmt.Printf("%8s %16s %18.4g %14s\n", "", "", *lossTarget, "")
+	fmt.Fprintln(stdout, "\n— smoothing (B = R*D) —")
+	fmt.Fprintf(stdout, "%8s %16s %18s %14s\n", "delay D", "lossless R/mean", "R/mean @ loss<=", "rcbr peak/mean")
+	fmt.Fprintf(stdout, "%8s %16s %18.4g %14s\n", "", "", *lossTarget, "")
 	for _, D := range []int{1, 2, 4, 8, 16, 32, 64} {
 		r0, err := lossless.MinRateForDelay(st, D)
 		if err != nil {
@@ -99,17 +102,17 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%8d %16.2f %18.2f %11.2f (%d renegs)\n",
+		fmt.Fprintf(stdout, "%8d %16.2f %18.2f %11.2f (%d renegs)\n",
 			D, float64(r0)/avg, float64(r1)/avg, float64(plan.Peak)/avg, plan.Renegotiations)
 	}
 
-	fmt.Println("\n— admission control —")
+	fmt.Fprintln(stdout, "\n— admission control —")
 	capacity := *capFactor * avg
 	k, err := admission.MaxStreams(samples, capacity, *eps, 256)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("link of %.0f units/step (%.1f x mean): admit %d streams at per-step overflow <= %g\n",
+	fmt.Fprintf(stdout, "link of %.0f units/step (%.1f x mean): admit %d streams at per-step overflow <= %g\n",
 		capacity, *capFactor, k, *eps)
 	for _, kk := range []int{k, k + 1} {
 		if kk < 1 {
@@ -119,32 +122,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  K=%d: Chernoff overflow bound %.2e\n", kk, math.Exp(exp))
+		fmt.Fprintf(stdout, "  K=%d: Chernoff overflow bound %.2e\n", kk, math.Exp(exp))
 	}
 	return nil
-}
-
-func loadClip(path, profile string, frames int, seed int64) (*trace.Clip, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return trace.Read(f)
-	}
-	var cfg trace.GenConfig
-	switch profile {
-	case "news":
-		cfg = trace.NewsProfile()
-	case "sports":
-		cfg = trace.SportsProfile()
-	case "movie":
-		cfg = trace.MovieProfile()
-	default:
-		return nil, fmt.Errorf("unknown profile %q", profile)
-	}
-	cfg.Frames = frames
-	cfg.Seed = seed
-	return trace.Generate(cfg)
 }

@@ -4,18 +4,20 @@
 //
 // Usage:
 //
-//	smoothsim [-trace FILE] [-frames N] [-rate-factor F | -rate R]
-//	          [-buffer-multiple M | -buffer B] [-policy NAME]
-//	          [-slices byte|frame] [-delay D] [-optimal]
+//	smoothsim [-trace FILE] [-rate-factor 1.1] [-buffer-multiple 4]
+//	          [-policy taildrop|headdrop|greedy|random] [-slices byte|frame]
+//	          [-optimal] [-timeline]
 //
-// Without -trace, a synthetic clip is generated (see cmd/tracegen).
+// Without -trace, a synthetic 2000-frame clip is generated (see
+// cmd/tracegen). The smoothing delay follows the B = R·D law.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
 
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/drop"
 	"repro/internal/offline"
@@ -23,32 +25,25 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "smoothsim:", err)
-		os.Exit(1)
+func main() { cli.Main("smoothsim", run) }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("smoothsim", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	tracePath := fs.String("trace", "", "trace file (default: synthetic clip)")
+	rateFactor := fs.Float64("rate-factor", 1.1, "link rate relative to the average stream rate")
+	bufMult := fs.Float64("buffer-multiple", 4, "buffer size in multiples of the max frame size")
+	policyName := fs.String("policy", "greedy", "drop policy: taildrop, headdrop, greedy, random")
+	sliceMode := fs.String("slices", "byte", "slice granularity: byte or frame")
+	optimal := fs.Bool("optimal", false, "also compute the exact offline optimum")
+	timeline := fs.Bool("timeline", false, "render an ASCII occupancy timeline")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
-}
 
-func run() error {
-	var (
-		tracePath  = flag.String("trace", "", "trace file (default: synthetic clip)")
-		frames     = flag.Int("frames", 2000, "synthetic clip length")
-		seed       = flag.Int64("seed", 1, "synthetic clip seed")
-		rateFactor = flag.Float64("rate-factor", 1.1, "link rate relative to the average stream rate")
-		rate       = flag.Int("rate", 0, "absolute link rate in units/step (overrides -rate-factor)")
-		bufMult    = flag.Float64("buffer-multiple", 4, "buffer size in multiples of the max frame size")
-		buffer     = flag.Int("buffer", 0, "absolute buffer size in units (overrides -buffer-multiple)")
-		delay      = flag.Int("delay", 0, "smoothing delay D (default: ceil(B/R), the B=RD law)")
-		policyName = flag.String("policy", "greedy", "drop policy: taildrop, headdrop, greedy, random")
-		sliceMode  = flag.String("slices", "byte", "slice granularity: byte or frame")
-		optimal    = flag.Bool("optimal", false, "also compute the exact offline optimum")
-		timeline   = flag.Bool("timeline", false, "render an ASCII occupancy timeline")
-		jsonOut    = flag.String("json", "", "write the full schedule as JSON to this file")
-	)
-	flag.Parse()
-
-	clip, err := loadClip(*tracePath, *frames, *seed)
+	cfg := trace.DefaultGenConfig()
+	cfg.Frames = 2000
+	clip, err := trace.Load(*tracePath, cfg)
 	if err != nil {
 		return err
 	}
@@ -64,32 +59,14 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	R := *rate
-	if R <= 0 {
-		R = int(*rateFactor*clip.AverageRate() + 0.5)
-		if R < 1 {
-			R = 1
-		}
-	}
-	B := *buffer
-	if B <= 0 {
-		B = int(*bufMult * float64(clip.MaxFrameSize()))
-		if B < 1 {
-			B = 1
-		}
-	}
-	factory, err := policyByName(*policyName, *seed)
+	R := max(int(*rateFactor*clip.AverageRate()+0.5), 1)
+	B := max(int(*bufMult*float64(clip.MaxFrameSize())), 1)
+	factory, err := policyByName(*policyName)
 	if err != nil {
 		return err
 	}
 
-	s, err := core.Simulate(st, core.Config{
-		ServerBuffer: B,
-		Rate:         R,
-		Delay:        *delay,
-		Policy:       factory,
-	})
+	s, err := core.Simulate(st, core.Config{ServerBuffer: B, Rate: R, Policy: factory})
 	if err != nil {
 		return err
 	}
@@ -97,24 +74,12 @@ func run() error {
 		return fmt.Errorf("internal error — schedule invalid: %w", err)
 	}
 
-	fmt.Printf("trace:         %d frames, avg rate %.1f, max frame %d units; slices=%s\n",
+	fmt.Fprintf(stdout, "trace:         %d frames, avg rate %.1f, max frame %d units; slices=%s\n",
 		len(clip.Frames), clip.AverageRate(), clip.MaxFrameSize(), *sliceMode)
-	fmt.Print(s.Report())
+	fmt.Fprint(stdout, s.Report())
 	if *timeline {
-		fmt.Print(s.Timeline(96, 12))
+		fmt.Fprint(stdout, s.Timeline(96, 12))
 	}
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := s.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("schedule JSON written to %s\n", *jsonOut)
-	}
-
 	if *optimal {
 		var res *offline.Result
 		if st.UnitSliced() {
@@ -125,29 +90,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("optimal:      benefit %.6g (%.2f%% weighted loss); online/optimal = %.4f\n",
+		fmt.Fprintf(stdout, "optimal:      benefit %.6g (%.2f%% weighted loss); online/optimal = %.4f\n",
 			res.Benefit, 100*(st.TotalWeight()-res.Benefit)/st.TotalWeight(),
 			s.Benefit()/res.Benefit)
 	}
 	return nil
 }
 
-func loadClip(path string, frames int, seed int64) (*trace.Clip, error) {
-	if path == "" {
-		cfg := trace.DefaultGenConfig()
-		cfg.Frames = frames
-		cfg.Seed = seed
-		return trace.Generate(cfg)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
-}
-
-func policyByName(name string, seed int64) (drop.Factory, error) {
+func policyByName(name string) (drop.Factory, error) {
 	switch name {
 	case "taildrop":
 		return drop.TailDrop, nil
@@ -156,7 +106,7 @@ func policyByName(name string, seed int64) (drop.Factory, error) {
 	case "greedy":
 		return drop.Greedy, nil
 	case "random":
-		return drop.Random(seed), nil
+		return drop.Random(1), nil
 	default:
 		return nil, fmt.Errorf("unknown policy %q", name)
 	}

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	tracegen [-frames N] [-seed S] [-gop PATTERN] [-o FILE]       generate
-//	tracegen -describe FILE                                        summarize
+//	tracegen [-profile news|sports|movie] [-o FILE]   generate 2000 frames
+//	tracegen -describe FILE                           summarize
 //
 // The default calibration matches the statistics the paper reports for its
 // CNN clips: mean frame ≈ 38 units, max 120 units, I/P/B ≈ 8/31/61 %.
@@ -13,90 +13,67 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		frames   = flag.Int("frames", 2000, "number of frames to generate")
-		seed     = flag.Int64("seed", 1, "random seed")
-		gop      = flag.String("gop", "", "GOP pattern override, e.g. IBBPBBPBBPBBP")
-		profile  = flag.String("profile", "news", "content profile: news, sports or movie")
-		out      = flag.String("o", "", "output file (default stdout)")
-		describe = flag.String("describe", "", "summarize an existing trace file instead of generating")
-	)
-	flag.Parse()
+func main() { cli.Main("tracegen", run) }
 
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	fs.SetOutput(stdout)
+	profile := fs.String("profile", "news", "content profile: news, sports or movie")
+	out := fs.String("o", "", "output file (default stdout)")
+	describe := fs.String("describe", "", "summarize an existing trace file instead of generating")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *describe != "" {
-		if err := describeTrace(*describe); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		return
+		return describeTrace(stdout, *describe)
 	}
 
-	var cfg trace.GenConfig
-	switch *profile {
-	case "news":
-		cfg = trace.NewsProfile()
-	case "sports":
-		cfg = trace.SportsProfile()
-	case "movie":
-		cfg = trace.MovieProfile()
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown profile %q\n", *profile)
-		os.Exit(1)
+	cfg, err := trace.ProfileNamed(*profile)
+	if err != nil {
+		return err
 	}
-	cfg.Frames = *frames
-	cfg.Seed = *seed
-	if *gop != "" {
-		cfg.GOP = *gop
-	}
+	cfg.Frames = 2000
 	clip, err := trace.Generate(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+		return err
 	}
-
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		return clip.Write(stdout)
 	}
-	if err := clip.Write(w); err != nil {
-		fmt.Fprintln(os.Stderr, "tracegen:", err)
-		os.Exit(1)
+	f, err := os.Create(*out)
+	if err != nil {
+		return err
 	}
+	if err := clip.Write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func describeTrace(path string) error {
-	f, err := os.Open(path)
+func describeTrace(w io.Writer, path string) error {
+	clip, err := trace.Load(path, trace.GenConfig{})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	clip, err := trace.Read(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("frames:      %d\n", len(clip.Frames))
-	fmt.Printf("total size:  %d units\n", clip.TotalSize())
-	fmt.Printf("avg rate:    %.2f units/frame\n", clip.AverageRate())
-	fmt.Printf("max frame:   %d units\n", clip.MaxFrameSize())
+	fmt.Fprintf(w, "frames:      %d\n", len(clip.Frames))
+	fmt.Fprintf(w, "total size:  %d units\n", clip.TotalSize())
+	fmt.Fprintf(w, "avg rate:    %.2f units/frame\n", clip.AverageRate())
+	fmt.Fprintf(w, "max frame:   %d units\n", clip.MaxFrameSize())
 	stats := clip.TypeStats()
 	for _, ft := range []trace.FrameType{trace.I, trace.P, trace.B} {
 		s, ok := stats[ft]
 		if !ok {
 			continue
 		}
-		fmt.Printf("type %s:      %s (%.1f%% of frames)\n", ft, s, 100*float64(s.N)/float64(len(clip.Frames)))
+		fmt.Fprintf(w, "type %s:      %s (%.1f%% of frames)\n", ft, s, 100*float64(s.N)/float64(len(clip.Frames)))
 	}
 	return nil
 }

@@ -7,8 +7,8 @@
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-vs-measured record. The library lives under
 // internal/ (stream, sched, core, drop, offline, trace, competitive,
-// lossless, linksim, netstream, experiment, stats); runnable tools under
-// cmd/ and examples under examples/.
+// lossless, linksim, netstream, experiment, stats) with its headline
+// results as Example functions; runnable tools live under cmd/.
 //
 // The benchmarks in bench_test.go regenerate every figure and table:
 //

@@ -213,7 +213,9 @@ func (c *checker) publish(e ast.Expr, facts framework.Facts) {
 }
 
 // checkStore flags writes whose target chain reaches frozen state from a
-// published or aliased reference.
+// published or aliased reference. A bare identifier target is a rebinding,
+// not a write: an alias is reported only as the root of an index, deref or
+// field chain.
 func (c *checker) checkStore(lhs ast.Expr, facts framework.Facts) {
 	e := lhs
 	for {
@@ -243,6 +245,9 @@ func (c *checker) checkStore(lhs ast.Expr, facts framework.Facts) {
 			}
 			e = t.X
 		case *ast.Ident:
+			if t == ast.Unparen(lhs) {
+				return
+			}
 			if obj := c.identObj(t); obj != nil && facts[obj] == alias {
 				c.pass.Reportf(lhs.Pos(),
 					"write through %s, an alias of published frozen state", t.Name)

@@ -96,3 +96,18 @@ func freshEngine() *engine {
 func (p *plan) methodWrite() {
 	p.off[0] = 1 // want `write to field off of frozen \*plan after publication`
 }
+
+// loopAlias rebinds a loop-local alias on every iteration: the rebinding
+// is not a write; only a write through it is.
+func (e *engine) loopAlias() int {
+	sum := 0
+	for i := range e.offers {
+		d := &e.offers[i] // ok: rebinds d, writes nothing
+		sum += *d
+	}
+	for i := range e.offers {
+		d := &e.offers[i]
+		*d = 0 // want `write through d, an alias of published frozen state`
+	}
+	return sum
+}

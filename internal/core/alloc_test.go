@@ -41,7 +41,7 @@ func allocStream(t *testing.T) *stream.Stream {
 // calling sent with every step's batches, and returns how many runs it
 // dropped.
 func serverPass(sv *core.Server, st *stream.Stream, sent func(b []core.Batch)) int {
-	pol := drop.NewGreedy()
+	pol := drop.Greedy()
 	defer drop.Recycle(pol)
 	sv.Reset(allocBuffer, allocRate, pol, core.ServerOptions{})
 	dropped := 0
@@ -55,7 +55,7 @@ func serverPass(sv *core.Server, st *stream.Stream, sent func(b []core.Batch)) i
 
 func TestServerStepDoesNotAllocate(t *testing.T) {
 	st := allocStream(t)
-	sv := core.NewServer(allocBuffer, allocRate, drop.NewGreedy(), core.ServerOptions{})
+	sv := core.NewServer(allocBuffer, allocRate, drop.Greedy(), core.ServerOptions{})
 	if serverPass(sv, st, func([]core.Batch) {}) == 0 {
 		t.Fatal("no overflow in the measured stream")
 	}
@@ -70,7 +70,7 @@ func TestClientStepDoesNotAllocate(t *testing.T) {
 	// Record what the server sends, then replay it into the client over a
 	// zero-delay link.
 	var delivered [][]core.Batch
-	sv := core.NewServer(allocBuffer, allocRate, drop.NewGreedy(), core.ServerOptions{})
+	sv := core.NewServer(allocBuffer, allocRate, drop.Greedy(), core.ServerOptions{})
 	serverPass(sv, st, func(b []core.Batch) { delivered = append(delivered, slices.Clone(b)) })
 	delay := core.DelayFor(allocBuffer, allocRate)
 	cl := core.NewClient(allocBuffer, delay, 0, st)

@@ -408,7 +408,7 @@ func TestServerAccessorsAndCompaction(t *testing.T) {
 		b.Add(i, 1, 1)
 	}
 	st := b.MustBuild()
-	sv := NewServer(4, 1, drop.NewTailDrop(), ServerOptions{})
+	sv := NewServer(4, 1, drop.TailDrop(), ServerOptions{})
 	if sv.Rate() != 1 {
 		t.Errorf("Rate = %d", sv.Rate())
 	}

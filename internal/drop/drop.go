@@ -110,13 +110,13 @@ type edgeDrop struct {
 	newest bool
 }
 
-// NewTailDrop returns a policy that discards the most recently arrived
+// TailDrop returns a policy that discards the most recently arrived
 // droppable slice first.
-func NewTailDrop() Policy { return newEdgeDrop(true) }
+func TailDrop() Policy { return newEdgeDrop(true) }
 
-// NewHeadDrop returns a policy that discards the oldest droppable slice
-// first (drop-from-front).
-func NewHeadDrop() Policy { return newEdgeDrop(false) }
+// HeadDrop returns a policy that discards the oldest droppable slice first
+// (drop-from-front).
+func HeadDrop() Policy { return newEdgeDrop(false) }
 
 func newEdgeDrop(newest bool) Policy {
 	p := edgeFree.Get(func() *edgeDrop { return new(edgeDrop) })
@@ -124,12 +124,6 @@ func newEdgeDrop(newest bool) Policy {
 	p.newest = newest
 	return p
 }
-
-// TailDrop is the Factory for NewTailDrop.
-func TailDrop() Policy { return NewTailDrop() }
-
-// HeadDrop is the Factory for NewHeadDrop.
-func HeadDrop() Policy { return NewHeadDrop() }
 
 func (p *edgeDrop) Name() string {
 	if p.newest {
@@ -242,16 +236,13 @@ type greedy struct {
 	w window
 }
 
-// NewGreedy returns the greedy policy of Section 4.1: on overflow, discard
+// Greedy returns the greedy policy of Section 4.1: on overflow, discard
 // the droppable slice with the lowest byte value.
-func NewGreedy() Policy {
+func Greedy() Policy {
 	p := greedyFree.Get(func() *greedy { return new(greedy) })
 	p.Reset()
 	return p
 }
-
-// Greedy is the Factory for NewGreedy.
-func Greedy() Policy { return NewGreedy() }
 
 func (p *greedy) Name() string { return "greedy" }
 

@@ -26,7 +26,7 @@ func drain(p Policy) []int {
 }
 
 func TestTailDropOrder(t *testing.T) {
-	p := NewTailDrop()
+	p := TailDrop()
 	p.Add(slice(0, 0, 1, 1))
 	p.Add(slice(1, 1, 1, 1))
 	p.Add(slice(2, 2, 1, 1))
@@ -40,7 +40,7 @@ func TestTailDropOrder(t *testing.T) {
 }
 
 func TestHeadDropOrder(t *testing.T) {
-	p := NewHeadDrop()
+	p := HeadDrop()
 	for i := 0; i < 5; i++ {
 		p.Add(slice(i, i, 1, 1))
 	}
@@ -53,7 +53,7 @@ func TestHeadDropOrder(t *testing.T) {
 }
 
 func TestGreedyOrderByByteValue(t *testing.T) {
-	p := NewGreedy()
+	p := Greedy()
 	p.Add(slice(0, 0, 2, 8)) // byte value 4
 	p.Add(slice(1, 0, 1, 1)) // byte value 1
 	p.Add(slice(2, 0, 4, 8)) // byte value 2
@@ -67,7 +67,7 @@ func TestGreedyOrderByByteValue(t *testing.T) {
 }
 
 func TestGreedyTieBreaksToNewest(t *testing.T) {
-	p := NewGreedy()
+	p := Greedy()
 	p.Add(slice(3, 0, 1, 5))
 	p.Add(slice(7, 1, 1, 5))
 	if s, _ := p.Victim(1); s.First != 7 {
@@ -77,9 +77,9 @@ func TestGreedyTieBreaksToNewest(t *testing.T) {
 
 func TestRemovePreventsVictim(t *testing.T) {
 	policies := map[string]Policy{
-		"taildrop": NewTailDrop(),
-		"headdrop": NewHeadDrop(),
-		"greedy":   NewGreedy(),
+		"taildrop": TailDrop(),
+		"headdrop": HeadDrop(),
+		"greedy":   Greedy(),
 		"random":   NewRandom(1),
 	}
 	for name, p := range policies {
@@ -102,7 +102,7 @@ func TestRemovePreventsVictim(t *testing.T) {
 }
 
 func TestRemoveUnknownIsNoop(t *testing.T) {
-	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
+	for _, p := range []Policy{TailDrop(), HeadDrop(), Greedy(), NewRandom(1)} {
 		p.Remove(42, 43)
 		p.Add(slice(1, 0, 1, 1))
 		p.Remove(99, 100)
@@ -113,7 +113,7 @@ func TestRemoveUnknownIsNoop(t *testing.T) {
 }
 
 func TestVictimOnEmpty(t *testing.T) {
-	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
+	for _, p := range []Policy{TailDrop(), HeadDrop(), Greedy(), NewRandom(1)} {
 		if _, ok := p.Victim(1); ok {
 			t.Errorf("%s: victim from empty policy", p.Name())
 		}
@@ -121,7 +121,7 @@ func TestVictimOnEmpty(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
+	for _, p := range []Policy{TailDrop(), HeadDrop(), Greedy(), NewRandom(1)} {
 		p.Add(slice(0, 0, 1, 1))
 		p.Reset()
 		if p.Len() != 0 {
@@ -176,7 +176,7 @@ func TestRandomCoversAll(t *testing.T) {
 // below the end of an earlier run is a driver bug and panics, for every
 // policy, rather than corrupting the index.
 func TestAddRequiresIncreasingIDs(t *testing.T) {
-	for _, p := range []Policy{NewTailDrop(), NewHeadDrop(), NewGreedy(), NewRandom(1)} {
+	for _, p := range []Policy{TailDrop(), HeadDrop(), Greedy(), NewRandom(1)} {
 		p.Add(stream.Run{First: 0, Count: 3, Size: 1, Weight: 1})
 		p.Remove(0, 3)
 		func() {
@@ -226,11 +226,11 @@ func TestVictimRuns(t *testing.T) {
 		first int
 		count int
 	}{
-		{NewTailDrop(), 7, 15, 3},   // ceil(7/3) newest
-		{NewHeadDrop(), 4, 10, 2},   // ceil(4/3) oldest
-		{NewGreedy(), 100, 13, 5},   // the newest, down to the hole at 12
-		{NewHeadDrop(), 100, 10, 2}, // the oldest, up to the hole at 12
-		{NewRandom(1), 100, -1, 1},  // always one slice
+		{TailDrop(), 7, 15, 3},     // ceil(7/3) newest
+		{HeadDrop(), 4, 10, 2},     // ceil(4/3) oldest
+		{Greedy(), 100, 13, 5},     // the newest, down to the hole at 12
+		{HeadDrop(), 100, 10, 2},   // the oldest, up to the hole at 12
+		{NewRandom(1), 100, -1, 1}, // always one slice
 	}
 	for _, c := range cases {
 		c.p.Add(frame)
@@ -248,7 +248,7 @@ func TestVictimRuns(t *testing.T) {
 
 func TestHeadDropCompaction(t *testing.T) {
 	// Exercise the compaction path: add and drain many slices.
-	p := NewHeadDrop()
+	p := HeadDrop()
 	for i := 0; i < 500; i++ {
 		p.Add(slice(i, i, 1, 1))
 	}
@@ -380,7 +380,7 @@ func TestRandomMixDeterministicPerSeed(t *testing.T) {
 
 func TestRandomMixExtremes(t *testing.T) {
 	// p=0 behaves exactly like greedy.
-	g := NewGreedy()
+	g := Greedy()
 	m := NewRandomMix(1, 0)
 	for i, w := range []float64{5, 1, 9, 7} {
 		g.Add(slice(i, 0, 1, w))

@@ -10,7 +10,7 @@ import (
 // Example shows the greedy policy's victim order: lowest value per byte
 // goes first, regardless of size or arrival order.
 func Example() {
-	p := drop.NewGreedy()
+	p := drop.Greedy()
 	p.Add(stream.Run{First: 0, Count: 1, Size: 120, Weight: 1440}) // I frame, 12/byte
 	p.Add(stream.Run{First: 1, Count: 1, Size: 23, Weight: 23})    // B frame, 1/byte
 	p.Add(stream.Run{First: 2, Count: 1, Size: 55, Weight: 440})   // P frame, 8/byte
@@ -31,7 +31,7 @@ func Example() {
 // ExamplePolicy_noPreemption shows how the simulator marks a slice
 // undroppable once its transmission starts.
 func ExamplePolicy_noPreemption() {
-	p := drop.NewTailDrop()
+	p := drop.TailDrop()
 	p.Add(stream.Run{First: 0, Count: 2, Size: 4, Weight: 4})
 
 	p.Remove(1, 2) // slice 1 commenced transmission: no longer droppable

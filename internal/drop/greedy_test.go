@@ -45,7 +45,7 @@ func (m *greedyModel) victim() int {
 // every step, and the final drain too.
 func driveGreedy(t *testing.T, ops []byte) {
 	t.Helper()
-	p := NewGreedy().(*greedy)
+	p := Greedy().(*greedy)
 	defer Recycle(p)
 	m := &greedyModel{present: make(map[int]stream.Run)}
 	nextID := 0
@@ -133,7 +133,7 @@ func TestGreedyRunsAgainstModel(t *testing.T) {
 // — consecutive IDs, one byte value — take one heap entry, however many
 // they are, and still leave newest first.
 func TestGreedyFrameIsOneRun(t *testing.T) {
-	p := NewGreedy().(*greedy)
+	p := Greedy().(*greedy)
 	defer Recycle(p)
 	for frame, value := range []float64{3, 1, 2} {
 		p.Add(stream.Run{First: 50 * frame, Count: 50, Arrival: frame, Size: 1, Weight: value})

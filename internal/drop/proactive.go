@@ -57,7 +57,7 @@ type anticipate struct {
 }
 
 // NewAnticipate returns a proactive greedy policy: on overflow it behaves
-// exactly like NewGreedy; additionally, while occupancy exceeds
+// exactly like Greedy; additionally, while occupancy exceeds
 // threshold*capacity, it sheds droppable slices with byte value below
 // valueFloor, lowest value first.
 //

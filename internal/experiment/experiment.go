@@ -226,37 +226,3 @@ func Names() []string {
 	})
 	return names
 }
-
-// Markdown renders the table as a GitHub-style pipe table with the notes as
-// a blockquote header.
-func (t *Table) Markdown() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)
-	for _, n := range t.Notes {
-		fmt.Fprintf(&sb, "> %s\n", n)
-	}
-	if len(t.Notes) > 0 {
-		sb.WriteByte('\n')
-	}
-	sb.WriteString("| " + t.XLabel + " |")
-	for _, s := range t.Series {
-		sb.WriteString(" " + s + " |")
-	}
-	sb.WriteString("\n|---|")
-	for range t.Series {
-		sb.WriteString("---|")
-	}
-	sb.WriteByte('\n')
-	for _, r := range t.Rows {
-		fmt.Fprintf(&sb, "| %g |", r.X)
-		for _, s := range t.Series {
-			if v, ok := r.Y[s]; ok {
-				fmt.Fprintf(&sb, " %.6g |", v)
-			} else {
-				sb.WriteString(" - |")
-			}
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}

@@ -543,15 +543,3 @@ func TestTableFairness(t *testing.T) {
 		}
 	}
 }
-
-func TestTableMarkdown(t *testing.T) {
-	tab := &Table{ID: "x", Title: "T", XLabel: "x", Series: []string{"a"}, Notes: []string{"note"}}
-	tab.Rows = append(tab.Rows, Row{X: 1, Y: map[string]float64{"a": 2.5}})
-	tab.Rows = append(tab.Rows, Row{X: 2})
-	md := tab.Markdown()
-	for _, want := range []string{"### x — T", "> note", "| x | a |", "| 1 | 2.5 |", "| 2 | - |"} {
-		if !strings.Contains(md, want) {
-			t.Errorf("markdown missing %q:\n%s", want, md)
-		}
-	}
-}

@@ -29,7 +29,6 @@ func benchRelayEngine(b *testing.B, shards int) *Engine {
 	e := &Engine{
 		cfg: Config{
 			Backends:     []string{"bench"},
-			BackendSlots: 10000,
 			IdleTimeout:  -1,
 			StallTimeout: -1,
 		},

@@ -63,6 +63,19 @@ import (
 	"repro/internal/obs"
 )
 
+const (
+	// backendSlots is the per-backend session capacity headroom is scored
+	// against.
+	backendSlots = 10000
+	// pendingLimit bounds the pending-admit queue.
+	pendingLimit = 4096
+	// dialTimeout bounds one backend TCP dial.
+	dialTimeout = 5 * time.Second
+	// scrapeInterval is the backend /statusz poll period when MetricsAddrs
+	// are set.
+	scrapeInterval = time.Second
+)
+
 var (
 	errEngineClosed  = errors.New("lb: engine is closed")
 	errQueueFull     = errors.New("lb: pending-admit queue is full")
@@ -90,16 +103,9 @@ type Config struct {
 	Shards int
 	// MaxSessions caps concurrently admitted sessions (0 = unlimited).
 	MaxSessions int
-	// BackendSlots is the per-backend session capacity headroom is
-	// scored against (default 10000).
-	BackendSlots int
-	// PendingLimit bounds the pending-admit queue (default 4096).
-	PendingLimit int
 	// PlaceWorkers bounds concurrent placement (dial+handshake) workers
 	// (default 16).
 	PlaceWorkers int
-	// DialTimeout bounds one backend TCP dial (default 5s).
-	DialTimeout time.Duration
 	// HandshakeTimeout bounds the Hello/Accept exchange on either side
 	// (default 10s).
 	HandshakeTimeout time.Duration
@@ -109,9 +115,6 @@ type Config struct {
 	// StallTimeout retires a session whose client write has been stalled
 	// for this long (default 10s; negative disables).
 	StallTimeout time.Duration
-	// ScrapeInterval is the backend /statusz poll period when
-	// MetricsAddrs are set (default 1s).
-	ScrapeInterval time.Duration
 	// ProbeInterval is the unhealthy-backend re-probe period (default 1s).
 	ProbeInterval time.Duration
 	// Gate, if non-nil, is the front-door admission gate; sessions it
@@ -181,17 +184,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	if cfg.BackendSlots <= 0 {
-		cfg.BackendSlots = 10000
-	}
-	if cfg.PendingLimit <= 0 {
-		cfg.PendingLimit = 4096
-	}
 	if cfg.PlaceWorkers <= 0 {
 		cfg.PlaceWorkers = 16
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	if cfg.HandshakeTimeout <= 0 {
 		cfg.HandshakeTimeout = 10 * time.Second
@@ -202,18 +196,15 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.StallTimeout == 0 {
 		cfg.StallTimeout = 10 * time.Second
 	}
-	if cfg.ScrapeInterval <= 0 {
-		cfg.ScrapeInterval = time.Second
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
 	e := &Engine{
 		cfg:     cfg,
 		base:    time.Now(),
-		pending: make(chan *session, cfg.PendingLimit),
+		pending: make(chan *session, pendingLimit),
 		quit:    make(chan struct{}),
-		httpc:   &http.Client{Timeout: cfg.ScrapeInterval},
+		httpc:   &http.Client{Timeout: scrapeInterval},
 	}
 	e.backends = make([]*backend, len(cfg.Backends))
 	for i, addr := range cfg.Backends {

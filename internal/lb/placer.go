@@ -159,34 +159,32 @@ func (e *Engine) pick() *backend {
 }
 
 // score rates one backend in signed permille: buffer headroom against
-// Config.BackendSlots minus a step-lag penalty of one permille per
+// backendSlots minus a step-lag penalty of one permille per
 // millisecond of scraped p99 shard-step duration. The active count is
 // the max of the LB-local view and the last scrape (when fresh), so a
 // backend loaded by another front tier still scores low.
 func (e *Engine) score(b *backend, now int64) int64 {
 	active := b.active.Load()
-	if t := b.scrapeNanos.Load(); t != 0 && now-t < int64(3*e.cfg.ScrapeInterval) {
+	if t := b.scrapeNanos.Load(); t != 0 && now-t < int64(3*scrapeInterval) {
 		if sa := b.scrapeActive.Load(); sa > active {
 			active = sa
 		}
 	}
-	slots := int64(e.cfg.BackendSlots)
-	headroom := (slots - active) * 1000 / slots
+	headroom := (backendSlots - active) * 1000 / backendSlots
 	return headroom - b.scrapeP99.Load()/1000
 }
 
 // headroomPermille is score's headroom term alone, for the per-backend
 // gauge.
 func (e *Engine) headroomPermille(b *backend) int64 {
-	slots := int64(e.cfg.BackendSlots)
-	return (slots - b.active.Load()) * 1000 / slots
+	return (backendSlots - b.active.Load()) * 1000 / backendSlots
 }
 
 // dialBackend opens the backend connection and runs the upstream half of
 // the handshake: forward the client's Hello, read the Accept. The Accept
 // is parked on the session for forwardAccept.
 func (e *Engine) dialBackend(s *session, b *backend) error {
-	conn, err := net.DialTimeout("tcp", b.addr, e.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", b.addr, dialTimeout)
 	if err != nil {
 		return fmt.Errorf("lb: dial backend %d: %w", b.idx, err)
 	}
@@ -241,7 +239,7 @@ func (e *Engine) failPlacement(s *session, err error, now int64) {
 // backends back to life. One goroutine, off every hot path.
 func (e *Engine) maintain() {
 	defer e.maintWG.Done()
-	scrape := time.NewTicker(e.cfg.ScrapeInterval)
+	scrape := time.NewTicker(scrapeInterval)
 	probe := time.NewTicker(e.cfg.ProbeInterval)
 	defer scrape.Stop()
 	defer probe.Stop()
@@ -316,7 +314,7 @@ func (e *Engine) scrapeBackend(b *backend) {
 // probeBackend health-checks a quarantined backend with a bare TCP dial
 // and lifts the quarantine on success.
 func (e *Engine) probeBackend(b *backend) {
-	conn, err := net.DialTimeout("tcp", b.addr, e.cfg.DialTimeout)
+	conn, err := net.DialTimeout("tcp", b.addr, dialTimeout)
 	if err != nil {
 		return
 	}

@@ -364,14 +364,6 @@ type Decoder struct {
 // NewDecoder returns a decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
-// Reset switches the decoder to read from r, retaining the payload scratch
-// buffer. The load generator's shard reactors use one decoder per shard,
-// re-pointed at each session's buffered bytes, so ten thousand sessions
-// share one scratch allocation.
-//
-//smoothvet:noalloc
-func (dec *Decoder) Reset(r io.Reader) { dec.r = r }
-
 // SizeNext reports the total encoded length — tag byte included — of the
 // first message in buf, when buf holds enough bytes to determine it. It
 // returns 0 (and no error) when more bytes are needed, and an error for an

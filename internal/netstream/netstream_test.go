@@ -388,7 +388,7 @@ func TestReceiveHandshake(t *testing.T) {
 		if err := WriteEnd(&in); err != nil {
 			t.Fatal(err)
 		}
-		stats, err := Receive(conn, 0, 6, 1, nil)
+		stats, err := Receive(conn, 6, 1, nil)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: err = %v", tc.name, err)
 		}

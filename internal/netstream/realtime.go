@@ -98,10 +98,11 @@ type PlayStats struct {
 	PerStream []StreamStats
 }
 
-// Receive performs the client side of a session on conn: it sends Hello,
-// reads Accept, then runs ReceiveStream under the negotiated delay.
-func Receive(conn io.ReadWriter, clientBuffer, desiredDelay, streams int, onPlay func(*Data)) (PlayStats, error) {
-	hello := Hello{ClientBuffer: uint32(clientBuffer), DesiredDelay: uint32(desiredDelay)}
+// Receive performs the client side of a session on conn: it sends a Hello
+// that advertises an unlimited client buffer, reads Accept, then runs
+// ReceiveStream under the negotiated delay.
+func Receive(conn io.ReadWriter, desiredDelay, streams int, onPlay func(*Data)) (PlayStats, error) {
+	hello := Hello{DesiredDelay: uint32(desiredDelay)}
 	if err := WriteHello(conn, hello); err != nil {
 		return PlayStats{}, err
 	}

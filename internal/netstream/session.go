@@ -76,9 +76,6 @@ func NewSender(w io.Writer, cfg SenderConfig) (*Sender, error) {
 // Delay returns the session's smoothing delay D.
 func (s *Sender) Delay() int { return s.delay }
 
-// Step returns the current model step (the number of Ticks so far).
-func (s *Sender) Step() int { return s.step }
-
 // Backlog returns the bytes currently buffered.
 func (s *Sender) Backlog() int { return s.server.Occupancy() }
 

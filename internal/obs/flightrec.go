@@ -72,21 +72,17 @@ type Event struct {
 // (~128 KiB/shard) reach back several full waves at typical densities.
 const DefaultFlightRecEvents = 4096
 
-// FlightRecorder is one shard's fixed-size ring of session-lifecycle
-// events. Record is the zero-alloc hot-path entry point: the shard
-// goroutine is the only writer, and the mutex it takes is contended only
-// while a dump copies the ring — never shard-vs-shard. Dumps (SIGUSR1,
-// SLO breach, /debug/flightrec) copy the ring under the mutex and render
-// outside it.
-//
-//smoothvet:confined owned by the recording shard goroutine; dumps copy under mu
+// FlightRecorder is a fixed-size ring of session-lifecycle events.
+// Record is the zero-alloc hot-path entry point and may be called from any
+// goroutine: the mutex orders writers and dumps. A shard's ring has one
+// writer, so its mutex is contended only while a dump copies the ring;
+// lb's front-door ring is written by every Handle goroutine and placement
+// worker. Dumps (SIGUSR1, SLO breach, /debug/flightrec) copy the ring
+// under the mutex and render outside it.
 type FlightRecorder struct {
-	//smoothvet:shared guards buf/pos against dump copies
-	mu sync.Mutex
-	//smoothvet:shared ring storage, copied out under mu
-	buf []Event
-	//smoothvet:shared next write position (monotonic; wraps via modulo)
-	pos uint32
+	mu  sync.Mutex
+	buf []Event // ring storage, guarded by mu
+	pos uint32  // next write position (monotonic; wraps via modulo), guarded by mu
 }
 
 // NewFlightRecorder returns a ring holding the most recent n events

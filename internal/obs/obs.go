@@ -174,9 +174,6 @@ type Registry struct {
 	shards []*ShardMetrics
 }
 
-// Shards returns the number of per-shard slot sets.
-func (r *Registry) Shards() int { return len(r.shards) }
-
 // Shard returns shard i's confined slot set. The caller must hand it to
 // exactly one goroutine; only that goroutine may record into it.
 func (r *Registry) Shard(i int) *ShardMetrics { return r.shards[i] }
@@ -247,11 +244,9 @@ func (m *ShardMetrics) Publish() {
 	m.snapMu.Unlock()
 }
 
-// ResetHist clears one histogram slot — live and published snapshot.
-// This is the one cross-goroutine mutation the layer allows: the load
-// generator's per-wave lag reset, performed while the owning shard is
-// quiescent between waves (no Adds in flight). The snapshot mutex orders
-// the reset against a concurrent Publish from the shard's idle wakes.
+// ResetHist clears one histogram slot — live and published snapshot —
+// from the owning shard goroutine (the load generator's per-wave lag
+// reset). The snapshot mutex orders the reset against concurrent scrapes.
 func (m *ShardMetrics) ResetHist(id HistID) {
 	m.snapMu.Lock()
 	m.hists[id].Reset()

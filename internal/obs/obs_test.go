@@ -178,8 +178,8 @@ func TestWriteJSONValid(t *testing.T) {
 	}
 }
 
-// TestResetHist pins the one sanctioned cross-goroutine mutation: a reset
-// clears both the live slot and its published snapshot.
+// TestResetHist pins that a reset clears both the live slot and its
+// published snapshot.
 func TestResetHist(t *testing.T) {
 	b, _, _, h := testBuilder()
 	r := Build(b, 1)

@@ -62,9 +62,6 @@ func NewSLO(reg *Registry, hist HistID, target int64, q float64, onBreach func(q
 	}
 }
 
-// Target returns the breach threshold.
-func (s *SLO) Target() int64 { return s.target }
-
 // LastQuantile returns the last non-empty window's quantile value (0
 // before the first populated window).
 func (s *SLO) LastQuantile() int64 { return s.lastQ.Load() }

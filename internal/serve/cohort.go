@@ -55,14 +55,15 @@ func (c *Cohort) Steps() int { return len(c.off) - 1 }
 // WireBytes returns the total size of the pre-encoded stream.
 func (c *Cohort) WireBytes() int { return len(c.wire) }
 
-// span returns the pre-encoded flushes of steps [from, to) back to back.
-// The result aliases the cohort's immutable buffer; callers must not
-// mutate it.
+// span returns the wire bytes from byte offset sent up to the end of step
+// to: what a session that has written sent bytes still owes through that
+// step. The result aliases the cohort's immutable buffer; callers must not
+// mutate or retain it.
 //
 //smoothvet:aliased
 //smoothvet:noalloc
-func (c *Cohort) span(from, to int32) []byte {
-	return c.wire[c.off[from]:c.off[to]]
+func (c *Cohort) span(sent, to int32) []byte {
+	return c.wire[sent:c.off[to]]
 }
 
 // droppedThrough returns the slices shed through the given number of

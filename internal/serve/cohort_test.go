@@ -219,7 +219,7 @@ func TestCohortStepSlices(t *testing.T) {
 	var joined []byte
 	prev := 0
 	for s := int32(0); int(s) < c.Steps(); s++ {
-		joined = append(joined, c.span(s, s+1)...)
+		joined = append(joined, c.span(c.off[s], s+1)...)
 		if d := c.droppedThrough(s + 1); d < prev {
 			t.Fatalf("drops not monotone at step %d: %d < %d", s, d, prev)
 		} else {

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
 	"strconv"
 	"strings"
 
@@ -238,6 +239,16 @@ func Profiles() []Profile {
 	}
 }
 
+// ProfileNamed returns the preset called name.
+func ProfileNamed(name string) (GenConfig, error) {
+	for _, p := range Profiles() {
+		if p.Name == name {
+			return p.Cfg, nil
+		}
+	}
+	return GenConfig{}, fmt.Errorf("trace: unknown profile %q", name)
+}
+
 // Validate checks the configuration.
 func (g GenConfig) Validate() error {
 	switch {
@@ -317,6 +328,24 @@ func (c *Clip) Write(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// Load reads the trace file at path, or generates a clip from cfg when
+// path is empty.
+func Load(path string, cfg GenConfig) (*Clip, error) {
+	if path == "" {
+		return Generate(cfg)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	c, err := Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
 }
 
 // Read parses the ASCII trace format produced by Write (and by the public

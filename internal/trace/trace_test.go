@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -329,5 +331,45 @@ func TestProfilesAreValidAndDistinct(t *testing.T) {
 	}
 	if SportsProfile().SceneNoise <= NewsProfile().SceneNoise {
 		t.Error("sports profile not noisier than news")
+	}
+}
+
+func TestLoad(t *testing.T) {
+	cfg := DefaultGenConfig()
+	cfg.Frames = 100
+	clip, err := Load("", cfg)
+	if err != nil || len(clip.Frames) != 100 {
+		t.Fatalf("synthetic: %v, %v", clip, err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "clip.txt")
+	if err := os.WriteFile(path, []byte("0 I 10\n1 B 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	clip, err = Load(path, cfg)
+	if err != nil || len(clip.Frames) != 2 || clip.Frames[0].Size != 10 {
+		t.Fatalf("from file: %+v, %v", clip, err)
+	}
+	if _, err := Load(filepath.Join(dir, "missing.txt"), cfg); err == nil {
+		t.Error("missing file accepted")
+	}
+	bad := filepath.Join(dir, "bad.txt")
+	if err := os.WriteFile(bad, []byte("not a trace\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bad, cfg); err == nil || !strings.Contains(err.Error(), bad) {
+		t.Errorf("malformed trace: err %v, want one naming the file", err)
+	}
+}
+
+func TestProfileNamed(t *testing.T) {
+	for _, p := range Profiles() {
+		cfg, err := ProfileNamed(p.Name)
+		if err != nil || cfg != p.Cfg {
+			t.Errorf("%s: %+v, %v", p.Name, cfg, err)
+		}
+	}
+	if _, err := ProfileNamed("bogus"); err == nil {
+		t.Error("bogus profile accepted")
 	}
 }

@@ -92,11 +92,11 @@ echo "== outcomes per span"
 # First/End); outside internal/sched a reader walks them (Walk, At), and no
 # index into the span list may pose as a slice ID. core.Recorder logs ID
 # ranges; its per-slice pendingLate map must not come back.
-if grep -rnE 'Outcomes\[[A-Za-z_]' --include=*.go internal cmd examples | grep -v '_test\.go:' | grep -v '^internal/sched/'; then
+if grep -rnE 'Outcomes\[[A-Za-z_]' --include=*.go internal cmd | grep -v '_test\.go:' | grep -v '^internal/sched/'; then
     echo "per-slice indexing of sched.Schedule.Outcomes (lines above)" >&2
     exit 1
 fi
-if grep -rn 'pendingLate' --include=*.go internal cmd examples | grep -v '_test\.go:'; then
+if grep -rn 'pendingLate' --include=*.go internal cmd | grep -v '_test\.go:'; then
     echo "the per-slice late map is back (lines above)" >&2
     exit 1
 fi
