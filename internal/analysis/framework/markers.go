@@ -30,7 +30,9 @@ import (
 //	                             by a single goroutine; stores reaching one
 //	                             instance from another's methods, goroutine
 //	                             captures and unmarked channel sends are
-//	                             errors (shardconfine).
+//	                             errors (shardconfine). On a reference
+//	                             field of a confined type: what it points
+//	                             at has the holder's owner.
 //	//smoothvet:shared         — on a field of a confined type: the field is
 //	                             safe for cross-goroutine access (mutex,
 //	                             channel, atomic) and exempt from
@@ -41,8 +43,11 @@ import (
 //	                             after publication are errors (pubimmut).
 //	//smoothvet:transfer       — written on (or directly above) a send or
 //	                             goroutine statement: ownership of the
-//	                             confined value moves with the operation,
-//	                             audited by hand (shardconfine suppression).
+//	                             confined value moves with the operation;
+//	                             on an assignment or range statement: the
+//	                             locals it binds are owned here, their
+//	                             goroutine having exited. Audited by hand
+//	                             (shardconfine suppression).
 const (
 	MarkerAliased       = "aliased"
 	MarkerNoAlloc       = "noalloc"

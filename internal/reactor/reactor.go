@@ -93,6 +93,7 @@ type Loop[S Session] struct {
 	ErrClosed error
 	// Met is the shard's metric slots and Active the gauge every wake sets
 	// to the table size before publishing.
+	//smoothvet:confined the slots belong to the loop's goroutine
 	Met    *obs.ShardMetrics
 	Active obs.GaugeID
 }
