@@ -8,6 +8,7 @@ package repro
 import (
 	"testing"
 
+	"repro/internal/competitive"
 	"repro/internal/core"
 	"repro/internal/drop"
 	"repro/internal/experiment"
@@ -166,6 +167,40 @@ func BenchmarkSimulate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.Run(st, cfg(tc.f)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkForkedGame plays one Theorem 4.8 game at B = 24 (73 cut steps,
+// 146 scenarios): greedy in one trial, and the onlinelb table's random
+// mix in 20. Each trial runs once along the base stream and forks both
+// endings at every cut step; after the first (untimed) game has grown the
+// arenas, the policies and the draw tapes on their free lists, a game is
+// allocation-free.
+func BenchmarkForkedGame(b *testing.B) {
+	g, err := competitive.NewGame(24, 2, 72)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixes := make([]drop.Factory, 20)
+	for trial := range mixes {
+		mixes[trial] = drop.RandomMix(1+int64(trial)*7919, 0.5)
+	}
+	for _, tc := range []struct {
+		name   string
+		trials []drop.Factory
+	}{{"greedy", []drop.Factory{drop.Greedy}}, {"randmix", mixes}} {
+		b.Run(tc.name, func(b *testing.B) {
+			if _, err := g.Play(tc.trials...); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Play(tc.trials...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -92,6 +92,27 @@ func (c *checker) confined(t types.Type) bool {
 	return c.markers.TypeHasMarker(t, framework.MarkerConfined)
 }
 
+// tracked reports whether a local of type t carries an ownership fact: a
+// confined value, or a slice, array or map of them, whose elements have
+// the owner the container has.
+func (c *checker) tracked(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if c.confined(t) {
+		return true
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Slice:
+		return c.tracked(u.Elem())
+	case *types.Array:
+		return c.tracked(u.Elem())
+	case *types.Map:
+		return c.tracked(u.Elem())
+	}
+	return false
+}
+
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	init := framework.Facts{}
 	if fd.Recv != nil {
@@ -164,7 +185,7 @@ func (c *checker) transfer(n ast.Node, facts framework.Facts, report bool) {
 			}
 			for i, name := range vs.Names {
 				obj := c.pass.TypesInfo.Defs[name]
-				if obj == nil || !c.confined(obj.Type()) {
+				if obj == nil || !c.tracked(obj.Type()) {
 					continue
 				}
 				cls := owned // zero value (nil pointer) is nobody's shard
@@ -192,7 +213,7 @@ func (c *checker) transfer(n ast.Node, facts framework.Facts, report bool) {
 			if !ok {
 				continue
 			}
-			if obj := c.identObj(id); obj != nil && c.confined(obj.Type()) {
+			if obj := c.identObj(id); obj != nil && c.tracked(obj.Type()) {
 				facts[obj] = cls
 			}
 		}
@@ -228,7 +249,7 @@ func (c *checker) applyAssign(n *ast.AssignStmt, facts framework.Facts) {
 			continue
 		}
 		obj := c.identObj(id)
-		if obj == nil || !c.confined(obj.Type()) {
+		if obj == nil || !c.tracked(obj.Type()) {
 			continue
 		}
 		var rhs ast.Expr
@@ -390,7 +411,7 @@ func (c *checker) adopt(lhs []ast.Expr, facts framework.Facts) {
 		if !ok {
 			continue
 		}
-		if obj := c.identObj(id); obj != nil && c.confined(obj.Type()) {
+		if obj := c.identObj(id); obj != nil && c.tracked(obj.Type()) {
 			facts[obj] = owned
 		}
 	}
@@ -430,10 +451,22 @@ func (c *checker) classify(e ast.Expr, facts framework.Facts) string {
 	case *ast.CompositeLit:
 		return owned
 	case *ast.CallExpr:
-		// Convention: a function returning a confined value is a
-		// constructor handing ownership to the caller. Accessors returning
-		// someone else's shard must not exist (they would be flagged in
-		// their own body when the store happens).
+		// append's result holds the shards of every operand.
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "append" {
+			if _, ok := c.identObj(id).(*types.Builtin); ok {
+				for _, arg := range e.Args {
+					if c.classify(arg, facts) == foreign {
+						return foreign
+					}
+				}
+				return owned
+			}
+		}
+		// Convention: a function returning a confined value, or a
+		// container of them, is a constructor handing ownership to the
+		// caller (make builds an empty one). Accessors returning someone
+		// else's shard must not exist (they would be flagged in their own
+		// body when the store happens).
 		return owned
 	case *ast.SelectorExpr:
 		if c.confined(c.typeOf(e.X)) && c.heldWith(e) {
@@ -442,6 +475,8 @@ func (c *checker) classify(e ast.Expr, facts framework.Facts) string {
 		return foreign // read out of another structure
 	case *ast.IndexExpr:
 		return c.classify(e.X, facts) // element of a local slice stays owned
+	case *ast.SliceExpr:
+		return c.classify(e.X, facts) // a reslice shares its elements
 	case *ast.StarExpr:
 		return c.classify(e.X, facts)
 	case *ast.TypeAssertExpr:

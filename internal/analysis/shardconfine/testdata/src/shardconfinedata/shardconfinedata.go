@@ -102,6 +102,21 @@ func rangeOwned(n int) []*shard {
 
 func i0() int { return 0 }
 
+// copiedForeign: a local that holds a shared slice of shards, a copy of it
+// or an append to it is as foreign as the slice.
+func (e *engine) copiedForeign() {
+	shards := e.shards
+	for _, sh := range shards {
+		sh.draining = true // want `store to field draining of confined \*shard through a foreign reference`
+	}
+	var first = e.shards[:1]
+	first[0].count = 1 // want `store to field count of confined \*shard through a foreign reference`
+	grown := append([]*shard{}, e.shards...)
+	grown[0].count = 2 // want `store to field count of confined \*shard through a foreign reference`
+	own := append([]*shard{}, &shard{})
+	own[0].count = 3 // ok: built here
+}
+
 // closureCapture: goroutine closures must not capture confined values.
 func (sh *shard) closureCapture() {
 	go func() { // want `goroutine closure captures confined value sh without //smoothvet:transfer`

@@ -6,7 +6,7 @@
 //
 //   - the parametric Theorem 4.7 instance on which the greedy policy
 //     achieves ratio 2 − (2/(α+1) + 1/(B+1));
-//   - the adaptive two-scenario game of Theorem 4.8, which forces every
+//   - the adaptive two-scenario game of Theorem 4.8 (Game), which forces every
 //     deterministic online algorithm to a ratio of at least ≈1.2287
 //     (α = 2) or ≈1.28197 (α ≈ 4.015, the Lotker/Sviridenko refinement);
 //   - the batch pattern that makes Lemma 3.6's buffer-scaling bound tight;
@@ -15,11 +15,14 @@
 package competitive
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/drop"
+	"repro/internal/freelist"
 	"repro/internal/offline"
 	"repro/internal/stream"
 )
@@ -119,7 +122,8 @@ type GameResult struct {
 	// Burst is true if the winning scenario appends the weight-alpha
 	// burst at t1+1, false if it simply truncates the stream.
 	Burst bool
-	// Online and Opt are the benefits in the winning scenario.
+	// Online is the online benefit in the winning scenario, the mean
+	// over the trials for a randomized policy, and Opt the optimum's.
 	Online, Opt float64
 }
 
@@ -136,16 +140,32 @@ type GameScenario struct {
 	Opt float64
 }
 
-// GameScenarios builds the Theorem 4.8 scenario set for buffer B, weight
-// ratio alpha and cut steps 0..maxSteps, with each scenario's offline
-// optimum computed once. Playing the game against several policies (as
-// the onlinelb table does) shares this expensive part instead of
-// rebuilding every stream and re-solving every optimum per policy.
-func GameScenarios(B int, alpha float64, maxSteps int) ([]GameScenario, error) {
+// Game is the adaptive adversary of Theorem 4.8 for buffer B, link rate 1
+// and weight ratio alpha. The base arrival pattern is B+1 weight-1 slices
+// at step 0 followed by one weight-alpha slice per step; for every cut step
+// t1 in [0, maxSteps] the adversary considers both endings — stop the
+// stream at t1, or append B+1 weight-alpha slices at t1+1 — and keeps the
+// scenario with the worst ratio for the online player.
+type Game struct {
+	// B is the buffer size.
+	B int
+	// Scenarios lists the adversary's inputs, each with its offline
+	// optimum: for t1 = 0..maxSteps, the truncated one, then the burst.
+	Scenarios []GameScenario
+	// base is the burst-free stream cut at maxSteps, which every scenario
+	// follows up to its cut step.
+	base *stream.Stream
+}
+
+// NewGame builds the Theorem 4.8 scenario set for buffer B, weight ratio
+// alpha and cut steps 0..maxSteps, with each scenario's offline optimum
+// computed once. Playing the game against several policies (as the
+// onlinelb table does) shares this expensive part.
+func NewGame(B int, alpha float64, maxSteps int) (*Game, error) {
 	if B < 1 || alpha < 1 || maxSteps < 1 {
 		return nil, fmt.Errorf("competitive: invalid game parameters B=%d alpha=%v maxSteps=%d", B, alpha, maxSteps)
 	}
-	scenarios := make([]GameScenario, 0, 2*(maxSteps+1))
+	g := &Game{B: B, Scenarios: make([]GameScenario, 0, 2*(maxSteps+1))}
 	for t1 := 0; t1 <= maxSteps; t1++ {
 		for _, burst := range []bool{false, true} {
 			st, err := gameStream(B, alpha, t1, burst)
@@ -156,95 +176,87 @@ func GameScenarios(B int, alpha float64, maxSteps int) ([]GameScenario, error) {
 			if err != nil {
 				return nil, err
 			}
-			scenarios = append(scenarios, GameScenario{
+			g.Scenarios = append(g.Scenarios, GameScenario{
 				StopStep: t1, Burst: burst, Stream: st, Opt: opt.Benefit,
 			})
 		}
 	}
-	return scenarios, nil
+	g.base = g.Scenarios[2*maxSteps].Stream
+	return g, nil
 }
 
-// OnlineLowerBoundGame plays the adaptive adversary of Theorem 4.8 against
-// the given (deterministic) policy with buffer B, link rate 1 and weight
-// ratio alpha. The base arrival pattern is B+1 weight-1 slices at step 0
-// followed by one weight-alpha slice per step; for every cut step
-// t1 in [0, maxSteps] the adversary considers both endings — stop the
-// stream at t1, or append B+1 weight-alpha slices at t1+1 — and keeps the
-// scenario with the worst ratio for the online player.
-//
-// Because the policies are deterministic and online, re-simulating each
-// scenario from scratch reproduces exactly the behaviour an adaptive
-// adversary would observe.
+// OnlineLowerBoundGame plays the Theorem 4.8 game (see Game) for buffer B,
+// weight ratio alpha and cut steps 0..maxSteps against a deterministic
+// policy.
 func OnlineLowerBoundGame(factory drop.Factory, B int, alpha float64, maxSteps int) (GameResult, error) {
-	scenarios, err := GameScenarios(B, alpha, maxSteps)
+	g, err := NewGame(B, alpha, maxSteps)
 	if err != nil {
 		return GameResult{}, err
 	}
-	return OnlineLowerBoundGameOn(scenarios, B, factory)
+	return g.Play(factory)
 }
 
-// OnlineLowerBoundGameOn plays the adaptive adversary game over a
-// precomputed scenario set (see GameScenarios) with buffer B and rate 1.
-func OnlineLowerBoundGameOn(scenarios []GameScenario, B int, factory drop.Factory) (GameResult, error) {
-	r := core.AcquireRunner()
-	defer core.ReleaseRunner(r)
-	best := GameResult{Ratio: 0}
-	for _, sc := range scenarios {
-		s, err := r.Run(sc.Stream, core.Config{ServerBuffer: B, Rate: 1, Policy: factory})
-		if err != nil {
+// Play's arenas and per-scenario benefit sums are recycled on free lists
+// of their own. A game holds two arenas at once, and the shared ones
+// (core.AcquireRunner) grow to the largest stream any sweep runs through
+// them; a game's arenas only ever see game streams, so they stay small.
+var (
+	runnerFree freelist.List[core.Runner]
+	sumsFree   freelist.List[[]float64]
+)
+
+// Play plays the game against one policy per trial and returns the
+// scenario with the worst ratio of the optimum to the policy's mean
+// benefit over the trials. A deterministic policy needs one trial: an
+// adaptive adversary that watches it gains nothing over one that fixed
+// its input in advance, since it can predict every move. For a
+// randomized policy, give each trial its own seed; the adversary is then
+// oblivious (it cannot react to the coin flips), which is a different
+// game: Theorem 4.8's bound covers deterministic policies only, and this
+// measures how much randomization buys against the same scenarios.
+//
+// An online policy cannot see arrivals before they come, so its state
+// after step t1 is the same in every scenario cut at t1 or later. Play
+// runs each trial once along the base stream and, after every cut step,
+// forks the run into its two endings (core.Runner.ForkInto), so only the
+// drain after the cut is simulated per scenario. The benefit sums are
+// taken in trial order, as a replay of every scenario would take them.
+func (g *Game) Play(trials ...drop.Factory) (GameResult, error) {
+	if len(trials) == 0 {
+		return GameResult{}, errors.New("competitive: a game needs at least one trial")
+	}
+	base, fork := runnerFree.Get(core.NewRunner), runnerFree.Get(core.NewRunner)
+	defer runnerFree.Put(base)
+	defer runnerFree.Put(fork)
+	sums := sumsFree.Get(func() *[]float64 { return new([]float64) })
+	defer sumsFree.Put(sums)
+	*sums = slices.Grow((*sums)[:0], len(g.Scenarios))[:len(g.Scenarios)]
+	clear(*sums)
+
+	for _, factory := range trials {
+		if err := base.Start(g.base, core.Config{ServerBuffer: g.B, Rate: 1, Policy: factory}); err != nil {
 			return GameResult{}, err
 		}
-		online := s.Benefit()
-		if ratio := ratioOf(online, sc.Opt); ratio > best.Ratio {
-			best = GameResult{Ratio: ratio, StopStep: sc.StopStep, Burst: sc.Burst, Online: online, Opt: sc.Opt}
-		}
-	}
-	return best, nil
-}
-
-// RandomizedGameResult reports the oblivious-adversary game against a
-// randomized policy.
-type RandomizedGameResult struct {
-	// Ratio is max over fixed scenarios of opt / E[online benefit].
-	Ratio float64
-	// StopStep and Burst identify the winning scenario.
-	StopStep int
-	Burst    bool
-	// MeanOnline and Opt are the benefits in the winning scenario.
-	MeanOnline, Opt float64
-}
-
-// OnlineLowerBoundGameRandomizedOn plays the Theorem 4.8 scenarios (see
-// GameScenarios), with buffer B and rate 1, against a RANDOMIZED policy
-// under the oblivious-adversary model: the adversary must fix the input in
-// advance (it cannot react to the policy's coin flips), and the policy is
-// judged by its expected benefit over `trials` independent runs. Theorem
-// 4.8's 1.2287 bound does not apply here — this measurement explores how
-// much randomization actually buys against this adversary.
-//
-// policyFor must return a fresh policy per trial index (vary the seed).
-func OnlineLowerBoundGameRandomizedOn(scenarios []GameScenario, B int, policyFor func(trial int) drop.Factory, trials int) (RandomizedGameResult, error) {
-	if trials < 1 {
-		return RandomizedGameResult{}, fmt.Errorf("competitive: invalid randomized game parameters")
-	}
-	r := core.AcquireRunner()
-	defer core.ReleaseRunner(r)
-	best := RandomizedGameResult{}
-	for _, sc := range scenarios {
-		var sum float64
-		for trial := 0; trial < trials; trial++ {
-			s, err := r.Run(sc.Stream, core.Config{ServerBuffer: B, Rate: 1, Policy: policyFor(trial)})
+		for i, sc := range g.Scenarios {
+			if err := base.Advance(sc.StopStep); err != nil {
+				return GameResult{}, err
+			}
+			if err := base.ForkInto(fork, sc.Stream); err != nil {
+				return GameResult{}, err
+			}
+			s, err := fork.Finish()
 			if err != nil {
-				return RandomizedGameResult{}, err
+				return GameResult{}, err
 			}
-			sum += s.Benefit()
+			(*sums)[i] += s.Benefit()
 		}
-		mean := sum / float64(trials)
+	}
+
+	best := GameResult{}
+	for i, sc := range g.Scenarios {
+		mean := (*sums)[i] / float64(len(trials))
 		if ratio := ratioOf(mean, sc.Opt); ratio > best.Ratio {
-			best = RandomizedGameResult{
-				Ratio: ratio, StopStep: sc.StopStep, Burst: sc.Burst,
-				MeanOnline: mean, Opt: sc.Opt,
-			}
+			best = GameResult{Ratio: ratio, StopStep: sc.StopStep, Burst: sc.Burst, Online: mean, Opt: sc.Opt}
 		}
 	}
 	return best, nil

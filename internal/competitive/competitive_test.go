@@ -2,8 +2,10 @@ package competitive
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/drop"
 )
 
@@ -170,48 +172,106 @@ func TestOnlineLowerBoundGameRandomized(t *testing.T) {
 		B     = 12
 		alpha = 2.0
 	)
-	scenarios, err := GameScenarios(B, alpha, 3*B)
+	g, err := NewGame(B, alpha, 3*B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := OnlineLowerBoundGameRandomizedOn(scenarios, B, func(trial int) drop.Factory {
-		return drop.RandomMix(int64(trial)*31+1, 0.5)
-	}, 8)
+	mixes := make([]drop.Factory, 8)
+	for trial := range mixes {
+		mixes[trial] = drop.RandomMix(int64(trial)*31+1, 0.5)
+	}
+	res, err := g.Play(mixes...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Ratio < 1 {
 		t.Errorf("randomized ratio %v < 1", res.Ratio)
 	}
-	if res.MeanOnline <= 0 || res.Opt <= 0 {
+	if res.Online <= 0 || res.Opt <= 0 {
 		t.Errorf("degenerate outcome: %+v", res)
 	}
 	// A p=0 mix is exactly the deterministic greedy: both games agree.
-	det, err := OnlineLowerBoundGame(drop.Greedy, B, alpha, 3*B)
+	det, err := g.Play(drop.Greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := OnlineLowerBoundGameRandomizedOn(scenarios, B, func(int) drop.Factory {
-		return drop.RandomMix(1, 0)
-	}, 1)
+	same, err := g.Play(drop.RandomMix(1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(same.Ratio-det.Ratio) > 1e-9 {
-		t.Errorf("p=0 randomized game %v != deterministic game %v", same.Ratio, det.Ratio)
+	if same != det {
+		t.Errorf("p=0 randomized game %+v != deterministic game %+v", same, det)
 	}
 }
 
 func TestOnlineLowerBoundGameRandomizedErrors(t *testing.T) {
-	if _, err := GameScenarios(0, 2, 5); err == nil {
+	if _, err := NewGame(0, 2, 5); err == nil {
 		t.Error("B=0 accepted")
 	}
-	scenarios, err := GameScenarios(2, 2, 5)
+	g, err := NewGame(2, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(int) drop.Factory { return drop.Greedy }
-	if _, err := OnlineLowerBoundGameRandomizedOn(scenarios, 2, mk, 0); err == nil {
-		t.Error("trials=0 accepted")
+	if _, err := g.Play(); err == nil {
+		t.Error("a game with no trials accepted")
+	}
+	if _, err := g.Play(drop.Anticipate(0.5, 0)); err == nil || !strings.Contains(err.Error(), "anticipate") {
+		t.Errorf("a policy the game cannot fork: error %v, want one naming it", err)
+	}
+}
+
+// replayGame is the game as it was played before Play forked it: every
+// scenario replayed from step 0 for every trial, which is what an adaptive
+// adversary observes by definition. It is the oracle for Play.
+func replayGame(g *Game, trials ...drop.Factory) (GameResult, error) {
+	r := core.AcquireRunner()
+	defer core.ReleaseRunner(r)
+	best := GameResult{}
+	for _, sc := range g.Scenarios {
+		var sum float64
+		for _, f := range trials {
+			s, err := r.Run(sc.Stream, core.Config{ServerBuffer: g.B, Rate: 1, Policy: f})
+			if err != nil {
+				return GameResult{}, err
+			}
+			sum += s.Benefit()
+		}
+		mean := sum / float64(len(trials))
+		if ratio := ratioOf(mean, sc.Opt); ratio > best.Ratio {
+			best = GameResult{Ratio: ratio, StopStep: sc.StopStep, Burst: sc.Burst, Online: mean, Opt: sc.Opt}
+		}
+	}
+	return best, nil
+}
+
+// TestGameMatchesReplay checks that the forked game finds exactly the
+// scenario, ratio and benefits, to the bit, that replaying every scenario
+// finds, for every policy the onlinelb table plays and the uniform random
+// one, at both of its weight ratios.
+func TestGameMatchesReplay(t *testing.T) {
+	mixes := make([]drop.Factory, 6)
+	for trial := range mixes {
+		mixes[trial] = drop.RandomMix(1+int64(trial)*7919, 0.5)
+	}
+	for _, B := range []int{4, 12} {
+		for _, alpha := range []float64{2, 4.015} {
+			g, err := NewGame(B, alpha, 3*B)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, trials := range [][]drop.Factory{{drop.Greedy}, {drop.TailDrop}, {drop.HeadDrop}, {drop.Random(3), drop.Random(4)}, mixes} {
+				got, err := g.Play(trials...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := replayGame(g, trials...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want || math.Float64bits(got.Online) != math.Float64bits(want.Online) {
+					t.Errorf("B=%d alpha=%v %s x%d: forked game %+v, replay %+v", B, alpha, trials[0]().Name(), len(trials), got, want)
+				}
+			}
+		}
 	}
 }

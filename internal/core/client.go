@@ -102,6 +102,17 @@ func (cl *Client) Reset(buffer, delay, linkDelay int, st *stream.Stream) {
 	cl.played, cl.dropped = cl.played[:0], cl.dropped[:0]
 }
 
+// copyFrom makes cl a copy of src, in cl's own backing arrays, that plays
+// st, which agrees with src's stream on every frame played so far.
+func (cl *Client) copyFrom(src *Client, st *stream.Stream) {
+	cl.buffer, cl.delay, cl.linkDelay, cl.st = src.buffer, src.delay, src.linkDelay, st
+	cl.full = append(cl.full[:0], src.full...)
+	cl.part = append(cl.part[:0], src.part...)
+	cl.victims = append(cl.victims[:0], src.victims...)
+	cl.sealed, cl.occ = src.sealed, src.occ
+	cl.played, cl.dropped = cl.played[:0], cl.dropped[:0]
+}
+
 // Occupancy returns the bytes currently buffered.
 func (cl *Client) Occupancy() int { return cl.occ }
 

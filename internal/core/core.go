@@ -215,6 +215,15 @@ func (p *pipe) reset(delay int) {
 	p.inFlight = 0
 }
 
+// copyFrom makes p a copy of src in p's own backing arrays.
+func (p *pipe) copyFrom(src *pipe) {
+	p.reset(len(src.ring) - 1)
+	for i, slot := range src.ring {
+		p.ring[i] = append(p.ring[i], slot...)
+	}
+	p.head, p.inFlight = src.head, src.inFlight
+}
+
 // push inserts the batches sent this step; they will pop after the
 // propagation delay.
 //

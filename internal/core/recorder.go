@@ -59,6 +59,26 @@ func (rec *Recorder) reset(out *sched.Schedule) {
 	clear(rec.dropped)
 }
 
+// copyFrom makes rec a copy of src, in rec's own backing arrays, that fills
+// out, whose stream agrees with src's on every slice logged so far and
+// whose traces are empty.
+func (rec *Recorder) copyFrom(src *Recorder, out *sched.Schedule) {
+	rec.out, rec.resolved = out, src.resolved
+	rec.starts = append(rec.starts[:0], src.starts...)
+	rec.ends = append(rec.ends[:0], src.ends...)
+	rec.plays = append(rec.plays[:0], src.plays...)
+	rec.drops = append(rec.drops[:0], src.drops...)
+	rec.late = append(rec.late[:0], src.late...)
+	// Only IDs that have arrived are ever dropped, and out's stream holds
+	// them all, so its bitmap is src's, cut or padded to its length.
+	words := (out.Stream.Len() + 63) >> 6
+	rec.dropped = slices.Grow(rec.dropped[:0], words)[:words]
+	clear(rec.dropped[copy(rec.dropped, src.dropped):])
+	out.SentPerStep = append(out.SentPerStep, src.out.SentPerStep...)
+	out.ServerOcc = append(out.ServerOcc, src.out.ServerOcc...)
+	out.ClientOcc = append(out.ClientOcc, src.out.ClientOcc...)
+}
+
 // Schedule merges the events recorded so far into the schedule's outcome
 // spans and returns the schedule; slices with no event yet are unresolved.
 // Each call rebuilds the same schedule's spans in place.

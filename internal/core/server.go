@@ -86,6 +86,16 @@ func (sv *Server) Reset(buffer, rate int, policy drop.Policy, opts ServerOptions
 	sv.sent, sv.dropped = sv.sent[:0], sv.dropped[:0]
 }
 
+// copyFrom makes sv a copy of src, in sv's own backing arrays, that drops
+// with policy, a clone of src's.
+func (sv *Server) copyFrom(src *Server, policy drop.Policy) {
+	sv.buffer, sv.rate, sv.policy, sv.opts = src.buffer, src.rate, policy, src.opts
+	sv.early = drop.EarlyOf(policy)
+	sv.queue, sv.head = append(sv.queue[:0], src.stored()...), 0
+	sv.sentHead, sv.occ = src.sentHead, src.occ
+	sv.sent, sv.dropped = sv.sent[:0], sv.dropped[:0]
+}
+
 // Occupancy returns the bytes currently stored.
 func (sv *Server) Occupancy() int { return sv.occ }
 

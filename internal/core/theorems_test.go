@@ -14,6 +14,7 @@ import (
 	"repro/internal/drop"
 	"repro/internal/offline"
 	"repro/internal/stream"
+	"repro/internal/trace"
 )
 
 // unitStreamW builds a random unit-slice stream with random weights.
@@ -311,4 +312,63 @@ func optimalUnitBenefit(st *stream.Stream, B, R int) (float64, error) {
 		return 0, err
 	}
 	return res.Benefit, nil
+}
+
+// TestScaleInvariance checks that the model has no natural unit: scaling
+// every slice size, the buffer and the rate by 1024 leaves the weighted
+// loss of every online policy, and of the whole-frame optimum, the same to
+// the bit. A finer unit than the harness's 1 KB can change a result only
+// through rounding the rate to whole units.
+func TestScaleInvariance(t *testing.T) {
+	const k = 1024
+	policies := []drop.Factory{drop.TailDrop, drop.HeadDrop, drop.Greedy, drop.Random(1),
+		drop.RandomMix(1, 0.5), drop.Anticipate(0.8, 0)}
+	for seed := int64(1); seed <= 2; seed++ {
+		gc := trace.DefaultGenConfig()
+		gc.Frames, gc.Seed = 150, seed
+		clip, err := trace.Generate(gc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := trace.WholeFrameStream(clip, trace.PaperWeights())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := stream.NewBuilder()
+		for _, r := range st.Runs() {
+			b.AddRun(r.Arrival, r.Count, k*r.Size, r.Weight)
+		}
+		big := b.MustBuild()
+		R := max(1, int(0.9*clip.AverageRate()))
+		for _, D := range []int{2, 5} {
+			B := R * D
+			for _, f := range policies {
+				small, err := Simulate(st, Config{ServerBuffer: B, Rate: R, Policy: f})
+				if err != nil {
+					t.Fatal(err)
+				}
+				large, err := Simulate(big, Config{ServerBuffer: k * B, Rate: k * R, Policy: f})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, z := small.WeightedLoss(), large.WeightedLoss(); math.Float64bits(a) != math.Float64bits(z) {
+					t.Errorf("seed %d D=%d %s: weighted loss %v at 1 unit, %v at 1/%d", seed, D, f().Name(), a, z, k)
+				}
+			}
+			small, err := offline.OptimalFrames(st, B, R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			large, err := offline.OptimalFrames(big, k*B, k*R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(small.Benefit) != math.Float64bits(large.Benefit) {
+				t.Errorf("seed %d D=%d: optimal benefit %v at 1 unit, %v at 1/%d", seed, D, small.Benefit, large.Benefit, k)
+			}
+			if small.Benefit >= st.TotalWeight() {
+				t.Errorf("seed %d D=%d: even the optimum loses nothing, so the comparison shows little", seed, D)
+			}
+		}
+	}
 }

@@ -77,12 +77,62 @@ func Recycle(p Policy) {
 	case *greedy:
 		greedyFree.Put(p)
 	case *random:
+		p.releaseTape()
 		randomFree.Put(p)
 	case *anticipate:
 		anticipateFree.Put(p)
 	case *randomMix:
+		p.r.releaseTape()
 		randomMixFree.Put(p)
 	}
+}
+
+// Clone returns a copy of p that continues from p's current state, apart
+// from p: core.Runner forks a run with it. The copy reuses into's backing
+// arrays when into has p's type, and recycles into otherwise; into may be
+// nil, and must not be p. A random policy and its copies share one draw
+// tape (see tape), so they must draw on one goroutine. Clone fails, naming
+// p, for any policy but tail-drop, head-drop, greedy, random and the
+// random mix.
+func Clone(p, into Policy) (Policy, error) {
+	switch p := p.(type) {
+	case *edgeDrop:
+		c, ok := into.(*edgeDrop)
+		if !ok {
+			Recycle(into)
+			c = edgeFree.Get(func() *edgeDrop { return new(edgeDrop) })
+		}
+		c.w.copyFrom(&p.w)
+		c.newest = p.newest
+		return c, nil
+	case *greedy:
+		c, ok := into.(*greedy)
+		if !ok {
+			Recycle(into)
+			c = greedyFree.Get(func() *greedy { return new(greedy) })
+		}
+		c.copyFrom(p)
+		return c, nil
+	case *random:
+		c, ok := into.(*random)
+		if !ok {
+			Recycle(into)
+			c = randomFree.Get(newRandom)
+		}
+		c.copyFrom(p)
+		return c, nil
+	case *randomMix:
+		c, ok := into.(*randomMix)
+		if !ok {
+			Recycle(into)
+			c = randomMixFree.Get(newRandomMix)
+		}
+		c.g.copyFrom(p.g)
+		c.r.copyFrom(p.r)
+		c.prob = p.prob
+		return c, nil
+	}
+	return nil, fmt.Errorf("drop: policy %s cannot be cloned", p.Name())
 }
 
 // The free lists behind Recycle, one per policy type.
@@ -94,9 +144,12 @@ var (
 	randomMixFree  freelist.List[randomMix]
 )
 
-// newRandom returns an unseeded random policy; its source is reseeded on
-// first use (see source).
-func newRandom() *random { return &random{rng: rand.New(rand.NewSource(0))} }
+// newRandom returns a random policy with no tape; setSeed gives it one.
+func newRandom() *random {
+	p := new(random)
+	p.rng = rand.New(&p.cur)
+	return p
+}
 
 // ---------------------------------------------------------------------------
 // TailDrop and HeadDrop
@@ -290,6 +343,12 @@ func (p *greedy) peek() (int, bool) {
 
 func (p *greedy) Len() int { return p.w.len() }
 
+// copyFrom makes p a copy of src in p's own backing arrays.
+func (p *greedy) copyFrom(src *greedy) {
+	p.h = append(p.h[:0], src.h...)
+	p.w.copyFrom(&src.w)
+}
+
 //smoothvet:noalloc
 func (p *greedy) Reset() {
 	p.h = p.h[:0]
@@ -304,11 +363,17 @@ func (p *greedy) Reset() {
 // swap-delete vector of live IDs plus pos, the id->position index, over the
 // live ID span.
 type random struct {
-	rng    *rand.Rand
-	seed   int64
-	seeded bool // rng has been seeded with seed since the last Reset
-	name   string
-	ids    []int
+	// rng draws through cur from a tape of seed's draws (see tape). The
+	// tape is seeded at its first draw and then only extended: Reset
+	// rewinds the cursor and a clone shares the tape, so neither pays for
+	// seeding, which costs about as much as a short run, again.
+	rng  *rand.Rand
+	cur  cursor
+	seed int64
+	// name caches Name for nameSeed: a random mix never asks for it.
+	name     string
+	nameSeed int64
+	ids      []int
 	// pos[id-posBase] is the index of id in ids plus one; 0 = absent.
 	pos     []int32
 	posBase int
@@ -329,16 +394,28 @@ func Random(seed int64) Factory {
 	return func() Policy { return NewRandom(seed) }
 }
 
-// setSeed (re)parameterizes a recycled instance, rebuilding the cached name
-// only when the seed actually changed.
+// setSeed (re)parameterizes a recycled instance, which has no tape: it
+// reads a tape of seed's draws from the start.
 func (p *random) setSeed(seed int64) {
-	if p.name == "" || p.seed != seed {
-		p.name = fmt.Sprintf("random(seed=%d)", seed)
-	}
 	p.seed = seed
+	p.cur = cursor{t: acquireTape(seed)}
 }
 
-func (p *random) Name() string { return p.name }
+// releaseTape detaches the policy from its tape, on its way to a free list
+// or to another tape.
+func (p *random) releaseTape() {
+	if p.cur.t != nil {
+		p.cur.t.release()
+		p.cur.t = nil
+	}
+}
+
+func (p *random) Name() string {
+	if p.name == "" || p.nameSeed != p.seed {
+		p.name, p.nameSeed = fmt.Sprintf("random(seed=%d)", p.seed), p.seed
+	}
+	return p.name
+}
 
 //smoothvet:noalloc
 func (p *random) Add(r stream.Run) {
@@ -378,26 +455,12 @@ func (p *random) Remove(first, end int) {
 	p.w.remove(first, end)
 }
 
-// source returns the random source, seeding it on first use after Reset:
-// most runs never overflow, and seeding costs as much as a short run.
-//
-//smoothvet:noalloc
-func (p *random) source() *rand.Rand {
-	if !p.seeded {
-		// Reseeding restores exactly the state of a fresh source
-		// (rand.NewSource seeds the same way) without reallocating it.
-		p.rng.Seed(p.seed)
-		p.seeded = true
-	}
-	return p.rng
-}
-
 //smoothvet:noalloc
 func (p *random) Victim(int) (stream.Run, bool) {
 	if len(p.ids) == 0 {
 		return stream.Run{}, false
 	}
-	id := p.ids[p.source().Intn(len(p.ids))]
+	id := p.ids[p.rng.Intn(len(p.ids))]
 	v := p.w.runOf(id)
 	p.Remove(id, id+1)
 	v.First, v.Count = id, 1
@@ -406,9 +469,24 @@ func (p *random) Victim(int) (stream.Run, bool) {
 
 func (p *random) Len() int { return len(p.ids) }
 
+// copyFrom makes p a copy of src in p's own backing arrays, reading src's
+// tape from src's position.
+func (p *random) copyFrom(src *random) {
+	if p.cur.t != src.cur.t {
+		p.releaseTape()
+		src.cur.t.refs.Add(1)
+	}
+	p.cur = src.cur
+	p.seed, p.name, p.nameSeed = src.seed, src.name, src.nameSeed
+	p.ids = append(p.ids[:0], src.ids...)
+	p.pos = append(p.pos[:0], src.pos...)
+	p.posBase = src.posBase
+	p.w.copyFrom(&src.w)
+}
+
 //smoothvet:noalloc
 func (p *random) Reset() {
-	p.seeded = false
+	p.cur.i = 0
 	p.ids = p.ids[:0]
 	p.pos = p.pos[:0]
 	p.w.reset()

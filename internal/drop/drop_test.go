@@ -190,9 +190,10 @@ func TestAddRequiresIncreasingIDs(t *testing.T) {
 	}
 }
 
-// TestRandomResetSeedsLazily checks that Reset defers seeding to the first
-// victim without changing the victim sequence: a policy reset twice with
-// no victim in between draws exactly what a fresh one draws.
+// TestRandomResetSeedsLazily checks that a policy seeds its draw tape at
+// the first victim, not before, and that Reset rewinds the tape without
+// changing the victim sequence: a policy reset twice with no victim in
+// between draws exactly what a fresh one draws.
 func TestRandomResetSeedsLazily(t *testing.T) {
 	fill := func(p Policy) Policy {
 		p.Add(stream.Run{First: 0, Count: 40, Size: 1, Weight: 1})
@@ -200,18 +201,17 @@ func TestRandomResetSeedsLazily(t *testing.T) {
 	}
 	want := drain(fill(NewRandom(9)))
 	p := NewRandom(9)
-	drain(fill(p)) // advance the source
+	drain(fill(p)) // advance the cursor
+	if !p.(*random).cur.t.seeded {
+		t.Fatal("victims drawn from an unseeded source")
+	}
 	p.Reset()
 	p.Reset()
 	if got := drain(fill(p)); !slices.Equal(got, want) {
 		t.Fatalf("after two Resets: %v, fresh policy: %v", got, want)
 	}
-	r := p.(*random)
-	if !r.seeded {
-		t.Fatal("victims drawn from an unseeded source")
-	}
-	if r.Reset(); r.seeded {
-		t.Error("Reset seeded the source eagerly")
+	if fresh := NewRandom(123457).(*random); fresh.cur.t.seeded {
+		t.Error("a new seed's tape was seeded before its first draw")
 	}
 }
 

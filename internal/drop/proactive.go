@@ -94,12 +94,14 @@ type randomMix struct {
 // picks a uniformly random droppable slice with probability p and the
 // greedy (lowest byte value) one otherwise. Deterministic per seed.
 func NewRandomMix(seed int64, p float64) Policy {
-	m := randomMixFree.Get(func() *randomMix { return &randomMix{g: new(greedy), r: newRandom()} })
+	m := randomMixFree.Get(newRandomMix)
 	m.r.setSeed(seed)
 	m.Reset()
 	m.prob = min(max(p, 0), 1)
 	return m
 }
+
+func newRandomMix() *randomMix { return &randomMix{g: new(greedy), r: newRandom()} }
 
 // RandomMix returns a Factory for NewRandomMix.
 func RandomMix(seed int64, p float64) Factory {
@@ -121,7 +123,7 @@ func (p *randomMix) Remove(first, end int) {
 // Victim returns a single slice: every victim slice tosses its own coin.
 func (p *randomMix) Victim(int) (stream.Run, bool) {
 	from, other := Policy(p.g), Policy(p.r)
-	if p.r.source().Float64() < p.prob {
+	if p.r.rng.Float64() < p.prob {
 		from, other = other, from
 	}
 	v, ok := from.Victim(1)

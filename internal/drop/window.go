@@ -206,6 +206,13 @@ func victimCount(over, size int) int { return max(1, (over+size-1)/size) }
 // len returns the number of live IDs.
 func (w *window) len() int { return w.n }
 
+// copyFrom makes w a copy of src in w's own backing arrays.
+func (w *window) copyFrom(src *window) {
+	w.base, w.head, w.n, w.end = src.base, src.head, src.n, src.end
+	w.words = append(w.words[:0], src.words...)
+	w.runs = append(w.runs[:0], src.runs...)
+}
+
 // reset empties the window, retaining the backing arrays for reuse.
 //
 //smoothvet:noalloc

@@ -377,8 +377,8 @@ func TableOnlineLowerBound(c Config) (*Table, error) {
 	err := t.sweepRows(c, []float64{2, 4.015}, func(alpha float64) (map[string]float64, error) {
 		row := map[string]float64{"predicted-lb": competitive.PredictedOnlineLB(alpha)}
 		// Build the scenario streams and their offline optima once per
-		// alpha; all four games below replay the same fixed inputs.
-		scenarios, err := competitive.GameScenarios(B, alpha, 3*B)
+		// alpha; all four games below play the same fixed inputs.
+		g, err := competitive.NewGame(B, alpha, 3*B)
 		if err != nil {
 			return nil, err
 		}
@@ -386,15 +386,17 @@ func TableOnlineLowerBound(c Config) (*Table, error) {
 			name string
 			f    drop.Factory
 		}{{"greedy", drop.Greedy}, {"taildrop", drop.TailDrop}, {"headdrop", drop.HeadDrop}} {
-			res, err := competitive.OnlineLowerBoundGameOn(scenarios, B, p.f)
+			res, err := g.Play(p.f)
 			if err != nil {
 				return nil, err
 			}
 			row[p.name] = res.Ratio
 		}
-		rr, err := competitive.OnlineLowerBoundGameRandomizedOn(scenarios, B, func(trial int) drop.Factory {
-			return drop.RandomMix(c.Seed+int64(trial)*7919, 0.5)
-		}, trials)
+		mixes := make([]drop.Factory, trials)
+		for trial := range mixes {
+			mixes[trial] = drop.RandomMix(c.Seed+int64(trial)*7919, 0.5)
+		}
+		rr, err := g.Play(mixes...)
 		if err != nil {
 			return nil, err
 		}

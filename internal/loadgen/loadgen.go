@@ -218,6 +218,7 @@ func New(cfg Config) (*Engine, error) {
 	for i := range e.shards {
 		sh, err := newShard(e, i)
 		if err != nil {
+			//smoothvet:transfer no shard goroutine has started yet
 			for _, prev := range e.shards[:i] {
 				prev.Poller.Close()
 			}

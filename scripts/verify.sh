@@ -133,12 +133,20 @@ echo "== fleet relay smoke (1k sessions, mid-wave backend drain)"
 LB_SMOKE=1000 go test -count=1 -run '^TestFleetSmoke$' ./internal/lb
 
 echo "== fuzz: admission dual solve vs nested search (10 s)"
-# The one fuzz target: admission.MaxStreams solves the Chernoff criterion
-# in its dual form (one search over the tilt) and must agree with a binary
-# search over K, each probe a full ChernoffExponent solve, on arbitrary
+# admission.MaxStreams solves the Chernoff criterion in its dual form (one
+# search over the tilt) and must agree with a binary search over K, each probe a full ChernoffExponent solve, on arbitrary
 # positive demand, capacity and eps. The committed seed corpus in
 # internal/admission/testdata/fuzz also runs under plain go test above.
 go test -run '^$' -fuzz '^FuzzMaxStreamsMatchesOracle$' -fuzztime 10s ./internal/admission
+
+echo "== fuzz: forked run vs replay (10 s)"
+# core.Runner.ForkInto copies a run in progress onto another stream that
+# agrees with it so far; the fork must finish exactly as a run of that
+# stream from step 0 does (outcomes, per-step traces, benefit bits), on
+# arbitrary run-streams, configurations, policies and cut steps. The
+# committed seed corpus in internal/core/testdata/fuzz also runs under
+# plain go test above.
+go test -run '^$' -fuzz '^FuzzForkMatchesReplay$' -fuzztime 10s ./internal/core
 
 echo "== bench + regression gate"
 # Run every benchmark in the protocol the committed ledger was recorded
@@ -166,10 +174,13 @@ echo "== bench + regression gate"
 # loopback waves get wide bounds: one op there is a full wave of real dials
 # and sessions, so the dial-path allocation count wobbles with the host.
 # Sizing the front tier's admission gate allocates the gate and nothing
-# else: the tilt search runs on the stack.
+# else: the tilt search runs on the stack. A forked Theorem 4.8 game
+# (BenchmarkForkedGame) recycles its arenas, policy clones and draw tapes,
+# so it allocates nothing either.
 ./scripts/bench_baseline.sh \
     -rule 'BenchmarkServerStep:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkSimulate/*:allocs=0.0+0,bytes=0.0+0' \
+    -rule 'BenchmarkForkedGame/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkEngineStepDensity/cohort/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkLoadgenStep/*:allocs=0.0+0,bytes=0.0+0' \
     -rule 'BenchmarkObsRecord/*:allocs=0.0+0,bytes=0.0+0' \
