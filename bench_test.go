@@ -148,25 +148,40 @@ func BenchmarkServerStep(b *testing.B) {
 // 1000-frame clip (~38k unit slices) per policy, through a reused
 // core.Runner arena — the path every sweep takes. After the first (untimed)
 // run grows the arena to the stream's working size, iterations are
-// allocation-free.
+// allocation-free. GreedyFrames runs greedy on the same clip with one slice
+// per frame, weighed by decode dependency (trace.DependencyWeights, as in
+// the smartweights experiment): 376 distinct byte values over its 1000
+// frames, where the paper's weights give three, so the value stacks come
+// and go with the frames.
 func BenchmarkSimulate(b *testing.B) {
-	st := benchByteStream(b, 1000)
+	clip := benchClip(b, 1000)
+	frames, err := trace.WeightedStream(clip, trace.DependencyWeights(clip))
+	if err != nil {
+		b.Fatal(err)
+	}
+	bytes := benchByteStream(b, 1000)
 	cfg := func(f drop.Factory) core.Config {
 		return core.Config{ServerBuffer: 480, Rate: 35, Policy: f}
 	}
 	for _, tc := range []struct {
 		name string
+		st   *stream.Stream
 		f    drop.Factory
-	}{{"TailDrop", drop.TailDrop}, {"HeadDrop", drop.HeadDrop}, {"Greedy", drop.Greedy}} {
+	}{
+		{"TailDrop", bytes, drop.TailDrop},
+		{"HeadDrop", bytes, drop.HeadDrop},
+		{"Greedy", bytes, drop.Greedy},
+		{"GreedyFrames", frames, drop.Greedy},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			r := core.NewRunner()
-			if _, err := r.Run(st, cfg(tc.f)); err != nil {
+			if _, err := r.Run(tc.st, cfg(tc.f)); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(st, cfg(tc.f)); err != nil {
+				if _, err := r.Run(tc.st, cfg(tc.f)); err != nil {
 					b.Fatal(err)
 				}
 			}

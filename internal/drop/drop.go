@@ -27,6 +27,7 @@ package drop
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/freelist"
 	"repro/internal/stream"
@@ -213,80 +214,34 @@ func (p *edgeDrop) Reset() { p.w.reset() }
 // Greedy
 // ---------------------------------------------------------------------------
 
-// greedyRun is one item of the min-heap behind the greedy policy: an added
-// run, whose slices all have one byte value, so a byte-sliced frame costs
-// one heap push and its slices leave from the newest down. The heap orders
-// runs by lowest byte value first; ties are broken toward the newest slice
-// (largest end), matching the tail-drop intuition that newer data has had
-// less invested in it (the paper allows arbitrary tie-breaking). Runs are
-// disjoint, so this is the per-slice order "lowest byte value, then largest
-// ID".
-type greedyRun struct {
+// valueStack holds the added runs of one byte value (from any size and
+// weight), newest on top, linked top down through greedy's pool.
+type valueStack struct {
+	value float64
+	top   int32 // pool index; the stack is empty below the pool's head
+}
+
+// stackRun is a pool entry: a run and the pool index of the run below it.
+type stackRun struct {
 	stream.Run
-	byteValue float64
-}
-
-// greedyHeap is a hand-rolled min-heap rather than a container/heap
-// implementation: heap.Push/Pop box every item into an interface, which
-// costs one allocation per operation in the simulator's hot path. The
-// direct methods below are allocation-free, and push reuses the backing
-// array truncated by pop and Reset.
-type greedyHeap []greedyRun
-
-func (h greedyHeap) less(i, j int) bool {
-	if h[i].byteValue != h[j].byteValue {
-		return h[i].byteValue < h[j].byteValue
-	}
-	return h[i].End() > h[j].End()
-}
-
-// push inserts a run and restores the heap invariant (sift-up).
-func (h *greedyHeap) push(r greedyRun) {
-	*h = append(*h, r)
-	s := *h
-	for i := len(s) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-// pop removes the minimum run and restores the heap invariant.
-func (h *greedyHeap) pop() {
-	s := *h
-	s[0] = s[len(s)-1]
-	*h = s[:len(s)-1]
-	h.down(0)
-}
-
-// down restores the heap invariant below i after i's key grew (sift-down).
-func (h greedyHeap) down(i int) {
-	for n := len(h); ; {
-		left, right := 2*i+1, 2*i+2
-		smallest := i
-		if left < n && h.less(left, smallest) {
-			smallest = left
-		}
-		if right < n && h.less(right, smallest) {
-			smallest = right
-		}
-		if smallest == i {
-			return
-		}
-		h[i], h[smallest] = h[smallest], h[i]
-		i = smallest
-	}
+	below int32
 }
 
 // greedy drops the slice with the lowest byte value w(s)/|s| first
-// (Section 4.1), via a min-heap of added runs with lazy deletion: a run's
-// removed IDs stay in the heap until they surface.
+// (Section 4.1). It keeps one stack of added runs per distinct byte value,
+// lowest value last (Add scans from there, past only the values that have
+// runs on a stack), so a byte-sliced frame is one entry and the victim is
+// the newest live slice of the last stack's top run: ties go to the newest
+// slice, matching the tail-drop intuition that newer data has had less
+// invested in it (the paper allows arbitrary tie-breaking). The pool holds
+// the runs in ID order, and Remove trims the ones below the oldest live ID
+// off its front; a run that left the droppable set otherwise stays on its
+// stack until it surfaces on top. No stack is empty.
 type greedy struct {
-	h greedyHeap
-	w window
+	stacks []valueStack
+	pool   []stackRun
+	head   int // pool[:head] are trimmed
+	w      window
 }
 
 // Greedy returns the greedy policy of Section 4.1: on overflow, discard
@@ -301,14 +256,58 @@ func (p *greedy) Name() string { return "greedy" }
 
 //smoothvet:noalloc
 func (p *greedy) Add(r stream.Run) {
-	p.w.add(r)
-	if r.Count > 0 {
-		p.h.push(greedyRun{Run: r, byteValue: r.ByteValue()})
+	if p.w.add(r); r.Count <= 0 {
+		return
+	}
+	i, v := len(p.stacks), r.ByteValue()
+	for i > 0 && p.stacks[i-1].value <= v {
+		i--
+	}
+	if i == len(p.stacks) || p.stacks[i].value != v {
+		p.stacks = slices.Insert(p.stacks, i, valueStack{value: v, top: -1})
+	}
+	p.pool = append(p.pool, stackRun{Run: r, below: p.stacks[i].top})
+	p.stacks[i].top = int32(len(p.pool) - 1)
+}
+
+// Remove trims the runs below the oldest live ID (all, once none is live).
+//
+//smoothvet:noalloc
+func (p *greedy) Remove(first, end int) {
+	p.w.remove(first, end)
+	oldest, h := p.w.end, p.head
+	if p.w.len() > 0 {
+		oldest = p.w.oldest()
+	}
+	for h < len(p.pool) && p.pool[h].End() <= oldest {
+		h++
+	}
+	if h == p.head {
+		return
+	}
+	live := p.stacks[:0]
+	for _, s := range p.stacks {
+		if s.top >= int32(h) {
+			live = append(live, s)
+		}
+	}
+	p.stacks, p.head = live, h
+	if 2*h >= len(p.pool) {
+		p.pool = p.pool[:copy(p.pool, p.pool[h:])]
+		p.shift(h)
 	}
 }
 
-//smoothvet:noalloc
-func (p *greedy) Remove(first, end int) { p.w.remove(first, end) }
+// shift moves every link down by h once the pool has lost its first h runs.
+func (p *greedy) shift(h int) {
+	for i := range p.pool {
+		p.pool[i].below -= int32(h)
+	}
+	for i := range p.stacks {
+		p.stacks[i].top -= int32(h)
+	}
+	p.head = 0
+}
 
 //smoothvet:noalloc
 func (p *greedy) Victim(over int) (stream.Run, bool) {
@@ -316,42 +315,43 @@ func (p *greedy) Victim(over int) (stream.Run, bool) {
 	if !ok {
 		return stream.Run{}, false
 	}
-	top := &p.h[0]
+	top := &p.pool[p.stacks[len(p.stacks)-1].top]
 	v := p.w.takeDown(top.Run, hi, over)
-	if top.Count = v.First - top.First; top.Count == 0 {
-		p.h.pop()
-	} else {
-		p.h.down(0)
-	}
+	top.Count = v.First - top.First
 	return v, true
 }
 
-// peek discards exhausted runs from the top of the heap and returns the
-// newest live ID of the minimum run, p.h[0].
+// peek pops dead runs (and emptied stacks) off the lowest stack and
+// returns the newest live ID of its top run.
 //
 //smoothvet:noalloc
 func (p *greedy) peek() (int, bool) {
-	for len(p.h) > 0 {
-		top := p.h[0]
+	for k := len(p.stacks) - 1; k >= 0; k = len(p.stacks) - 1 {
+		s := &p.stacks[k]
+		top := p.pool[s.top]
 		if hi := p.w.last(top.First, top.End(), true); hi >= top.First {
 			return hi, true
 		}
-		p.h.pop()
+		if s.top = top.below; s.top < int32(p.head) {
+			p.stacks = p.stacks[:k]
+		}
 	}
 	return 0, false
 }
 
 func (p *greedy) Len() int { return p.w.len() }
 
-// copyFrom makes p a copy of src in p's own backing arrays.
+// copyFrom makes p a copy of src, less its trimmed runs, in p's arrays.
 func (p *greedy) copyFrom(src *greedy) {
-	p.h = append(p.h[:0], src.h...)
+	p.stacks = append(p.stacks[:0], src.stacks...)
+	p.pool = append(p.pool[:0], src.pool[src.head:]...)
+	p.shift(src.head)
 	p.w.copyFrom(&src.w)
 }
 
 //smoothvet:noalloc
 func (p *greedy) Reset() {
-	p.h = p.h[:0]
+	p.stacks, p.pool, p.head = p.stacks[:0], p.pool[:0], 0
 	p.w.reset()
 }
 

@@ -2,52 +2,74 @@ package drop
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stream"
 )
 
-// greedyModel is the per-slice reference the run heap replaces: one slice
-// per live ID, the victim found by a scan (lowest byte value, ties to the
-// largest ID).
+// greedyModel is the per-slice reference the value stacks replace: the live
+// IDs of each byte value in ascending order, the victim the largest ID of
+// the lowest byte value that has one.
 type greedyModel struct {
 	present map[int]stream.Run // live ID -> its run
+	ids     map[float64][]int  // byte value -> its live IDs, ascending
+}
+
+func newGreedyModel() *greedyModel {
+	return &greedyModel{present: make(map[int]stream.Run), ids: make(map[float64][]int)}
 }
 
 func (m *greedyModel) add(r stream.Run) {
+	v := r.ByteValue()
 	for id := r.First; id < r.End(); id++ {
 		m.present[id] = r
+		i, _ := slices.BinarySearch(m.ids[v], id)
+		m.ids[v] = slices.Insert(m.ids[v], i, id)
 	}
+}
+
+// remove drops id if it is live.
+func (m *greedyModel) remove(id int) {
+	r, ok := m.present[id]
+	if !ok {
+		return
+	}
+	delete(m.present, id)
+	v := r.ByteValue()
+	i, _ := slices.BinarySearch(m.ids[v], id)
+	m.ids[v] = slices.Delete(m.ids[v], i, i+1)
+}
+
+func (m *greedyModel) reset() {
+	clear(m.present)
+	clear(m.ids)
 }
 
 // victim returns the ID the per-slice policy would drop next, or -1.
 func (m *greedyModel) victim() int {
-	best := -1
-	for id, r := range m.present {
-		if best < 0 {
-			best = id
-			continue
-		}
-		b := m.present[best]
-		if r.ByteValue() < b.ByteValue() || (r.ByteValue() == b.ByteValue() && id > best) {
-			best = id
+	best, low := -1, 0.0
+	for v, ids := range m.ids {
+		if len(ids) > 0 && (best < 0 || v < low) {
+			best, low = ids[len(ids)-1], v
 		}
 	}
 	return best
 }
 
-// driveGreedy replays an operation stream against the run heap and the
+// driveGreedy replays an operation stream against the value stacks and the
 // per-slice model: runs added in ID order (repeating a byte value, after ID
 // gaps, byte values that come from different size/weight pairs), range
-// removals, victims asked for various excesses, and resets. Every Victim
-// must return consecutive IDs of one run that are exactly the model's next
-// single-slice victims, no more than the excess needs; Len must agree after
-// every step, and the final drain too.
+// removals, victims asked for various excesses, resets, and clones that
+// take over from the policy they copy. Every Victim must return
+// consecutive IDs of one run that are exactly the model's next single-slice
+// victims, no more than the excess needs; Len must agree after every step,
+// and the final drain too.
 func driveGreedy(t *testing.T, ops []byte) {
 	t.Helper()
 	p := Greedy().(*greedy)
-	defer Recycle(p)
-	m := &greedyModel{present: make(map[int]stream.Run)}
+	defer func() { Recycle(p) }()
+	m := newGreedyModel()
 	nextID := 0
 	value := 1.0
 	victim := func(step, over int) bool {
@@ -67,7 +89,7 @@ func driveGreedy(t *testing.T, ops []byte) {
 			if r := m.present[want]; want != id || r.Size != v.Size || r.Weight != v.Weight || r.Arrival != v.Arrival {
 				t.Fatalf("step %d: Victim(%d) = %+v, model's next victim is %d of %+v", step, over, v, want, r)
 			}
-			delete(m.present, id)
+			m.remove(id)
 		}
 		return true
 	}
@@ -90,7 +112,7 @@ func driveGreedy(t *testing.T, ops []byte) {
 				end := first + int(op>>5) + 1
 				p.Remove(first, end)
 				for id := first; id < end; id++ {
-					delete(m.present, id)
+					m.remove(id)
 				}
 			}
 		case 5, 6:
@@ -98,8 +120,15 @@ func driveGreedy(t *testing.T, ops []byte) {
 		case 7:
 			if op>>3%8 == 0 {
 				p.Reset()
-				clear(m.present)
+				m.reset()
 				nextID = 0 // a reused policy starts a new stream
+			} else if op>>3%8 == 1 {
+				c, err := Clone(p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				Recycle(p)
+				p = c.(*greedy)
 			} else if _, ok := p.peek(); ok != (len(m.present) > 0) {
 				t.Fatalf("step %d: peek %v with %d live", step, ok, len(m.present))
 			}
@@ -129,29 +158,47 @@ func TestGreedyRunsAgainstModel(t *testing.T) {
 	}
 }
 
-// TestGreedyFrameIsOneRun pins the point of the run heap: a frame's slices
-// — consecutive IDs, one byte value — take one heap entry, however many
-// they are, and still leave newest first.
+// TestGreedyFrameIsOneRun pins the point of the value stacks: a frame's
+// slices — consecutive IDs, one byte value — take one stack entry, however
+// many they are, and a byte value takes one stack, whatever (size, weight)
+// pair it comes from. Victims leave the lowest stack newest first, across
+// the runs that share it.
 func TestGreedyFrameIsOneRun(t *testing.T) {
 	p := Greedy().(*greedy)
 	defer Recycle(p)
 	for frame, value := range []float64{3, 1, 2} {
 		p.Add(stream.Run{First: 50 * frame, Count: 50, Arrival: frame, Size: 1, Weight: value})
 	}
+	// Byte value 1 again, from size 2 and weight 2.
+	p.Add(stream.Run{First: 150, Count: 10, Arrival: 3, Size: 2, Weight: 2})
 	if _, ok := p.peek(); !ok {
 		t.Fatal("peek found nothing")
 	}
-	if len(p.h) != 3 {
-		t.Errorf("heap holds %d entries for 3 frames, want 3", len(p.h))
+	var values []float64
+	for _, s := range p.stacks {
+		values = append(values, s.value)
+	}
+	if depths := p.depths(); !slices.Equal(values, []float64{3, 2, 1}) || !slices.Equal(depths, []int{1, 1, 2}) {
+		t.Errorf("stacks of values %v hold %v runs, want values [3 2 1] holding [1 1 2]", values, depths)
 	}
 	got := drain(p)
-	if len(got) != 150 || got[0] != 99 || got[49] != 50 || got[50] != 149 || got[100] != 49 || got[149] != 0 {
-		t.Errorf("victim order %v: want frame 1 newest first, then frame 2, then frame 0", got)
+	want := slices.Concat(descending(150, 160), descending(50, 100), descending(100, 150), descending(0, 50))
+	if !slices.Equal(got, want) {
+		t.Errorf("victim order %v: want the size-2 run newest first, then frame 1, then frame 2, then frame 0", got)
 	}
 }
 
+// descending returns the IDs end-1 down to first.
+func descending(first, end int) []int {
+	var ids []int
+	for id := end - 1; id >= first; id-- {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
 // FuzzGreedyRuns lets the fuzzer search for operation interleavings where
-// the run heap diverges from the per-slice model. Run with `go test -fuzz
+// the value stacks diverge from the per-slice model. Run with `go test -fuzz
 // FuzzGreedyRuns ./internal/drop` for an open-ended search; in normal test
 // runs the seed corpus below is replayed.
 func FuzzGreedyRuns(f *testing.F) {

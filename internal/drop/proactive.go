@@ -150,7 +150,7 @@ func (p *anticipate) EarlyVictim(occupancy, capacity int) (stream.Run, bool) {
 	}
 	// Peek at the cheapest droppable slice; only shed it if it is below
 	// the value floor (when a floor is configured).
-	if _, ok := p.peek(); !ok || p.valueFloor > 0 && p.h[0].byteValue >= p.valueFloor {
+	if _, ok := p.peek(); !ok || p.valueFloor > 0 && p.stacks[len(p.stacks)-1].value >= p.valueFloor {
 		return stream.Run{}, false
 	}
 	// Occupancy is an integer, so it exceeds limit exactly while it

@@ -3,6 +3,7 @@ package offline
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -613,6 +614,69 @@ func TestOptimalUnitMatchesPerSliceReference(t *testing.T) {
 	}
 	if nonDivisible < streams/4 {
 		t.Errorf("only %d of %d instances had B not divisible by R", nonDivisible, streams)
+	}
+}
+
+// TestOptimalUnitBucketsManyWeights is TestOptimalUnitMatchesPerSliceReference
+// on streams that draw from 96 distinct weights, so the bucket pass keeps
+// both a few dozen and more than 64 weights sorted, far past the keys it
+// holds on the stack. Zero weights of either sign turn up at any arrival, and
+// one arrival carries +0, a positive weight and -0 as three runs: all of
+// them must share one bucket, in arrival order.
+func TestOptimalUnitBucketsManyWeights(t *testing.T) {
+	weights := make([]float64, 96)
+	for i := range weights {
+		weights[i] = float64(i+1) / 7
+	}
+	some, many := 0, 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := stream.NewBuilder()
+		horizon := rng.Intn(20) + 8
+		pool := weights[:rng.Intn(len(weights)-24)+25]
+		zeros, zeroes := rng.Intn(horizon), rng.Intn(4)
+		for at := 0; at < horizon; at++ {
+			for runs := rng.Intn(20); runs > 0; runs-- {
+				w := pool[rng.Intn(len(pool))]
+				if rng.Intn(4) < zeroes {
+					w = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				}
+				for c := rng.Intn(3) + 1; c > 0; c-- {
+					b.Add(at, 1, w)
+				}
+			}
+			if at == zeros {
+				for _, w := range []float64{0, pool[rng.Intn(len(pool))], math.Copysign(0, -1)} {
+					for c := rng.Intn(3) + 1; c > 0; c-- {
+						b.Add(at, 1, w)
+					}
+				}
+			}
+		}
+		st := b.MustBuild()
+		distinct := map[float64]bool{}
+		for _, r := range st.Runs() {
+			distinct[r.Weight] = true
+		}
+		if len(distinct) > 64 {
+			many++
+		} else if len(distinct) > 24 {
+			some++
+		}
+		B, R := rng.Intn(20)+1, rng.Intn(5)+1
+		got, err := OptimalUnit(st, B, R)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		want := perSliceOptimalUnit(st, B, R)
+		if !slices.Equal(got.Accepted, want.Accepted) || got.Bytes != want.Bytes ||
+			math.Float64bits(got.Benefit) != math.Float64bits(want.Benefit) {
+			t.Fatalf("seed %d B=%d R=%d: %d weights, got %d bytes, benefit %v; per-slice reference %d bytes, benefit %v",
+				seed, B, R, len(distinct), got.Bytes, got.Benefit, want.Bytes, want.Benefit)
+		}
+	}
+	if some < 50 || many < 30 {
+		t.Errorf("%d of 300 streams had 25 to 64 distinct weights and %d more than 64, want 50 and 30", some, many)
 	}
 }
 

@@ -1,7 +1,6 @@
 package offline
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -29,13 +28,14 @@ import (
 //
 // The byte-slice model makes a frame of s units s slices with one weight
 // and one arrival, so the decision is taken a run at a time: consecutive
-// slices with equal (arrival, weight) sort next to each other, and of a run
-// of count slices exactly min(count, B - cross) fit, cross being the
-// largest rise across the run's cut. One run costs two range queries and
-// one suffix add.
+// slices with equal (arrival, weight) stay next to each other in the
+// bucket pass by weight that orders the runs, and of a run of count slices
+// exactly min(count, B - cross) fit, cross being the largest rise across
+// the run's cut. One run costs two range queries and one suffix add.
 //
-// Total time O(n + G log G + G log T) for G runs; exact (cross-validated
-// against BruteForce and a per-slice reference in the tests).
+// Total time O(n + G log k + k² + G log T) for G runs of k distinct
+// weights; exact (cross-validated against BruteForce and a per-slice
+// reference in the tests).
 func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 	if !st.UnitSliced() {
 		return nil, fmt.Errorf("offline: OptimalUnit requires unit-size slices (Lmax=%d); use OptimalFrames or Explode", st.MaxSliceSize())
@@ -49,21 +49,37 @@ func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 	}
 
 	// The stream's runs, merged where only a zero's sign tells weights
-	// apart; a byte-sliced clip has one per arrival step.
-	runs := make([]stream.Run, 0, len(st.Runs()))
-	for _, r := range st.Runs() {
-		if k := len(runs) - 1; k >= 0 && runs[k].Arrival == r.Arrival && runs[k].Weight == r.Weight {
-			runs[k].Count += r.Count
-			continue
-		}
-		runs = append(runs, r)
+	// apart (a byte-sliced clip has one per arrival step), by weight
+	// descending; ties by arrival then ID for determinism (any tie-break
+	// yields the same total benefit, by the matroid exchange property).
+	// This is the order the slices themselves would sort in, and since the
+	// stream's runs are in (arrival, ID) order, a stable bucket pass by
+	// weight gives it: count the runs of each weight, then place each run
+	// after the heavier ones. Weights of ±0 share a bucket, as they compare
+	// equal.
+	all := st.Runs()
+	// A clip weighted by frame type has a few weights: keep their keys and
+	// counts on the stack.
+	var keyBuf [8]float64
+	var startBuf [9]int
+	keys := distinctWeights(keyBuf[:0], all)
+	start := append(startBuf[:0], make([]int, len(keys)+1)...)
+	for i := 0; i < len(all); {
+		r, next := mergedRun(all, i)
+		start[weightRank(keys, r.Weight)+1]++
+		i = next
 	}
-	// Weight descending; ties by arrival then ID for determinism (any
-	// tie-break yields the same total benefit, by the matroid exchange
-	// property). This is the order the slices themselves would sort in.
-	slices.SortFunc(runs, func(a, b stream.Run) int {
-		return cmp.Or(cmp.Compare(b.Weight, a.Weight), cmp.Compare(a.Arrival, b.Arrival), cmp.Compare(a.First, b.First))
-	})
+	for k := range keys {
+		start[k+1] += start[k]
+	}
+	runs := make([]stream.Run, start[len(keys)])
+	for i := 0; i < len(all); {
+		r, next := mergedRun(all, i)
+		k := weightRank(keys, r.Weight)
+		runs[start[k]] = r
+		start[k]++
+		i = next
+	}
 
 	// H is indexed by i in [0, horizon+1]; H[i] = N(i-1) - R*i starts at
 	// -R*i with N = 0.
@@ -85,6 +101,42 @@ func OptimalUnit(st *stream.Stream, B, R int) (*Result, error) {
 		res.Bytes += int(m)
 	}
 	return res, nil
+}
+
+// mergedRun returns all[i] merged with the runs after it that have its
+// arrival and weight, and the index past them.
+func mergedRun(all []stream.Run, i int) (stream.Run, int) {
+	r := all[i]
+	for i++; i < len(all) && all[i].Arrival == r.Arrival && all[i].Weight == r.Weight; i++ {
+		r.Count += all[i].Count
+	}
+	return r, i
+}
+
+// distinctWeights returns the runs' distinct weights in keys' backing
+// array, highest first, with ±0 as one, kept sorted by insertion as they
+// turn up.
+func distinctWeights(keys []float64, runs []stream.Run) []float64 {
+	for _, r := range runs {
+		if k := weightRank(keys, r.Weight); k == len(keys) || keys[k] != r.Weight {
+			keys = slices.Insert(keys, k, r.Weight)
+		}
+	}
+	return keys
+}
+
+// weightRank returns the index of the first key at most w in keys, which
+// are in descending order.
+func weightRank(keys []float64, w float64) int {
+	i, j := 0, len(keys)
+	for i < j {
+		if h := int(uint(i+j) >> 1); keys[h] > w {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // riseTree is a segment tree over an int64 array supporting suffix add and

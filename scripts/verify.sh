@@ -148,6 +148,14 @@ echo "== fuzz: forked run vs replay (10 s)"
 # plain go test above.
 go test -run '^$' -fuzz '^FuzzForkMatchesReplay$' -fuzztime 10s ./internal/core
 
+echo "== fuzz: greedy stacks vs per-slice model (10 s)"
+# The greedy policy keeps one stack of runs per byte value and hands out
+# victims as runs; every victim must be exactly the slices the per-slice
+# rule (lowest byte value, newest first) would drop one at a time, under
+# arbitrary adds, removals, resets and clones. Its seed inputs also run
+# under plain go test above.
+go test -run '^$' -fuzz '^FuzzGreedyRuns$' -fuzztime 10s ./internal/drop
+
 echo "== bench + regression gate"
 # Run every benchmark in the protocol the committed ledger was recorded
 # with (scripts/bench_baseline.sh, -benchtime 5x) and check the text against
