@@ -35,7 +35,7 @@
 //     shared with internal/loadgen — and the shard, as its handler,
 //     splices backend socket → per-session pipe → client socket
 //     (kernel-to-kernel, no userspace copy, zero allocation). A
-//     stalled client write parks the session on a one-shot EPOLLOUT and
+//     stalled client write parks the session on EPOLLOUT and
 //     the stall duration streams into a histogram; stalls beyond
 //     Config.StallTimeout retire the session. The tier requires Linux:
 //     New returns reactor.NewPoller's error elsewhere.
@@ -160,7 +160,9 @@ type Engine struct {
 	pending   chan *session
 	pendCount atomic.Int64
 	active    atomic.Int64
-	seq       atomic.Uint64
+	// idle holds one wake-up for Drain, sent whenever active falls to 0.
+	idle chan struct{}
+	seq  atomic.Uint64
 
 	httpc *http.Client
 
@@ -203,6 +205,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:     cfg,
 		base:    time.Now(),
 		pending: make(chan *session, pendingLimit),
+		idle:    make(chan struct{}, 1),
 		quit:    make(chan struct{}),
 		httpc:   &http.Client{Timeout: scrapeInterval},
 	}
@@ -271,11 +274,11 @@ func (e *Engine) Handle(conn net.Conn) error {
 	// Reserve the slot, then test it: a check followed by a later Add lets
 	// concurrent connections past the cap together.
 	if n, limit := e.active.Add(1), e.cfg.MaxSessions; limit > 0 && n > int64(limit) {
-		e.active.Add(-1)
+		e.leave()
 		return e.reject(conn, errSessionCap)
 	}
 	if g := e.cfg.Gate; g != nil && !g.TryAdmit() {
-		e.active.Add(-1)
+		e.leave()
 		return e.reject(conn, errAdmission)
 	}
 	s := &session{
@@ -293,7 +296,7 @@ func (e *Engine) Handle(conn net.Conn) error {
 	select {
 	case e.pending <- s:
 	default:
-		e.active.Add(-1)
+		e.leave()
 		if g := e.cfg.Gate; g != nil {
 			g.Release()
 		}
@@ -346,7 +349,7 @@ func (e *Engine) reject(conn net.Conn, err error) error {
 // and fires the completion callback. Every admitted session passes here
 // exactly once, whether it failed in placement or retired on a shard.
 func (e *Engine) sessionDone(s *session, err error, now int64) {
-	e.active.Add(-1)
+	e.leave()
 	if g := e.cfg.Gate; g != nil {
 		g.Release()
 	}
@@ -378,18 +381,31 @@ func (e *Engine) DrainBackend(i int) error {
 	return nil
 }
 
+// leave gives back one admitted session's place; the last one out wakes
+// a waiting Drain.
+func (e *Engine) leave() {
+	if e.active.Add(-1) == 0 {
+		select {
+		case e.idle <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // Drain waits for every admitted session to finish, up to timeout,
 // without aborting relays; it reports whether the tier emptied. Callers
 // stop feeding Handle first.
 func (e *Engine) Drain(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if e.active.Load() == 0 {
-			return true
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for e.active.Load() != 0 {
+		select {
+		case <-e.idle: // stale or fresh: the loop checks again
+		case <-deadline.C:
+			return e.active.Load() == 0
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	return e.active.Load() == 0
+	return true
 }
 
 // Close stops the placement workers and shard reactors, aborting any

@@ -29,6 +29,10 @@ type lbMetrics struct {
 	gActive    obs.GaugeID
 	hAdmitWait obs.HistID
 	hStall     obs.HistID
+
+	// The reactor's own pair, recorded by reactor.Loop.Wake.
+	cWakes      obs.CounterID
+	hWakeEvents obs.HistID
 }
 
 // newLBMetrics declares the tier's series and freezes the registry. The
@@ -50,6 +54,8 @@ func newLBMetrics(e *Engine, shards int, extra func(*obs.Builder)) *lbMetrics {
 	m.gActive = b.Gauge("lb_sessions_active", "Sessions currently registered on relay shards.")
 	m.hAdmitWait = b.Histogram("lb_admit_wait_us", "Microseconds from front-door admit to shard registration.")
 	m.hStall = b.Histogram("lb_relay_stall_us", "Microseconds a stalled relay waited for the client socket to drain.")
+	m.cWakes = b.Counter("lb_wakes_total", "Relay reactor wakes: returns from the poller wait that were served.")
+	m.hWakeEvents = b.Histogram("lb_wake_events", "Ready fds served per relay reactor wake.")
 	b.Func("lb_sessions_pending", "Sessions waiting in the pending-admit queue.", func() int64 {
 		return e.pendCount.Load()
 	})

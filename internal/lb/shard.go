@@ -69,7 +69,7 @@ func newShard(e *Engine, idx int) (*shard, error) {
 	sh := &shard{eng: e, rec: e.recs[idx+1]}
 	sh.Loop = reactor.Loop[*session]{
 		Poller: p, Handler: sh, Now: e.monotonic, Closing: &e.closing, ErrClosed: errRelayShutdown,
-		Met: e.met.reg.Shard(idx), Active: e.met.gActive,
+		Met: e.met.reg.Shard(idx), Active: e.met.gActive, Wakes: e.met.cWakes, WakeEvents: e.met.hWakeEvents,
 	}
 	return sh, nil
 }
@@ -286,7 +286,11 @@ func (s *session) release() {
 // relay is the steady-state hot path: drain the pipe into the client,
 // refill it from the backend, entirely kernel-to-kernel. pipeFill tracks
 // the bytes parked in the pipe, which disambiguates EAGAIN (empty source
-// vs full sink) without a peek syscall.
+// vs full sink) without a peek syscall. Once a refill has drained to the
+// client the call returns instead of splicing again: that splice would
+// almost always find the backend empty, and the backend fd is watched
+// level-triggered, so the next wait reports it again while bytes or EOF
+// remain.
 //
 //smoothvet:noalloc
 func (sh *shard) relay(s *session, now int64) {
@@ -294,7 +298,7 @@ func (sh *shard) relay(s *session, now int64) {
 		sh.finishClientGone(s, now)
 		return
 	}
-	for {
+	for refilled := false; ; {
 		for s.pipeFill > 0 {
 			n, err := reactor.Splice(s.pipeR, s.cfd, s.pipeFill)
 			if n > 0 {
@@ -304,8 +308,8 @@ func (sh *shard) relay(s *session, now int64) {
 			}
 			if en, ok := err.(syscall.Errno); ok {
 				if en == syscall.EAGAIN {
-					// The client's socket buffer is full: park on a
-					// one-shot EPOLLOUT.
+					// The client's socket buffer is full: park on
+					// EPOLLOUT.
 					sh.stall(s, now)
 					return
 				}
@@ -320,10 +324,14 @@ func (sh *shard) relay(s *session, now int64) {
 			sh.Retire(s, nil, now)
 			return
 		}
+		if refilled {
+			return
+		}
 		n, err := reactor.Splice(s.bfd, s.pipeW, spliceChunk)
 		if n > 0 {
 			s.pipeFill += int(n)
 			s.lastData = now
+			refilled = true
 			if !s.anchored {
 				s.anchored = true
 				sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
@@ -366,7 +374,7 @@ func (sh *shard) stall(s *session, now int64) {
 		sh.Retire(s, err, now)
 		return
 	}
-	if err := sh.Poller.Mod(s.cfd, reactor.Out|reactor.RdHup|reactor.OneShot); err != nil {
+	if err := sh.Poller.Mod(s.cfd, reactor.Out|reactor.RdHup); err != nil {
 		sh.Retire(s, err, now)
 	}
 }

@@ -25,8 +25,8 @@
 //     netstream.Decoder per shard. The old generator's per-session
 //     goroutines took per-message wall-clock readings that skewed under
 //     scheduler load; here every message drained in one wake shares the
-//     wake's stamp, so reported step lag measures the server (plus a
-//     bounded drain time), not the generator.
+//     wake's stamp, so reported step lag measures the server (plus at
+//     most one wake and the reactor's 200µs settle), not the generator.
 //   - Receivers: per-session playout accounting uses core.RecvWindow, the
 //     sliding-window form of the simulator's dense client arrays, in the
 //     same validate / resolve / ingest order as netstream.ReceiveStream —
@@ -48,7 +48,12 @@
 // rebased by their minimum, then recorded — and later messages record
 // clamped at >= 0. Sessions that fail mid-stream contribute the lags they
 // measured before failing (the seed dropped them with the session); dial
-// and handshake failures contribute nothing.
+// and handshake failures contribute nothing. A message's arrival is the
+// stamp of the wake that reads it, taken when the wake's last wait
+// returned, so a lag exceeds truth by at most one wake plus the reactor's
+// settle: a loaded loop lets ready sockets gather for up to 200µs before
+// it serves them (reactor.Loop.Run), far inside a session's D·step of
+// playout slack.
 //
 // The engine requires Linux: New returns reactor.NewPoller's error
 // elsewhere.

@@ -452,8 +452,9 @@ func metricValue(body, name string) int64 {
 // serving engine — the verify.sh gate; LOADGEN_SMOKE overrides the
 // session count for bigger manual runs. Mid-wave it scrapes the
 // generator's /metrics through the diag handler and asserts the key
-// series: the active-sessions gauge reaches the wave size and the
-// step-lag histogram is populated while traffic flows.
+// series: the active-sessions gauge reaches the wave size, and the
+// step-lag histogram and the reactor's wake pair (loadgen_wakes_total,
+// loadgen_wake_events) are populated while traffic flows.
 func TestLoopbackCapacitySmoke(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("loadgen reactor requires linux")
@@ -498,6 +499,7 @@ func TestLoopbackCapacitySmoke(t *testing.T) {
 	// full wave size once dialing completes.
 	sawFull := false
 	sawLag := false
+	sawWakes := false
 	deadline := time.After(30 * time.Second)
 	var rep Report
 poll:
@@ -519,6 +521,9 @@ poll:
 			if metricValue(body, "loadgen_step_lag_us_count") > 0 {
 				sawLag = true
 			}
+			if metricValue(body, "loadgen_wakes_total") > 0 && metricValue(body, "loadgen_wake_events_count") > 0 {
+				sawWakes = true
+			}
 		}
 	}
 	if rep.Completed != n || rep.Failed != 0 {
@@ -536,6 +541,9 @@ poll:
 	}
 	if !sawLag {
 		t.Errorf("mid-wave scrape never saw a populated loadgen_step_lag_us histogram")
+	}
+	if !sawWakes {
+		t.Errorf("mid-wave scrape never saw loadgen_wakes_total and loadgen_wake_events_count above zero")
 	}
 
 	// Post-wave scrape: cumulative counters cover the whole wave and the

@@ -24,6 +24,10 @@ type loadMetrics struct {
 	gActive    obs.GaugeID
 	hLag       obs.HistID
 	hOccupancy obs.HistID
+
+	// The reactor's own pair, recorded by reactor.Loop.Wake.
+	cWakes      obs.CounterID
+	hWakeEvents obs.HistID
 }
 
 // newLoadMetrics registers the load generator's metric set (plus any
@@ -39,6 +43,8 @@ func newLoadMetrics(shards int, extra func(*obs.Builder)) *loadMetrics {
 	m.gActive = b.Gauge("loadgen_sessions_active", "Sessions currently registered, summed across shards.")
 	m.hLag = b.Histogram("loadgen_step_lag_us", "Per-message step lag against the pacing schedule, microseconds (reset per wave).")
 	m.hOccupancy = b.Histogram("loadgen_recv_window_occupancy", "Peak receive-window occupancy per retired session, slices.")
+	m.cWakes = b.Counter("loadgen_wakes_total", "Reactor wakes: returns from the poller wait that were served.")
+	m.hWakeEvents = b.Histogram("loadgen_wake_events", "Ready fds served per reactor wake.")
 	if extra != nil {
 		extra(&b)
 	}

@@ -117,7 +117,7 @@ func newShardCore(e *Engine, idx int) *shard {
 	}
 	sh.Loop = reactor.Loop[*session]{
 		Handler: sh, Now: e.monotonic, Closing: &e.closing, ErrClosed: errEngineClosed,
-		Met: m, Active: e.met.gActive,
+		Met: m, Active: e.met.gActive, Wakes: e.met.cWakes, WakeEvents: e.met.hWakeEvents,
 	}
 	sh.dec = netstream.NewDecoder(&sh.br)
 	return sh

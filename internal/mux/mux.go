@@ -19,8 +19,9 @@
 package mux
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/drop"
@@ -120,8 +121,12 @@ func Merge(streams []*stream.Stream) (*stream.Stream, []int, error) {
 		}
 	}
 	// The Builder sorts stably by arrival, so pre-sorting the records the
-	// same way keeps origin[] aligned with the assigned IDs.
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].run.Arrival < recs[j].run.Arrival })
+	// same way keeps origin[] aligned with the assigned IDs (and leaves the
+	// Builder's own sort nothing to do). One stream is in order already.
+	byArrival := func(a, b rec) int { return cmp.Compare(a.run.Arrival, b.run.Arrival) }
+	if !slices.IsSortedFunc(recs, byArrival) {
+		slices.SortStableFunc(recs, byArrival)
+	}
 	b := stream.NewBuilder()
 	origin := make([]int, 0, len(recs))
 	for _, r := range recs {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"syscall"
+	"time"
 )
 
 // Poller wraps one epoll set. All sockets the runtime hands an engine are
@@ -59,6 +60,15 @@ func (p *Poller) Wait() []Event {
 		p.events = append(p.events, Event{Fd: p.raw[i].Fd, Events: p.raw[i].Events})
 	}
 	return p.events
+}
+
+// nap sleeps the calling thread for d with nanosleep(2), resumed on EINTR
+// (the runtime's preemption signal): the loop's goroutine stays on its
+// thread, and the kernel, not the runtime's timer wheel, bounds the nap.
+func nap(d time.Duration) {
+	ts := syscall.NsecToTimespec(int64(d))
+	for syscall.Nanosleep(&ts, &ts) == syscall.EINTR {
+	}
 }
 
 // Close releases the epoll set.

@@ -21,7 +21,7 @@ func TestEventBitsMatchEpoll(t *testing.T) {
 		got, want uint32
 	}{
 		{"In", In, syscall.EPOLLIN}, {"Out", Out, syscall.EPOLLOUT}, {"Err", Err, syscall.EPOLLERR},
-		{"Hup", Hup, syscall.EPOLLHUP}, {"RdHup", RdHup, syscall.EPOLLRDHUP}, {"OneShot", OneShot, syscall.EPOLLONESHOT},
+		{"Hup", Hup, syscall.EPOLLHUP}, {"RdHup", RdHup, syscall.EPOLLRDHUP},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %#x, epoll has %#x", c.name, c.got, c.want)
@@ -285,4 +285,94 @@ func BenchmarkLoopbackWriteRead(b *testing.B) {
 			syscall.Syscall(syscall.SYS_GETPPID, 0, 0, 0)
 		}
 	})
+}
+
+// stampedRun is a harness whose Ready also notes how many clock readings
+// Run took since the last sweep (Expired runs after dispatch in every
+// wake, so that is the readings of the wake serving the fd) and then
+// closes the loop, so Run returns after the wake that served the fd.
+type stampedRun struct {
+	*harness
+	reads  int     // Now calls since the last Expired
+	served []int   // reads, per Ready
+	stamps []int64 // now, per Ready
+}
+
+func (r *stampedRun) Ready(s *sess, fd int, events uint32, now int64) {
+	r.harness.Ready(s, fd, events, now)
+	r.served = append(r.served, r.reads)
+	r.stamps = append(r.stamps, now)
+	r.closing.Store(true)
+}
+
+func (r *stampedRun) Expired(s *sess, now int64) error {
+	r.reads = 0
+	return r.harness.Expired(s, now)
+}
+
+// runOnReadablePipe runs a loop with a real Poller over one pipe that is
+// readable before Run starts, on a clock that advances by step at every
+// reading, and returns what the wake that served the pipe saw.
+func runOnReadablePipe(t *testing.T, step int64) *stampedRun {
+	t.Helper()
+	p, err := NewPoller()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer syscall.Close(r)
+	defer syscall.Close(w)
+	if err := p.Add(r, In); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := syscall.Write(w, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	run := &stampedRun{harness: newHarness(0)}
+	run.Handler = run
+	run.Poller = p
+	var clock int64
+	run.Now = func() int64 {
+		run.reads++
+		clock += step
+		return clock
+	}
+	run.Table.Add(&sess{fd: r}, r)
+	run.Run() // Close in the closing wake releases p
+	return run
+}
+
+// TestRunServesIdleWaitAtOnce: on an idle loop — its clock says the wait
+// blocked for settle — one readable fd is dispatched by the first Wake,
+// stamped when that wait returned, with no nap and no second Wait.
+func TestRunServesIdleWaitAtOnce(t *testing.T) {
+	run := runOnReadablePipe(t, int64(settle))
+	if len(run.served) != 1 {
+		t.Fatalf("the fd was served %d times, want once", len(run.served))
+	}
+	if run.served[0] != 2 || run.stamps[0] != 2*int64(settle) {
+		t.Errorf("served after %d clock readings at stamp %d, want 2 (one wait) at %d",
+			run.served[0], run.stamps[0], 2*int64(settle))
+	}
+}
+
+// TestRunSettlesLoadedWait: on a loaded loop — its clock says the wait
+// returned at once — Run naps, waits again, and the second wait still
+// reports the fd (level-triggered: nothing is lost); the one Wake serves
+// it with the second wait's stamp, and the nap took at least settle.
+func TestRunSettlesLoadedWait(t *testing.T) {
+	begin := time.Now()
+	run := runOnReadablePipe(t, 0)
+	if took := time.Since(begin); took < settle {
+		t.Errorf("a loaded wake came back after %v, want a nap of settle (%v)", took, settle)
+	}
+	if len(run.served) != 1 || run.served[0] != 3 {
+		t.Fatalf("served %d times after %v clock readings, want once after 3 (two waits)", len(run.served), run.served)
+	}
+	if got := run.reg.Snapshot(nil).Scalars[run.Wakes]; got != 1 {
+		t.Errorf("%d wakes counted, want 1", got)
+	}
 }

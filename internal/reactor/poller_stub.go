@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"syscall"
+	"time"
 )
 
 // The reactor needs epoll; elsewhere NewPoller fails, so an engine's New
@@ -24,6 +25,8 @@ func (p *Poller) Mod(fd int, events uint32) error { return nil }
 func (p *Poller) Del(fd int) error                { return nil }
 func (p *Poller) Wait() []Event                   { return nil }
 func (p *Poller) Close()                          {}
+
+func nap(d time.Duration) { time.Sleep(d) }
 
 func Pipe() (r, w int, err error) { return -1, -1, errNoEpoll }
 

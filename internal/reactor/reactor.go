@@ -32,6 +32,11 @@ const (
 	// session waits for admission and how stale an idle sweep can be. 10ms
 	// sits well under the smallest practical step duration.
 	waitMs = 10
+	// settle is how long a loaded loop lets ready fds gather before it
+	// serves them (see Run). 200µs is far inside a session's D·step of
+	// playout slack, and long enough that one wake serves the burst a
+	// serving tick writes instead of a few messages of it.
+	settle = 200 * time.Microsecond
 	// maxEvents is the per-wait event batch; more ready fds than this
 	// simply surface on the next wait (level-triggered).
 	maxEvents = 1024
@@ -40,14 +45,15 @@ const (
 	sweepChunk = 256
 )
 
-// Event bits, with epoll(7)'s values (part of the Linux ABI).
+// Event bits, with epoll(7)'s values (part of the Linux ABI). There is no
+// one-shot or edge-triggered bit: Run may drop one wait's events and count
+// on the next wait to report them again.
 const (
-	In      uint32 = 0x1
-	Out     uint32 = 0x4
-	Err     uint32 = 0x8
-	Hup     uint32 = 0x10
-	RdHup   uint32 = 0x2000
-	OneShot uint32 = 1 << 30
+	In    uint32 = 0x1
+	Out   uint32 = 0x4
+	Err   uint32 = 0x8
+	Hup   uint32 = 0x10
+	RdHup uint32 = 0x2000
 )
 
 // Event is one ready fd and the bits it is ready for.
@@ -92,25 +98,54 @@ type Loop[S Session] struct {
 	Closing   *atomic.Bool
 	ErrClosed error
 	// Met is the shard's metric slots and Active the gauge every wake sets
-	// to the table size before publishing.
+	// to the table size before publishing; every wake counts itself in
+	// Wakes and its ready fds in WakeEvents.
 	//smoothvet:confined the slots belong to the loop's goroutine
-	Met    *obs.ShardMetrics
-	Active obs.GaugeID
+	Met        *obs.ShardMetrics
+	Active     obs.GaugeID
+	Wakes      obs.CounterID
+	WakeEvents obs.HistID
 }
 
 // Run waits for ready fds and serves wakes until Closing is set.
+//
+// A wait that returns ready fds sooner than settle after it began finds
+// the loop loaded: more bytes are on their way, so the loop naps out the
+// rest of settle on its own thread and waits again, and one wake serves
+// all that is ready then. Every fd is watched level-triggered, so the
+// second wait reports whatever the first did and nothing is lost. A wait
+// that blocked for settle or longer finds the loop idle, and its events
+// are served at once: an isolated message pays nothing.
 func (l *Loop[S]) Run() {
 	for {
+		start := l.Now()
 		events := l.Poller.Wait()
-		// The single stamp per wake, taken immediately after epoll_wait
-		// returns, is what every session served in the wake measures
-		// against: a reported lag or stall can exceed truth by at most the
-		// time one wake takes, and never includes a scheduler delay per
-		// message.
-		if l.Wake(events, l.Now()) {
+		// The single stamp per wake, taken immediately after the last
+		// epoll_wait returns, is what every session served in the wake
+		// measures against: a reported lag or stall can exceed truth by at
+		// most one wake plus settle, and never includes a scheduler delay
+		// per message.
+		now := l.Now()
+		if d := settleNap(start, now, len(events)); d > 0 {
+			nap(d)
+			events = l.Poller.Wait()
+			now = l.Now()
+		}
+		if l.Wake(events, now) {
 			return
 		}
 	}
+}
+
+// settleNap is Run's rule: how long to nap after a wait that began at
+// start and returned ready fds at end (nanoseconds on the engine's
+// clock). An empty wait, or one that blocked for settle or longer, naps
+// not at all; a loaded one naps the rest of settle, never more.
+func settleNap(start, end int64, ready int) time.Duration {
+	if ready == 0 {
+		return 0
+	}
+	return settle - time.Duration(min(max(end-start, 0), int64(settle)))
 }
 
 // Wake is the body of one wake at stamp now: admit queued sessions,
@@ -119,6 +154,8 @@ func (l *Loop[S]) Run() {
 // retire everything and release the poller. It reports whether the loop is
 // done.
 func (l *Loop[S]) Wake(events []Event, now int64) (done bool) {
+	l.Met.Inc(l.Wakes)
+	l.Met.Observe(l.WakeEvents, int64(len(events)))
 	for _, s := range l.Queue.Drain() {
 		l.Handler.Admit(s, now)
 	}

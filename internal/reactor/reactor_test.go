@@ -40,8 +40,13 @@ type harness struct {
 func newHarness(limit time.Duration) *harness {
 	var b obs.Builder
 	active := b.Gauge("test_active", "sessions in the table")
+	wakes := b.Counter("test_wakes_total", "wakes")
+	wakeEvents := b.Histogram("test_wake_events", "ready fds per wake")
 	h := &harness{reg: obs.Build(&b, 1), limit: limit, seen: map[*sess]int{}, retired: map[*sess]error{}}
-	h.Loop = Loop[*sess]{Handler: h, Closing: &h.closing, ErrClosed: errClosed, Met: h.reg.Shard(0), Active: active}
+	h.Loop = Loop[*sess]{
+		Handler: h, Closing: &h.closing, ErrClosed: errClosed,
+		Met: h.reg.Shard(0), Active: active, Wakes: wakes, WakeEvents: wakeEvents,
+	}
 	return h
 }
 
@@ -132,6 +137,76 @@ func TestWakeOrder(t *testing.T) {
 	}
 	if h.Table.Len() != 0 || h.activeGauge() != 0 {
 		t.Errorf("after close: table %d, gauge %d, want 0 and 0", h.Table.Len(), h.activeGauge())
+	}
+}
+
+// TestSettleNap is Run's rule as a table: an empty wait and a wait that
+// blocked for settle or longer nap not at all; a loaded wait naps what is
+// left of settle, never more (also on a clock that read backwards).
+func TestSettleNap(t *testing.T) {
+	const us = int64(time.Microsecond)
+	for _, c := range []struct {
+		name       string
+		start, end int64
+		ready      int
+		want       time.Duration
+	}{
+		{"blocked exactly settle", 1000, 1000 + int64(settle), 3, 0},
+		{"blocked longer than settle", 1000, 1000 + 10*int64(settle), 1, 0},
+		{"blocked the whole waitMs", 0, waitMs * int64(time.Millisecond), 1, 0},
+		{"returned at once", 1000, 1000, 5, settle},
+		{"returned after 50µs", 1000, 1000 + 50*us, 1, settle - 50*time.Microsecond},
+		{"returned 1ns short of settle", 0, int64(settle) - 1, 2, 1},
+		{"clock read backwards", 1000, 900, 1, settle},
+		{"empty at once", 1000, 1000, 0, 0},
+		{"empty after a timeout", 0, waitMs * int64(time.Millisecond), 0, 0},
+	} {
+		got := settleNap(c.start, c.end, c.ready)
+		if got != c.want {
+			t.Errorf("%s: settleNap(%d, %d, %d) = %v, want %v", c.name, c.start, c.end, c.ready, got, c.want)
+		}
+		if got < 0 || got > settle {
+			t.Errorf("%s: nap %v outside [0, settle]", c.name, got)
+		}
+	}
+}
+
+// TestWakeCounts: every wake, empty or not, counts one in Wakes and
+// observes its ready-fd count in WakeEvents.
+func TestWakeCounts(t *testing.T) {
+	h := newHarness(0)
+	h.fill(3, 0)
+	h.Wake([]Event{{Fd: 0, Events: In}, {Fd: 1, Events: In}, {Fd: 2, Events: In}}, 1)
+	h.Wake(nil, 2)
+	h.Wake([]Event{{Fd: 1, Events: In}}, 3)
+	snap := h.reg.Snapshot(nil)
+	if got := snap.Scalars[h.Wakes]; got != 3 {
+		t.Errorf("wakes counted %d, want 3", got)
+	}
+	hist := snap.Hists[h.WakeEvents]
+	if hist.Count() != 3 || hist.Sum() != 4 || hist.Max() != 3 {
+		t.Errorf("wake events: count %d, sum %d, max %d, want 3, 4, 3", hist.Count(), hist.Sum(), hist.Max())
+	}
+}
+
+// quietHandler serves every call with nothing, so only the wake's own
+// work can allocate.
+type quietHandler struct{}
+
+func (quietHandler) Admit(*sess, int64)              {}
+func (quietHandler) Ready(*sess, int, uint32, int64) {}
+func (quietHandler) Expired(*sess, int64) error      { return nil }
+func (quietHandler) Retire(*sess, error, int64)      {}
+
+// TestWakeDoesNotAllocate: a wake's dispatch, sweep, wake counters and
+// publish touch no allocator.
+func TestWakeDoesNotAllocate(t *testing.T) {
+	h := newHarness(0)
+	h.fill(4, 0)
+	h.Handler = quietHandler{}
+	events := []Event{{Fd: 0, Events: In}, {Fd: 3, Events: In | RdHup}}
+	if n := testing.AllocsPerRun(100, func() { h.Wake(events, 1) }); n != 0 {
+		t.Errorf("%v allocs per wake, want 0", n)
 	}
 }
 

@@ -152,25 +152,40 @@ func DependencyWeights(c *Clip) []float64 {
 	// with no following anchor).
 	damage := make([]float64, n)
 	baseline := DecodableFrames(c, nil)
-	// Losing a B frame hurts only itself; losing an anchor kills every
-	// frame whose decode chain runs through it. Rerunning the O(n)
-	// decodability sweep per anchor keeps this exact at O(n * anchors)
-	// cost, fine at clip scale.
+	// live[k] is the baseline-decodable bytes among frames 0..k-1. The
+	// sizes are integers, so the difference of two prefixes is exactly the
+	// float64 sum of the frames between them, added one at a time.
+	live := make([]int, n+1)
+	for k, f := range c.Frames {
+		live[k+1] = live[k]
+		if baseline[k] {
+			live[k+1] += f.Size
+		}
+	}
+	// Losing a B frame hurts only itself. Losing anchor i kills exactly the
+	// frames strictly between the anchor before it and the next I frame
+	// after it: the B frames before i lose their following reference, the
+	// P frames after it their chain, which only an I frame heals, and the B
+	// frames after it a preceding reference. One backward pass finds the
+	// next I frame, one forward pass the anchor before.
+	nextI := make([]int, n)
+	next := n
+	for i := n - 1; i >= 0; i-- {
+		nextI[i] = next
+		if c.Frames[i].Type == I {
+			next = i
+		}
+	}
+	prevAnchor := -1
 	for i, f := range c.Frames {
-		if f.Type == B {
+		if f.Type != I && f.Type != P {
 			if baseline[i] {
 				damage[i] = float64(f.Size)
 			}
 			continue
 		}
-		var total float64
-		dec := DecodableFrames(c, func(j int) bool { return j != i })
-		for k, ok := range dec {
-			if !ok && baseline[k] {
-				total += float64(c.Frames[k].Size)
-			}
-		}
-		damage[i] = total
+		damage[i] = float64(live[nextI[i]] - live[prevAnchor+1])
+		prevAnchor = i
 	}
 	// Normalize to weight-per-byte with B frames at 1.
 	for i, f := range c.Frames {

@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"math"
+	"math/rand/v2"
+	"strings"
 	"testing"
 )
 
@@ -222,5 +225,67 @@ func TestWeightedStream(t *testing.T) {
 	}
 	if _, err := WeightedStream(c, []float64{1}); err == nil {
 		t.Error("length mismatch accepted")
+	}
+}
+
+// dependencyWeightsOracle is DependencyWeights by definition: it reruns
+// DecodableFrames with each anchor lost in turn and adds up the sizes of
+// the baseline-decodable frames that lost their decodability.
+func dependencyWeightsOracle(c *Clip) []float64 {
+	n := len(c.Frames)
+	out := make([]float64, n)
+	baseline := DecodableFrames(c, nil)
+	for i, f := range c.Frames {
+		var damage float64
+		if f.Type == B {
+			if baseline[i] {
+				damage = float64(f.Size)
+			}
+		} else {
+			for k, ok := range DecodableFrames(c, func(j int) bool { return j != i }) {
+				if !ok && baseline[k] {
+					damage += float64(c.Frames[k].Size)
+				}
+			}
+		}
+		out[i] = max(damage/float64(f.Size), 1)
+	}
+	return out
+}
+
+// TestDependencyWeightsMatchesRerun holds the prefix-sum DependencyWeights
+// to the per-anchor rerun, bit for bit, on random GOP patterns: random
+// types (so P and B frames before the first I, P runs of any length, and
+// trailing B frames all occur) and random sizes, plus a generated clip.
+func TestDependencyWeightsMatchesRerun(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 49))
+	types := []FrameType{I, P, B, B}
+	var clips []*Clip
+	for range 500 {
+		c := &Clip{}
+		for i := range rng.IntN(40) + 1 {
+			c.Frames = append(c.Frames, Frame{Index: i, Type: types[rng.IntN(len(types))], Size: 1 + rng.IntN(5000)})
+		}
+		clips = append(clips, c)
+	}
+	clips = append(clips, gop("BBPBBIBBPBB"), gop("PPPP"), gop("BBBB"), gop("IBBPBBPBB"))
+	cfg := DefaultGenConfig()
+	cfg.Frames = 3000
+	gen, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clips = append(clips, gen)
+	for _, c := range clips {
+		got, want := DependencyWeights(c), dependencyWeightsOracle(c)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				var pattern strings.Builder
+				for _, f := range c.Frames {
+					pattern.WriteString(f.Type.String())
+				}
+				t.Fatalf("clip %s: frame %d weight %v, rerun %v", pattern.String(), i, got[i], want[i])
+			}
+		}
 	}
 }

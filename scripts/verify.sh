@@ -63,6 +63,16 @@ if grep -rlE 'Epoll(Wait|Create1|Ctl)|F_DUPFD' --include=*.go internal cmd | gre
     exit 1
 fi
 
+echo "== one nap"
+# A loaded reactor lets ready fds gather for at most settle before it
+# serves them (reactor.Loop.Run); that nap is the only one. The engines
+# wait on the poller, a tick or a channel, never on a sleep, so settling
+# happens only in internal/reactor.
+if grep -rnE 'time\.Sleep|Nanosleep' --include=*.go internal/serve internal/lb internal/loadgen | grep -v '_test\.go:'; then
+    echo "a sleep in an engine (lines above); settle only in internal/reactor" >&2
+    exit 1
+fi
+
 echo "== one owner per socket"
 # A serve row flushes its adopted socket with a non-blocking write(2), and
 # a client that stops reading is retired stalled-out on the model clock:
