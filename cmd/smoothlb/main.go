@@ -1,8 +1,8 @@
 // Command smoothlb is the fleet front tier: it accepts netstream client
 // sessions, places each on one of the configured smoothd backends by
 // live buffer headroom and scraped step-lag, and relays the backend's
-// wire stream back to the client with zero userspace copies on Linux
-// (splice through a per-session pipe).
+// wire stream back to the client by copy, through one buffer per relay
+// shard (Linux only).
 //
 // Placement prefers the backend with the most free session slots,
 // penalized by its p99 shard-step duration when -backend-metrics points

@@ -10,63 +10,40 @@ import (
 	"os/exec"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/loadgen"
-	"repro/internal/obs"
+	"repro/internal/reactor"
 )
 
 // ---------------------------------------------------------------------------
-// Socket-free relay benchmark: the per-step splice hot path.
+// Relay benchmark: the per-step copy hot path.
 // ---------------------------------------------------------------------------
 
-// benchRelayEngine builds an engine shell with live metrics but no
-// goroutines, so the bench's allocation count sees only the relay path.
-func benchRelayEngine(b *testing.B, shards int) *Engine {
-	b.Helper()
-	e := &Engine{
-		cfg: Config{
-			Backends:     []string{"bench"},
-			IdleTimeout:  -1,
-			StallTimeout: -1,
-		},
-		base: time.Now(),
-		quit: make(chan struct{}),
-	}
-	e.backends = []*backend{{idx: 0, addr: "bench"}}
-	e.met = newLBMetrics(e, shards, nil)
-	e.recs = make([]*obs.FlightRecorder, shards+1)
-	for i := range e.recs {
-		e.recs[i] = obs.NewFlightRecorder(0)
-	}
-	return e
-}
-
-// benchPipe returns a nonblocking pipe pair.
-func benchPipe(b *testing.B) (r, w int) {
-	b.Helper()
-	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		b.Fatal(err)
-	}
-	return p[0], p[1]
-}
-
 // BenchmarkLBRelayStep measures one relay step of the front tier with
-// the sockets replaced by pipes (pipes splice exactly like sockets, with
-// none of the TCP noise): a span of backend bytes enters the session's
-// source, relay moves it source → per-session pipe → sink without
-// leaving the kernel, and the bench drains the sink. One op = one step
-// of one session. The steady state must not allocate — this path has to
-// hold at 10k relayed sessions per tier — and it is pinned at exactly
-// 0 B/op, 0 allocs/op in scripts/verify.sh.
+// the TCP sockets replaced by unix socket pairs (the relay reads and
+// writes them alike, with none of the TCP noise): a span of backend bytes
+// enters the session's source, relay reads it into the shard buffer and
+// writes it to the sink, and the bench drains the sink. One op = one step
+// of one session, at 16 KiB and at the 64 B of a smoothbench message. The
+// steady state must not allocate — this path has to hold at 10k relayed
+// sessions per tier — and it is pinned at exactly 0 B/op, 0 allocs/op in
+// scripts/verify.sh.
 func BenchmarkLBRelayStep(b *testing.B) {
-	const chunk = 16 << 10
-	for _, sessions := range []int{1, 1024} {
-		b.Run(fmt.Sprintf("sessions_%d", sessions), func(b *testing.B) {
-			e := benchRelayEngine(b, 1)
+	for _, c := range []struct {
+		name     string
+		chunk    int
+		sessions int
+	}{
+		{"sessions_1", 16 << 10, 1},
+		{"sessions_1024", 16 << 10, 1024},
+		{"sessions_1_msg_64B", 64, 1},
+		{"sessions_1024_msg_64B", 64, 1024},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			chunk, sessions := c.chunk, c.sessions
+			e := relayEngine(b, 1, nil)
 			sh, err := newShard(e, 0)
 			if err != nil {
 				b.Fatal(err)
@@ -75,40 +52,38 @@ func BenchmarkLBRelayStep(b *testing.B) {
 			srcW := make([]int, sessions)
 			sinkR := make([]int, sessions)
 			for i := 0; i < sessions; i++ {
-				sr, sw := benchPipe(b)
-				kr, kw := benchPipe(b)
-				pr, pw := benchPipe(b)
+				bfd, sw := socketPair(b)
+				cfd, kr := socketPair(b)
 				s := &session{
 					id:         uint64(i + 1),
-					bfd:        sr,
-					cfd:        kw,
-					pipeR:      pr,
-					pipeW:      pw,
+					bfd:        bfd,
+					cfd:        cfd,
 					backendIdx: 0,
 					backend:    e.backends[0],
 				}
-				sh.Table.Add(s, sr, kw)
+				sh.Table.Add(s, bfd, cfd)
 				srcW[i], sinkR[i] = sw, kr
 			}
 			defer func() {
+				b.StopTimer() // closing a thousand socket pairs is not a step
 				for i := sessions - 1; i >= 0; i-- {
 					sh.closeRelay(sh.Table.At(i))
-					_ = syscall.Close(srcW[i])
-					_ = syscall.Close(sinkR[i])
+					_ = reactor.Close(srcW[i])
+					_ = reactor.Close(sinkR[i])
 				}
 			}()
 			span := make([]byte, chunk)
 			drain := make([]byte, chunk)
 			step := func(i, now int) {
 				s := sh.Table.At(i)
-				if _, err := syscall.Write(srcW[i], span); err != nil {
-					b.Fatal(err)
+				if n, err := reactor.Write(srcW[i], span); n != chunk || err != nil {
+					b.Fatalf("source took %d of %d bytes: %v", n, chunk, err)
 				}
 				sh.relay(s, int64(now))
 				for got := 0; got < chunk; {
-					n, err := syscall.Read(sinkR[i], drain[got:])
-					if err != nil {
-						b.Fatal(err)
+					n, err := reactor.Read(sinkR[i], drain[got:])
+					if err != nil || n == 0 {
+						b.Fatalf("sink read %d after %d of %d bytes: %v", n, got, chunk, err)
 					}
 					got += n
 				}
@@ -118,7 +93,7 @@ func BenchmarkLBRelayStep(b *testing.B) {
 			for i := 0; i < sessions; i++ {
 				step(i, 0)
 			}
-			b.SetBytes(chunk)
+			b.SetBytes(int64(chunk))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -179,7 +154,7 @@ func startBackendProcess(b *testing.B) (string, func()) {
 
 // benchWave drives waves of n digest-free sessions at addrs and returns
 // the cumulative report. Waves are capped so the bench process (loadgen
-// sockets + tier sockets + relay pipes ≈ 5 fds per concurrent session
+// socket + tier client and backend sockets = 3 fds per concurrent session
 // when addrs is the tier) stays under the fd ceiling.
 func benchWave(b *testing.B, gen *loadgen.Engine, n, maxWave int) loadgen.Report {
 	b.Helper()
@@ -215,9 +190,8 @@ func benchWave(b *testing.B, gen *loadgen.Engine, n, maxWave int) loadgen.Report
 // through the tier. One op = one full wave of N sessions through the tier.
 // (The like-for-like direct-vs-tier comparison belongs to smoothbench's
 // tier_paced/direct_paced workloads, not here.) The 10k point runs 2500-session waves to stay under
-// the per-process fd ceiling (each concurrent tier session holds 5 fds
-// in this process: loadgen socket, tier client+backend sockets, pipe
-// pair).
+// the per-process fd ceiling (each concurrent tier session holds 3 fds
+// in this process: loadgen socket, tier client and backend sockets).
 func BenchmarkFleetLoopback(b *testing.B) {
 	const maxWave = 2_500
 	backendAddrs := make([]string, 2)

@@ -33,12 +33,13 @@
 //     Each shard is one reactor.Loop — poller, hand-off queue from the
 //     placer, fd table, idle sweep and wake are internal/reactor's,
 //     shared with internal/loadgen — and the shard, as its handler,
-//     splices backend socket → per-session pipe → client socket
-//     (kernel-to-kernel, no userspace copy, zero allocation). A
-//     stalled client write parks the session on EPOLLOUT and
-//     the stall duration streams into a histogram; stalls beyond
-//     Config.StallTimeout retire the session. The tier requires Linux:
-//     New returns reactor.NewPoller's error elsewhere.
+//     copies backend socket → shard buffer → client socket (one read
+//     of at most 64 KiB and one write per wake, zero allocation). What
+//     the client refuses parks in the session's pending bytes, the
+//     session parks on EPOLLOUT, and the stall duration streams into a
+//     histogram; stalls beyond Config.StallTimeout retire the session.
+//     The tier requires Linux: New returns reactor.NewPoller's error
+//     elsewhere.
 //
 // Every wake stamps one engine-monotonic clock reading shared by all
 // sessions drained in it (as a serve shard stamps one per tick), so
@@ -289,8 +290,6 @@ func (e *Engine) Handle(conn net.Conn) error {
 		enqueued:   e.monotonic(),
 		cfd:        -1,
 		bfd:        -1,
-		pipeR:      -1,
-		pipeW:      -1,
 		backendIdx: -1,
 	}
 	select {
@@ -428,9 +427,9 @@ func (e *Engine) Close() {
 // Active returns the number of admitted, unfinished sessions.
 func (e *Engine) Active() int { return int(e.active.Load()) }
 
-// SpliceFallbacks returns how many sessions were relayed by a userspace
-// copy instead of splice: none, since the tier adopts only TCP sockets,
-// which always splice on Linux. It stays for callers that still report it.
+// SpliceFallbacks always returns 0: the relay copies every byte and never
+// splices, so nothing falls back. It exists only because smoothbench
+// checks it; both go together.
 func (e *Engine) SpliceFallbacks() int64 { return 0 }
 
 // Obs returns the tier's metric registry for diag endpoints and tests.

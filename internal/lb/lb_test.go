@@ -638,7 +638,7 @@ func TestStallTimeoutRetiresStalledSession(t *testing.T) {
 	if _, err := netstream.ReadMsg(conn); err != nil {
 		t.Fatalf("reading accept: %v", err)
 	}
-	// Stop reading; the flood fills the pipe and both socket buffers, the
+	// Stop reading; the flood fills both socket buffers and pending, the
 	// relay stalls once, and StallTimeout must retire the session even
 	// though this conn stays open.
 	deadline := time.Now().Add(5 * time.Second)

@@ -2,8 +2,8 @@ package lb
 
 import (
 	"fmt"
+	"io"
 	"net"
-	"syscall"
 	"time"
 
 	"repro/internal/netstream"
@@ -11,13 +11,14 @@ import (
 	"repro/internal/reactor"
 )
 
-// spliceChunk bounds one backend→pipe splice; the default pipe holds
-// 64 KiB, so a larger request just returns partial.
-const spliceChunk = 256 << 10
+// relayChunk bounds one backend read, and so what a stalled session holds
+// in pending: far above the tens of bytes a step carries, and no more than
+// a default Linux pipe holds.
+const relayChunk = 64 << 10
 
 // session is one relayed stream's state between reactor wakes: two fds,
-// a kernel pipe holding in-flight bytes, and stall/idle stamps. It has
-// no goroutine and no timer.
+// the bytes the client's socket refused, and stall/idle stamps. It has no
+// goroutine and no timer.
 type session struct {
 	reactor.Slot
 	id uint64
@@ -37,19 +38,17 @@ type session struct {
 	start      time.Time
 
 	// Relay state, owned by the shard after registration.
-	pipeR, pipeW int
-	pipeFill     int  // bytes parked in the pipe (disambiguates EAGAIN)
-	ended        bool // backend EOF seen; retire once the pipe drains
-	anchored     bool // first relayed byte recorded (EvFirstWrite)
-	clientGone   bool // client hung up with nothing undelivered; backend decides
-	stalled      bool
-	stallStart   int64
-	lastData     int64
-	bytes        int64
+	pending    []byte // read from the backend, refused by the client
+	anchored   bool   // first relayed byte recorded (EvFirstWrite)
+	clientGone bool   // client hung up with nothing undelivered; backend decides
+	stalled    bool
+	stallStart int64
+	lastData   int64
+	bytes      int64
 }
 
 // shard is one reactor loop plus what a relayed session needs on top of
-// it: a flight ring.
+// it: a flight ring and the buffer every relayed read passes through.
 //
 //smoothvet:confined owned by the relay reactor goroutine after New hands it off
 type shard struct {
@@ -59,6 +58,7 @@ type shard struct {
 	// rec is this shard's flight ring: like Met, recorded into only by the
 	// reactor goroutine.
 	rec *obs.FlightRecorder
+	buf []byte // relayChunk bytes, reused by every read
 }
 
 func newShard(e *Engine, idx int) (*shard, error) {
@@ -66,7 +66,7 @@ func newShard(e *Engine, idx int) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &shard{eng: e, rec: e.recs[idx+1]}
+	sh := &shard{eng: e, rec: e.recs[idx+1], buf: make([]byte, relayChunk)}
 	sh.Loop = reactor.Loop[*session]{
 		Poller: p, Handler: sh, Now: e.monotonic, Closing: &e.closing, ErrClosed: errRelayShutdown,
 		Met: e.met.reg.Shard(idx), Active: e.met.gActive, Wakes: e.met.cWakes, WakeEvents: e.met.hWakeEvents,
@@ -118,12 +118,16 @@ func (sh *shard) Expired(s *session, now int64) error {
 	return nil
 }
 
-// Ready routes one epoll event: client-fd events resume a stalled
-// write or notice a hangup; backend-fd events pump the relay.
+// Ready routes one epoll event: client-fd events notice a hangup or
+// resume a stalled write; backend-fd events pump the relay.
 //
 //smoothvet:noalloc
 func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
 	if fd == s.cfd {
+		if events&(reactor.RdHup|reactor.Hup|reactor.Err) != 0 {
+			sh.onClientHup(s, now)
+			return
+		}
 		if s.stalled {
 			s.stalled = false
 			sh.Met.Observe(sh.eng.met.hStall, (now-s.stallStart)/1000)
@@ -138,10 +142,6 @@ func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
 				return
 			}
 			sh.relay(s, now)
-			return
-		}
-		if events&(reactor.RdHup|reactor.Hup|reactor.Err) != 0 {
-			sh.onClientHup(s, now)
 		}
 		return
 	}
@@ -154,7 +154,7 @@ func (sh *shard) Ready(s *session, fd int, events uint32, now int64) {
 	sh.relay(s, now)
 }
 
-// onClientHup classifies a client hangup. Undelivered bytes in the pipe
+// onClientHup classifies a client hangup. Undelivered bytes in pending
 // mean the client abandoned mid-stream: fail the session. With nothing
 // undelivered the verdict belongs to the backend: its EOF means the client
 // consumed the whole stream and simply closed first (the two FINs race
@@ -169,7 +169,7 @@ func (sh *shard) onClientHup(s *session, now int64) {
 	if s.clientGone {
 		return
 	}
-	if s.pipeFill > 0 {
+	if len(s.pending) > 0 {
 		sh.Retire(s, errClientGone, now)
 		return
 	}
@@ -181,47 +181,30 @@ func (sh *shard) onClientHup(s *session, now int64) {
 }
 
 // finishClientGone pumps the backend of a client-gone session to a
-// verdict: payload fails it, EOF completes it, EAGAIN waits for the next
-// backend event.
+// verdict: payload fails it, EOF completes it, an empty socket waits for
+// the next backend event.
 //
 //smoothvet:noalloc
 func (sh *shard) finishClientGone(s *session, now int64) {
-	for {
-		n, err := reactor.Splice(s.bfd, s.pipeW, spliceChunk)
-		if n > 0 {
-			sh.Retire(s, errClientGone, now)
-			return
-		}
-		if err == nil {
-			if s.ended || s.bytes > 0 {
-				sh.Retire(s, nil, now)
-			} else {
-				sh.Retire(s, errClientGone, now)
-			}
-			return
-		}
-		if en, ok := err.(syscall.Errno); ok {
-			if en == syscall.EAGAIN {
-				return
-			}
-			if en == syscall.EINTR {
-				continue
-			}
-		}
+	n, err := reactor.Read(s.bfd, sh.buf)
+	switch {
+	case n > 0:
+		sh.Retire(s, errClientGone, now)
+	case err == io.EOF && s.bytes > 0:
+		sh.Retire(s, nil, now)
+	case err == io.EOF:
+		sh.Retire(s, errClientGone, now)
+	case err != nil:
 		sh.Retire(s, err, now)
-		return
 	}
 }
 
-// startRelay wires a placed session into the reactor: a pipe pair for
-// the splice path, the backend fd armed for readability and the client fd
-// for hangup only (the relay never reads the client). No immediate relay:
-// epoll is level-triggered, so bytes the backend sent while the session sat
-// in the queue surface on the next wait.
-func (sh *shard) startRelay(s *session) (err error) {
-	if s.pipeR, s.pipeW, err = reactor.Pipe(); err != nil {
-		return err
-	}
+// startRelay wires a placed session into the reactor: the backend fd armed
+// for readability and the client fd for hangup only (the relay never reads
+// the client). No immediate relay: epoll is level-triggered, so bytes the
+// backend sent while the session sat in the queue surface on the next
+// wait.
+func (sh *shard) startRelay(s *session) error {
 	if err := sh.Poller.Add(s.bfd, reactor.In|reactor.RdHup); err != nil {
 		return fmt.Errorf("lb: epoll add backend: %w", err)
 	}
@@ -233,16 +216,11 @@ func (sh *shard) startRelay(s *session) (err error) {
 }
 
 // closeRelay releases a session's reactor resources: epoll entries, its
-// place in the table, the pipe pair, the sockets.
+// place in the table, the sockets.
 func (sh *shard) closeRelay(s *session) {
 	_ = sh.Poller.Del(s.bfd) // either fd may never have been added, or
 	_ = sh.Poller.Del(s.cfd) // have left the set at a stall or a hangup
 	sh.Table.Remove(s, s.bfd, s.cfd)
-	if s.pipeR >= 0 {
-		_ = syscall.Close(s.pipeR)
-		_ = syscall.Close(s.pipeW)
-		s.pipeR, s.pipeW = -1, -1
-	}
 	s.release()
 }
 
@@ -275,22 +253,20 @@ func (s *session) release() {
 		_ = s.backendConn.Close()
 	}
 	if s.cfd >= 0 {
-		_ = syscall.Close(s.cfd)
+		_ = reactor.Close(s.cfd)
 	}
 	if s.bfd >= 0 {
-		_ = syscall.Close(s.bfd)
+		_ = reactor.Close(s.bfd)
 	}
 	s.clientConn, s.backendConn, s.cfd, s.bfd = nil, nil, -1, -1
 }
 
-// relay is the steady-state hot path: drain the pipe into the client,
-// refill it from the backend, entirely kernel-to-kernel. pipeFill tracks
-// the bytes parked in the pipe, which disambiguates EAGAIN (empty source
-// vs full sink) without a peek syscall. Once a refill has drained to the
-// client the call returns instead of splicing again: that splice would
-// almost always find the backend empty, and the backend fd is watched
-// level-triggered, so the next wait reports it again while bytes or EOF
-// remain.
+// relay is the steady-state hot path: what the client refused last time
+// goes first, then one read of at most relayChunk from the backend is
+// written to the client. Once a read has gone to the client the call
+// returns instead of reading again: that read would almost always find the
+// backend empty, and the backend fd is watched level-triggered, so the
+// next wait reports it again while bytes or EOF remain.
 //
 //smoothvet:noalloc
 func (sh *shard) relay(s *session, now int64) {
@@ -298,70 +274,56 @@ func (sh *shard) relay(s *session, now int64) {
 		sh.finishClientGone(s, now)
 		return
 	}
-	for refilled := false; ; {
-		for s.pipeFill > 0 {
-			n, err := reactor.Splice(s.pipeR, s.cfd, s.pipeFill)
-			if n > 0 {
-				s.pipeFill -= int(n)
-				s.bytes += n
-				continue
-			}
-			if en, ok := err.(syscall.Errno); ok {
-				if en == syscall.EAGAIN {
-					// The client's socket buffer is full: park on
-					// EPOLLOUT.
-					sh.stall(s, now)
-					return
-				}
-				if en == syscall.EINTR {
-					continue
-				}
-			}
-			sh.Retire(s, err, now)
-			return
-		}
-		if s.ended {
-			sh.Retire(s, nil, now)
-			return
-		}
-		if refilled {
-			return
-		}
-		n, err := reactor.Splice(s.bfd, s.pipeW, spliceChunk)
-		if n > 0 {
-			s.pipeFill += int(n)
-			s.lastData = now
-			refilled = true
-			if !s.anchored {
-				s.anchored = true
-				sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
-			}
-			continue
-		}
-		if err == nil {
-			// Backend EOF: flush whatever the pipe still holds, then
-			// retire clean on the next loop.
-			s.ended = true
-			continue
-		}
-		if en, ok := err.(syscall.Errno); ok {
-			if en == syscall.EAGAIN {
-				return
-			}
-			if en == syscall.EINTR {
-				continue
-			}
-		}
+	if len(s.pending) > 0 && !sh.send(s, s.pending, now) {
+		return
+	}
+	n, err := reactor.Read(s.bfd, sh.buf)
+	if err == io.EOF {
+		// Backend EOF with nothing pending: the stream is through.
+		sh.Retire(s, nil, now)
+		return
+	}
+	if err != nil {
 		sh.Retire(s, err, now)
 		return
 	}
+	if n == 0 {
+		return
+	}
+	s.lastData = now
+	if !s.anchored {
+		s.anchored = true
+		sh.rec.Record(now, obs.EvFirstWrite, s.id, int64(s.backendIdx))
+	}
+	sh.send(s, sh.buf[:n], now)
+}
+
+// send writes p to the client and reports whether all of it went. What
+// the client's socket refuses parks in pending (p may be pending itself)
+// and stalls the session.
+//
+//smoothvet:noalloc
+func (sh *shard) send(s *session, p []byte, now int64) bool {
+	n, err := reactor.Write(s.cfd, p)
+	if err != nil {
+		sh.Retire(s, err, now)
+		return false
+	}
+	s.bytes += int64(n)
+	s.pending = s.pending[:0]
+	s.pending = append(s.pending, p[n:]...)
+	if len(s.pending) > 0 {
+		sh.stall(s, now)
+		return false
+	}
+	return true
 }
 
 // stall parks a session on client writability. The backend fd leaves the
 // epoll set for the duration: its level-triggered readability would
 // otherwise spin the reactor awake (and, via relay, reset the stall
-// clock) the whole time the client is parked. Pending backend bytes wait
-// in its socket buffer and resurface when Ready re-adds the fd at
+// clock) the whole time the client is parked. Backend bytes not yet read
+// wait in its socket buffer and resurface when Ready re-adds the fd at
 // resume.
 func (sh *shard) stall(s *session, now int64) {
 	if s.stalled {

@@ -65,7 +65,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/netstream"
@@ -445,7 +444,7 @@ func (e *Engine) dialOne(idx int) {
 
 	sh := e.shards[idx%len(e.shards)]
 	if !sh.Queue.Push(s) {
-		_ = syscall.Close(fd)
+		_ = reactor.Close(fd)
 		e.failSetup(idx, StageHandshake, fmt.Errorf("loadgen: engine is closed"), start)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -191,7 +190,7 @@ func (sh *shard) retire(s *session, stage string, err error, now int64) {
 	_ = sh.Poller.Del(s.fd) // fails only for an fd Admit could not add
 	sh.Table.Remove(s, s.fd)
 	if s.fd >= 0 {
-		_ = syscall.Close(s.fd)
+		_ = reactor.Close(s.fd)
 	}
 	if !s.refined && s.nEarly > 0 {
 		sh.flushEarly(s)
@@ -241,37 +240,30 @@ func (sh *shard) retire(s *session, stage string, err error, now int64) {
 //smoothvet:noalloc
 func (sh *shard) Ready(s *session, _ int, _ uint32, now int64) {
 	for {
-		n, err := syscall.Read(s.fd, sh.scratch)
-		if n > 0 {
-			s.lastData = now
-			if ferr := sh.feed(s, sh.scratch[:n], now); ferr != nil {
-				sh.retire(s, StageMidStream, ferr, now)
-				return
+		n, err := reactor.Read(s.fd, sh.scratch)
+		if err != nil {
+			if err == io.EOF {
+				// EOF before End: the peer hung up mid-stream.
+				err = io.ErrUnexpectedEOF
 			}
-			if s.ended {
-				sh.retire(s, "", nil, now)
-				return
-			}
-			if n < len(sh.scratch) {
-				return
-			}
-			continue
-		}
-		if err == nil {
-			// EOF before End: the peer hung up mid-stream.
-			sh.retire(s, StageMidStream, io.ErrUnexpectedEOF, now)
+			sh.retire(s, StageMidStream, err, now)
 			return
 		}
-		if en, ok := err.(syscall.Errno); ok {
-			if en == syscall.EAGAIN {
-				return
-			}
-			if en == syscall.EINTR {
-				continue
-			}
+		if n == 0 {
+			return
 		}
-		sh.retire(s, StageMidStream, err, now)
-		return
+		s.lastData = now
+		if ferr := sh.feed(s, sh.scratch[:n], now); ferr != nil {
+			sh.retire(s, StageMidStream, ferr, now)
+			return
+		}
+		if s.ended {
+			sh.retire(s, "", nil, now)
+			return
+		}
+		if n < len(sh.scratch) {
+			return
+		}
 	}
 }
 

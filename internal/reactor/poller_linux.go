@@ -4,15 +4,16 @@ package reactor
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"syscall"
 	"time"
 )
 
 // Poller wraps one epoll set. All sockets the runtime hands an engine are
-// already non-blocking, so a shard reads, writes and splices them directly
-// and lets epoll say when that is worthwhile. A nil Poller watches nothing:
-// Add, Mod, Del and Close do nothing on it.
+// already non-blocking, so a shard reads and writes them directly (Read,
+// Write) and lets epoll say when that is worthwhile. A nil Poller watches
+// nothing: Add, Mod, Del and Close do nothing on it.
 type Poller struct {
 	epfd   int
 	raw    []syscall.EpollEvent
@@ -79,30 +80,56 @@ func (p *Poller) Close() {
 	}
 }
 
-// Pipe returns a non-blocking pipe pair for Splice to park bytes in.
-func Pipe() (r, w int, err error) {
-	var p [2]int
-	if err := syscall.Pipe2(p[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		return -1, -1, fmt.Errorf("reactor: pipe2: %w", err)
-	}
-	return p[0], p[1], nil
-}
-
-// Splice moves up to max bytes from rfd to wfd inside the kernel without
-// blocking; one of the two must be a pipe.
+// Read reads what fd holds into p, which must not be empty. EINTR is
+// retried; a socket with nothing to read yet (EAGAIN) returns 0 and no
+// error; end of stream returns io.EOF.
 //
 //smoothvet:noalloc
-func Splice(rfd, wfd, max int) (int64, error) {
-	const flags = 0x1 | 0x2 // SPLICE_F_MOVE | SPLICE_F_NONBLOCK
-	return syscall.Splice(rfd, nil, wfd, nil, max, flags)
+func Read(fd int, p []byte) (int, error) {
+	for {
+		n, err := syscall.Read(fd, p)
+		switch {
+		case n > 0:
+			return n, nil
+		case err == nil:
+			return 0, io.EOF
+		case err == syscall.EAGAIN:
+			return 0, nil
+		case err != syscall.EINTR:
+			return 0, err
+		}
+	}
 }
+
+// Write writes as much of p to fd as its send buffer takes. EINTR is
+// retried; a full buffer (EAGAIN) returns 0 and no error, so a short count
+// is never an error.
+//
+//smoothvet:noalloc
+func Write(fd int, p []byte) (int, error) {
+	for {
+		n, err := syscall.Write(fd, p)
+		switch {
+		case err == nil:
+			return n, nil
+		case err == syscall.EAGAIN:
+			return 0, nil
+		case err != syscall.EINTR:
+			return 0, err
+		}
+	}
+}
+
+// Close closes fd. It is not retried on EINTR: Linux frees the descriptor
+// before reporting it, so a retry could close one reused meanwhile.
+func Close(fd int) error { return syscall.Close(fd) }
 
 // Adopt makes the caller the one owner of tc's socket: it duplicates the
 // descriptor (close-on-exec, and non-blocking like every socket the runtime
 // opens) and closes tc, which takes the original out of the runtime's
 // netpoller, so the socket lives in at most one epoll set — the engine's.
 // The peer sees nothing: the socket stays open through the duplicate until
-// the caller's syscall.Close. On error the caller still owns tc.
+// the caller's Close. On error the caller still owns tc.
 func Adopt(tc *net.TCPConn) (int, error) {
 	rc, err := tc.SyscallConn()
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -29,67 +30,95 @@ func TestEventBitsMatchEpoll(t *testing.T) {
 	}
 }
 
-// TestPollerSpliceAndPipe runs the linux half against pipes: a watched fd
+// socketPair returns the two ends of a connected, non-blocking unix stream
+// socket pair, closed when the test ends.
+func socketPair(t *testing.T) (a, b int) {
+	t.Helper()
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_NONBLOCK|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = Close(fds[0])
+		_ = Close(fds[1])
+	})
+	return fds[0], fds[1]
+}
+
+// TestPollerAndIO runs the linux half against a socket pair: a watched fd
 // turns up in Wait when readable and not after Del, Mod changes what it is
-// watched for, Splice moves the bytes from one pipe to the other and
-// reports EAGAIN on an empty source, and a nil Poller ignores everything
-// but Wait.
-func TestPollerSpliceAndPipe(t *testing.T) {
+// watched for, Read and Write keep the one errno rule (an empty socket
+// reads 0 and no error, a full one takes 0 and no error, end of stream is
+// io.EOF, anything else is the errno), and a nil Poller ignores
+// everything but Wait.
+func TestPollerAndIO(t *testing.T) {
 	p, err := NewPoller()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	srcR, srcW, err := Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstR, dstW, err := Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, fd := range []int{srcR, srcW, dstR, dstW} {
-			_ = syscall.Close(fd)
-		}
-	}()
-	if err := p.Add(srcR, In); err != nil {
+	a, b := socketPair(t)
+	if err := p.Add(a, In); err != nil {
 		t.Fatal(err)
 	}
 	if evs := p.Wait(); len(evs) != 0 {
 		t.Fatalf("idle set reported %v", evs)
 	}
-	if _, err := syscall.Write(srcW, []byte("smooth")); err != nil {
-		t.Fatal(err)
+	buf := make([]byte, 16)
+	if n, err := Read(a, buf); n != 0 || err != nil {
+		t.Fatalf("Read of an empty socket: %d, %v, want 0, nil", n, err)
 	}
-	if evs := p.Wait(); len(evs) != 1 || int(evs[0].Fd) != srcR || evs[0].Events&In == 0 {
-		t.Fatalf("readable pipe reported %v", evs)
+	if n, err := Write(b, []byte("smooth")); n != 6 || err != nil {
+		t.Fatalf("Write: %d, %v", n, err)
 	}
-	if err := p.Mod(srcR, Out); err != nil { // a read end is never writable
+	if evs := p.Wait(); len(evs) != 1 || int(evs[0].Fd) != a || evs[0].Events&In == 0 {
+		t.Fatalf("readable socket reported %v", evs)
+	}
+	if err := p.Mod(a, RdHup); err != nil {
 		t.Fatal(err)
 	}
 	if evs := p.Wait(); len(evs) != 0 {
-		t.Fatalf("after Mod to Out: %v", evs)
+		t.Fatalf("after Mod to RdHup: %v", evs)
 	}
-	if n, err := Splice(srcR, dstW, 1<<16); n != 6 || err != nil {
-		t.Fatalf("Splice moved %d bytes, err %v", n, err)
+	if n, err := Read(a, buf); string(buf[:n]) != "smooth" || err != nil {
+		t.Fatalf("Read: %q, %v", buf[:n], err)
 	}
-	if _, err := Splice(srcR, dstW, 1<<16); err != syscall.EAGAIN {
-		t.Fatalf("Splice from an empty pipe: %v, want EAGAIN", err)
+
+	// Fill a until its peer's buffers are full: the last Write takes 0.
+	big := make([]byte, 64<<10)
+	for i := 0; ; i++ {
+		n, err := Write(a, big)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		if i > 1000 {
+			t.Fatal("a socket pair took 64 MiB without filling")
+		}
 	}
-	buf := make([]byte, 16)
-	if n, _ := syscall.Read(dstR, buf); string(buf[:n]) != "smooth" {
-		t.Fatalf("spliced %q", buf[:n])
-	}
-	if err := p.Del(srcR); err != nil {
+	if err := syscall.Shutdown(b, syscall.SHUT_RDWR); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Del(srcR); err == nil {
+	if n, err := Write(a, big); n != 0 || err != syscall.EPIPE {
+		t.Errorf("Write to a shut-down peer: %d, %v, want 0, EPIPE", n, err)
+	}
+	if n, err := Read(a, buf); n != 0 || err != io.EOF {
+		t.Errorf("Read at end of stream: %d, %v, want 0, io.EOF", n, err)
+	}
+	if n, err := Read(-1, buf); n != 0 || err != syscall.EBADF {
+		t.Errorf("Read of a bad fd: %d, %v, want 0, EBADF", n, err)
+	}
+	if err := p.Del(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Del(a); err == nil {
 		t.Error("Del of an unwatched fd succeeded")
 	}
 
 	var none *Poller
-	if none.Add(srcR, In) != nil || none.Mod(srcR, In) != nil || none.Del(srcR) != nil {
+	if none.Add(a, In) != nil || none.Mod(a, In) != nil || none.Del(a) != nil {
 		t.Error("nil Poller returned an error")
 	}
 	none.Close()
@@ -310,25 +339,20 @@ func (r *stampedRun) Expired(s *sess, now int64) error {
 	return r.harness.Expired(s, now)
 }
 
-// runOnReadablePipe runs a loop with a real Poller over one pipe that is
-// readable before Run starts, on a clock that advances by step at every
-// reading, and returns what the wake that served the pipe saw.
-func runOnReadablePipe(t *testing.T, step int64) *stampedRun {
+// runOnReadableSocket runs a loop with a real Poller over one socket that
+// is readable before Run starts, on a clock that advances by step at every
+// reading, and returns what the wake that served the socket saw.
+func runOnReadableSocket(t *testing.T, step int64) *stampedRun {
 	t.Helper()
 	p, err := NewPoller()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, w, err := Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer syscall.Close(r)
-	defer syscall.Close(w)
+	r, w := socketPair(t)
 	if err := p.Add(r, In); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := syscall.Write(w, []byte("x")); err != nil {
+	if _, err := Write(w, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	run := &stampedRun{harness: newHarness(0)}
@@ -349,7 +373,7 @@ func runOnReadablePipe(t *testing.T, step int64) *stampedRun {
 // blocked for settle — one readable fd is dispatched by the first Wake,
 // stamped when that wait returned, with no nap and no second Wait.
 func TestRunServesIdleWaitAtOnce(t *testing.T) {
-	run := runOnReadablePipe(t, int64(settle))
+	run := runOnReadableSocket(t, int64(settle))
 	if len(run.served) != 1 {
 		t.Fatalf("the fd was served %d times, want once", len(run.served))
 	}
@@ -365,7 +389,7 @@ func TestRunServesIdleWaitAtOnce(t *testing.T) {
 // it with the second wait's stamp, and the nap took at least settle.
 func TestRunSettlesLoadedWait(t *testing.T) {
 	begin := time.Now()
-	run := runOnReadablePipe(t, 0)
+	run := runOnReadableSocket(t, 0)
 	if took := time.Since(begin); took < settle {
 		t.Errorf("a loaded wake came back after %v, want a nap of settle (%v)", took, settle)
 	}

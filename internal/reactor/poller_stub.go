@@ -5,7 +5,6 @@ package reactor
 import (
 	"errors"
 	"net"
-	"syscall"
 	"time"
 )
 
@@ -28,8 +27,8 @@ func (p *Poller) Close()                          {}
 
 func nap(d time.Duration) { time.Sleep(d) }
 
-func Pipe() (r, w int, err error) { return -1, -1, errNoEpoll }
-
 func Adopt(tc *net.TCPConn) (int, error) { return -1, errNoEpoll }
 
-func Splice(rfd, wfd, max int) (int64, error) { return 0, syscall.ENOSYS }
+func Read(fd int, p []byte) (int, error)  { return 0, errNoEpoll }
+func Write(fd int, p []byte) (int, error) { return 0, errNoEpoll }
+func Close(fd int) error                  { return errNoEpoll }

@@ -10,14 +10,15 @@
 // moves the socket out of the Go runtime's netpoller and hands back a bare
 // fd, so each socket is in at most one epoll set and every wake is one the
 // engine asked for. From then on the engine alone reads, writes and
-// closes it (one syscall.Close per session), and what crosses a Queue
-// carries the fd, not the conn (serve's conns without a socket — pipes in
-// tests, benchmark sinks — are the exception).
+// closes it, through this package's Read, Write and Close and their one
+// errno rule, and what crosses a Queue carries the fd, not the conn
+// (serve's conns without a socket — pipes in tests, benchmark sinks — are
+// the exception).
 //
 // The package is the only one with OS-specific files: poller_linux.go
-// holds every epoll, splice, pipe2 and fd-duplication call in the module;
-// elsewhere NewPoller and Adopt return an error, so engines fail fast and
-// everything above this package compiles unchanged.
+// holds every epoll, socket read, write and close, and fd-duplication call
+// the engines make; elsewhere NewPoller and Adopt return an error, so
+// engines fail fast and everything above this package compiles unchanged.
 package reactor
 
 import (

@@ -32,7 +32,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/drop"
@@ -573,8 +572,8 @@ func (sh *shard) stepRows(tick int64) {
 }
 
 // flush writes p to the row's connection. A socket takes what its send
-// buffer has room for: a full buffer (EAGAIN) is a short write, not an
-// error.
+// buffer has room for: a full buffer is a short write, not an error
+// (reactor.Write).
 //
 //smoothvet:noalloc
 func (r *cohortRow) flush(p []byte) (int, error) {
@@ -584,11 +583,7 @@ func (r *cohortRow) flush(p []byte) (int, error) {
 	if r.conn != nil {
 		return r.conn.Write(p)
 	}
-	n, err := syscall.Write(r.fd, p)
-	if err == syscall.EAGAIN {
-		return 0, nil
-	}
-	return max(n, 0), err
+	return reactor.Write(r.fd, p)
 }
 
 // close releases the row's connection.
@@ -596,7 +591,7 @@ func (r *cohortRow) close() {
 	if r.conn != nil {
 		_ = r.conn.Close()
 	} else {
-		_ = syscall.Close(r.fd)
+		_ = reactor.Close(r.fd)
 	}
 }
 

@@ -49,7 +49,8 @@ go build ./...
 
 echo "== go build (darwin)"
 # Cross-compile for a second GOOS: internal/reactor is split into
-# poller_linux.go (epoll, splice, pipe2) and poller_stub.go by build tags,
+# poller_linux.go (epoll, socket read/write/close, fd duplication) and
+# poller_stub.go by build tags,
 # and only a cross-build catches a symbol that drifted out of the shared
 # surface — or an engine that reached past the reactor for a linux syscall.
 GOOS=darwin go build ./...
@@ -60,6 +61,20 @@ echo "== one epoll"
 # (reactor.Adopt is the one place that does).
 if grep -rlE 'Epoll(Wait|Create1|Ctl)|F_DUPFD' --include=*.go internal cmd | grep -v '^internal/reactor/'; then
     echo "epoll or fd adoption used outside internal/reactor (files above)" >&2
+    exit 1
+fi
+
+echo "== one syscall layer"
+# internal/reactor is the only code that touches a socket: the engines
+# read, write and close through reactor.Read/Write/Close and their one
+# errno rule, and name no syscall. The front tier relays by copy through
+# one buffer per shard; splice and its per-session pipes must not come back.
+if grep -rn 'syscall\.' --include=*.go internal/serve internal/lb internal/loadgen | grep -v '_test\.go:'; then
+    echo "a raw syscall in an engine (lines above); go through internal/reactor" >&2
+    exit 1
+fi
+if grep -rnE 'syscall\.(Splice|Pipe2)|reactor\.(Splice|Pipe)\b' --include=*.go internal cmd | grep -v '_test\.go:'; then
+    echo "splice or a relay pipe is back (lines above)" >&2
     exit 1
 fi
 
@@ -185,7 +200,7 @@ echo "== bench + regression gate"
 # coalesced catch-up walk (cohort/catchup, every row four steps behind),
 # which the same glob covers. The client engine's per-step path
 # (BenchmarkLoadgenStep) carries the same zero pin — the dual invariant for
-# the receiving side — as do the front tier's splice relay
+# the receiving side — as do the front tier's copy relay
 # (BenchmarkLBRelayStep) and the observability record path
 # (BenchmarkObsRecord): a metric increment, histogram observation or
 # flight-recorder append must never touch the allocator. The end-to-end
