@@ -257,10 +257,10 @@ func TestStageFailureAccounting(t *testing.T) {
 						Rate: 10, Delay: 4, ServerBuffer: 40, StepMicros: 1000,
 					})
 					for step := uint32(0); step < 3; step++ {
-						_ = netstream.WriteData(c, netstream.Data{
+						_, _ = netstream.Msg{Data: &netstream.Data{
 							SliceID: step, Arrival: step, Size: 4, Weight: 1,
 							SendStep: step, Payload: []byte{1, 2, 3, 4},
-						})
+						}}.WriteTo(c)
 					}
 					// No End: the close below is a mid-stream hangup.
 				}(c)
@@ -609,7 +609,7 @@ func TestFeedRejectsBadSlice(t *testing.T) {
 		{SliceID: 1, Size: 2, Offset: 2, Payload: []byte{1}},
 	} {
 		var wire bytes.Buffer
-		if err := netstream.WriteData(&wire, d); err != nil {
+		if _, err := (netstream.Msg{Data: &d}).WriteTo(&wire); err != nil {
 			t.Fatal(err)
 		}
 		s := &session{fd: -1, delay: 4, stepNanos: 1000, maxStep: -1}

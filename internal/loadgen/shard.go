@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"time"
@@ -80,8 +79,7 @@ type shard struct {
 	eng *Engine
 
 	scratch []byte
-	br      bytes.Reader
-	dec     *netstream.Decoder
+	dec     netstream.Decoder
 
 	// lag aliases the live obs histogram slot (Met.HistRef), so the
 	// per-message Add is also the scrape-visible series.
@@ -118,7 +116,6 @@ func newShardCore(e *Engine, idx int) *shard {
 		Handler: sh, Now: e.monotonic, Closing: &e.closing, ErrClosed: errEngineClosed,
 		Met: m, Active: e.met.gActive, Wakes: e.met.cWakes, WakeEvents: e.met.hWakeEvents,
 	}
-	sh.dec = netstream.NewDecoder(&sh.br)
 	return sh
 }
 
@@ -296,24 +293,20 @@ func (sh *shard) feed(s *session, chunk []byte, now int64) error {
 }
 
 // parse decodes every complete message in buf, returning the bytes
-// consumed. SizeNext frames each message so the shard decoder reads from
-// an exact in-memory slice — no per-session decoder state, no blocking.
+// consumed. The shard decoder decodes each message in place — no
+// per-session decoder state, no copy, no blocking; a payload aliases buf
+// and is not retained past onData.
 //
 //smoothvet:noalloc
 func (sh *shard) parse(s *session, buf []byte, now int64) (int, error) {
 	off := 0
 	for {
-		n, err := netstream.SizeNext(buf[off:])
+		msg, n, err := sh.dec.Parse(buf[off:])
 		if err != nil {
 			return off, err
 		}
-		if n == 0 || n > len(buf)-off {
+		if n > len(buf)-off {
 			return off, nil
-		}
-		sh.br.Reset(buf[off : off+n])
-		msg, err := sh.dec.Next()
-		if err != nil {
-			return off, err
 		}
 		off += n
 		switch {

@@ -27,7 +27,7 @@ func (r *rewindReader) Read(p []byte) (int, error) {
 // BenchmarkCodecEncodeDecode measures the steady-state wire codec: one
 // batched encode (Encoder) plus one decode (Decoder) of a Data message.
 // Both sides must be 0 allocs/op — the encoder appends into a reused batch
-// buffer, the decoder reads payloads into a reused scratch buffer.
+// buffer, the decoder reads each message into one reused buffer.
 func BenchmarkCodecEncodeDecode(b *testing.B) {
 	payload := SynthPayload(7, 1024)
 	d := Data{StreamID: 1, SliceID: 7, Arrival: 3, Size: 1024, Weight: 12,
@@ -48,7 +48,7 @@ func BenchmarkCodecEncodeDecode(b *testing.B) {
 	})
 	b.Run("decode", func(b *testing.B) {
 		var wire []byte
-		wire = appendData(wire, &d)
+		wire, _ = appendMsg(wire, Msg{Data: &d})
 		dec := NewDecoder(&rewindReader{buf: wire})
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -64,7 +64,7 @@ func BenchmarkCodecEncodeDecode(b *testing.B) {
 	})
 	b.Run("roundtrip", func(b *testing.B) {
 		var wire []byte
-		wire = appendData(wire, &d)
+		wire, _ = appendMsg(wire, Msg{Data: &d})
 		enc := NewEncoder(io.Discard)
 		dec := NewDecoder(&rewindReader{buf: wire})
 		b.ReportAllocs()

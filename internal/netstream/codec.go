@@ -14,22 +14,33 @@
 // The wire format is a simple length-delimited binary protocol
 // (big-endian, stdlib encoding/binary), versioned and magic-tagged.
 //
-// # Encoding and aliasing contract
+// # One codec
 //
-// The hot wire paths are allocation-free in steady state:
+// Every message has one encoder and one decoder. appendMsg encodes each
+// message type; Decoder.Parse frames and decodes the first message in a
+// byte slice, and says how many bytes to supply when the slice holds only
+// a prefix. Everything else is a caller of those two:
 //
 //   - Encoder accumulates every message of one model step in a reused
 //     buffer and hands the whole batch to the writer in a single Write
 //     call (one syscall per step instead of one per message).
-//   - Decoder reuses a payload scratch buffer; the Msg it returns — in
-//     particular Msg.Data and Msg.Data.Payload — aliases decoder-owned
-//     memory that the next call overwrites. Callers that retain a message
-//     across calls must copy (the receive loop retains nothing: it checks
-//     each payload chunk in place and hands the window only its length;
-//     its per-slice callback sees the message under the same contract).
-//   - The one-shot WriteHello/WriteAccept/WriteData/WriteEnd helpers draw
-//     their staging buffers from a sync.Pool, and ReadMsg returns fresh
-//     memory the caller owns.
+//   - Msg.WriteTo writes one message through a pooled staging buffer;
+//     WriteHello, WriteAccept and WriteEnd are one-line callers of it.
+//   - A reactor-style reader (the load generator's shard) calls Parse on
+//     the bytes it has read, with no reader and no copy.
+//   - Decoder.Next and ReadMsg read from an io.Reader exactly the bytes
+//     Parse asks for, never past the message they return.
+//
+// # Aliasing contract
+//
+// The hot wire paths are allocation-free in steady state. The Msg that
+// Parse or Next returns points into decoder state that the next call
+// overwrites, and its Data.Payload aliases the decoded bytes: Parse's
+// input, or Next's reused read buffer. Callers that retain a message
+// across calls must copy (the receive loop retains nothing: it checks
+// each payload chunk in place and hands the window only its length; its
+// per-slice callback sees the message under the same contract). ReadMsg
+// returns fresh memory the caller owns.
 package netstream
 
 import (
@@ -158,43 +169,56 @@ func (a Accept) Check(h Hello) error {
 }
 
 // ---------------------------------------------------------------------------
-// Append-style encoders (shared by Encoder and the pooled Write helpers).
+// Encoding.
 // ---------------------------------------------------------------------------
 
+// appendMsg appends the wire form of m, the one encoder every writer goes
+// through: its first set field picks the message, and an empty Msg or a
+// payload beyond MaxPayload is an error that leaves buf unchanged. A new
+// message type is one case here and one in Decoder.parse.
+//
 //smoothvet:noalloc
-func appendHello(buf []byte, h Hello) []byte {
-	buf = append(buf, msgHello)
-	buf = binary.BigEndian.AppendUint32(buf, Magic)
-	buf = binary.BigEndian.AppendUint32(buf, Version)
-	buf = binary.BigEndian.AppendUint32(buf, h.ClientBuffer)
-	return binary.BigEndian.AppendUint32(buf, h.DesiredDelay)
+func appendMsg(buf []byte, m Msg) ([]byte, error) {
+	switch {
+	case m.Hello != nil:
+		h := m.Hello
+		buf = append(buf, msgHello)
+		buf = binary.BigEndian.AppendUint32(buf, Magic)
+		buf = binary.BigEndian.AppendUint32(buf, Version)
+		buf = binary.BigEndian.AppendUint32(buf, h.ClientBuffer)
+		buf = binary.BigEndian.AppendUint32(buf, h.DesiredDelay)
+	case m.Accept != nil:
+		a := m.Accept
+		buf = append(buf, msgAccept)
+		buf = binary.BigEndian.AppendUint32(buf, a.Rate)
+		buf = binary.BigEndian.AppendUint32(buf, a.Delay)
+		buf = binary.BigEndian.AppendUint32(buf, a.ServerBuffer)
+		buf = binary.BigEndian.AppendUint32(buf, a.StepMicros)
+	case m.Data != nil:
+		d := m.Data
+		if len(d.Payload) > MaxPayload {
+			return buf, fmt.Errorf("netstream: payload %d exceeds limit %d", len(d.Payload), MaxPayload)
+		}
+		buf = append(buf, msgData)
+		buf = binary.BigEndian.AppendUint32(buf, d.StreamID)
+		buf = binary.BigEndian.AppendUint32(buf, d.SliceID)
+		buf = binary.BigEndian.AppendUint32(buf, d.Arrival)
+		buf = binary.BigEndian.AppendUint32(buf, d.Size)
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.Weight))
+		buf = binary.BigEndian.AppendUint32(buf, d.SendStep)
+		buf = binary.BigEndian.AppendUint32(buf, d.Offset)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(d.Payload)))
+		buf = append(buf, d.Payload...)
+	case m.End:
+		buf = append(buf, msgEnd)
+	default:
+		return buf, errors.New("netstream: encoding an empty Msg")
+	}
+	return buf, nil
 }
 
-//smoothvet:noalloc
-func appendAccept(buf []byte, a Accept) []byte {
-	buf = append(buf, msgAccept)
-	buf = binary.BigEndian.AppendUint32(buf, a.Rate)
-	buf = binary.BigEndian.AppendUint32(buf, a.Delay)
-	buf = binary.BigEndian.AppendUint32(buf, a.ServerBuffer)
-	return binary.BigEndian.AppendUint32(buf, a.StepMicros)
-}
-
-//smoothvet:noalloc
-func appendData(buf []byte, d *Data) []byte {
-	buf = append(buf, msgData)
-	buf = binary.BigEndian.AppendUint32(buf, d.StreamID)
-	buf = binary.BigEndian.AppendUint32(buf, d.SliceID)
-	buf = binary.BigEndian.AppendUint32(buf, d.Arrival)
-	buf = binary.BigEndian.AppendUint32(buf, d.Size)
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(d.Weight))
-	buf = binary.BigEndian.AppendUint32(buf, d.SendStep)
-	buf = binary.BigEndian.AppendUint32(buf, d.Offset)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(d.Payload)))
-	return append(buf, d.Payload...)
-}
-
-// encBufPool holds staging buffers for the one-shot Write helpers so a
-// handshake or a sporadic standalone WriteData does not allocate.
+// encBufPool holds the staging buffers of Msg.WriteTo, so a handshake or
+// a sporadic standalone message does not allocate.
 var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 // maxPooledBuf caps the staging buffers retained by the pool (and the batch
@@ -202,44 +226,34 @@ var encBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &
 // the collector rather than pinned forever.
 const maxPooledBuf = 1 << 20
 
-func writePooled(w io.Writer, fill func([]byte) []byte) error {
+// WriteTo writes the message's wire form to w with one Write call — a
+// decoded message re-encodes byte-identical to its original bytes, so a
+// proxy forwards a handshake verbatim: ReadMsg from one peer, WriteTo on
+// the other. Exactly one of the Msg's fields must be set; a zero Msg is an
+// error. The staging buffer comes from a shared pool, so writing a message
+// does not allocate in steady state. Msg implements io.WriterTo.
+func (m Msg) WriteTo(w io.Writer) (int64, error) {
 	bp := encBufPool.Get().(*[]byte)
-	buf := fill((*bp)[:0])
-	_, err := w.Write(buf)
+	buf, err := appendMsg((*bp)[:0], m)
+	n := 0
+	if err == nil {
+		n, err = w.Write(buf)
+	}
 	if cap(buf) <= maxPooledBuf {
 		*bp = buf[:0]
 	}
 	encBufPool.Put(bp)
-	return err
+	return int64(n), err
 }
 
 // WriteHello writes a Hello message.
-func WriteHello(w io.Writer, h Hello) error {
-	return writePooled(w, func(buf []byte) []byte { return appendHello(buf, h) })
-}
+func WriteHello(w io.Writer, h Hello) error { _, err := (Msg{Hello: &h}).WriteTo(w); return err }
 
 // WriteAccept writes an Accept message.
-func WriteAccept(w io.Writer, a Accept) error {
-	return writePooled(w, func(buf []byte) []byte { return appendAccept(buf, a) })
-}
-
-// WriteData writes a Data message.
-func WriteData(w io.Writer, d Data) error {
-	if len(d.Payload) > MaxPayload {
-		return fmt.Errorf("netstream: payload %d exceeds limit %d", len(d.Payload), MaxPayload)
-	}
-	return writePooled(w, func(buf []byte) []byte { return appendData(buf, &d) })
-}
+func WriteAccept(w io.Writer, a Accept) error { _, err := (Msg{Accept: &a}).WriteTo(w); return err }
 
 // WriteEnd writes the end-of-stream marker.
-func WriteEnd(w io.Writer) error {
-	_, err := w.Write([]byte{msgEnd})
-	return err
-}
-
-// ---------------------------------------------------------------------------
-// Encoder: batched, allocation-free message encoding.
-// ---------------------------------------------------------------------------
+func WriteEnd(w io.Writer) error { _, err := (Msg{End: true}).WriteTo(w); return err }
 
 // Encoder accumulates encoded messages in one reused buffer and writes the
 // whole batch with a single Write on Flush — the writev-style coalescing
@@ -260,15 +274,13 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 //
 //smoothvet:noalloc
 func (e *Encoder) PutData(d *Data) error {
-	if len(d.Payload) > MaxPayload {
-		return fmt.Errorf("netstream: payload %d exceeds limit %d", len(d.Payload), MaxPayload)
-	}
-	e.buf = appendData(e.buf, d)
-	return nil
+	var err error
+	e.buf, err = appendMsg(e.buf, Msg{Data: d})
+	return err
 }
 
 // PutEnd appends the end-of-stream marker to the batch.
-func (e *Encoder) PutEnd() { e.buf = append(e.buf, msgEnd) }
+func (e *Encoder) PutEnd() { e.buf, _ = appendMsg(e.buf, Msg{End: true}) }
 
 // Flush writes the batched messages with one Write call and resets the
 // batch. Flushing an empty batch is a no-op.
@@ -291,234 +303,145 @@ func (e *Encoder) Flush() error {
 // Decoding.
 // ---------------------------------------------------------------------------
 
-func decodeHello(buf []byte) (Hello, error) {
-	if binary.BigEndian.Uint32(buf[0:]) != Magic || binary.BigEndian.Uint32(buf[4:]) != Version {
-		return Hello{}, ErrBadMagic
-	}
-	return Hello{
-		ClientBuffer: binary.BigEndian.Uint32(buf[8:]),
-		DesiredDelay: binary.BigEndian.Uint32(buf[12:]),
-	}, nil
-}
-
-func decodeAccept(buf []byte) Accept {
-	return Accept{
-		Rate:         binary.BigEndian.Uint32(buf[0:]),
-		Delay:        binary.BigEndian.Uint32(buf[4:]),
-		ServerBuffer: binary.BigEndian.Uint32(buf[8:]),
-		StepMicros:   binary.BigEndian.Uint32(buf[12:]),
-	}
-}
-
-// decodeDataHead fills everything but the payload and returns the declared
-// payload length.
+// Decoder decodes protocol messages into reused state, so a steady-state
+// receive loop allocates nothing per message. Parse decodes from bytes the
+// caller holds; Next reads from the decoder's reader into one reused
+// buffer. The zero Decoder is ready for Parse.
 //
-//smoothvet:noalloc
-func decodeDataHead(buf []byte, d *Data) (int, error) {
-	n := binary.BigEndian.Uint32(buf[32:])
-	if n > MaxPayload {
-		return 0, fmt.Errorf("netstream: payload length %d exceeds limit %d", n, MaxPayload)
-	}
-	d.StreamID = binary.BigEndian.Uint32(buf[0:])
-	d.SliceID = binary.BigEndian.Uint32(buf[4:])
-	d.Arrival = binary.BigEndian.Uint32(buf[8:])
-	d.Size = binary.BigEndian.Uint32(buf[12:])
-	d.Weight = math.Float64frombits(binary.BigEndian.Uint64(buf[16:]))
-	d.SendStep = binary.BigEndian.Uint32(buf[24:])
-	d.Offset = binary.BigEndian.Uint32(buf[28:])
-	return int(n), nil
-}
-
-// readBody reads a fixed-length message body, turning a mid-message EOF
-// into a descriptive error (only a clean EOF before any tag byte is a
-// legitimate end of stream).
-//
-//smoothvet:noalloc
-func readBody(r io.Reader, buf []byte, what string) error {
-	if _, err := io.ReadFull(r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("netstream: truncated %s: %w", what, err)
-	}
-	return nil
-}
-
-// Decoder reads protocol messages with reused decode state: one scratch
-// buffer receives every Data payload, so a steady-state receive loop
-// allocates nothing per message.
-//
-// Aliasing contract: the Msg returned by Next — including Msg.Hello,
-// Msg.Accept, Msg.Data and Msg.Data.Payload — points into decoder-owned
-// memory that the next Next call overwrites. Retain across calls only by
+// Aliasing contract: the Msg that Parse or Next returns — Msg.Hello,
+// Msg.Accept, Msg.Data — points into decoder state that the next call
+// overwrites, and Msg.Data.Payload aliases the bytes it was decoded from:
+// Parse's buf, or Next's reused buffer. Retain across calls only by
 // copying. A Decoder is not safe for concurrent use.
 type Decoder struct {
-	r       io.Reader
-	head    [36]byte
-	hello   Hello
-	accept  Accept
-	data    Data
-	scratch []byte
+	r      io.Reader
+	buf    []byte // Next's read buffer
+	hello  Hello
+	accept Accept
+	data   Data
 }
 
 // NewDecoder returns a decoder reading from r.
 func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
 
-// SizeNext reports the total encoded length — tag byte included — of the
-// first message in buf, when buf holds enough bytes to determine it. It
-// returns 0 (and no error) when more bytes are needed, and an error for an
-// unknown tag or a payload length beyond MaxPayload. Reactor-style readers
-// use it to feed a Decoder only complete messages, so a partial message
-// split across reads is never mistaken for truncation.
-//
-//smoothvet:noalloc
-func SizeNext(buf []byte) (int, error) {
-	if len(buf) == 0 {
-		return 0, nil
-	}
-	switch buf[0] {
-	case msgHello:
-		return 1 + helloBodyLen, nil
-	case msgAccept:
-		return 1 + acceptBodyLen, nil
-	case msgData:
-		if len(buf) < 1+dataHeadLen+4 {
-			return 0, nil
-		}
-		n := binary.BigEndian.Uint32(buf[1+dataHeadLen:])
-		if n > MaxPayload {
-			return 0, fmt.Errorf("netstream: payload length %d exceeds limit %d", n, MaxPayload)
-		}
-		return 1 + dataHeadLen + 4 + int(n), nil
-	case msgEnd:
-		return 1, nil
-	default:
-		return 0, fmt.Errorf("netstream: unknown message tag %d", buf[0])
-	}
-}
-
-// Next reads and decodes the next message. See the Decoder aliasing
-// contract. io.EOF is returned verbatim only at a clean message boundary;
-// truncation inside a message yields a descriptive error wrapping
-// io.ErrUnexpectedEOF.
+// Parse frames and decodes the first message in buf. It returns the
+// message and its encoded length n (tag byte included) when buf holds all
+// of it; when n > len(buf), buf holds only a prefix and the caller must
+// supply at least n bytes before the message can be decoded (n may grow
+// again once the payload length is known). It errors on an unknown tag, a
+// Hello with the wrong magic or version, and a payload length beyond
+// MaxPayload — before the caller has buffered it. See the Decoder
+// aliasing contract; Data.Payload aliases buf.
 //
 //smoothvet:aliased
 //smoothvet:noalloc
-func (dec *Decoder) Next() (Msg, error) {
-	if _, err := io.ReadFull(dec.r, dec.head[:1]); err != nil {
-		return Msg{}, err
+func (dec *Decoder) Parse(buf []byte) (Msg, int, error) {
+	m, n, _, err := dec.parse(buf)
+	return m, n, err
+}
+
+// parse is Parse plus the name of the part a prefix of buf stops in, for
+// Next's truncation errors. This switch is the protocol's one decoder. It
+// and read return memory under the Decoder aliasing contract, which their
+// exported callers declare.
+//
+//smoothvet:noalloc
+func (dec *Decoder) parse(buf []byte) (Msg, int, string, error) {
+	if len(buf) == 0 {
+		return Msg{}, 1, "", nil
 	}
-	switch dec.head[0] {
+	be := binary.BigEndian
+	switch buf[0] {
 	case msgHello:
-		if err := readBody(dec.r, dec.head[:helloBodyLen], "hello"); err != nil {
-			return Msg{}, err
+		const n = 1 + helloBodyLen
+		if len(buf) < n {
+			return Msg{}, n, "hello", nil
 		}
-		h, err := decodeHello(dec.head[:helloBodyLen])
-		if err != nil {
-			return Msg{}, err
+		if be.Uint32(buf[1:]) != Magic || be.Uint32(buf[5:]) != Version {
+			return Msg{}, n, "hello", ErrBadMagic
 		}
-		dec.hello = h
-		return Msg{Hello: &dec.hello}, nil
+		dec.hello = Hello{ClientBuffer: be.Uint32(buf[9:]), DesiredDelay: be.Uint32(buf[13:])}
+		return Msg{Hello: &dec.hello}, n, "hello", nil
 	case msgAccept:
-		if err := readBody(dec.r, dec.head[:acceptBodyLen], "accept"); err != nil {
-			return Msg{}, err
+		const n = 1 + acceptBodyLen
+		if len(buf) < n {
+			return Msg{}, n, "accept", nil
 		}
-		dec.accept = decodeAccept(dec.head[:acceptBodyLen])
-		return Msg{Accept: &dec.accept}, nil
+		dec.accept = Accept{Rate: be.Uint32(buf[1:]), Delay: be.Uint32(buf[5:]),
+			ServerBuffer: be.Uint32(buf[9:]), StepMicros: be.Uint32(buf[13:])}
+		return Msg{Accept: &dec.accept}, n, "accept", nil
 	case msgData:
-		if err := readBody(dec.r, dec.head[:dataHeadLen+4], "data header"); err != nil {
-			return Msg{}, err
+		const head = 1 + dataHeadLen + 4
+		if len(buf) < head {
+			return Msg{}, head, "data header", nil
 		}
-		n, err := decodeDataHead(dec.head[:dataHeadLen+4], &dec.data)
-		if err != nil {
-			return Msg{}, err
+		size := be.Uint32(buf[head-4:])
+		if size > MaxPayload {
+			return Msg{}, head, "data header", fmt.Errorf("netstream: payload length %d exceeds limit %d", size, MaxPayload)
 		}
-		if cap(dec.scratch) < n {
-			dec.scratch = make([]byte, n)
+		n := head + int(size)
+		if len(buf) < n {
+			return Msg{}, n, "data payload", nil
 		}
-		dec.data.Payload = dec.scratch[:n]
-		if err := readBody(dec.r, dec.data.Payload, "data payload"); err != nil {
-			return Msg{}, err
-		}
-		return Msg{Data: &dec.data}, nil
+		d := &dec.data
+		d.StreamID = be.Uint32(buf[1:])
+		d.SliceID = be.Uint32(buf[5:])
+		d.Arrival = be.Uint32(buf[9:])
+		d.Size = be.Uint32(buf[13:])
+		d.Weight = math.Float64frombits(be.Uint64(buf[17:]))
+		d.SendStep = be.Uint32(buf[25:])
+		d.Offset = be.Uint32(buf[29:])
+		d.Payload = buf[head:n:n]
+		return Msg{Data: d}, n, "data payload", nil
 	case msgEnd:
-		return Msg{End: true}, nil
+		return Msg{End: true}, 1, "end", nil
 	default:
-		return Msg{}, fmt.Errorf("netstream: unknown message tag %d", dec.head[0])
+		return Msg{}, 1, "", fmt.Errorf("netstream: unknown message tag %d", buf[0])
 	}
 }
 
-// WriteTo re-encodes the message onto w, byte-identical to its original
-// wire form. Proxies use it to forward a decoded handshake message
-// verbatim: ReadMsg from one peer, WriteTo on the other. Exactly one of
-// the Msg's fields must be set; a zero Msg is an error. The staging
-// buffer comes from the shared encoder pool, so forwarding a handshake
-// does not allocate in steady state. Msg implements io.WriterTo.
-func (m Msg) WriteTo(w io.Writer) (int64, error) {
-	if m.Hello == nil && m.Accept == nil && m.Data == nil && !m.End {
-		return 0, errors.New("netstream: WriteTo on an empty Msg")
-	}
-	if m.Data != nil && len(m.Data.Payload) > MaxPayload {
-		return 0, fmt.Errorf("netstream: payload %d exceeds limit %d", len(m.Data.Payload), MaxPayload)
-	}
-	var n int
-	err := writePooled(w, func(buf []byte) []byte {
-		switch {
-		case m.Hello != nil:
-			buf = appendHello(buf, *m.Hello)
-		case m.Accept != nil:
-			buf = appendAccept(buf, *m.Accept)
-		case m.Data != nil:
-			buf = appendData(buf, m.Data)
-		default:
-			buf = append(buf, msgEnd)
+// Next reads and decodes the next message, reading exactly the bytes
+// Parse asks for: it never consumes past the message it returns, so a
+// caller may hand the reader on (a handshake read before the socket is
+// adopted, say). See the Decoder aliasing contract. io.EOF is returned
+// verbatim only at a clean message boundary; truncation inside a message
+// yields a descriptive error wrapping io.ErrUnexpectedEOF.
+//
+//smoothvet:aliased
+//smoothvet:noalloc
+func (dec *Decoder) Next() (Msg, error) { return dec.read() }
+
+// read is Next's exact-length loop: it asks parse how many bytes the
+// message needs, reads up to that count into dec.buf, and asks again.
+//
+//smoothvet:noalloc
+func (dec *Decoder) read() (Msg, error) {
+	have, n, what := 0, 1, ""
+	for {
+		if cap(dec.buf) < n {
+			grown := make([]byte, max(n, 64)) // len == cap throughout
+			copy(grown, dec.buf[:have])
+			dec.buf = grown
 		}
-		n = len(buf)
-		return buf
-	})
-	return int64(n), err
+		if _, err := io.ReadFull(dec.r, dec.buf[have:n]); err != nil {
+			if have == 0 {
+				return Msg{}, err
+			}
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return Msg{}, fmt.Errorf("netstream: truncated %s: %w", what, err)
+		}
+		have = n
+		m, need, part, err := dec.parse(dec.buf[:have])
+		if err != nil || need <= have {
+			return m, err
+		}
+		n, what = need, part
+	}
 }
 
-// ReadMsg reads and decodes the next message. Unlike Decoder.Next, the
-// returned message owns its memory; use a Decoder on hot receive loops.
-func ReadMsg(r io.Reader) (Msg, error) {
-	var head [36]byte
-	if _, err := io.ReadFull(r, head[:1]); err != nil {
-		return Msg{}, err
-	}
-	switch head[0] {
-	case msgHello:
-		if err := readBody(r, head[:helloBodyLen], "hello"); err != nil {
-			return Msg{}, err
-		}
-		h, err := decodeHello(head[:helloBodyLen])
-		if err != nil {
-			return Msg{}, err
-		}
-		return Msg{Hello: &h}, nil
-	case msgAccept:
-		if err := readBody(r, head[:acceptBodyLen], "accept"); err != nil {
-			return Msg{}, err
-		}
-		a := decodeAccept(head[:acceptBodyLen])
-		return Msg{Accept: &a}, nil
-	case msgData:
-		if err := readBody(r, head[:dataHeadLen+4], "data header"); err != nil {
-			return Msg{}, err
-		}
-		d := &Data{}
-		n, err := decodeDataHead(head[:dataHeadLen+4], d)
-		if err != nil {
-			return Msg{}, err
-		}
-		d.Payload = make([]byte, n)
-		if err := readBody(r, d.Payload, "data payload"); err != nil {
-			return Msg{}, err
-		}
-		return Msg{Data: d}, nil
-	case msgEnd:
-		return Msg{End: true}, nil
-	default:
-		return Msg{}, fmt.Errorf("netstream: unknown message tag %d", head[0])
-	}
-}
+// ReadMsg reads and decodes the next message exactly as Decoder.Next does,
+// but the returned message owns its memory; use a Decoder on hot receive
+// loops.
+func ReadMsg(r io.Reader) (Msg, error) { return NewDecoder(r).read() }

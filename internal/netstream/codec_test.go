@@ -78,6 +78,12 @@ func TestCodecErrorPaths(t *testing.T) {
 	}
 }
 
+// writeData writes one Data message through Msg.WriteTo.
+func writeData(w io.Writer, d Data) error {
+	_, err := (Msg{Data: &d}).WriteTo(w)
+	return err
+}
+
 // corrupt flips one byte of a copy of b.
 func corrupt(b []byte, i int) []byte {
 	c := append([]byte(nil), b...)
@@ -89,7 +95,7 @@ func corrupt(b []byte, i int) []byte {
 // MaxPayload: the decoder must reject it before allocating.
 func oversizedData() []byte {
 	var buf bytes.Buffer
-	if err := WriteData(&buf, Data{SliceID: 1, Size: 1, Payload: []byte{1}}); err != nil {
+	if err := writeData(&buf, Data{SliceID: 1, Size: 1, Payload: []byte{1}}); err != nil {
 		panic(err)
 	}
 	b := buf.Bytes()
@@ -99,14 +105,14 @@ func oversizedData() []byte {
 	return b
 }
 
-// TestWriteDataRejectsOversizedPayload — the encode side enforces the same
-// bound, on both the pooled helper and the batch encoder.
-func TestWriteDataRejectsOversizedPayload(t *testing.T) {
+// TestWriteToRejectsOversizedPayload — the encode side enforces the same
+// bound, on both the pooled writer and the batch encoder.
+func TestWriteToRejectsOversizedPayload(t *testing.T) {
 	big := Data{SliceID: 1, Size: MaxPayload + 1, Payload: make([]byte, MaxPayload+1)}
-	if err := WriteData(io.Discard, big); err == nil {
-		t.Error("WriteData accepted an oversized payload")
-	}
 	cw := &countingWriter{}
+	if n, err := (Msg{Data: &big}).WriteTo(cw); err == nil || n != 0 || cw.writes != 0 {
+		t.Errorf("Msg.WriteTo wrote %d bytes in %d writes of an oversized payload, err %v", n, cw.writes, err)
+	}
 	e := NewEncoder(cw)
 	if err := e.PutData(&big); err == nil {
 		t.Error("Encoder accepted an oversized payload")
@@ -123,7 +129,7 @@ func TestEncoderBatchesIntoOneWrite(t *testing.T) {
 	var want bytes.Buffer
 	for i := 0; i < 5; i++ {
 		d := Data{SliceID: uint32(i), Size: 3, SendStep: uint32(i), Payload: []byte{byte(i), 1, 2}}
-		if err := WriteData(&want, d); err != nil {
+		if err := writeData(&want, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,10 +204,10 @@ func TestDecoderReusesScratch(t *testing.T) {
 	}
 	// ReadMsg, by contrast, hands out caller-owned memory.
 	wire.Reset()
-	if err := WriteData(&wire, Data{SliceID: 1, Size: 1, Payload: []byte{1}}); err != nil {
+	if err := writeData(&wire, Data{SliceID: 1, Size: 1, Payload: []byte{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteData(&wire, Data{SliceID: 2, Size: 1, Payload: []byte{2}}); err != nil {
+	if err := writeData(&wire, Data{SliceID: 2, Size: 1, Payload: []byte{2}}); err != nil {
 		t.Fatal(err)
 	}
 	r1, err := ReadMsg(&wire)
@@ -229,7 +235,7 @@ func TestDecoderStreamRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d := Data{SliceID: uint32(i), Arrival: uint32(i / 2), Size: 5, Weight: float64(i),
 			SendStep: uint32(i), Payload: []byte{byte(i), 1, 2, 3, 4}}
-		if err := WriteData(&wire, d); err != nil {
+		if err := writeData(&wire, d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +275,7 @@ func TestMsgWriteToRoundTrip(t *testing.T) {
 	if err := WriteAccept(&wire, Accept{Rate: 300, Delay: 7, ServerBuffer: 2100, StepMicros: 40000}); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteData(&wire, Data{StreamID: 2, SliceID: 9, Arrival: 3, Size: 10,
+	if err := writeData(&wire, Data{StreamID: 2, SliceID: 9, Arrival: 3, Size: 10,
 		Weight: 1.5, SendStep: 4, Offset: 5, Payload: []byte("hello")}); err != nil {
 		t.Fatal(err)
 	}

@@ -27,39 +27,43 @@ func buildWire(t *testing.T, seed int64) ([]byte, int) {
 	return wire.Bytes(), snd.Delay()
 }
 
-// TestSizeNextFramesWholeStream: SizeNext must frame a real sender's
-// output message by message, agreeing with what ReadMsg decodes, and
-// report "incomplete" for every proper prefix of each message.
-func TestSizeNextFramesWholeStream(t *testing.T) {
+// TestParseFramesWholeStream: Parse must frame a real sender's output
+// message by message, agreeing with what ReadMsg decodes and consumes, and
+// ask for more bytes — never erring, never past the message — at every
+// proper prefix of each message.
+func TestParseFramesWholeStream(t *testing.T) {
 	wire, _ := buildWire(t, 21)
 	reader := bytes.NewReader(wire)
+	var dec Decoder
 	off := 0
 	for off < len(wire) {
-		n, err := SizeNext(wire[off:])
+		// A truncated prefix must never error: Parse reports a length
+		// beyond the prefix and at most the message's own — the header's
+		// end, or the true total once the header is complete — which
+		// tells the caller to wait for more bytes.
+		_, n, err := dec.Parse(wire[off:])
 		if err != nil {
 			t.Fatalf("offset %d: %v", off, err)
 		}
-		if n <= 0 {
-			t.Fatalf("offset %d: SizeNext returned %d on a complete stream", off, n)
+		if n <= 0 || n > len(wire)-off {
+			t.Fatalf("offset %d: Parse returned %d on a complete stream", off, n)
 		}
-		// A truncated prefix must never error: SizeNext reports either 0
-		// (length not yet determinable) or the true total length (header
-		// complete) — both tell the caller to wait for more bytes.
-		for _, cut := range []int{0, 1, n / 2, n - 1} {
-			if cut >= n {
-				continue
-			}
-			pn, perr := SizeNext(wire[off : off+cut])
-			if perr != nil || (pn != 0 && pn != n) {
-				t.Fatalf("offset %d, prefix %d/%d: got (%d, %v), want (0 or %d, nil)", off, cut, n, pn, perr, n)
+		for cut := 0; cut < n; cut++ {
+			_, pn, perr := dec.Parse(wire[off : off+cut])
+			if perr != nil || pn <= cut || pn > n {
+				t.Fatalf("offset %d, prefix %d/%d: got (%d, %v), want (%d..%d, nil)", off, cut, n, pn, perr, cut+1, n)
 			}
 		}
+		got, _, _ := dec.Parse(wire[off:])
 		msg, err := ReadMsg(reader)
 		if err != nil {
 			t.Fatalf("offset %d: ReadMsg: %v", off, err)
 		}
 		if rem := reader.Len(); len(wire)-off-n != rem {
-			t.Fatalf("offset %d: SizeNext says %d bytes, ReadMsg consumed %d", off, n, len(wire)-off-rem)
+			t.Fatalf("offset %d: Parse says %d bytes, ReadMsg consumed %d", off, n, len(wire)-off-rem)
+		}
+		if !msgEqual(msg, got) {
+			t.Fatalf("offset %d: Parse %+v != ReadMsg %+v", off, got, msg)
 		}
 		off += n
 		if msg.End && off != len(wire) {
@@ -68,8 +72,9 @@ func TestSizeNextFramesWholeStream(t *testing.T) {
 	}
 }
 
-func TestSizeNextErrors(t *testing.T) {
-	if _, err := SizeNext([]byte{0xff}); err == nil {
+func TestParseErrors(t *testing.T) {
+	var dec Decoder
+	if _, _, err := dec.Parse([]byte{0xff}); err == nil {
 		t.Error("unknown tag accepted")
 	}
 	// A data head whose payload length exceeds MaxPayload must error
@@ -80,48 +85,40 @@ func TestSizeNextErrors(t *testing.T) {
 	huge[1+33] = 0xff
 	huge[1+34] = 0xff
 	huge[1+35] = 0xff
-	if _, err := SizeNext(huge); err == nil {
+	if _, _, err := dec.Parse(huge); err == nil {
 		t.Error("oversized payload length accepted")
 	}
-	if n, err := SizeNext(nil); n != 0 || err != nil {
-		t.Errorf("empty buffer: got (%d, %v)", n, err)
+	if m, n, err := dec.Parse(nil); n != 1 || err != nil || m != (Msg{}) {
+		t.Errorf("empty buffer: got (%+v, %d, %v), want a request for 1 byte", m, n, err)
 	}
 }
 
-// TestDecoderReset: one decoder fed message-by-message through a reused
-// bytes.Reader (the shard reactor's pattern) must decode the same
-// sequence as a fresh decoder over the whole stream.
+// TestDecoderReset: one decoder fed message by message with Parse on exact
+// slices (the shard reactor's pattern) must decode the same sequence as a
+// fresh decoder reading the whole stream, with each payload aliasing the
+// slice it came from.
 func TestDecoderReset(t *testing.T) {
 	wire, _ := buildWire(t, 22)
 	whole := NewDecoder(bytes.NewReader(wire))
 
-	var br bytes.Reader
-	pieced := NewDecoder(&br)
+	var pieced Decoder
 	off := 0
 	for {
 		want, werr := whole.Next()
-		n, err := SizeNext(wire[off:])
-		if err != nil || n == 0 {
-			t.Fatalf("offset %d: SizeNext (%d, %v)", off, n, err)
+		if werr != nil {
+			t.Fatalf("offset %d: Next: %v", off, werr)
 		}
-		br.Reset(wire[off : off+n])
-		got, gerr := pieced.Next()
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("offset %d: error mismatch %v vs %v", off, werr, gerr)
+		got, n, gerr := pieced.Parse(wire[off:])
+		if gerr != nil || n > len(wire)-off {
+			t.Fatalf("offset %d: Parse (%d, %v)", off, n, gerr)
+		}
+		if !msgEqual(want, got) {
+			t.Fatalf("offset %d: data mismatch: %+v vs %+v", off, want, got)
+		}
+		if got.Data != nil && len(got.Data.Payload) > 0 && &got.Data.Payload[0] != &wire[off+n-len(got.Data.Payload)] {
+			t.Fatalf("offset %d: payload does not alias the parsed bytes", off)
 		}
 		off += n
-		if want.End != got.End {
-			t.Fatalf("offset %d: End mismatch", off)
-		}
-		if (want.Data == nil) != (got.Data == nil) {
-			t.Fatalf("offset %d: Data presence mismatch", off)
-		}
-		if want.Data != nil {
-			if want.Data.SliceID != got.Data.SliceID || want.Data.SendStep != got.Data.SendStep ||
-				want.Data.Offset != got.Data.Offset || !bytes.Equal(want.Data.Payload, got.Data.Payload) {
-				t.Fatalf("offset %d: data mismatch: %+v vs %+v", off, want.Data, got.Data)
-			}
-		}
 		if want.End {
 			break
 		}

@@ -2,15 +2,19 @@ package netstream
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"runtime"
 	"testing"
 )
 
-// FuzzReadMsg feeds arbitrary bytes to both wire decoders (the allocating
-// ReadMsg and the scratch-reusing Decoder): they must never panic or
-// over-allocate, must agree with each other message for message, and every
-// message they accept must re-encode to bytes the decoder reads back
-// identically.
+// FuzzReadMsg feeds arbitrary bytes to every wire decoder — the allocating
+// ReadMsg, the reader-backed Decoder.Next and the in-place Decoder.Parse,
+// the last fed the input in two chunks at every split point as a reactor
+// reads it. They must never panic or over-allocate, must agree with each
+// other message for message and error for error, must consume exactly the
+// bytes of each message, and every message they accept must re-encode to
+// exactly those bytes. Its committed corpus is testdata/fuzz/FuzzReadMsg.
 func FuzzReadMsg(f *testing.F) {
 	// Seed with each valid message type.
 	var seed bytes.Buffer
@@ -21,7 +25,7 @@ func FuzzReadMsg(f *testing.F) {
 	_ = WriteAccept(&seed, Accept{Rate: 1, Delay: 2, ServerBuffer: 2, StepMicros: 1000})
 	f.Add(append([]byte{}, seed.Bytes()...))
 	seed.Reset()
-	_ = WriteData(&seed, Data{SliceID: 1, Size: 2, Payload: []byte{1, 2}})
+	_ = writeData(&seed, Data{SliceID: 1, Size: 2, Payload: []byte{1, 2}})
 	dataBytes := append([]byte{}, seed.Bytes()...)
 	f.Add(append([]byte{}, dataBytes...))
 	f.Add([]byte{msgEnd})
@@ -38,55 +42,107 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{0x7f})                                      // unknown tag, no body
 
 	f.Fuzz(func(t *testing.T, input []byte) {
+		// Parse first: a request beyond the largest legal message would
+		// have the readers below allocate it.
+		var dec Decoder
+		for off := 0; off < len(input); {
+			_, n, err := dec.Parse(input[off:])
+			if n > maxMsgLen {
+				t.Fatalf("offset %d: Parse asks for %d bytes, above the largest message (%d)", off, n, maxMsgLen)
+			}
+			if err != nil || n > len(input)-off {
+				break
+			}
+			off += n
+		}
+
+		// The reference: ReadMsg until its first error, with each
+		// message's length; Next must match it message for message and
+		// read exactly as far.
 		r := bytes.NewReader(input)
-		dec := NewDecoder(bytes.NewReader(input))
+		dr := bytes.NewReader(input)
+		next := NewDecoder(dr)
+		var want []Msg
+		var sizes []int
+		var readErr error
 		for {
+			before := r.Len()
 			msg, err := ReadMsg(r)
-			dmsg, derr := dec.Next()
+			dmsg, derr := next.Next()
 			if (err == nil) != (derr == nil) {
 				t.Fatalf("ReadMsg err %v but Decoder err %v", err, derr)
 			}
+			if r.Len() != dr.Len() {
+				t.Fatalf("ReadMsg left %d bytes, Decoder.Next %d", r.Len(), dr.Len())
+			}
 			if err != nil {
-				return // any error is fine; panics are not
+				readErr = err
+				break
 			}
 			if !msgEqual(msg, dmsg) {
 				t.Fatalf("decoders disagree: %+v vs %+v", msg, dmsg)
 			}
-			// Round-trip whatever was decoded.
+			if msg.Data != nil && len(msg.Data.Payload) > MaxPayload {
+				t.Fatalf("decoder accepted %d-byte payload", len(msg.Data.Payload))
+			}
+			// Round-trip: the message re-encodes to exactly the bytes it
+			// was read from.
+			size := before - r.Len()
 			var buf bytes.Buffer
+			if n, err := msg.WriteTo(&buf); err != nil || int(n) != size {
+				t.Fatalf("re-encoding %+v: %d bytes, err %v; it was read from %d", msg, n, err, size)
+			}
+			if !bytes.Equal(buf.Bytes(), input[len(input)-before:][:size]) {
+				t.Fatalf("re-encoding %+v changed its bytes", msg)
+			}
+			want, sizes = append(want, msg), append(sizes, size)
+		}
+
+		// Parse at every split point: the bytes before the split arrive
+		// first, the rest later, and an unconsumed tail waits for them.
+		// Large inputs are split at a stride so one run stays quick.
+		stride := max(1, len(input)/2048)
+		for split := 0; split <= len(input); split += stride {
+			off, i := 0, 0
+			var err error
+			for _, end := range []int{split, len(input)} {
+				for err == nil {
+					var m Msg
+					var n int
+					m, n, err = dec.Parse(input[off:end])
+					if err != nil || n > end-off {
+						break
+					}
+					if i == len(want) || n != sizes[i] || !msgEqual(m, want[i]) {
+						t.Fatalf("split %d, message %d: Parse (%+v, %d) disagrees with ReadMsg", split, i, m, n)
+					}
+					off += n
+					i++
+				}
+			}
 			switch {
-			case msg.Hello != nil:
-				if err := WriteHello(&buf, *msg.Hello); err != nil {
-					t.Fatal(err)
+			case i != len(want):
+				t.Fatalf("split %d: Parse decoded %d messages, ReadMsg %d (Parse err %v, ReadMsg err %v)", split, i, len(want), err, readErr)
+			case readErr == io.EOF:
+				if err != nil || off != len(input) {
+					t.Fatalf("split %d: clean end, but Parse stopped at %d of %d with %v", split, off, len(input), err)
 				}
-			case msg.Accept != nil:
-				if err := WriteAccept(&buf, *msg.Accept); err != nil {
-					t.Fatal(err)
-				}
-			case msg.Data != nil:
-				if len(msg.Data.Payload) > MaxPayload {
-					t.Fatalf("decoder accepted %d-byte payload", len(msg.Data.Payload))
-				}
-				if err := WriteData(&buf, *msg.Data); err != nil {
-					t.Fatal(err)
-				}
-			case msg.End:
-				if err := WriteEnd(&buf); err != nil {
-					t.Fatal(err)
+			case errors.Is(readErr, io.ErrUnexpectedEOF):
+				if err != nil || off == len(input) {
+					t.Fatalf("split %d: ReadMsg found a truncated message, Parse stopped at %d of %d with %v", split, off, len(input), err)
 				}
 			default:
-				t.Fatal("decoder returned an empty message without error")
-			}
-			again, err := ReadMsg(&buf)
-			if err != nil {
-				t.Fatalf("re-decode failed: %v", err)
-			}
-			if !msgEqual(msg, again) {
-				t.Fatalf("round trip changed message: %+v vs %+v", msg, again)
+				if err == nil {
+					t.Fatalf("split %d: ReadMsg failed with %v, Parse did not", split, readErr)
+				}
 			}
 		}
 	})
 }
+
+// maxMsgLen is the largest legal message: a Data head with a MaxPayload
+// payload.
+const maxMsgLen = 1 + dataHeadLen + 4 + MaxPayload
 
 // FuzzReceiveStream feeds arbitrary bytes to the receive loop, as a
 // single-stream and as a two-stream session: it must return statistics or

@@ -26,7 +26,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := Data{SliceID: 5, Arrival: 2, Size: 4, Weight: 2.5, SendStep: 3, Offset: 1, Payload: []byte{9, 8}}
-	if err := WriteData(&buf, d); err != nil {
+	if err := writeData(&buf, d); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteEnd(&buf); err != nil {
@@ -74,7 +74,7 @@ func TestCodecErrors(t *testing.T) {
 	}
 	// Truncated data message.
 	buf.Reset()
-	if err := WriteData(&buf, Data{SliceID: 1, Size: 4, Payload: []byte{1, 2, 3, 4}}); err != nil {
+	if err := writeData(&buf, Data{SliceID: 1, Size: 4, Payload: []byte{1, 2, 3, 4}}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-2]
@@ -255,7 +255,7 @@ func dataWire(t testing.TB, end bool, msgs ...Data) *bytes.Buffer {
 	t.Helper()
 	var wire bytes.Buffer
 	for _, d := range msgs {
-		if err := WriteData(&wire, d); err != nil {
+		if err := writeData(&wire, d); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -92,15 +92,16 @@ func OptimalFrames(st *stream.Stream, B, R int) (*Result, error) {
 				}
 				hi = top
 				bits := choice[off[id]:off[id+1]]
-				// Accept transitions shift occupancy up by Size; process
-				// descending so each slice is considered once.
-				for o := top; o >= r.Size; o-- {
-					from := o - r.Size
-					if dp[from] == reject {
-						continue
-					}
-					if v := dp[from] + r.Weight; v > dp[o] {
-						dp[o] = v
+				// Accept transitions shift occupancy up by Size: dst[i]
+				// is dp[i+Size] and src[i] is dp[i]. Process descending
+				// so each slice is considered once. A rejected source
+				// needs no test: -Inf plus a weight never exceeds dst[i].
+				dst := dp[r.Size : top+1]
+				src := dp[:len(dst)]
+				for i := len(dst) - 1; i >= 0; i-- {
+					if v := src[i] + r.Weight; v > dst[i] {
+						dst[i] = v
+						o := i + r.Size
 						bits[o/64] |= 1 << (o % 64)
 					}
 				}

@@ -205,11 +205,10 @@ func (s *Schedule) Throughput() int {
 
 // Benefit returns the total weight of played slices (Definition 2.6): the
 // sum of their weights taken one slice at a time in ID order, so its bits
-// do not depend on how the slices are grouped into spans. While the
-// running sum and a piece's weight are integers and the sum stays below
-// 2^53, every partial sum is an exact integer, so the piece's Count·Weight
-// is added at once with the same result (the paper's weights are
-// integers); otherwise each slice's weight is added on its own.
+// do not depend on how the slices are grouped into spans. It walks each
+// played span piece by piece, where a piece is the span's overlap with
+// one run of equal weight, and addWeight adds the piece's slices one at a
+// time.
 func (s *Schedule) Benefit() float64 {
 	var w float64
 	runs, k := s.Stream.Runs(), 0

@@ -204,13 +204,34 @@ var errCopyMismatch any = "stats: CopyFrom with mismatched subBits"
 // resolutions panic. The observability layer publishes per-shard
 // snapshots through this once per tick.
 //
+// Every count of a histogram lies in its occupied range, the buckets of
+// min through max, so the copy touches only those buckets of o and
+// clears only the part of h's old range that o's range does not cover:
+// its cost is the two ranges' width, not the bucket array's.
+//
 //smoothvet:noalloc
 func (h *LogHistogram) CopyFrom(o *LogHistogram) {
 	if o.subBits != h.subBits {
 		panic(errCopyMismatch)
 	}
-	copy(h.counts, o.counts)
+	lo, hi := o.occupied()
+	if plo, phi := h.occupied(); plo < phi {
+		clear(h.counts[plo:max(plo, min(phi, lo))])
+		clear(h.counts[min(phi, max(plo, hi)):phi])
+	}
+	copy(h.counts[lo:hi], o.counts[lo:hi])
 	h.n, h.sum, h.min, h.max = o.n, o.sum, o.min, o.max
+}
+
+// occupied returns the half-open bucket range [lo, hi) that holds every
+// nonzero count; it is empty when h is.
+//
+//smoothvet:noalloc
+func (h *LogHistogram) occupied() (lo, hi int) {
+	if h.n == 0 {
+		return 0, 0
+	}
+	return h.bucket(h.min), h.bucket(h.max) + 1
 }
 
 // SetDelta makes h the per-bucket difference cur - prev of two cumulative
@@ -226,6 +247,10 @@ func (h *LogHistogram) SetDelta(cur, prev *LogHistogram) {
 		panic("stats: SetDelta with mismatched subBits")
 	}
 	if cur.n < prev.n {
+		// A delta may hold counts outside its occupied range (a source
+		// reset between scrapes leaves negative ones), so clear them all
+		// before CopyFrom, which clears only that range.
+		h.Reset()
 		h.CopyFrom(cur)
 		return
 	}

@@ -150,6 +150,44 @@ func TestLogHistogramCopyFrom(t *testing.T) {
 	dst.CopyFrom(NewLogHistogram(3))
 }
 
+// TestLogHistogramCopyFromNarrows: CopyFrom touches only the occupied
+// buckets, so a wide copy followed by a narrow one — and by an empty one —
+// must leave exactly what a fresh full copy of the last source holds.
+func TestLogHistogramCopyFromNarrows(t *testing.T) {
+	fill := func(lo, hi int64, n int) *LogHistogram {
+		h := NewLogHistogram(DefaultLogHistSubBits)
+		rng := rand.New(rand.NewSource(lo ^ hi))
+		for range n {
+			h.Add(lo + rng.Int63n(hi-lo+1))
+		}
+		return h
+	}
+	wide := fill(0, 1<<40, 5000)
+	sources := []*LogHistogram{
+		fill(3000, 5000, 500),  // inside the wide range
+		fill(1<<20, 1<<41, 50), // overlapping its top
+		fill(0, 40, 50),        // overlapping its bottom
+		NewLogHistogram(DefaultLogHistSubBits),
+		fill(7, 7, 3), // one bucket
+	}
+	for i, src := range sources {
+		dst := NewLogHistogram(DefaultLogHistSubBits)
+		dst.CopyFrom(wide)
+		dst.CopyFrom(src)
+		want := NewLogHistogram(DefaultLogHistSubBits)
+		copy(want.counts, src.counts)
+		want.n, want.sum, want.min, want.max = src.n, src.sum, src.min, src.max
+		if dst.n != want.n || dst.sum != want.sum || dst.min != want.min || dst.max != want.max {
+			t.Fatalf("source %d: aggregates %v, want %v", i, dst, want)
+		}
+		for b := range dst.counts {
+			if dst.counts[b] != want.counts[b] {
+				t.Fatalf("source %d: bucket %d = %d, want %d", i, b, dst.counts[b], want.counts[b])
+			}
+		}
+	}
+}
+
 // TestLogHistogramSetDelta: the SLO accountant's windowing — the delta of
 // two cumulative snapshots must reproduce exactly the observations that
 // arrived in between, and a source reset (cumulative count shrinking)

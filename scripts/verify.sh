@@ -181,6 +181,16 @@ echo "== fuzz: greedy stacks vs per-slice model (10 s)"
 # under plain go test above.
 go test -run '^$' -fuzz '^FuzzGreedyRuns$' -fuzztime 10s ./internal/drop
 
+echo "== fuzz: one codec (10 s)"
+# netstream.Decoder.Parse is the protocol's one decoder: fed arbitrary
+# bytes in two chunks at every split point, it must agree message for
+# message and error for error with ReadMsg and Decoder.Next, which read
+# through it; each message must re-encode to exactly the bytes it came
+# from, and no request may exceed the largest legal message. The
+# committed seed corpus in internal/netstream/testdata/fuzz also runs
+# under plain go test above.
+go test -run '^$' -fuzz '^FuzzReadMsg$' -fuzztime 10s ./internal/netstream
+
 echo "== bench + regression gate"
 # Run every benchmark in the protocol the committed ledger was recorded
 # with (scripts/bench_baseline.sh, -benchtime 5x) and check the text against
