@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/leakcheck"
 	"repro/internal/loadgen"
 	"repro/internal/serve"
 	"repro/internal/trace"
@@ -18,7 +19,7 @@ import (
 func awaitFds(t *testing.T, wave string, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for got := openFdCount(); got != want; got = openFdCount() {
+	for got := leakcheck.OpenFds(); got != want; got = leakcheck.OpenFds() {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s: %d fds open after the wave, %d before", wave, got, want)
 		}
@@ -67,7 +68,7 @@ func TestWavesReturnEveryFd(t *testing.T) {
 	}
 	defer gen.Close()
 
-	before := openFdCount()
+	before := leakcheck.OpenFds()
 	reps := make(chan loadgen.Report, 1)
 	go func() {
 		rep, err := gen.Run(n)
@@ -97,7 +98,7 @@ func TestWavesReturnEveryFd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tierGen.Close()
-	before = openFdCount()
+	before = leakcheck.OpenFds()
 	go func() {
 		rep, err := tierGen.Run(n)
 		if err != nil {
@@ -112,10 +113,10 @@ func TestWavesReturnEveryFd(t *testing.T) {
 	}
 	// A handshake's socket is duplicated for a moment while it is adopted;
 	// a few samples see past that.
-	live := openFdCount() - before
+	live := leakcheck.OpenFds() - before
 	for tries := 0; live > 4*n && tries < 20; tries++ {
 		time.Sleep(time.Millisecond)
-		live = openFdCount() - before
+		live = leakcheck.OpenFds() - before
 	}
 	if ended := counterValue(front, front.met.cCompleted) + counterValue(front, front.met.cFailed); ended > 0 {
 		t.Fatalf("%d sessions ended before the mid-wave count", ended)

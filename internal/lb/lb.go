@@ -14,10 +14,11 @@
 //   - Front door: Handle reads the client's Hello (the only blocking
 //     read on the client side), applies admission control — an optional
 //     admission.Gate precomputed from per-step demand samples, plus a
-//     hard session cap — and pushes the session onto a bounded
-//     pending-admit queue.
-//   - Placer: a pool of placement workers pulls from the pending queue,
-//     scores every healthy, non-draining backend by live buffer headroom
+//     hard session cap — and starts the session's placement on a
+//     goroutine of its own. Those two rules are the whole of admission.
+//   - Placer: each placement waits for one of PlaceWorkers slots (at
+//     most that many dials and handshakes run at once), then scores
+//     every healthy, non-draining backend by live buffer headroom
 //     minus a step-lag penalty (both refreshed from the backends'
 //     /statusz JSON when metrics addresses are configured, with the
 //     LB-local active count as the always-fresh floor), dials the best
@@ -68,8 +69,6 @@ const (
 	// backendSlots is the per-backend session capacity headroom is scored
 	// against.
 	backendSlots = 10000
-	// pendingLimit bounds the pending-admit queue.
-	pendingLimit = 4096
 	// dialTimeout bounds one backend TCP dial.
 	dialTimeout = 5 * time.Second
 	// scrapeInterval is the backend /statusz poll period when MetricsAddrs
@@ -79,7 +78,6 @@ const (
 
 var (
 	errEngineClosed  = errors.New("lb: engine is closed")
-	errQueueFull     = errors.New("lb: pending-admit queue is full")
 	errAdmission     = errors.New("lb: admission refused")
 	errSessionCap    = errors.New("lb: session cap reached")
 	errNoBackend     = errors.New("lb: no healthy backend")
@@ -104,8 +102,7 @@ type Config struct {
 	Shards int
 	// MaxSessions caps concurrently admitted sessions (0 = unlimited).
 	MaxSessions int
-	// PlaceWorkers bounds concurrent placement (dial+handshake) workers
-	// (default 16).
+	// PlaceWorkers bounds concurrent placement (dial+handshake) (default 16).
 	PlaceWorkers int
 	// HandshakeTimeout bounds the Hello/Accept exchange on either side
 	// (default 10s).
@@ -119,7 +116,7 @@ type Config struct {
 	// ProbeInterval is the unhealthy-backend re-probe period (default 1s).
 	ProbeInterval time.Duration
 	// Gate, if non-nil, is the front-door admission gate; sessions it
-	// refuses are rejected before queueing.
+	// refuses are rejected before placement.
 	Gate *admission.Gate
 	// OnSessionDone, if non-nil, is called once per admitted session as
 	// it finishes, possibly concurrently.
@@ -158,15 +155,19 @@ type Engine struct {
 	// drain events); recs[1+i] is shard i's relay ring.
 	recs []*obs.FlightRecorder
 
-	pending   chan *session
-	pendCount atomic.Int64
-	active    atomic.Int64
+	active atomic.Int64
 	// idle holds one wake-up for Drain, sent whenever active falls to 0.
 	idle chan struct{}
 	seq  atomic.Uint64
 
 	httpc *http.Client
+	// placeSlots holds one token per running placement, PlaceWorkers deep.
+	placeSlots chan struct{}
 
+	// mu orders Handle's start of a placement against Close setting
+	// closing: a placement either starts, counted on placeWG, before
+	// Close waits on it, or sees closing and is never started.
+	mu      sync.Mutex
 	closing atomic.Bool
 	quit    chan struct{}
 	placeWG sync.WaitGroup
@@ -175,8 +176,7 @@ type Engine struct {
 }
 
 // New validates the config, connects the metric registry and starts the
-// shard reactors, placement workers and the scrape/probe maintenance
-// loop.
+// shard reactors and the scrape/probe maintenance loop.
 func New(cfg Config) (*Engine, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("lb: no backends")
@@ -203,12 +203,12 @@ func New(cfg Config) (*Engine, error) {
 		cfg.ProbeInterval = time.Second
 	}
 	e := &Engine{
-		cfg:     cfg,
-		base:    time.Now(),
-		pending: make(chan *session, pendingLimit),
-		idle:    make(chan struct{}, 1),
-		quit:    make(chan struct{}),
-		httpc:   &http.Client{Timeout: scrapeInterval},
+		cfg:        cfg,
+		base:       time.Now(),
+		idle:       make(chan struct{}, 1),
+		quit:       make(chan struct{}),
+		httpc:      &http.Client{Timeout: scrapeInterval},
+		placeSlots: make(chan struct{}, cfg.PlaceWorkers),
 	}
 	e.backends = make([]*backend, len(cfg.Backends))
 	for i, addr := range cfg.Backends {
@@ -240,10 +240,6 @@ func New(cfg Config) (*Engine, error) {
 		//smoothvet:transfer ownership of the shard moves to its reactor goroutine
 		go func() { defer e.loopWG.Done(); sh.Run() }()
 	}
-	for w := 0; w < cfg.PlaceWorkers; w++ {
-		e.placeWG.Add(1)
-		go e.placeLoop()
-	}
 	e.maintWG.Add(1)
 	go e.maintain()
 	return e, nil
@@ -255,11 +251,12 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) monotonic() int64 { return int64(time.Since(e.base)) }
 
 // Handle admits one client connection into the tier: it reads the Hello,
-// applies the admission gate and the session cap, and queues the session
-// for placement. The handshake read blocks (bounded by
-// HandshakeTimeout), so callers run Handle on a per-connection
-// goroutine, exactly like serve.Engine.Handle. A non-nil error means the
-// connection was rejected and closed.
+// applies the admission gate and the session cap, and starts the
+// session's placement without waiting for its dial. The handshake read
+// blocks (bounded by HandshakeTimeout), so callers run Handle on a
+// per-connection goroutine, exactly like serve.Engine.Handle. A non-nil
+// error means the connection was rejected and closed, or, for a session
+// admitted while Close ran, failed with errEngineClosed.
 func (e *Engine) Handle(conn net.Conn) error {
 	if e.closing.Load() {
 		return e.reject(conn, errEngineClosed)
@@ -287,54 +284,26 @@ func (e *Engine) Handle(conn net.Conn) error {
 		clientConn: conn,
 		hello:      *msg.Hello,
 		start:      time.Now(),
-		enqueued:   e.monotonic(),
+		admitted:   e.monotonic(),
 		cfd:        -1,
 		bfd:        -1,
 		backendIdx: -1,
 	}
-	select {
-	case e.pending <- s:
-	default:
-		e.leave()
-		if g := e.cfg.Gate; g != nil {
-			g.Release()
-		}
-		return e.reject(conn, errQueueFull)
-	}
-	e.pendCount.Add(1)
 	e.met.reg.GlobalInc(e.met.cAccepted)
-	e.recs[0].Record(s.enqueued, obs.EvAdmit, s.id, 0)
-	if e.closing.Load() {
-		// Close ran while this goroutine was blocked in the hello read:
-		// its drain of e.pending may already be past, in which case the
-		// session just queued would leak (conn open, active pinned,
-		// OnSessionDone never fired). closing was set before that drain,
-		// so seeing it false here means the drain has yet to run and will
-		// collect the session; seeing it true means this goroutine must
-		// drain instead. Pulling sessions other goroutines queued is fine
-		// — everything queued after closing is failed with errEngineClosed
-		// regardless of who pulls it, and channel receives never double-
-		// deliver.
-		e.drainPending()
+	e.recs[0].Record(s.admitted, obs.EvAdmit, s.id, 0)
+	e.mu.Lock()
+	closed := e.closing.Load()
+	if !closed {
+		e.placeWG.Add(1)
+		go e.place(s)
+	}
+	e.mu.Unlock()
+	if closed {
+		// Close ran while this goroutine was blocked in the hello read.
+		e.failPlacement(s, errEngineClosed, e.monotonic())
 		return errEngineClosed
 	}
 	return nil
-}
-
-// drainPending pulls and fails every queued session; used by Close after
-// the placement workers stop and by Handle when its enqueue races that
-// drain.
-func (e *Engine) drainPending() {
-	now := e.monotonic()
-	for {
-		select {
-		case s := <-e.pending:
-			e.pendCount.Add(-1)
-			e.failPlacement(s, errEngineClosed, now)
-		default:
-			return
-		}
-	}
 }
 
 // reject closes a refused connection and counts it.
@@ -364,8 +333,8 @@ func (e *Engine) sessionDone(s *session, err error, now int64) {
 	}
 }
 
-// DrainBackend marks backend i as draining: scoring skips it, placement
-// workers re-place sessions already picked for it, and sessions already
+// DrainBackend marks backend i as draining: scoring skips it, placements
+// re-place sessions already picked for it, and sessions already
 // relaying through it run to completion. The drain is a flight-recorder
 // event; it cannot be undone short of restarting the tier.
 func (e *Engine) DrainBackend(i int) error {
@@ -407,20 +376,19 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 	return true
 }
 
-// Close stops the placement workers and shard reactors, aborting any
-// session still in flight. Safe to call more than once.
+// Close stops placement and the shard reactors, aborting any session
+// still in flight. Safe to call more than once.
 func (e *Engine) Close() {
-	if e.closing.Swap(true) {
+	e.mu.Lock()
+	again := e.closing.Swap(true)
+	e.mu.Unlock()
+	if again {
 		e.loopWG.Wait()
 		return
 	}
 	close(e.quit)
 	e.placeWG.Wait()
 	e.maintWG.Wait()
-	// Fail everything still queued. Workers are gone, so only a Handle
-	// goroutine still blocked in its hello read can enqueue after this —
-	// and it re-checks closing after its send and drains its own wake.
-	e.drainPending()
 	e.loopWG.Wait()
 }
 

@@ -312,8 +312,8 @@ func TestFleetSmoke(t *testing.T) {
 	}
 }
 
-// TestHandleRejectsQueueOverflow: the pending-admit queue is bounded and
-// overflow is a counted, closed-connection rejection, not a hang.
+// TestHandleRejectsBadHello: a connection whose first bytes are not a
+// Hello is a counted, closed-connection rejection, not a hang.
 func TestHandleRejectsBadHello(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("relay reactor tests require linux")
@@ -607,6 +607,82 @@ func TestMaxSessionsHoldsAcrossConcurrentHellos(t *testing.T) {
 	}
 }
 
+// TestCloseFailsSessionsWaitingForASlot: with PlaceWorkers 1 and a backend
+// that never answers, one placement holds the only slot mid-handshake and
+// the other admitted sessions wait for it. Close must fail every waiter
+// at once, without waiting for the slot, and each admitted session exactly
+// once; the holder fails when its handshake does.
+func TestCloseFailsSessionsWaitingForASlot(t *testing.T) {
+	const waiting = 3
+	// A listener nobody accepts on: the placer's dial completes in the
+	// backlog, its hello is buffered and no accept ever comes back.
+	silent, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	var done atomic.Int64
+	eng, err := New(Config{
+		Backends:      []string{silent.Addr().String()},
+		Shards:        1,
+		PlaceWorkers:  1,
+		OnSessionDone: func(SessionStats) { done.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := make(chan struct{})
+	var closeOnce sync.Once
+	closeEng := func() { closeOnce.Do(func() { go func() { eng.Close(); close(closed) }() }) }
+	defer func() {
+		_ = silent.Close() // ends the held handshake
+		closeEng()
+		<-closed
+	}()
+	admit := func() {
+		t.Helper()
+		server, client := net.Pipe()
+		go func() {
+			_ = netstream.WriteHello(client, netstream.Hello{ClientBuffer: 1024, DesiredDelay: 8})
+			_, _ = io.Copy(io.Discard, client) // until the tier closes it
+			_ = client.Close()
+		}()
+		if err := eng.Handle(server); err != nil {
+			t.Fatalf("admit: %v", err)
+		}
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	admit()
+	waitFor("the first placement to dial", func() bool { return eng.backends[0].active.Load() == 1 })
+	for i := 0; i < waiting; i++ {
+		admit()
+	}
+	closeEng()
+	waitFor("Close to fail the waiting sessions", func() bool { return done.Load() == waiting })
+	if got := eng.backends[0].active.Load(); got != 1 {
+		t.Fatalf("the slot holder left its handshake early (backend active %d)", got)
+	}
+	_ = silent.Close()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned once the held handshake failed")
+	}
+	if got := done.Load(); got != waiting+1 {
+		t.Errorf("OnSessionDone fired %d times for %d admitted sessions", got, waiting+1)
+	}
+	if got := eng.Active(); got != 0 {
+		t.Errorf("active sessions %d after Close, want 0", got)
+	}
+}
+
 // TestStallTimeoutRetiresStalledSession: a client that stops reading
 // while the backend keeps sending must be retired within StallTimeout.
 // Regression: level-triggered backend readability used to re-enter relay
@@ -656,9 +732,9 @@ func TestStallTimeoutRetiresStalledSession(t *testing.T) {
 	}
 }
 
-// TestHandleCloseRaceLeaksNothing: Close can drain the pending queue
-// while a Handle goroutine is still blocked in its hello read; when that
-// Handle then enqueues, it must detect the race and fail the session
+// TestHandleCloseRaceLeaksNothing: Close can run to its end while a
+// Handle goroutine is still blocked in its hello read; when that Handle
+// then admits the session, it must see the race and fail the session
 // itself rather than leak it (conn open, active pinned, OnSessionDone
 // never fired).
 func TestHandleCloseRaceLeaksNothing(t *testing.T) {
@@ -695,8 +771,8 @@ func TestHandleCloseRaceLeaksNothing(t *testing.T) {
 	handleErr := make(chan error, 1)
 	go func() { handleErr <- eng.Handle(server) }()
 	// Let Handle pass its closing pre-check and block in the hello read,
-	// then run the full Close — workers exit and the pending drain runs
-	// before the hello ever arrives.
+	// then run the full Close — it waits for every placement it did not
+	// prevent before the hello ever arrives.
 	time.Sleep(50 * time.Millisecond)
 	eng.Close()
 	hello := netstream.Hello{ClientBuffer: 1024, DesiredDelay: 8}

@@ -56,9 +56,6 @@ func newLBMetrics(e *Engine, shards int, extra func(*obs.Builder)) *lbMetrics {
 	m.hStall = b.Histogram("lb_relay_stall_us", "Microseconds a stalled relay waited for the client socket to drain.")
 	m.cWakes = b.Counter("lb_wakes_total", "Relay reactor wakes: returns from the poller wait that were served.")
 	m.hWakeEvents = b.Histogram("lb_wake_events", "Ready fds served per relay reactor wake.")
-	b.Func("lb_sessions_pending", "Sessions waiting in the pending-admit queue.", func() int64 {
-		return e.pendCount.Load()
-	})
 	for i := range e.cfg.Backends {
 		idx := i
 		b.Func(fmt.Sprintf("lb_backend_active{backend=\"%d\"}", idx),

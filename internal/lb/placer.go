@@ -13,8 +13,8 @@ import (
 	"repro/internal/obs"
 )
 
-// backend is one smoothd target's shared placement state. Placement
-// workers, the maintenance loop and the shard reactors all touch it, so
+// backend is one smoothd target's shared placement state. Placements,
+// the maintenance loop and the shard reactors all touch it, so
 // every field is an atomic; the placement table proper (which backend a
 // session relays through) lives in the session structs the shards own.
 type backend struct {
@@ -46,28 +46,22 @@ func (b *backend) draining() bool {
 	return b.drainManual.Load() || b.drainScrape.Load()
 }
 
-// placeLoop is one placement worker: pull from the pending-admit queue,
-// place. Workers exit on Close.
-func (e *Engine) placeLoop() {
-	defer e.placeWG.Done()
-	for {
-		select {
-		case <-e.quit:
-			return
-		case s := <-e.pending:
-			e.pendCount.Add(-1)
-			e.place(s)
-		}
-	}
-}
-
 // replaceLimit bounds how many times one session is re-placed after dial
 // or handshake failures, drains or an empty fleet before it fails.
 const replaceLimit = 3
 
 // place scores, dials and registers one session, re-placing it on
-// failure or drain up to replaceLimit times.
+// failure or drain up to replaceLimit times. It runs on a goroutine of
+// its own, counted on placeWG, and first waits for a placement slot.
 func (e *Engine) place(s *session) {
+	defer e.placeWG.Done()
+	select {
+	case e.placeSlots <- struct{}{}:
+		defer func() { <-e.placeSlots }()
+	case <-e.quit:
+		e.failPlacement(s, errEngineClosed, e.monotonic())
+		return
+	}
 	for {
 		if e.closing.Load() {
 			e.failPlacement(s, errEngineClosed, e.monotonic())

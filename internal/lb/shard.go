@@ -34,7 +34,7 @@ type session struct {
 	hello      netstream.Hello
 	accept     netstream.Accept
 	retries    int
-	enqueued   int64 // engine-monotonic nanos at front-door admit
+	admitted   int64 // engine-monotonic nanos at front-door admit
 	start      time.Time
 
 	// Relay state, owned by the shard after registration.
@@ -76,7 +76,7 @@ func newShard(e *Engine, idx int) (*shard, error) {
 
 // Admit starts the relay for one placed session.
 func (sh *shard) Admit(s *session, now int64) {
-	sh.Met.Observe(sh.eng.met.hAdmitWait, (now-s.enqueued)/1000)
+	sh.Met.Observe(sh.eng.met.hAdmitWait, (now-s.admitted)/1000)
 	s.lastData = now
 	if err := sh.startRelay(s); err != nil {
 		sh.Retire(s, err, now)

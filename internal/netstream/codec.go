@@ -371,18 +371,15 @@ func (dec *Decoder) parse(buf []byte) (Msg, int, string, error) {
 			ServerBuffer: be.Uint32(buf[9:]), StepMicros: be.Uint32(buf[13:])}
 		return Msg{Accept: &dec.accept}, n, "accept", nil
 	case msgData:
-		const head = 1 + dataHeadLen + 4
-		if len(buf) < head {
-			return Msg{}, head, "data header", nil
+		if len(buf) < dataHead {
+			return Msg{}, dataHead, "data header", nil
 		}
-		size := be.Uint32(buf[head-4:])
+		size := be.Uint32(buf[dataHead-4:])
 		if size > MaxPayload {
-			return Msg{}, head, "data header", fmt.Errorf("netstream: payload length %d exceeds limit %d", size, MaxPayload)
+			return Msg{}, dataHead, "data header", fmt.Errorf("netstream: payload length %d exceeds limit %d", size, MaxPayload)
 		}
-		n := head + int(size)
-		if len(buf) < n {
-			return Msg{}, n, "data payload", nil
-		}
+		// The head is decoded as soon as it is in, so read need not parse
+		// the message again once the payload follows.
 		d := &dec.data
 		d.StreamID = be.Uint32(buf[1:])
 		d.SliceID = be.Uint32(buf[5:])
@@ -391,14 +388,26 @@ func (dec *Decoder) parse(buf []byte) (Msg, int, string, error) {
 		d.Weight = math.Float64frombits(be.Uint64(buf[17:]))
 		d.SendStep = be.Uint32(buf[25:])
 		d.Offset = be.Uint32(buf[29:])
-		d.Payload = buf[head:n:n]
-		return Msg{Data: d}, n, "data payload", nil
+		n := dataHead + int(size)
+		if len(buf) < n {
+			return Msg{}, n, dataPayload, nil
+		}
+		d.Payload = buf[dataHead:n:n]
+		return Msg{Data: d}, n, dataPayload, nil
 	case msgEnd:
 		return Msg{End: true}, 1, "end", nil
 	default:
 		return Msg{}, 1, "", fmt.Errorf("netstream: unknown message tag %d", buf[0])
 	}
 }
+
+// dataHead is a Data message's encoded length up to its payload: tag,
+// fixed fields and the payload length. dataPayload names the part a Data
+// message lacks when parse has its head and asks for more.
+const (
+	dataHead    = 1 + dataHeadLen + 4
+	dataPayload = "data payload"
+)
 
 // Next reads and decodes the next message, reading exactly the bytes
 // Parse asks for: it never consumes past the message it returns, so a
@@ -412,7 +421,9 @@ func (dec *Decoder) parse(buf []byte) (Msg, int, string, error) {
 func (dec *Decoder) Next() (Msg, error) { return dec.read() }
 
 // read is Next's exact-length loop: it asks parse how many bytes the
-// message needs, reads up to that count into dec.buf, and asks again.
+// message needs, reads up to that count into dec.buf, and asks again —
+// except after a Data payload: parse framed the message and decoded its
+// head already.
 //
 //smoothvet:noalloc
 func (dec *Decoder) read() (Msg, error) {
@@ -433,6 +444,10 @@ func (dec *Decoder) read() (Msg, error) {
 			return Msg{}, fmt.Errorf("netstream: truncated %s: %w", what, err)
 		}
 		have = n
+		if what == dataPayload {
+			dec.data.Payload = dec.buf[dataHead:have:have]
+			return Msg{Data: &dec.data}, nil
+		}
 		m, need, part, err := dec.parse(dec.buf[:have])
 		if err != nil || need <= have {
 			return m, err

@@ -78,6 +78,17 @@ if grep -rnE 'syscall\.(Splice|Pipe2)|reactor\.(Splice|Pipe)\b' --include=*.go i
     exit 1
 fi
 
+echo "== one placement path"
+# The front tier admits a session on two rules (MaxSessions and the
+# admission gate) and starts its placement at once, bounded by a
+# PlaceWorkers-deep slot channel. A pending-admit queue, its worker pool
+# and its queue-full rejection were a third admission rule no test held;
+# they must not come back.
+if grep -rnE 'chan \*session|placeLoop|pendingLimit|errQueueFull' --include=*.go internal/lb | grep -v '_test\.go:'; then
+    echo "a pending-admit queue is back in internal/lb (lines above)" >&2
+    exit 1
+fi
+
 echo "== one nap"
 # A loaded reactor lets ready fds gather for at most settle before it
 # serves them (reactor.Loop.Run); that nap is the only one. The engines
